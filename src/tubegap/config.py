@@ -72,9 +72,9 @@ _DEFAULTS: dict[str, object] = {
     "material.n1_im": 0.0,
     "material.z1_im": 0.0,
     "oracle.cells_per_wavelength": 33.0,
-    "oracle.pml_fraction": 0.5,
+    "oracle.pml_fraction": 0.0,
     "oracle.pml_reflection": 1e-7,
-    "oracle.pml_min_cells": 20,
+    "oracle.pml_min_cells": 80,
     "oracle.mic_standoff": 1.0,
     "oracle.mic_spacing": 0.5,
     "oracle.max_cells": 6_000_000,

@@ -22,8 +22,13 @@ Discretization notes:
   exact for piecewise-constant media;
 * the sleeve between sample and gap is a zero-flux internal face, the
   rigid wall and the axis are natural zero-flux boundaries;
-* both axial ends carry a complex-stretch PML (quadratic grading) whose
-  physical depth scales with the longest wavelength of the sweep;
+* both axial ends carry a PML of a fixed number of cells whose stretch
+  s = kappa - i sigma/w grades quadratically with depth: sigma absorbs the
+  outgoing plane wave at a rate independent of frequency, and the real
+  stretch kappa (rising from 1 to ``PML_KAPPA_MAX``) steepens the decay of
+  the evanescent duct modes, whose round trip to the rigid end wall is
+  what the layer must suppress (the plane-wave residual drops out of the
+  four-microphone decomposition below);
 * virtual microphones record the cross-section average of the pressure,
   which projects out every non-planar duct mode: by mode orthogonality
   only the plane wave survives the average, so evanescent contamination
@@ -36,7 +41,7 @@ Discretization notes:
   only the plane mode of the uniform duct section it sits in.
 
 Time convention matches the rest of the package: exp(+i w t), so the
-stretch s = 1 - i sigma/w absorbs outgoing waves.
+stretch s = kappa - i sigma/w absorbs outgoing waves.
 """
 
 from __future__ import annotations
@@ -55,6 +60,19 @@ from tubegap.specfun import j1_roots
 from tubegap.types import DuctGeometry, MaterialSpec, MediumProperties, ScatteringData
 
 MIN_CELLS_PER_WAVELENGTH = 20
+# real stretch at the outer end of the PML (complex-frequency-shifted PML,
+# Kuzuoglu & Mittra 1996); 30 over 80 cells puts the first evanescent
+# mode's round trip to the end wall near 1e-22 at 2500 Hz on sample 1
+PML_KAPPA_MAX = 30.0
+# the stretch shortens the wavelength the grid sees by kappa, so a coarse
+# grid caps kappa to keep this many cells per stretched wavelength at f_max
+# (kappa = 30 on a 5.2 mm grid leaves 0.9 cells at 2500 Hz and reflected 1e-2
+# of the plane wave; with 6 cells or more it stayed below 1.5e-6)
+PML_MIN_STRETCHED_CELLS = 6.0
+# largest tolerated round trip exp(-2 kappa_1 L) of the first evanescent
+# mode; the energy defect it leaves is about half of it, and a thin sample
+# amplifies that about 250-fold into Im(n1)
+EVANESCENT_ROUND_TRIP_MAX = 1e-12
 
 
 @dataclass(frozen=True)
@@ -62,16 +80,19 @@ class OracleSettings:
     """Numerical knobs for scene construction.
 
     The defaults aim at a few-per-mille scattering accuracy: ~33 cells
-    per local wavelength, a half-wavelength PML graded quadratically to a
-    1e-7 theoretical reflection, microphones one duct radius from the
-    sample faces and half a radius apart.
+    per local wavelength, an 80-cell PML graded quadratically to a 1e-7
+    theoretical plane-wave reflection and a real stretch of
+    ``PML_KAPPA_MAX``, microphones one duct radius from the sample faces
+    and half a radius apart.  The PML is ``pml_min_cells`` deep unless
+    ``pml_wavelength_fraction`` of the wavelength at ``f_min`` is longer;
+    ``f_min`` matters only in that case.
     """
 
     cells_per_wavelength: float = 33.0
     f_min: float = 300.0
-    pml_wavelength_fraction: float = 0.5
+    pml_wavelength_fraction: float = 0.0
     pml_reflection: float = 1e-7
-    pml_min_cells: int = 20
+    pml_min_cells: int = 80
     mic_standoff_radii: float = 1.0
     mic_spacing_radii: float = 0.5
     max_cells: int = 6_000_000
@@ -90,6 +111,7 @@ class SimGrid:
     x0: float                 # coordinate of the left domain face (x=0 is the upstream sample face)
     n_pml: int
     sigma_max: float
+    kappa_max: float
     i_sample0: int
     n_sample_cells: int
     j_sleeve: int             # radial face index blocked over the sample span (0 = no sleeve)
@@ -228,13 +250,15 @@ def build_scene(
         sleeve = j_sleeve
 
     sigma_max = 3.0 * medium.c0 * math.log(1.0 / settings.pml_reflection) / (2.0 * n_pml * dx)
+    kappa_max = min(PML_KAPPA_MAX, medium.c0 / (f_max * dx * PML_MIN_STRETCHED_CELLS))
 
     i_mic_b = i_sample0 - n_standoff
     i_mic_a = i_mic_b - n_spacing
     i_src_up = i_mic_a - n_srcgap
     return SimGrid(
         geometry=geometry, medium=medium, dx=dx, dr=dr, nx=nx, nr=nr, x0=x0,
-        n_pml=n_pml, sigma_max=sigma_max, i_sample0=i_sample0, n_sample_cells=nt,
+        n_pml=n_pml, sigma_max=sigma_max, kappa_max=kappa_max,
+        i_sample0=i_sample0, n_sample_cells=nt,
         j_sleeve=sleeve, rho=rho, kappa=kappa,
         i_mic_a=i_mic_a, i_mic_b=i_mic_b,
         i_mic_c=nx - 1 - i_mic_b, i_mic_d=nx - 1 - i_mic_a,
@@ -242,12 +266,34 @@ def build_scene(
     )
 
 
-def _sigma_profile(scene: SimGrid, positions: np.ndarray) -> np.ndarray:
-    """Quadratically graded absorption rate at the given x positions."""
+def _stretch(scene: SimGrid, positions: np.ndarray, omega: float) -> np.ndarray:
+    """PML coordinate stretch s = kappa - i sigma/omega at the given x positions.
+
+    Both kappa - 1 and sigma grow quadratically with the depth into the layer.
+    """
     depth_left = (scene.x0 + scene.n_pml * scene.dx) - positions
     depth_right = positions - (scene.x0 + (scene.nx - scene.n_pml) * scene.dx)
     depth = np.maximum(0.0, np.maximum(depth_left, depth_right))
-    return scene.sigma_max * (depth / (scene.n_pml * scene.dx)) ** 2
+    grade = (depth / (scene.n_pml * scene.dx)) ** 2
+    return 1.0 + (scene.kappa_max - 1.0) * grade - 1j * scene.sigma_max * grade / omega
+
+
+def evanescent_round_trip(scene: SimGrid, f: float) -> float:
+    """Amplitude exp(-2 kappa_1 L) the first evanescent duct mode keeps after
+    running from a sample face to the rigid end wall and back.
+
+    ``L`` is the stretched distance Re(integral of s dx): the air between
+    the sample face and the PML plus the PML depth times the mean of
+    kappa (the same on both sides).  Returns 1.0 at and above the first cutoff, where the mode no
+    longer decays.
+    """
+    k_cut = j1_roots(2).roots[1] / scene.geometry.r2
+    k0 = 2.0 * math.pi * f / scene.medium.c0
+    if k0 >= k_cut:
+        return 1.0
+    air = (scene.i_sample0 - scene.n_pml) * scene.dx
+    pml = scene.n_pml * scene.dx * (1.0 + (scene.kappa_max - 1.0) / 3.0)
+    return math.exp(-2.0 * math.sqrt(k_cut ** 2 - k0 ** 2) * (air + pml))
 
 
 def _assemble(scene: SimGrid, f: float) -> sp.csc_matrix:
@@ -255,8 +301,8 @@ def _assemble(scene: SimGrid, f: float) -> sp.csc_matrix:
     omega = 2.0 * math.pi * f
     x_faces = scene.x0 + np.arange(nx + 1) * scene.dx
     x_centers = scene.x0 + (np.arange(nx) + 0.5) * scene.dx
-    s_face = 1.0 - 1j * _sigma_profile(scene, x_faces) / omega
-    s_cell = 1.0 - 1j * _sigma_profile(scene, x_centers) / omega
+    s_face = _stretch(scene, x_faces, omega)
+    s_cell = _stretch(scene, x_centers, omega)
 
     rho, kappa = scene.rho, scene.kappa
     idx = np.arange(nx * nr).reshape(nx, nr)
@@ -315,7 +361,8 @@ def _solve_field(scene: SimGrid, f: float, excite: str) -> tuple[np.ndarray, flo
     b = np.zeros(scene.n_cells, dtype=complex)
     i_src = scene.i_src_up if excite == "upstream" else scene.i_src_down
     b[i_src * scene.nr:(i_src + 1) * scene.nr] = 1.0
-    lu = spla.splu(a)
+    # the matrix is structurally symmetric, so order on A^T + A
+    lu = spla.splu(a, permc_spec="MMD_AT_PLUS_A")
     p = lu.solve(b)
     residual = float(np.linalg.norm(a @ p - b) / np.linalg.norm(b))
     if not residual < 1e-9:
@@ -341,10 +388,11 @@ def solve_harmonic(scene: SimGrid, f: float, excite: str = "upstream") -> PortRe
             "decomposition ignores the propagating higher mode",
             stacklevel=2,
         )
-    if scene.n_pml * scene.dx < 0.3 * scene.medium.c0 / f:
+    elif (round_trip := evanescent_round_trip(scene, f)) > EVANESCENT_ROUND_TRIP_MAX:
         warnings.warn(
-            f"absorbing layer is thinner than a third of the wavelength at {f} Hz; "
-            "build the scene with a lower f_min to keep terminations anechoic",
+            f"the first evanescent mode returns from the end walls with amplitude "
+            f"{round_trip:.1e} at {f} Hz; build the scene with "
+            "more PML cells or longer microphone standoffs",
             stacklevel=2,
         )
     p, residual = _solve_field(scene, f, excite)

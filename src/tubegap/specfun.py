@@ -30,7 +30,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from tubegap.errors import DomainError
+from tubegap.errors import ConvergenceError, DomainError
 
 SERIES_ASYMPTOTIC_CROSSOVER = 25.0
 
@@ -188,27 +188,26 @@ class BesselRootTable:
         return len(self.roots)
 
 
-def _refine_root(lo: float, hi: float) -> float:
-    """Bisection to near machine width, then two Newton polish steps."""
-    flo = bessel_j1(lo)
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
+def _newton_step(x: float) -> float:
+    f = bessel_j1(x)
+    # J1'(x) = J0(x) - J1(x)/x
+    df = bessel_j0(x) - f / x
+    return f / df if df != 0.0 else 0.0
+
+
+def _refine_root(guess: float, lo: float, hi: float) -> float:
+    """Newton steps from ``guess`` to near machine width, kept inside the
+    sign bracket (lo, hi), then two Newton polish steps."""
+    root = guess
+    for _ in range(50):
+        step = _newton_step(root)
+        root -= step
+        if not lo < root < hi:
+            raise ConvergenceError(f"Newton iteration for a J1 root left ({lo}, {hi})")
+        if abs(step) < 1e-15 * root:
             break
-        fmid = bessel_j1(mid)
-        if (flo < 0) == (fmid < 0):
-            lo, flo = mid, fmid
-        else:
-            hi = mid
-        if hi - lo < 1e-15 * hi:
-            break
-    root = 0.5 * (lo + hi)
     for _ in range(2):
-        f = bessel_j1(root)
-        # J1'(x) = J0(x) - J1(x)/x
-        df = bessel_j0(root) - f / root
-        if df != 0.0:
-            root -= f / df
+        root -= _newton_step(root)
     return root
 
 
@@ -223,7 +222,7 @@ def _positive_j1_roots(n: int) -> tuple[float, ...]:
         # only fails if something is badly wrong; widen once before giving up
         if (bessel_j1(lo) < 0) == (bessel_j1(hi) < 0):
             lo, hi = guess - 1.2, guess + 1.2
-        roots.append(_refine_root(lo, hi))
+        roots.append(_refine_root(guess, lo, hi))
     return tuple(roots)
 
 

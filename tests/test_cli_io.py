@@ -9,6 +9,7 @@ from tubegap.cli import main
 from tubegap.config import RunConfig
 from tubegap.datafiles import read_results_csv, read_tr_csv, write_results_csv, write_tr_csv
 from tubegap.errors import ConfigError
+from tubegap.fdfd import OracleSettings
 from tubegap.retrieval import RetrievedProperties
 from tubegap.types import ScatteringData
 
@@ -54,6 +55,12 @@ class TestConfig:
         bad.write_text("sweep.count = many\n")
         with pytest.raises(ConfigError):
             RunConfig.from_file(bad)
+
+    def test_oracle_defaults_match_settings(self):
+        """The oracle defaults are written twice, in the config table and in
+        OracleSettings; they must agree field for field."""
+        config = RunConfig.from_file(None)
+        assert config.oracle() == OracleSettings(f_min=config.values["sweep.start"])
 
     def test_material_needs_impedance(self, tmp_path):
         path = tmp_path / "m.cfg"

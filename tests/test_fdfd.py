@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from tubegap.fdfd import (
     OracleSettings,
     PortRecord,
     build_scene,
+    evanescent_round_trip,
     grid_wavenumber,
     scattering_from_ports,
     solve_field,
@@ -20,7 +22,7 @@ from tubegap.fdfd import (
 )
 from tubegap.types import MaterialSpec
 
-FAST = OracleSettings(cells_per_wavelength=20, f_min=500.0, pml_wavelength_fraction=0.4)
+FAST = OracleSettings(cells_per_wavelength=20, f_min=500.0)
 
 
 @pytest.fixture(scope="module")
@@ -29,6 +31,11 @@ def sample1_material(sample1_geometry, medium):
 
     z2 = GapProperties.from_geometry(sample1_geometry, medium).z2
     return MaterialSpec(n1=5.0 + 0j, z1=15.0 * z2)
+
+
+@pytest.fixture(scope="module")
+def default_scene(sample1_material, sample1_geometry, medium):
+    return build_scene(sample1_material, sample1_geometry, 2500.0, medium=medium)
 
 
 class TestBuildScene:
@@ -237,3 +244,54 @@ class TestScenePhysics:
         source = open(fdfd_module.__file__).read()
         assert "tubegap.modal" not in source
         assert "tubegap.retrieval" not in source
+
+
+class TestTerminations:
+    """The fixed-depth PML: (T, R) must not depend on it."""
+
+    def test_termination_drops_out(self, default_scene, sample1_material, sample1_geometry, medium):
+        """An 80-cell PML gives the (T, R) of a half-wavelength (770-cell) one."""
+        long_pml = OracleSettings(pml_wavelength_fraction=0.5, f_min=300.0)
+        scene_long = build_scene(
+            sample1_material, sample1_geometry, 2500.0, medium=medium, settings=long_pml
+        )
+        assert scene_long.n_pml > 5 * default_scene.n_pml
+        for f in (600.0, 2500.0):
+            sd = scattering_from_ports(solve_harmonic(default_scene, f), sample1_geometry, medium)
+            sd_long = scattering_from_ports(solve_harmonic(scene_long, f), sample1_geometry, medium)
+            assert sd.transmission == pytest.approx(sd_long.transmission, abs=1e-12)
+            assert sd.reflection == pytest.approx(sd_long.reflection, abs=1e-12)
+
+    def test_evanescent_return_suppressed(self, default_scene, sample1_geometry, medium):
+        """Lossless energy balance at the top of the band, where the first
+        evanescent mode decays slowest; without the real stretch the mode's
+        return from the end walls leaves a defect of about 4e-8."""
+        sd = scattering_from_ports(solve_harmonic(default_scene, 2500.0), sample1_geometry, medium)
+        assert abs(abs(sd.transmission) ** 2 + abs(sd.reflection) ** 2 - 1.0) <= 1e-12
+
+    def test_evanescent_guard(self, default_scene, sample1_material, sample1_geometry, medium):
+        short = OracleSettings(pml_min_cells=5, mic_standoff_radii=0.1, mic_spacing_radii=0.1)
+        scene_short = build_scene(
+            sample1_material, sample1_geometry, 2500.0, medium=medium, settings=short
+        )
+        assert evanescent_round_trip(scene_short, 2500.0) > 1e-6
+        with pytest.warns(UserWarning, match="evanescent"):
+            solve_harmonic(scene_short, 2500.0)
+        assert evanescent_round_trip(default_scene, 2500.0) < 1e-20
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            solve_harmonic(default_scene, 2500.0)
+
+    def test_grid_refinement(self, default_scene, sample1_material, sample1_geometry, medium):
+        """Richardson check: refining dx from 7.4e-4 to 4.0e-4 m moves |T|
+        and |R| by at most 1.5e-3 (measured 1.48e-3, |R| at 2400 Hz)."""
+        fine = build_scene(
+            sample1_material, sample1_geometry, 2500.0, medium=medium,
+            settings=OracleSettings(cells_per_wavelength=66),
+        )
+        assert fine.dx < 0.55 * default_scene.dx
+        for f in (600.0, 1500.0, 2400.0):
+            sd = scattering_from_ports(solve_harmonic(default_scene, f), sample1_geometry, medium)
+            sd_fine = scattering_from_ports(solve_harmonic(fine, f), sample1_geometry, medium)
+            assert abs(abs(sd.transmission) - abs(sd_fine.transmission)) <= 1.5e-3, f
+            assert abs(abs(sd.reflection) - abs(sd_fine.reflection)) <= 1.5e-3, f
