@@ -68,18 +68,14 @@ class ModalBasis:
         ones (see module docstring for the branch rule).
         """
         k0 = 2.0 * math.pi * f / medium.c0
-        beta = np.empty(self.n_modes, dtype=complex)
-        for n, kn in enumerate(self.k):
-            diff = (k0 - kn) * (k0 + kn)
-            if abs(diff) < 1e-24 * k0 * k0:
-                raise DomainError(
-                    f"frequency {f} Hz sits exactly on the cutoff of duct mode {n}"
-                )
-            if diff > 0:
-                beta[n] = math.sqrt(diff)
-            else:
-                beta[n] = -1j * math.sqrt(-diff)
-        return beta
+        diff = (k0 - self.k) * (k0 + self.k)
+        on_cutoff = np.flatnonzero(np.abs(diff) < 1e-24 * k0 * k0)
+        if on_cutoff.size:
+            raise DomainError(
+                f"frequency {f} Hz sits exactly on the cutoff of duct mode {on_cutoff[0]}"
+            )
+        root = np.sqrt(np.abs(diff))
+        return np.where(diff > 0, root, -1j * root)
 
 
 def duct_wavenumbers(geometry: DuctGeometry, n_modes: int) -> ModalBasis:
@@ -200,34 +196,17 @@ def coupling_coefficients(
 
     ring_sq = r2 * r2 - r1 * r1
     scale = 4j * medium.rho0 * omega
-    pre = {
-        "aa": scale / r1 ** 4,
-        "ab": scale / (r1 * r1 * ring_sq),
-        "ba": scale / (r1 * r1 * ring_sq),
-        "bb": scale / ring_sq ** 2,
-    }
-    pair = {
-        "aa": disk * disk,
-        "ab": disk * ring,
-        "ba": ring * disk,
-        "bb": ring * ring,
-    }
+    # the prefactors stay Python complex scalars: numpy's complex-by-real
+    # division rounds differently from Python's
+    cross = scale / (r1 * r1 * ring_sq)
+    pre = np.array([[scale / r1 ** 4, cross], [cross, scale / ring_sq ** 2]])
+    patch = np.stack((disk, ring))
+    terms = pre[:, :, None] * (patch[:, None, :] * patch[None, :, :]) * green
+    running = np.cumsum(terms, axis=-1)
 
     half = n_modes // 2 if n_modes > 1 else 1
-    full_vals = {}
-    half_vals = {}
-    for key in ("aa", "ab", "ba", "bb"):
-        terms = pre[key] * pair[key] * green
-        running = np.cumsum(terms)
-        full_vals[key] = complex(running[-1])
-        half_vals[key] = complex(running[half - 1])
-
-    upstream = np.array(
-        [[full_vals["aa"], full_vals["ab"]], [full_vals["ba"], full_vals["bb"]]]
-    )
-    upstream_half = np.array(
-        [[half_vals["aa"], half_vals["ab"]], [half_vals["ba"], half_vals["bb"]]]
-    )
+    upstream = running[:, :, -1]
+    upstream_half = running[:, :, half - 1]
     downstream = -upstream
     rel_change = float(
         np.max(np.abs(upstream - upstream_half) / np.abs(upstream))
