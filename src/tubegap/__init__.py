@@ -3,10 +3,10 @@
 The package has two independent halves:
 
 * a model-based retrieval pipeline (``tubegap.retrieval`` on top of
-  ``tubegap.modal`` and ``tubegap.specfun``) that inverts measured
-  complex transmission/reflection pairs into the sample's effective
-  refractive index and acoustic impedance by solving an 8x8 interface
-  system;
+  ``tubegap.modal``, whose Bessel functions come from ``scipy.special``)
+  that inverts measured complex transmission/reflection pairs into the
+  sample's effective refractive index and acoustic impedance by solving
+  an 8x8 interface system;
 * a finite-difference frequency-domain simulator (``tubegap.fdfd``)
   that produces transmission/reflection data for the same scene from
   first principles, used to verify the retrieval end to end.
@@ -32,7 +32,6 @@ from tubegap.types import (
     MediumProperties,
     ScatteringData,
 )
-from tubegap.specfun import BesselRootTable, bessel_j0, bessel_j1, j1_roots
 from tubegap.modal import (
     CouplingCoefficients,
     ModalBasis,

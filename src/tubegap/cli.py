@@ -59,8 +59,6 @@ def _overrides(args: argparse.Namespace) -> dict[str, str]:
         out["branch.seed"] = str(args.branch_seed)
     if getattr(args, "allow_above_cutoff", False):
         out["retrieve.allow_above_cutoff"] = "true"
-    if getattr(args, "convention", None):
-        out["solver.convention"] = args.convention
     return out
 
 
@@ -191,7 +189,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--branch-seed", type=int, help="inverse-cosine branch at the first point")
     p.add_argument("--modes", type=int, help="modal truncation")
     p.add_argument("--allow-above-cutoff", action="store_true")
-    p.add_argument("--convention", choices=["consistent", "verbatim"])
     p.set_defaults(func=cmd_retrieve)
 
     p = sub.add_parser("forward", help="generate a T,R sweep")
@@ -209,7 +206,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tolerance", type=float, help="median relative error bound")
     p.add_argument("--modes", type=int)
     p.add_argument("--allow-above-cutoff", action="store_true")
-    p.add_argument("--convention", choices=["consistent", "verbatim"])
     p.set_defaults(func=cmd_roundtrip)
 
     p = sub.add_parser("modes", help="print the duct mode table")

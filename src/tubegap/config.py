@@ -37,7 +37,6 @@ _SCHEMA: dict[str, type] = {
     "modal.count": int,
     "modal.tolerance": float,
     "branch.seed": int,
-    "solver.convention": str,
     "solver.max_condition": float,
     "sweep.start": float,
     "sweep.stop": float,
@@ -64,7 +63,6 @@ _DEFAULTS: dict[str, object] = {
     "medium.c0": 343.0,
     "modal.count": 64,
     "modal.tolerance": 1e-3,
-    "solver.convention": "consistent",
     "solver.max_condition": 1e12,
     "sweep.start": 300.0,
     "sweep.stop": 2500.0,
@@ -135,9 +133,6 @@ class RunConfig:
             raise ConfigError(f"missing required config key {key!r}")
         return self.values[key]
 
-    def get(self, key: str, default=None):
-        return self.values.get(key, default)
-
     # --- domain object builders -------------------------------------
     def medium(self) -> MediumProperties:
         return MediumProperties(
@@ -166,7 +161,6 @@ class RunConfig:
         return RetrievalConfig(
             n_modes=int(self.values["modal.count"]),
             sum_tolerance=float(self.values["modal.tolerance"]),
-            convention=str(self.values["solver.convention"]),
             branch_seed=(int(self.values["branch.seed"]) if "branch.seed" in self.values else None),
             allow_above_cutoff=bool(self.values["retrieve.allow_above_cutoff"]),
             max_condition=float(self.values["solver.max_condition"]),

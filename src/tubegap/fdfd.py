@@ -54,12 +54,15 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.special import jn_zeros
 
 from tubegap.errors import DecompositionError, DomainError, ResolutionError
-from tubegap.specfun import j1_roots
 from tubegap.types import DuctGeometry, MaterialSpec, MediumProperties, ScatteringData
 
 MIN_CELLS_PER_WAVELENGTH = 20
+# first positive root of J1: the first non-planar duct mode cuts on at
+# k r2 = J1_FIRST_ROOT (only the warnings below use it)
+J1_FIRST_ROOT = float(jn_zeros(1, 1)[0])
 # real stretch at the outer end of the PML (complex-frequency-shifted PML,
 # Kuzuoglu & Mittra 1996); 30 over 80 cells puts the first evanescent
 # mode's round trip to the end wall near 1e-22 at 2500 Hz on sample 1
@@ -287,7 +290,7 @@ def evanescent_round_trip(scene: SimGrid, f: float) -> float:
     kappa (the same on both sides).  Returns 1.0 at and above the first cutoff, where the mode no
     longer decays.
     """
-    k_cut = j1_roots(2).roots[1] / scene.geometry.r2
+    k_cut = J1_FIRST_ROOT / scene.geometry.r2
     k0 = 2.0 * math.pi * f / scene.medium.c0
     if k0 >= k_cut:
         return 1.0
@@ -381,7 +384,7 @@ def solve_harmonic(scene: SimGrid, f: float, excite: str = "upstream") -> PortRe
     both directions; with this scene's symmetric instrument layout the
     mirrored microphone positions coincide with the upstream ones.
     """
-    cutoff = j1_roots(2).roots[1] * scene.medium.c0 / (2.0 * math.pi * scene.geometry.r2)
+    cutoff = J1_FIRST_ROOT * scene.medium.c0 / (2.0 * math.pi * scene.geometry.r2)
     if f > cutoff:
         warnings.warn(
             f"{f} Hz is above the first duct cutoff; the plane-wave "

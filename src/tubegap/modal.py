@@ -22,6 +22,10 @@ Sign and branch conventions (fixed package-wide):
   reactive part of the radiation loading is mass-like (positive).  The
   finite-difference oracle in tubegap.fdfd independently confirms this
   choice via the round-trip tests.
+
+J0, J1 and the roots of J1 come from ``scipy.special``.  The roots are
+cached per truncation and the patch integrals per geometry, so a sweep
+evaluates Bessel functions only once, as whole-array expressions.
 """
 
 from __future__ import annotations
@@ -31,9 +35,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+from scipy.special import j0 as bessel_j0, j1 as bessel_j1, jn_zeros
 
 from tubegap.errors import ConvergenceError, DomainError
-from tubegap.specfun import bessel_j0, bessel_j1, j1_roots
 from tubegap.types import DuctGeometry, MediumProperties
 
 DEFAULT_MODE_COUNT = 64
@@ -41,6 +45,14 @@ DEFAULT_SUM_TOLERANCE = 1e-3
 # geometries whose patch integrals stay cached; fixed so that runs over many
 # geometries (e.g. randomized draws) keep a bounded memory footprint
 PATCH_CACHE_SIZE = 32
+
+
+@lru_cache(maxsize=PATCH_CACHE_SIZE)
+def _j1_roots(n_modes: int) -> np.ndarray:
+    """0 followed by the first ``n_modes - 1`` positive roots of J1 (read-only)."""
+    roots = np.concatenate(([0.0], jn_zeros(1, n_modes - 1) if n_modes > 1 else []))
+    roots.setflags(write=False)
+    return roots
 
 
 @dataclass(frozen=True)
@@ -86,16 +98,14 @@ def duct_wavenumbers(geometry: DuctGeometry, n_modes: int) -> ModalBasis:
     """
     if not isinstance(n_modes, int) or isinstance(n_modes, bool) or n_modes < 1:
         raise DomainError(f"mode count must be a positive integer, got {n_modes!r}")
-    table = j1_roots(n_modes)
-    k = np.asarray(table.roots) / geometry.r2
-    wall = np.array([bessel_j0(kn * geometry.r2) for kn in k])
+    k = _j1_roots(n_modes) / geometry.r2
+    wall = bessel_j0(k * geometry.r2)
     return ModalBasis(geometry=geometry, k=k, wall_values=wall)
 
 
 def first_cutoff_frequency(geometry: DuctGeometry, medium: MediumProperties) -> float:
     """Cutoff of the first non-planar axisymmetric mode (Hz)."""
-    x1 = j1_roots(2).roots[1]
-    return x1 * medium.c0 / (2.0 * math.pi * geometry.r2)
+    return _j1_roots(2)[1] * medium.c0 / (2.0 * math.pi * geometry.r2)
 
 
 def eigenmode(n: int, r: float, basis: ModalBasis) -> float:
@@ -132,12 +142,13 @@ def _patch_integrals(
     and therefore read-only.
     """
     basis = duct_wavenumbers(geometry, n_modes)
-    disk = np.array(
-        [radial_integral(kn, 0.0, geometry.r1) for kn in basis.k]
-    ) / basis.wall_values
-    ring = np.array(
-        [radial_integral(kn, geometry.r1, geometry.r2) for kn in basis.k]
-    ) / basis.wall_values
+    r1, r2 = geometry.r1, geometry.r2
+    # radial_integral's closed form over all modes; mode 0 (k = 0) separately
+    k = basis.k[1:]
+    inner = r1 * bessel_j1(k * r1)
+    outer = r2 * bessel_j1(k * r2)
+    disk = np.concatenate(([0.5 * r1 * r1], inner / k)) / basis.wall_values
+    ring = np.concatenate(([0.5 * (r2 * r2 - r1 * r1)], (outer - inner) / k)) / basis.wall_values
     for array in (basis.k, basis.wall_values, disk, ring):
         array.setflags(write=False)
     return basis, disk, ring
@@ -178,7 +189,7 @@ def coupling_coefficients(
 
     Each coefficient is a modal sum of (prefactor) * (source-patch radial
     integral) * (receiver-patch radial integral) / (-i pi r2^2 beta_n);
-    the radial integrals use the closed form from ``radial_integral``.
+    the radial integrals use the closed form of ``radial_integral``.
 
     Raises ConvergenceError if doubling the truncation from n_modes/2 to
     n_modes still moves any coefficient by more than ``sum_tolerance``

@@ -69,15 +69,6 @@ class TransferMatrix:
     def determinant(self) -> complex:
         return self.m11 * self.m22 - self.m12 * self.m21
 
-    def validate(self, tol: float = 1e-10) -> None:
-        scale = max(abs(self.m11), abs(self.m22), 1e-300)
-        if abs(self.m11 - self.m22) > tol * scale:
-            raise DomainError(
-                f"transfer matrix diagonal mismatch: {self.m11} vs {self.m22}"
-            )
-        if abs(self.determinant() - 1.0) > tol:
-            raise DomainError(f"transfer matrix determinant {self.determinant()} != 1")
-
 
 @dataclass(frozen=True)
 class FieldState:
@@ -144,7 +135,6 @@ class RetrievalConfig:
 
     n_modes: int = DEFAULT_MODE_COUNT
     sum_tolerance: float = DEFAULT_SUM_TOLERANCE
-    convention: str = "consistent"
     branch_seed: int | None = None
     allow_above_cutoff: bool = False
     degenerate_rel_tol: float = 1e-6
@@ -198,7 +188,6 @@ def assemble_system(
     gap: GapProperties,
     coupling: CouplingCoefficients,
     f: float,
-    convention: str = "consistent",
 ) -> tuple[np.ndarray, np.ndarray]:
     """Build the 8x8 interface system Q and its right-hand side Y.
 
@@ -206,20 +195,10 @@ def assemble_system(
     u2_out].  Rows 1-2 encode the measured layer matrix acting on the
     area-weighted total pressure/velocity; rows 3-6 are the duct radiation
     conditions on each patch of each face (with the blocked-pressure drive
-    2 on the upstream face); rows 7-8 are the known air-gap layer.
-
-    ``convention`` selects the sign set:
-
-    * ``"consistent"`` (default): every row follows the package-wide
-      +x velocity / exp(+i w t) convention.  This is the set under which
-      forward simulation and retrieval are exact inverses of each other.
-    * ``"verbatim"``: an alternative historical sign set that flips the
-      m11 entries of row 1 and the layer signs of rows 7-8.  It is kept
-      as an A/B harness because it demonstrably breaks the round trip;
-      see tests/test_retrieve_sweep.py.
+    2 on the upstream face); rows 7-8 are the known air-gap layer.  Every
+    row follows the package-wide +x velocity / exp(+i w t) convention,
+    under which forward simulation and retrieval are exact inverses.
     """
-    if convention not in ("consistent", "verbatim"):
-        raise DomainError(f"unknown sign convention {convention!r}")
     if abs(coupling.frequency - f) > 1e-9 * max(f, 1.0):
         raise DomainError(
             f"coupling coefficients were computed at {coupling.frequency} Hz, "
@@ -232,14 +211,10 @@ def assemble_system(
     (a_c, b_c), (c_c, d_c) = coupling.upstream
     (e_c, f_c), (g_c, h_c) = coupling.downstream
 
-    m11_sign = 1.0 if convention == "consistent" else -1.0
-    layer_sign = -1.0 if convention == "consistent" else 1.0
-
     q = np.zeros((8, 8), dtype=complex)
     # layer matrix acting on the area-averaged totals
-    q[0] = [-s1 / s2, -s3 / s2, m11_sign * matrix.m11 * s1 / s2,
-            m11_sign * matrix.m11 * s3 / s2, 0.0, 0.0,
-            matrix.m12 / s2, matrix.m12 / s2]
+    q[0] = [-s1 / s2, -s3 / s2, matrix.m11 * s1 / s2, matrix.m11 * s3 / s2,
+            0.0, 0.0, matrix.m12 / s2, matrix.m12 / s2]
     q[1] = [0.0, 0.0, matrix.m21 * s1 / s2, matrix.m21 * s3 / s2,
             -1.0 / s2, -1.0 / s2, matrix.m22 / s2, matrix.m22 / s2]
     # duct radiation on the upstream face (blocked-pressure drive on RHS)
@@ -249,9 +224,8 @@ def assemble_system(
     q[4] = [0.0, 0.0, 1.0, 0.0, 0.0, 0.0, -e_c, -f_c]
     q[5] = [0.0, 0.0, 0.0, 1.0, 0.0, 0.0, -g_c, -h_c]
     # air-gap layer linking its two faces
-    q[6] = [0.0, 1.0, 0.0, -cos2, 0.0, 0.0, 0.0, layer_sign * 1j * gap.z2 * sin2]
-    q[7] = [0.0, 0.0, 0.0, layer_sign * 1j / gap.z2 * sin2, 0.0, 1.0, 0.0,
-            layer_sign * cos2]
+    q[6] = [0.0, 1.0, 0.0, -cos2, 0.0, 0.0, 0.0, -1j * gap.z2 * sin2]
+    q[7] = [0.0, 0.0, 0.0, -1j / gap.z2 * sin2, 0.0, 1.0, 0.0, -cos2]
     y = np.array([0.0, 0.0, 2.0, 2.0, 0.0, 0.0, 0.0, 0.0], dtype=complex)
     return q, y
 
@@ -383,9 +357,7 @@ def retrieve_point(
     if coupling.above_cutoff:
         flags.append("above_cutoff")
     gap = GapProperties.from_geometry(geometry, medium)
-    q, y = assemble_system(
-        matrix, geometry, medium, gap, coupling, data.f, convention=config.convention
-    )
+    q, y = assemble_system(matrix, geometry, medium, gap, coupling, data.f)
     state = solve_fields(q, y, frequency=data.f, max_condition=config.max_condition)
     try:
         z1 = impedance_from_fields(state, rel_tol=config.degenerate_rel_tol)

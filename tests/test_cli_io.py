@@ -149,9 +149,9 @@ class TestCli:
         out = capsys.readouterr().out
         assert "PASS" in out
 
-    def test_roundtrip_wrong_convention_fails(self, cfg_path, capsys):
+    def test_roundtrip_over_tolerance_fails(self, cfg_path, capsys):
         code = self.run("roundtrip", "--config", str(cfg_path), "--method", "averaged",
-                        "--tolerance", "0.01", "--convention", "verbatim")
+                        "--tolerance", "1e-30")
         assert code == 2
         assert "FAIL" in capsys.readouterr().out
 

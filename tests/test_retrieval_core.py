@@ -116,17 +116,6 @@ class TestAssembleSystem:
         expected = np.array([1, 0, 0, 0, -a_c, -b_c, 0, 0])
         assert np.allclose(q[2], expected, rtol=0, atol=0)
 
-    def test_gap_layer_row_verbatim_signs(self, parts, sample1_geometry, medium):
-        """The historical sign set keeps +i z2 sin at (7, 8)."""
-        matrix, gap, coup = parts
-        q, _ = assemble_system(
-            matrix, sample1_geometry, medium, gap, coup, 1000.0, convention="verbatim"
-        )
-        k0 = 2 * math.pi * 1000.0 / medium.c0
-        theta2 = k0 * gap.n2 * sample1_geometry.t
-        assert q[6, 3] == pytest.approx(-cmath.cos(theta2))
-        assert q[6, 7] == pytest.approx(1j * gap.z2 * cmath.sin(theta2))
-
     def test_gap_layer_row_consistent_signs(self, parts, sample1_geometry, medium):
         matrix, gap, coup = parts
         q, _ = assemble_system(matrix, sample1_geometry, medium, gap, coup, 1000.0)
@@ -139,11 +128,6 @@ class TestAssembleSystem:
         matrix, gap, coup = parts
         with pytest.raises(DomainError):
             assemble_system(matrix, sample1_geometry, medium, gap, coup, 1200.0)
-
-    def test_unknown_convention_rejected(self, parts, sample1_geometry, medium):
-        matrix, gap, coup = parts
-        with pytest.raises(DomainError):
-            assemble_system(matrix, sample1_geometry, medium, gap, coup, 1000.0, convention="other")
 
 
 class TestSolveFields:

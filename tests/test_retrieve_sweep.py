@@ -62,16 +62,6 @@ class TestAveragedRoundTrip:
             assert r.z1.real >= -1e-9
             assert r.n1.imag <= 1e-9
 
-    def test_verbatim_convention_breaks_round_trip(self, sample1_geometry, medium, sample1_z2):
-        """A/B harness: the alternative sign set fails systematically."""
-        freqs = [500.0, 1500.0]
-        bad = roundtrip(
-            5.0, 15.0 * sample1_z2, sample1_geometry, medium, freqs,
-            RetrievalConfig(convention="verbatim"),
-        )
-        for r in bad:
-            assert abs(r.n1 - 5.0) / 5.0 > 0.5
-
 
 class TestForwardAveraged:
     def test_air_is_pure_delay(self, sample1_geometry, medium):
