@@ -126,6 +126,8 @@ def radial_integral(k: float, a: float, b: float) -> float:
     """
     if not 0.0 <= a < b:
         raise DomainError(f"need 0 <= a < b, got a={a}, b={b}")
+    if not math.isfinite(k):
+        raise DomainError(f"radial wavenumber must be finite, got {k}")
     if k == 0.0:
         return 0.5 * (b * b - a * a)
     return (b * bessel_j1(k * b) - a * bessel_j1(k * a)) / k

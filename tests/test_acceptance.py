@@ -32,8 +32,7 @@ import time
 import numpy as np
 import pytest
 from scipy.integrate import quad
-from scipy.special import j0 as scipy_j0
-from scipy.special import j1 as scipy_j1
+from scipy.special import j0 as scipy_j0, j1 as scipy_j1
 
 from tubegap.fdfd import build_scene, scattering_from_ports, solve_harmonic
 from tubegap.modal import coupling_coefficients, duct_wavenumbers, radial_integral

@@ -144,6 +144,9 @@ class TestRadialIntegral:
     def test_validation(self):
         with pytest.raises(DomainError):
             radial_integral(1.0, 0.05, 0.04)
+        for k in (float("nan"), float("inf"), -float("inf")):
+            with pytest.raises(DomainError):
+                radial_integral(k, 0.0, 0.04)
 
 
 class TestCouplingCoefficients:
