@@ -1,149 +1,57 @@
-"""Bessel evaluation and root finding checks against independent references."""
+"""The J1 root table behind the duct eigenmodes.
 
-import math
+``tubegap.modal`` takes J0 and J1 from ``scipy.special`` and builds its
+root table from ``jn_zeros`` with the plane wave (x_0 = 0) prepended,
+cached per truncation.  These checks guard that table and the mode-count
+validation in front of it; the roots are compared with mpmath in
+``tests/test_modal.py``.
+"""
 
-import mpmath as mp
 import numpy as np
 import pytest
+from scipy.special import j1 as bessel_j1
 
 from tubegap.errors import DomainError
-from tubegap.specfun import (
-    SERIES_ASYMPTOTIC_CROSSOVER,
-    _asymptotic,
-    _series,
-    bessel_j0,
-    bessel_j1,
-    j1_roots,
-)
-
-mp.mp.dps = 40
-
-
-def envelope(x: float) -> float:
-    """Local oscillation amplitude of J0/J1, the natural error scale."""
-    return math.sqrt(2.0 / (math.pi * max(x, 1.0)))
-
-
-class TestValues:
-    def test_j0_origin(self):
-        assert bessel_j0(0.0) == 1.0
-
-    def test_j1_origin(self):
-        assert bessel_j1(0.0) == 0.0
-
-    def test_j0_at_first_j1_root(self):
-        # reference evaluated with 40-digit arithmetic
-        assert bessel_j0(3.8317059702) == pytest.approx(-0.4027593957, abs=1e-9)
-
-    def test_j0_vanishes_at_its_first_root(self):
-        assert abs(bessel_j0(2.4048255577)) < 1e-10
-
-    def test_j1_vanishes_at_first_positive_root(self):
-        assert abs(bessel_j1(3.8317059702)) < 1e-10
-
-    def test_j1_at_one(self):
-        assert bessel_j1(1.0) == pytest.approx(0.4400505857, abs=1e-9)
-
-    def test_j0_even_j1_odd(self):
-        for x in (0.3, 2.7, 31.4):
-            assert bessel_j0(-x) == bessel_j0(x)
-            assert bessel_j1(-x) == -bessel_j1(x)
-
-    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-    def test_nonfinite_rejected(self, bad):
-        with pytest.raises(DomainError):
-            bessel_j0(bad)
-        with pytest.raises(DomainError):
-            bessel_j1(bad)
-
-
-class TestAccuracy:
-    def test_against_high_precision_reference(self):
-        """Error below 1e-14 of the local amplitude everywhere on [0, 500]."""
-        rng = np.random.default_rng(42)
-        xs = np.concatenate(
-            [
-                rng.uniform(0.0, 30.0, 300),
-                rng.uniform(30.0, 500.0, 300),
-                np.linspace(0.0, 500.0, 101),
-            ]
-        )
-        for x in xs:
-            x = float(x)
-            ref0 = float(mp.besselj(0, mp.mpf(x)))
-            ref1 = float(mp.besselj(1, mp.mpf(x)))
-            scale0 = max(abs(ref0), envelope(x))
-            scale1 = max(abs(ref1), envelope(x))
-            assert abs(bessel_j0(x) - ref0) <= 1e-14 * scale0
-            assert abs(bessel_j1(x) - ref1) <= 1e-14 * scale1
-
-    def test_branch_continuity_at_crossover(self):
-        """Series and asymptotic branches agree to 1e-13 around the switch."""
-        for x in np.linspace(SERIES_ASYMPTOTIC_CROSSOVER - 3, SERIES_ASYMPTOTIC_CROSSOVER + 3, 25):
-            x = float(x)
-            assert abs(_series(x, 0) - _asymptotic(x, 0)) < 1e-13 * envelope(x)
-            assert abs(_series(x, 1) - _asymptotic(x, 1)) < 1e-13 * envelope(x)
-
-    def test_derivative_identity_j0(self):
-        """d/dx J0 = -J1, probed by central differences."""
-        rng = np.random.default_rng(7)
-        h = 1e-6
-        for x in rng.uniform(0.1, 50.0, 100):
-            x = float(x)
-            deriv = (bessel_j0(x + h) - bessel_j0(x - h)) / (2 * h)
-            assert deriv == pytest.approx(-bessel_j1(x), abs=1e-8)
-
-    def test_derivative_identity_xj1(self):
-        """d/dx [x J1(x)] = x J0(x), probed by central differences."""
-        rng = np.random.default_rng(8)
-        h = 1e-6
-        for x in rng.uniform(0.1, 50.0, 100):
-            x = float(x)
-            deriv = ((x + h) * bessel_j1(x + h) - (x - h) * bessel_j1(x - h)) / (2 * h)
-            assert deriv == pytest.approx(x * bessel_j0(x), abs=1e-8 * max(1.0, x))
+from tubegap.modal import _j1_roots, duct_wavenumbers
+from tubegap.types import DuctGeometry
 
 
 class TestRoots:
     def test_plane_wave_only(self):
-        assert j1_roots(1).roots == (0.0,)
+        assert _j1_roots(1).tolist() == [0.0]
 
     def test_first_roots(self):
-        table = j1_roots(4)
         expected = [0.0, 3.8317059702, 7.0155866698, 10.1734681351]
-        assert np.allclose(table.roots, expected, atol=1e-9)
+        assert np.allclose(_j1_roots(4), expected, atol=1e-9)
 
     def test_two_entries(self):
-        assert j1_roots(2).roots[1] == pytest.approx(3.8317059702, abs=1e-9)
+        assert _j1_roots(2)[1] == pytest.approx(3.8317059702, abs=1e-9)
 
     def test_residual_below_tolerance(self):
-        table = j1_roots(21)
-        for x in table.roots[1:]:
+        for x in _j1_roots(21)[1:]:
             assert abs(bessel_j1(x)) < 1e-12
 
     def test_ordering_and_spacing(self):
-        table = j1_roots(25)
-        roots = np.asarray(table.roots)
+        roots = _j1_roots(25)
         assert roots[0] == 0.0
         assert np.all(np.diff(roots) > 2.0)
 
     def test_interlacing(self):
         """Each positive root carries exactly one sign change, and the arches
         between consecutive roots have constant, alternating sign."""
-        table = j1_roots(12)
-        for n, root in enumerate(table.roots[1:], start=1):
-            grid = np.linspace(root - 1.0, root + 1.0, 400)
-            signs = np.sign([bessel_j1(float(x)) for x in grid])
-            changes = np.count_nonzero(np.diff(signs) != 0)
-            assert changes == 1
-        for n, (lo, hi) in enumerate(zip(table.roots[1:], table.roots[2:]), start=1):
-            grid = np.linspace(lo + 0.05, hi - 0.05, 200)
-            signs = {np.sign(bessel_j1(float(x))) for x in grid}
+        roots = _j1_roots(12)
+        for root in roots[1:]:
+            signs = np.sign(bessel_j1(np.linspace(root - 1.0, root + 1.0, 400)))
+            assert np.count_nonzero(np.diff(signs) != 0) == 1
+        for n, (lo, hi) in enumerate(zip(roots[1:], roots[2:]), start=1):
+            signs = set(np.sign(bessel_j1(np.linspace(lo + 0.05, hi - 0.05, 200))))
             assert signs == {(-1.0) ** n}
 
     def test_deterministic(self):
-        assert j1_roots(9).roots == j1_roots(9).roots
+        """A fresh evaluation equals the cached table, bit for bit."""
+        assert np.array_equal(_j1_roots.__wrapped__(9), _j1_roots(9))
 
     @pytest.mark.parametrize("bad", [0, -3, 2.5])
     def test_count_validation(self, bad):
         with pytest.raises(DomainError):
-            j1_roots(bad)
+            duct_wavenumbers(DuctGeometry(r1=0.040, r2=0.070, t=0.0052), bad)
