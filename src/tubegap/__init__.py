@@ -64,7 +64,6 @@ from tubegap.fdfd import (
     PortRecord,
     SimGrid,
     build_scene,
-    forward_fdfd_sweep,
     grid_wavenumber,
     scattering_from_ports,
     solve_field,

@@ -105,12 +105,14 @@ def _forward_data(config: RunConfig, method: str):
 
 
 def cmd_forward(args: argparse.Namespace) -> int:
+    if args.dump_field and args.method != "fdfd":
+        raise ConfigError(f"--dump-field needs --method fdfd, got --method {args.method}")
     config = _load_config(args)
     data, scene = _forward_data(config, args.method)
     write_tr_csv(args.output, data, comments=[f"forward sweep, method={args.method}"])
     write_sidecar(args.output, config.dump(), {"tool": f"tubegap {__version__}",
                                                "command": f"forward --method {args.method}"})
-    if args.dump_field and scene is not None:
+    if args.dump_field:
         x, r, p = solve_field(scene, data[-1].f)
         write_field_csv(args.dump_field, x, r, p)
         print(f"dumped pressure field at {data[-1].f} Hz -> {args.dump_field}")

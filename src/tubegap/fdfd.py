@@ -442,7 +442,6 @@ def scattering_from_ports(
     record: PortRecord,
     geometry: DuctGeometry,
     medium: MediumProperties,
-    dispersion_corrected: bool = True,
 ) -> ScatteringData:
     """Four-microphone decomposition referenced to the sample faces.
 
@@ -460,13 +459,11 @@ def scattering_from_ports(
     method of ASTM E2611).  With B- = 0 they reduce to T = B+/A+ and
     R = A-/A+.
 
-    By default k is the grid's numerical wavenumber (see
-    ``grid_wavenumber``), which calibrates the air-path dispersion out of
-    the virtual measurement; pass dispersion_corrected=False to use the
-    physical k0 instead.
+    k is the grid's numerical wavenumber (see ``grid_wavenumber``), which
+    calibrates the air-path dispersion out of the virtual measurement.
     """
     k0 = 2.0 * math.pi * record.f / medium.c0
-    k = grid_wavenumber(k0, record.dx) if dispersion_corrected else k0
+    k = grid_wavenumber(k0, record.dx)
     t = geometry.t
     a_plus, a_minus = _split_waves(
         k0, k, record.f, "upstream",
@@ -507,23 +504,3 @@ def _split_waves(
     )
     plus, minus = np.linalg.solve(m, np.array([p1, p2]))
     return complex(plus), complex(minus)
-
-
-def forward_fdfd_sweep(
-    material: MaterialSpec,
-    geometry: DuctGeometry,
-    medium: MediumProperties,
-    freqs: list[float],
-    settings: OracleSettings | None = None,
-) -> list[ScatteringData]:
-    """Simulate the scene over a frequency list and decompose each solve."""
-    if not freqs:
-        raise DomainError("empty frequency list")
-    if settings is None:
-        settings = OracleSettings(f_min=min(freqs))
-    scene = build_scene(material, geometry, max(freqs), medium=medium, settings=settings)
-    out = []
-    for f in freqs:
-        record = solve_harmonic(scene, f)
-        out.append(scattering_from_ports(record, geometry, medium))
-    return out

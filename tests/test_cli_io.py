@@ -203,6 +203,14 @@ class TestCli:
         row = read_results_csv(out)[0]
         assert row["branch_m"] == 1
 
+    def test_field_dump_needs_fdfd(self, cfg_path, tmp_path, capsys):
+        tr, dump = tmp_path / "tr.csv", tmp_path / "field.csv"
+        code = self.run("forward", "--config", str(cfg_path), "--method", "averaged",
+                        "--output", str(tr), "--dump-field", str(dump))
+        assert code == 1
+        assert "--dump-field" in capsys.readouterr().err
+        assert not tr.exists() and not dump.exists()
+
     def test_fdfd_forward_with_field_dump(self, cfg_path, tmp_path):
         tr = tmp_path / "tr_sim.csv"
         dump = tmp_path / "field.csv"

@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from tubegap.errors import (
-    DomainError,
     IllConditionedSystemError,
     SingularMeasurementError,
 )
@@ -99,35 +98,46 @@ class TestAssembleSystem:
     @pytest.fixture
     def parts(self, sample1_geometry, medium):
         coup = coupling_coefficients(sample1_geometry, medium, 1000.0)
-        gap = GapProperties.from_geometry(sample1_geometry, medium)
         data = ScatteringData(f=1000.0, transmission=0.9 - 0.3j, reflection=0.1 + 0.2j)
         matrix = transfer_matrix_from_tr(data, medium)
-        return matrix, gap, coup
+        return matrix, coup
 
     def test_rhs_is_blocked_pressure_drive(self, parts, sample1_geometry, medium):
-        matrix, gap, coup = parts
-        _, y = assemble_system(matrix, sample1_geometry, medium, gap, coup, 1000.0)
+        matrix, coup = parts
+        _, y = assemble_system(matrix, sample1_geometry, medium, coup)
         assert np.array_equal(y, np.array([0, 0, 2, 2, 0, 0, 0, 0], dtype=complex))
 
     def test_disk_radiation_row(self, parts, sample1_geometry, medium):
-        matrix, gap, coup = parts
-        q, _ = assemble_system(matrix, sample1_geometry, medium, gap, coup, 1000.0)
+        matrix, coup = parts
+        q, _ = assemble_system(matrix, sample1_geometry, medium, coup)
         a_c, b_c = coup.upstream[0]
         expected = np.array([1, 0, 0, 0, -a_c, -b_c, 0, 0])
         assert np.allclose(q[2], expected, rtol=0, atol=0)
 
+    def test_other_radiation_rows(self, parts, sample1_geometry, medium):
+        matrix, coup = parts
+        q, _ = assemble_system(matrix, sample1_geometry, medium, coup)
+        c_c, d_c = coup.upstream[1]
+        (e_c, f_c), (g_c, h_c) = coup.downstream
+        expected = np.array([
+            [0, 1, 0, 0, -c_c, -d_c, 0, 0],
+            [0, 0, 1, 0, 0, 0, -e_c, -f_c],
+            [0, 0, 0, 1, 0, 0, -g_c, -h_c],
+        ])
+        assert np.allclose(q[3:6], expected, rtol=0, atol=0)
+
     def test_gap_layer_row_consistent_signs(self, parts, sample1_geometry, medium):
-        matrix, gap, coup = parts
-        q, _ = assemble_system(matrix, sample1_geometry, medium, gap, coup, 1000.0)
+        matrix, coup = parts
+        q, _ = assemble_system(matrix, sample1_geometry, medium, coup)
+        gap = GapProperties.from_geometry(sample1_geometry, medium)
         k0 = 2 * math.pi * 1000.0 / medium.c0
         theta2 = k0 * gap.n2 * sample1_geometry.t
-        assert q[6, 7] == pytest.approx(-1j * gap.z2 * cmath.sin(theta2))
-        assert q[7, 7] == pytest.approx(-cmath.cos(theta2))
-
-    def test_frequency_mismatch_rejected(self, parts, sample1_geometry, medium):
-        matrix, gap, coup = parts
-        with pytest.raises(DomainError):
-            assemble_system(matrix, sample1_geometry, medium, gap, coup, 1200.0)
+        cos2, sin2 = cmath.cos(theta2), cmath.sin(theta2)
+        expected = np.array([
+            [0, 1, 0, -cos2, 0, 0, 0, -1j * gap.z2 * sin2],
+            [0, 0, 0, -1j / gap.z2 * sin2, 0, 1, 0, -cos2],
+        ])
+        assert np.allclose(q[6:], expected, rtol=0, atol=0)
 
 
 class TestSolveFields:
