@@ -17,7 +17,6 @@ __version__ = "0.1.0"
 from tubegap.errors import (
     ConfigError,
     ConvergenceError,
-    DecompositionError,
     DegenerateSampleError,
     DomainError,
     IllConditionedSystemError,

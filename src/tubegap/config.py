@@ -47,12 +47,10 @@ _SCHEMA: dict[str, type] = {
     "material.z1_re": float,
     "material.z1_im": float,
     "oracle.cells_per_wavelength": float,
+    # accepted and ignored: the simulator no longer sizes anything from the
+    # lowest frequency, but benchmarks/workloads.fdfd_config still passes
+    # it; remove it with ROADMAP item 1 (benchmark housekeeping)
     "oracle.f_min": float,
-    "oracle.pml_fraction": float,
-    "oracle.pml_reflection": float,
-    "oracle.pml_min_cells": int,
-    "oracle.mic_standoff": float,
-    "oracle.mic_spacing": float,
     "oracle.max_cells": int,
     "retrieve.allow_above_cutoff": bool,
     "roundtrip.tolerance": float,
@@ -70,11 +68,6 @@ _DEFAULTS: dict[str, object] = {
     "material.n1_im": 0.0,
     "material.z1_im": 0.0,
     "oracle.cells_per_wavelength": 33.0,
-    "oracle.pml_fraction": 0.0,
-    "oracle.pml_reflection": 1e-7,
-    "oracle.pml_min_cells": 80,
-    "oracle.mic_standoff": 1.0,
-    "oracle.mic_spacing": 0.5,
     "oracle.max_cells": 6_000_000,
     "retrieve.allow_above_cutoff": False,
     "roundtrip.tolerance": 0.01,
@@ -169,12 +162,6 @@ class RunConfig:
     def oracle(self) -> OracleSettings:
         return OracleSettings(
             cells_per_wavelength=float(self.values["oracle.cells_per_wavelength"]),
-            f_min=float(self.values.get("oracle.f_min", self.values["sweep.start"])),
-            pml_wavelength_fraction=float(self.values["oracle.pml_fraction"]),
-            pml_reflection=float(self.values["oracle.pml_reflection"]),
-            pml_min_cells=int(self.values["oracle.pml_min_cells"]),
-            mic_standoff_radii=float(self.values["oracle.mic_standoff"]),
-            mic_spacing_radii=float(self.values["oracle.mic_spacing"]),
             max_cells=int(self.values["oracle.max_cells"]),
         )
 

@@ -33,10 +33,6 @@ class ConvergenceError(TubegapError):
     """A modal sum did not settle within the configured tolerance."""
 
 
-class DecompositionError(TubegapError):
-    """Plane-wave decomposition of microphone data is ill-conditioned."""
-
-
 class ResolutionError(TubegapError):
     """A simulation grid cannot resolve the requested geometry or frequency."""
 

@@ -7,9 +7,8 @@ discretizing the axisymmetric Helmholtz equation
     d/dx( (1/rho) dp/dx ) + (1/r) d/dr( r (1/rho) dp/dr ) + w^2/kappa p = 0
 
 on a staggered finite-volume grid, and extracts transmission/reflection
-with a virtual four-microphone measurement (two microphones on each side
-of the sample, decomposed as a symmetric reciprocal two-port, as in the
-one-load method of ASTM E2611).
+from the plane-mode amplitudes of the solved field on both sides of the
+sample.
 It deliberately shares nothing with the modal retrieval mathematics
 except the plain geometry/medium/scattering containers, so agreement
 between the two paths is a genuine cross-check.
@@ -22,26 +21,26 @@ Discretization notes:
   exact for piecewise-constant media;
 * the sleeve between sample and gap is a zero-flux internal face, the
   rigid wall and the axis are natural zero-flux boundaries;
-* both axial ends carry a PML of a fixed number of cells whose stretch
-  s = kappa - i sigma/w grades quadratically with depth: sigma absorbs the
-  outgoing plane wave at a rate independent of frequency, and the real
-  stretch kappa (rising from 1 to ``PML_KAPPA_MAX``) steepens the decay of
-  the evanescent duct modes, whose round trip to the rigid end wall is
-  what the layer must suppress (the plane-wave residual drops out of the
-  four-microphone decomposition below);
-* virtual microphones record the cross-section average of the pressure,
-  which projects out every non-planar duct mode: by mode orthogonality
-  only the plane wave survives the average, so evanescent contamination
-  near the sample cannot bias the decomposition;
-* the downstream pair splits the field there into the transmitted wave
-  and the wave the termination sends back; solving the two-port
-  relations with both removes the PML's residual reflection from (T, R)
-  exactly, instead of bounding it by the PML grading;
-* the soft source is a uniform column of volume injection, which excites
-  only the plane mode of the uniform duct section it sits in.
+* the scene is the sample's columns plus ``TERMINATION_AIR_COLUMNS`` air
+  columns on each side.  Beyond them the duct is uniform air, where the
+  discrete field separates into the eigenvectors V of the discrete radial
+  operator, and mode n steps from one column to the next by the factor
+  mu_n, the outgoing or decaying root of
+  mu + 1/mu = 2 - dx^2 (k0^2 - lambda_n).  Each end column therefore
+  sees the exact discrete Dirichlet-to-Neumann condition
+  p_ghost = V diag(mu) V^-1 p_end (Givoli & Keller, J. Comput. Phys. 82,
+  1989; Arnold & Ehrhardt, J. Comput. Phys. 145, 1998): nothing returns
+  from the terminations, so no absorbing layer is needed;
+* the upstream end is driven by the discrete plane wave exp(-i k x), k the
+  grid wavenumber.  The area average of a column projects out every
+  non-planar duct mode (they are orthogonal to the constant mode 0), so
+  the averages of the scattered field in the two end columns are the
+  reflected and transmitted plane-wave amplitudes; referencing them to
+  the sample faces with the same k calibrates the air path's numerical
+  dispersion out of (T, R).
 
-Time convention matches the rest of the package: exp(+i w t), so the
-stretch s = kappa - i sigma/w absorbs outgoing waves.
+Time convention matches the rest of the package: exp(+i w t), so
+exp(-i k x) travels toward +x.
 """
 
 from __future__ import annotations
@@ -54,56 +53,36 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg import eigh_tridiagonal
 from scipy.special import jn_zeros
 
-from tubegap.errors import DecompositionError, DomainError, ResolutionError
+from tubegap.errors import DomainError, ResolutionError
 from tubegap.types import DuctGeometry, MaterialSpec, MediumProperties, ScatteringData
 
 MIN_CELLS_PER_WAVELENGTH = 20
+# air columns between each sample face and the modal termination; the
+# termination is exact, so one is enough (four give the same (T, R) to 1.3e-13)
+TERMINATION_AIR_COLUMNS = 1
 # first positive root of J1: the first non-planar duct mode cuts on at
-# k r2 = J1_FIRST_ROOT (only the warnings below use it)
+# k r2 = J1_FIRST_ROOT (only the warning below uses it)
 J1_FIRST_ROOT = float(jn_zeros(1, 1)[0])
-# real stretch at the outer end of the PML (complex-frequency-shifted PML,
-# Kuzuoglu & Mittra 1996); 30 over 80 cells puts the first evanescent
-# mode's round trip to the end wall near 1e-22 at 2500 Hz on sample 1
-PML_KAPPA_MAX = 30.0
-# the stretch shortens the wavelength the grid sees by kappa, so a coarse
-# grid caps kappa to keep this many cells per stretched wavelength at f_max
-# (kappa = 30 on a 5.2 mm grid leaves 0.9 cells at 2500 Hz and reflected 1e-2
-# of the plane wave; with 6 cells or more it stayed below 1.5e-6)
-PML_MIN_STRETCHED_CELLS = 6.0
-# largest tolerated round trip exp(-2 kappa_1 L) of the first evanescent
-# mode; the energy defect it leaves is about half of it, and a thin sample
-# amplifies that about 250-fold into Im(n1)
-EVANESCENT_ROUND_TRIP_MAX = 1e-12
 
 
 @dataclass(frozen=True)
 class OracleSettings:
     """Numerical knobs for scene construction.
 
-    The defaults aim at a few-per-mille scattering accuracy: ~33 cells
-    per local wavelength, an 80-cell PML graded quadratically to a 1e-7
-    theoretical plane-wave reflection and a real stretch of
-    ``PML_KAPPA_MAX``, microphones one duct radius from the sample faces
-    and half a radius apart.  The PML is ``pml_min_cells`` deep unless
-    ``pml_wavelength_fraction`` of the wavelength at ``f_min`` is longer;
-    ``f_min`` matters only in that case.
+    The default of ~33 cells per local wavelength aims at a few-per-mille
+    scattering accuracy; ``max_cells`` caps the scene size.
     """
 
     cells_per_wavelength: float = 33.0
-    f_min: float = 300.0
-    pml_wavelength_fraction: float = 0.0
-    pml_reflection: float = 1e-7
-    pml_min_cells: int = 80
-    mic_standoff_radii: float = 1.0
-    mic_spacing_radii: float = 0.5
     max_cells: int = 6_000_000
 
 
 @dataclass(frozen=True)
 class SimGrid:
-    """Frozen simulation scene: grid, media maps, instrument positions."""
+    """Frozen simulation scene: grid, media maps, radial modes of the terminations."""
 
     geometry: DuctGeometry
     medium: MediumProperties
@@ -112,24 +91,23 @@ class SimGrid:
     nx: int
     nr: int
     x0: float                 # coordinate of the left domain face (x=0 is the upstream sample face)
-    n_pml: int
-    sigma_max: float
-    kappa_max: float
     i_sample0: int
     n_sample_cells: int
     j_sleeve: int             # radial face index blocked over the sample span (0 = no sleeve)
     rho: np.ndarray           # (nx, nr) complex cell densities
     kappa: np.ndarray         # (nx, nr) complex cell bulk moduli
-    i_mic_a: int
-    i_mic_b: int
-    i_mic_c: int
-    i_mic_d: int
-    i_src_up: int
-    i_src_down: int
+    radial_eigenvalues: np.ndarray   # (nr,) lambda_n of the uniform-air radial operator, lambda_0 = 0
+    radial_modes: np.ndarray         # (nr, nr) V, mode n in column n; column 0 is constant
+    radial_modes_inv: np.ndarray     # (nr, nr) V^-1
 
     @property
     def n_cells(self) -> int:
         return self.nx * self.nr
+
+    @property
+    def n_pml(self) -> int:
+        """Absorbing-layer columns: none, the modal terminations are exact."""
+        return 0
 
     def x_center(self, i: int) -> float:
         return self.x0 + (i + 0.5) * self.dx
@@ -145,27 +123,23 @@ class SimGrid:
 
 @dataclass(frozen=True)
 class PortRecord:
-    """Complex pressures at the four virtual microphone planes.
+    """Plane-mode amplitudes of one solved frequency at the two end columns.
 
-    Positions are in the frame whose origin is the incidence-side sample
-    face with +x pointing through the sample, so the upstream pair (a, b)
-    sits at negative x and the downstream pair beyond x = t: microphone c
-    (``x_downstream``) nearer the sample, microphone d
-    (``x_downstream_d``) farther from it.  ``dx`` is the axial grid step
-    the pressures were computed on; the decomposition uses it to
-    calibrate out the grid's numerical dispersion (set it to 0 for data
-    that has none, e.g. analytic constructions).
+    The scene is driven by the plane wave exp(-i k x), of unit amplitude
+    at the incidence-side sample face, in the frame whose origin is that
+    face with +x pointing through the sample.  ``p_upstream`` is the area
+    average of the scattered (reflected) pressure at ``x_upstream < 0``,
+    ``p_downstream`` that of the pressure at ``x_downstream > t``.  ``dx``
+    is the axial grid step the pressures were computed on; referencing
+    uses its grid wavenumber (set it to 0 for data without numerical
+    dispersion, e.g. analytic constructions).
     """
 
     f: float
-    x_upstream_a: float
-    x_upstream_b: float
+    x_upstream: float
     x_downstream: float
-    x_downstream_d: float
-    p_upstream_a: complex
-    p_upstream_b: complex
+    p_upstream: complex
     p_downstream: complex
-    p_downstream_d: complex
     residual: float
     dx: float = 0.0
 
@@ -194,6 +168,34 @@ def _snap_radial(r1: float, r2: float, dr_target: float) -> tuple[float, int, in
     return dr, m1, m2
 
 
+def _radial_basis(nr: int, dr: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Eigenpairs of the uniform-air radial operator L: -L v_n = lambda_n v_n.
+
+    L is self-adjoint in the area weight r, so sqrt(r) L / sqrt(r) is a
+    symmetric tridiagonal matrix with orthonormal eigenvectors U; then
+    V = U / sqrt(r) and V^-1 = (U sqrt(r))^T.  Mode 0 is set to the
+    constant vector with lambda_0 = 0 exactly, and the other modes are
+    re-orthogonalized against it: the eigensolver's roundoff in lambda_0,
+    about 1e-9, would otherwise leave an energy defect of 2e-11 at 300 Hz
+    on sample 2.
+    Returns (lambda, V, V^-1).
+    """
+    r = (np.arange(nr) + 0.5) * dr
+    r_face = np.arange(1, nr) * dr
+    root_r = np.sqrt(r)
+    face_sum = np.zeros(nr)
+    face_sum[:-1] += r_face
+    face_sum[1:] += r_face
+    lam, u = eigh_tridiagonal(face_sum / (r * dr ** 2), -r_face / (dr ** 2 * root_r[:-1] * root_r[1:]))
+    lam[0] = 0.0
+    u[:, 0] = root_r / np.linalg.norm(root_r)
+    u[:, 1:] -= np.outer(u[:, 0], u[:, 0] @ u[:, 1:])
+    u[:, 1:] /= np.linalg.norm(u[:, 1:], axis=0)
+    modes = u / root_r[:, None]
+    modes[:, 0] = 1.0 / np.linalg.norm(root_r)
+    return lam, modes, (u * root_r[:, None]).T
+
+
 def build_scene(
     material: MaterialSpec | None,
     geometry: DuctGeometry,
@@ -204,9 +206,9 @@ def build_scene(
     """Construct the simulation grid for sweeps up to ``f_max``.
 
     ``material=None`` builds the empty duct (uniform air, no sleeve),
-    used to validate the absorbing terminations.  Otherwise the sample
-    disk covers 0 <= x <= t, r <= r1 with the material's equivalent fluid
-    and a zero-flux sleeve face separates it from the air gap.
+    used to validate the terminations.  Otherwise the sample disk covers
+    0 <= x <= t, r <= r1 with the material's equivalent fluid and a
+    zero-flux sleeve face separates it from the air gap.
     """
     if not (f_max > 0 and math.isfinite(f_max)):
         raise DomainError(f"f_max must be positive, got {f_max}")
@@ -221,26 +223,13 @@ def build_scene(
 
     dr, j_sleeve, nr = _snap_radial(geometry.r1, geometry.r2, dx)
 
-    r2 = geometry.r2
-    n_standoff = math.ceil(max(settings.mic_standoff_radii * r2, 2 * dx) / dx)
-    n_spacing = math.ceil(max(settings.mic_spacing_radii * r2, 2 * dx) / dx)
-    n_srcgap = math.ceil(max(1.0 * r2, 5 * dx) / dx)
-    n_edge = math.ceil(max(0.5 * r2, 5 * dx) / dx)
-    pml_len = max(
-        settings.pml_wavelength_fraction * medium.c0 / settings.f_min,
-        settings.pml_min_cells * dx,
-    )
-    n_pml = math.ceil(pml_len / dx)
-
-    n_side = n_pml + n_edge + n_srcgap + n_spacing + n_standoff
-    nx = n_side + nt + n_side
+    i_sample0 = TERMINATION_AIR_COLUMNS
+    nx = nt + 2 * i_sample0
     if nx * nr > settings.max_cells:
         raise ResolutionError(
             f"scene needs {nx * nr} cells, above the budget of {settings.max_cells}; "
             "lower f_max or relax the settings"
         )
-    i_sample0 = n_side
-    x0 = -n_side * dx
 
     rho = np.full((nx, nr), medium.rho0, dtype=complex)
     kappa = np.full((nx, nr), medium.rho0 * medium.c0 ** 2, dtype=complex)
@@ -252,80 +241,44 @@ def build_scene(
         kappa[i_sample0:i_sample0 + nt, :j_sleeve] = kappa_eff
         sleeve = j_sleeve
 
-    sigma_max = 3.0 * medium.c0 * math.log(1.0 / settings.pml_reflection) / (2.0 * n_pml * dx)
-    kappa_max = min(PML_KAPPA_MAX, medium.c0 / (f_max * dx * PML_MIN_STRETCHED_CELLS))
-
-    i_mic_b = i_sample0 - n_standoff
-    i_mic_a = i_mic_b - n_spacing
-    i_src_up = i_mic_a - n_srcgap
+    lam, modes, modes_inv = _radial_basis(nr, dr)
     return SimGrid(
-        geometry=geometry, medium=medium, dx=dx, dr=dr, nx=nx, nr=nr, x0=x0,
-        n_pml=n_pml, sigma_max=sigma_max, kappa_max=kappa_max,
+        geometry=geometry, medium=medium, dx=dx, dr=dr, nx=nx, nr=nr, x0=-i_sample0 * dx,
         i_sample0=i_sample0, n_sample_cells=nt,
         j_sleeve=sleeve, rho=rho, kappa=kappa,
-        i_mic_a=i_mic_a, i_mic_b=i_mic_b,
-        i_mic_c=nx - 1 - i_mic_b, i_mic_d=nx - 1 - i_mic_a,
-        i_src_up=i_src_up, i_src_down=nx - 1 - i_src_up,
+        radial_eigenvalues=lam, radial_modes=modes, radial_modes_inv=modes_inv,
     )
 
 
-def _stretch(scene: SimGrid, positions: np.ndarray, omega: float) -> np.ndarray:
-    """PML coordinate stretch s = kappa - i sigma/omega at the given x positions.
+def _termination(scene: SimGrid, k0: float) -> np.ndarray:
+    """Column-to-column map M = V diag(mu) V^-1 of an outgoing field in uniform air.
 
-    Both kappa - 1 and sigma grow quadratically with the depth into the layer.
+    mu_n = exp(-2i asin(dx sqrt(q_n) / 2)) with q_n = k0^2 - lambda_n solves
+    mu + 1/mu = 2 - dx^2 q_n; the branch sqrt(q) = -i sqrt(-q) for q < 0
+    makes the evanescent modes decay (0 < mu < 1), and the propagating ones
+    get |mu| = 1 with the outgoing phase.
     """
-    depth_left = (scene.x0 + scene.n_pml * scene.dx) - positions
-    depth_right = positions - (scene.x0 + (scene.nx - scene.n_pml) * scene.dx)
-    depth = np.maximum(0.0, np.maximum(depth_left, depth_right))
-    grade = (depth / (scene.n_pml * scene.dx)) ** 2
-    return 1.0 + (scene.kappa_max - 1.0) * grade - 1j * scene.sigma_max * grade / omega
+    q = k0 ** 2 - scene.radial_eigenvalues
+    root = np.where(q >= 0.0, np.sqrt(np.abs(q)), -1j * np.sqrt(np.abs(q)))
+    mu = np.exp(-2j * np.arcsin(0.5 * scene.dx * root))
+    return (scene.radial_modes * mu) @ scene.radial_modes_inv
 
 
-def evanescent_round_trip(scene: SimGrid, f: float) -> float:
-    """Amplitude exp(-2 kappa_1 L) the first evanescent duct mode keeps after
-    running from a sample face to the rigid end wall and back.
-
-    ``L`` is the stretched distance Re(integral of s dx): the air between
-    the sample face and the PML plus the PML depth times the mean of
-    kappa (the same on both sides).  Returns 1.0 at and above the first cutoff, where the mode no
-    longer decays.
-    """
-    k_cut = J1_FIRST_ROOT / scene.geometry.r2
-    k0 = 2.0 * math.pi * f / scene.medium.c0
-    if k0 >= k_cut:
-        return 1.0
-    air = (scene.i_sample0 - scene.n_pml) * scene.dx
-    pml = scene.n_pml * scene.dx * (1.0 + (scene.kappa_max - 1.0) / 3.0)
-    return math.exp(-2.0 * math.sqrt(k_cut ** 2 - k0 ** 2) * (air + pml))
-
-
-def _assemble(scene: SimGrid, f: float) -> sp.csc_matrix:
+def _assemble(scene: SimGrid, f: float, termination: np.ndarray) -> sp.csc_matrix:
     nx, nr = scene.nx, scene.nr
     omega = 2.0 * math.pi * f
-    x_faces = scene.x0 + np.arange(nx + 1) * scene.dx
-    x_centers = scene.x0 + (np.arange(nx) + 0.5) * scene.dx
-    s_face = _stretch(scene, x_faces, omega)
-    s_cell = _stretch(scene, x_centers, omega)
-
     rho, kappa = scene.rho, scene.kappa
     idx = np.arange(nx * nr).reshape(nx, nr)
     rows, cols, vals = [], [], []
-    diag = np.zeros((nx, nr), dtype=complex)
+    diag = omega ** 2 / kappa
 
-    # axial fluxes between columns i-1 and i (face stretch shared, cell
-    # stretch belongs to the receiving row)
-    tx = 2.0 / (rho[:-1, :] + rho[1:, :])          # (nx-1, nr)
-    g = tx / (scene.dx ** 2 * s_face[1:-1, None])
-    coup_from_left = g / s_cell[1:, None]
-    coup_from_right = g / s_cell[:-1, None]
-    rows.append(idx[1:, :].ravel())
-    cols.append(idx[:-1, :].ravel())
-    vals.append(coup_from_left.ravel())
-    rows.append(idx[:-1, :].ravel())
-    cols.append(idx[1:, :].ravel())
-    vals.append(coup_from_right.ravel())
-    diag[1:, :] -= coup_from_left
-    diag[:-1, :] -= coup_from_right
+    # axial fluxes between columns i-1 and i
+    g = 2.0 / ((rho[:-1, :] + rho[1:, :]) * scene.dx ** 2)     # (nx-1, nr)
+    rows += [idx[1:, :].ravel(), idx[:-1, :].ravel()]
+    cols += [idx[:-1, :].ravel(), idx[1:, :].ravel()]
+    vals += [g.ravel(), g.ravel()]
+    diag[1:, :] -= g
+    diag[:-1, :] -= g
 
     # radial fluxes between rings j-1 and j (face j at radius j*dr)
     r_face = np.arange(1, nr) * scene.dr
@@ -341,7 +294,14 @@ def _assemble(scene: SimGrid, f: float) -> sp.csc_matrix:
     diag[:, 1:] -= coup_hi
     diag[:, :-1] -= coup_lo
 
-    diag += omega ** 2 / kappa
+    # modal terminations: flux through each end face to the ghost column
+    # beyond it, p_ghost = M p_end (the drive's known part is on the right-hand side)
+    block = ((termination - np.eye(nr)) / (scene.medium.rho0 * scene.dx ** 2)).ravel()
+    for i in (0, nx - 1):
+        rows.append(np.repeat(idx[i], nr))
+        cols.append(np.tile(idx[i], nr))
+        vals.append(block)
+
     rows.append(idx.ravel())
     cols.append(idx.ravel())
     vals.append(diag.ravel())
@@ -357,13 +317,36 @@ def _area_average(p: np.ndarray, scene: SimGrid, i: int) -> complex:
     return complex(np.sum(p[i, :] * weights) / np.sum(weights))
 
 
+def _ends(scene: SimGrid, excite: str) -> tuple[int, int, float, float]:
+    """Driven and far end columns, and their positions in the driven frame
+    (origin at the driven sample face, +x through the sample)."""
+    if excite == "upstream":
+        i_in, i_out = 0, scene.nx - 1
+        return i_in, i_out, scene.x_center(i_in), scene.x_center(i_out)
+    if excite == "downstream":
+        t = scene.geometry.t
+        i_in, i_out = scene.nx - 1, 0
+        return i_in, i_out, t - scene.x_center(i_in), t - scene.x_center(i_out)
+    raise DomainError(f"excitation side must be upstream or downstream, got {excite!r}")
+
+
 def _solve_field(scene: SimGrid, f: float, excite: str) -> tuple[np.ndarray, float]:
-    if excite not in ("upstream", "downstream"):
-        raise DomainError(f"excitation side must be upstream or downstream, got {excite!r}")
-    a = _assemble(scene, f)
+    """Total field p[nx, nr] for a unit plane wave incident from ``excite``,
+    and the solve's relative residual."""
+    i_in, _, x_in, _ = _ends(scene, excite)
+    k0 = 2.0 * math.pi * f / scene.medium.c0
+    k = grid_wavenumber(k0, scene.dx)
+    termination = _termination(scene, k0)
+    a = _assemble(scene, f, termination)
+    # total = incident + scattered beyond the driven end, and only the
+    # scattered part leaves through the termination:
+    # p_ghost = inc_ghost + M (p_end - inc_end)
+    inc_end = np.full(scene.nr, cmath.exp(-1j * k * x_in))
+    inc_ghost = np.full(scene.nr, cmath.exp(-1j * k * (x_in - scene.dx)))
     b = np.zeros(scene.n_cells, dtype=complex)
-    i_src = scene.i_src_up if excite == "upstream" else scene.i_src_down
-    b[i_src * scene.nr:(i_src + 1) * scene.nr] = 1.0
+    b[i_in * scene.nr:(i_in + 1) * scene.nr] = (
+        -(inc_ghost - termination @ inc_end) / (scene.medium.rho0 * scene.dx ** 2)
+    )
     # the matrix is structurally symmetric, so order on A^T + A
     lu = spla.splu(a, permc_spec="MMD_AT_PLUS_A")
     p = lu.solve(b)
@@ -376,43 +359,28 @@ def _solve_field(scene: SimGrid, f: float, excite: str) -> tuple[np.ndarray, flo
 
 
 def solve_harmonic(scene: SimGrid, f: float, excite: str = "upstream") -> PortRecord:
-    """Solve one frequency and return the four virtual microphone pressures.
+    """Solve one frequency and return the plane-mode amplitudes at the end columns.
 
-    ``excite="downstream"`` drives the structure from the other side and
+    ``excite="downstream"`` drives the right end instead of the left and
     reports the record in the mirrored frame (origin at the downstream
-    face, +x toward the upstream end), so the same decomposition handles
-    both directions; with this scene's symmetric instrument layout the
-    mirrored microphone positions coincide with the upstream ones.
+    face, +x toward the upstream end), so the same referencing handles
+    both directions.
     """
     cutoff = J1_FIRST_ROOT * scene.medium.c0 / (2.0 * math.pi * scene.geometry.r2)
     if f > cutoff:
         warnings.warn(
             f"{f} Hz is above the first duct cutoff; the plane-wave "
-            "decomposition ignores the propagating higher mode",
-            stacklevel=2,
-        )
-    elif (round_trip := evanescent_round_trip(scene, f)) > EVANESCENT_ROUND_TRIP_MAX:
-        warnings.warn(
-            f"the first evanescent mode returns from the end walls with amplitude "
-            f"{round_trip:.1e} at {f} Hz; build the scene with "
-            "more PML cells or longer microphone standoffs",
+            "read-out ignores the propagating higher mode",
             stacklevel=2,
         )
     p, residual = _solve_field(scene, f, excite)
-    t = scene.geometry.t
-    if excite == "upstream":
-        xa, xb = scene.x_center(scene.i_mic_a), scene.x_center(scene.i_mic_b)
-        xc, xd = scene.x_center(scene.i_mic_c), scene.x_center(scene.i_mic_d)
-        mics = (scene.i_mic_a, scene.i_mic_b, scene.i_mic_c, scene.i_mic_d)
-    else:
-        # mirrored frame: x' = t - x
-        xa, xb = t - scene.x_center(scene.i_mic_d), t - scene.x_center(scene.i_mic_c)
-        xc, xd = t - scene.x_center(scene.i_mic_b), t - scene.x_center(scene.i_mic_a)
-        mics = (scene.i_mic_d, scene.i_mic_c, scene.i_mic_b, scene.i_mic_a)
-    pa, pb, pc, pd = (_area_average(p, scene, i) for i in mics)
+    i_in, i_out, x_in, x_out = _ends(scene, excite)
+    k = grid_wavenumber(2.0 * math.pi * f / scene.medium.c0, scene.dx)
     return PortRecord(
-        f=f, x_upstream_a=xa, x_upstream_b=xb, x_downstream=xc, x_downstream_d=xd,
-        p_upstream_a=pa, p_upstream_b=pb, p_downstream=pc, p_downstream_d=pd,
+        f=f, x_upstream=x_in, x_downstream=x_out,
+        # the scattered field at the driven end: total minus the incident wave
+        p_upstream=_area_average(p, scene, i_in) - cmath.exp(-1j * k * x_in),
+        p_downstream=_area_average(p, scene, i_out),
         residual=residual, dx=scene.dx,
     )
 
@@ -427,15 +395,16 @@ def solve_field(scene: SimGrid, f: float) -> tuple[np.ndarray, np.ndarray, np.nd
 def grid_wavenumber(k0: float, dx: float) -> float:
     """Plane-wave wavenumber actually propagated by the second-order grid.
 
-    Solves the discrete dispersion relation 2(cos(k dx) - 1)/dx^2 = -k0^2;
-    equals k0 + k0 (k0 dx)^2 / 24 + ...  Falls back to k0 when dx = 0.
+    Solves the discrete dispersion relation 2(cos(k dx) - 1)/dx^2 = -k0^2
+    as k = 2 asin(k0 dx / 2) / dx, which keeps full precision at small
+    k0 dx; equals k0 + k0 (k0 dx)^2 / 24 + ...  Falls back to k0 when dx = 0.
     """
     if dx <= 0.0:
         return k0
-    arg = 1.0 - 0.5 * (k0 * dx) ** 2
-    if arg <= -1.0:
+    half = 0.5 * k0 * dx
+    if half > 1.0:
         raise ResolutionError(f"grid step {dx} cannot propagate waves at k0={k0}")
-    return math.acos(arg) / dx
+    return 2.0 * math.asin(half) / dx
 
 
 def scattering_from_ports(
@@ -443,64 +412,18 @@ def scattering_from_ports(
     geometry: DuctGeometry,
     medium: MediumProperties,
 ) -> ScatteringData:
-    """Four-microphone decomposition referenced to the sample faces.
+    """Plane-mode amplitudes referenced to the sample faces.
 
-    Each microphone pair separates two counter-propagating plane waves:
+    Upstream the scattered field is R exp(+i k x), downstream the field is
+    T exp(-i k (x - t)), so
 
-        p(x) = A+ exp(-i k x) + A- exp(+i k x)              (upstream, x < 0)
-        p(x) = B+ exp(-i k (x-t)) + B- exp(+i k (x-t))      (downstream, x > t)
-
-    B- is whatever the downstream termination sends back.  For a
-    symmetric reciprocal sample the two-port relations
-
-        B+ = T A+ + R B-,    A- = R A+ + T B-
-
-    then give T and R regardless of the terminations (the one-load
-    method of ASTM E2611).  With B- = 0 they reduce to T = B+/A+ and
-    R = A-/A+.
+        R = p_upstream exp(-i k x_upstream),
+        T = p_downstream exp(+i k (x_downstream - t)).
 
     k is the grid's numerical wavenumber (see ``grid_wavenumber``), which
-    calibrates the air-path dispersion out of the virtual measurement.
+    calibrates the air-path dispersion out of the read-out.
     """
-    k0 = 2.0 * math.pi * record.f / medium.c0
-    k = grid_wavenumber(k0, record.dx)
-    t = geometry.t
-    a_plus, a_minus = _split_waves(
-        k0, k, record.f, "upstream",
-        (record.x_upstream_a, record.p_upstream_a), (record.x_upstream_b, record.p_upstream_b),
-    )
-    b_plus, b_minus = _split_waves(
-        k0, k, record.f, "downstream",
-        (record.x_downstream - t, record.p_downstream),
-        (record.x_downstream_d - t, record.p_downstream_d),
-    )
-    det = a_plus * a_plus - b_minus * b_minus
-    transmission = (b_plus * a_plus - a_minus * b_minus) / det
-    reflection = (a_minus * a_plus - b_plus * b_minus) / det
+    k = grid_wavenumber(2.0 * math.pi * record.f / medium.c0, record.dx)
+    reflection = record.p_upstream * cmath.exp(-1j * k * record.x_upstream)
+    transmission = record.p_downstream * cmath.exp(1j * k * (record.x_downstream - geometry.t))
     return ScatteringData(f=record.f, transmission=complex(transmission), reflection=complex(reflection))
-
-
-def _split_waves(
-    k0: float, k: float, f: float, side: str,
-    mic1: tuple[float, complex], mic2: tuple[float, complex],
-) -> tuple[complex, complex]:
-    """Amplitudes (P+, P-) of p(x) = P+ exp(-i k x) + P- exp(+i k x) from two
-    microphones given as (position, pressure), ``mic2`` at the larger x."""
-    (x1, p1), (x2, p2) = mic1, mic2
-    d = x2 - x1
-    if d <= 0:
-        raise DomainError(f"{side} microphones must be ordered along +x")
-    nearest = round(k0 * d / math.pi) * math.pi
-    if abs(k0 * d - nearest) < 0.05 * math.pi:
-        raise DecompositionError(
-            f"{side} microphone spacing {d:.4f} m is within 5% of a half-wavelength "
-            f"multiple at {f} Hz; the decomposition is singular"
-        )
-    m = np.array(
-        [
-            [cmath.exp(-1j * k * x1), cmath.exp(1j * k * x1)],
-            [cmath.exp(-1j * k * x2), cmath.exp(1j * k * x2)],
-        ]
-    )
-    plus, minus = np.linalg.solve(m, np.array([p1, p2]))
-    return complex(plus), complex(minus)

@@ -19,8 +19,8 @@ well; closing them needs a separate exact-scene retrieval path.  See
 tests/test_fdfd.py::TestScenePhysics::test_matches_mode_matching_reference
 for the referee measurement.
 
-Criterion 6 passes: the simulator's four-microphone decomposition keeps
-the terminations out of (T, R), so the lossless sweeps conserve energy
+Criterion 6 passes: the simulator's exact discrete modal terminations
+return nothing into the scene, so the lossless sweeps conserve energy
 to roundoff and the retrieved Im(n1) stays at the 1e-11 level.
 """
 

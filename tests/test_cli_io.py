@@ -60,7 +60,7 @@ class TestConfig:
         """The oracle defaults are written twice, in the config table and in
         OracleSettings; they must agree field for field."""
         config = RunConfig.from_file(None)
-        assert config.oracle() == OracleSettings(f_min=config.values["sweep.start"])
+        assert config.oracle() == OracleSettings()
 
     def test_material_needs_impedance(self, tmp_path):
         path = tmp_path / "m.cfg"
@@ -224,3 +224,46 @@ class TestCli:
         header = dump.read_text().splitlines()[0]
         assert header == "x_m,r_m,re_p,im_p"
         assert len(read_tr_csv(tr)) == 1
+
+
+class TestTracerSites:
+    """The names benchmarks/tracing.py wraps, at the sites where it looks
+    them up; a site that stops resolving makes its per-layer metrics read 0."""
+
+    def test_fdfd_sites_resolve(self):
+        import tubegap.cli as cli_module
+        import tubegap.fdfd as fdfd_module
+
+        for name in ("build_scene", "solve_harmonic", "scattering_from_ports"):
+            assert getattr(cli_module, name) is getattr(fdfd_module, name)
+        assert callable(fdfd_module.spla.splu)
+
+    def test_one_factorization_per_point(self, cfg_path, tmp_path, monkeypatch):
+        import tubegap.cli as cli_module
+        import tubegap.fdfd as fdfd_module
+
+        calls = {"splu": 0, "solve_harmonic": 0}
+        scenes = []
+        build_scene = cli_module.build_scene
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        def recorded(*args, **kwargs):
+            scenes.append(build_scene(*args, **kwargs))
+            return scenes[-1]
+
+        monkeypatch.setattr(fdfd_module.spla, "splu", counted("splu", fdfd_module.spla.splu))
+        monkeypatch.setattr(cli_module, "solve_harmonic",
+                            counted("solve_harmonic", cli_module.solve_harmonic))
+        monkeypatch.setattr(cli_module, "build_scene", recorded)
+        code = main(["forward", "--config", str(cfg_path), "--method", "fdfd",
+                     "--set", "oracle.cells_per_wavelength=20",
+                     "--output", str(tmp_path / "tr.csv")])
+        assert code == 0
+        assert calls == {"splu": 4, "solve_harmonic": 4}
+        (scene,) = scenes
+        assert scene.nx > 0 and scene.nr > 0 and scene.n_pml == 0
