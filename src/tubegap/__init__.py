@@ -58,15 +58,6 @@ from tubegap.retrieval import (
     tr_from_transfer_matrix,
     transfer_matrix_from_tr,
 )
-from tubegap.fdfd import (
-    OracleSettings,
-    PortRecord,
-    SimGrid,
-    build_scene,
-    grid_wavenumber,
-    scattering_from_ports,
-    solve_field,
-    solve_harmonic,
-)
+from tubegap.fdfd import SimGrid, build_scene, grid_wavenumber, solve_field, solve_harmonic
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -29,7 +29,7 @@ from tubegap.datafiles import (
     write_tr_csv,
 )
 from tubegap.errors import ConfigError, DomainError, TubegapError
-from tubegap.fdfd import build_scene, scattering_from_ports, solve_field, solve_harmonic
+from tubegap.fdfd import build_scene, solve_field, solve_harmonic
 from tubegap.modal import duct_wavenumbers, first_cutoff_frequency
 from tubegap.retrieval import forward_averaged_sweep, retrieve_sweep
 from tubegap.types import GapProperties
@@ -53,10 +53,10 @@ def _overrides(args: argparse.Namespace) -> dict[str, str]:
             raise ConfigError(f"--set expects KEY=VALUE, got {item!r}")
         key, value = item.split("=", 1)
         out[key.strip()] = value.strip()
-    if getattr(args, "modes", None) is not None:
-        out["modal.count"] = str(args.modes)
-    if getattr(args, "branch_seed", None) is not None:
-        out["branch.seed"] = str(args.branch_seed)
+    for flag, key in (("modes", "modal.count"), ("tolerance", "roundtrip.tolerance"),
+                      ("branch_seed", "branch.seed")):
+        if getattr(args, flag, None) is not None:
+            out[key] = str(getattr(args, flag))
     if getattr(args, "allow_above_cutoff", False):
         out["retrieve.allow_above_cutoff"] = "true"
     return out
@@ -99,8 +99,9 @@ def _forward_data(config: RunConfig, method: str):
             sum_tolerance=float(config.values["modal.tolerance"]),
         )
         return data, None
-    scene = build_scene(material, geometry, max(freqs), medium=medium, settings=config.oracle())
-    data = [scattering_from_ports(solve_harmonic(scene, f), geometry, medium) for f in freqs]
+    scene = build_scene(material, geometry, max(freqs), medium=medium,
+                        cells_per_wavelength=float(config.values["oracle.cells_per_wavelength"]))
+    data = [solve_harmonic(scene, f) for f in freqs]
     return data, scene
 
 
@@ -125,8 +126,7 @@ def cmd_roundtrip(args: argparse.Namespace) -> int:
     geometry, medium = config.geometry(), config.medium()
     material = config.material()
     gap = GapProperties.from_geometry(geometry, medium)
-    tolerance = float(args.tolerance if args.tolerance is not None
-                      else config.values["roundtrip.tolerance"])
+    tolerance = float(config.values["roundtrip.tolerance"])
     methods = ["averaged", "fdfd"] if args.method == "both" else [args.method]
     worst_of_all = 0.0
     for method in methods:

@@ -13,18 +13,23 @@ Example::
     sweep.stop = 2500
     sweep.count = 45
 
-Unknown keys are rejected so typos fail loudly.
+Unknown keys are rejected so typos fail loudly, and so are values that do
+not parse as the key's type (floats must be finite), from the file and
+from overrides alike.  The medium, modal and oracle defaults come from
+the modules that own them.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from tubegap.errors import ConfigError
-from tubegap.fdfd import OracleSettings
+from tubegap.fdfd import DEFAULT_CELLS_PER_WAVELENGTH
+from tubegap.modal import DEFAULT_MODE_COUNT, DEFAULT_SUM_TOLERANCE
 from tubegap.retrieval import RetrievalConfig
 from tubegap.types import DuctGeometry, GapProperties, MaterialSpec, MediumProperties
 
@@ -37,7 +42,6 @@ _SCHEMA: dict[str, type] = {
     "modal.count": int,
     "modal.tolerance": float,
     "branch.seed": int,
-    "solver.max_condition": float,
     "sweep.start": float,
     "sweep.stop": float,
     "sweep.count": int,
@@ -51,24 +55,21 @@ _SCHEMA: dict[str, type] = {
     # lowest frequency, but benchmarks/workloads.fdfd_config still passes
     # it; remove it with ROADMAP item 1 (benchmark housekeeping)
     "oracle.f_min": float,
-    "oracle.max_cells": int,
     "retrieve.allow_above_cutoff": bool,
     "roundtrip.tolerance": float,
 }
 
 _DEFAULTS: dict[str, object] = {
-    "medium.rho0": 1.21,
-    "medium.c0": 343.0,
-    "modal.count": 64,
-    "modal.tolerance": 1e-3,
-    "solver.max_condition": 1e12,
+    "medium.rho0": MediumProperties().rho0,
+    "medium.c0": MediumProperties().c0,
+    "modal.count": DEFAULT_MODE_COUNT,
+    "modal.tolerance": DEFAULT_SUM_TOLERANCE,
     "sweep.start": 300.0,
     "sweep.stop": 2500.0,
     "sweep.count": 45,
     "material.n1_im": 0.0,
     "material.z1_im": 0.0,
-    "oracle.cells_per_wavelength": 33.0,
-    "oracle.max_cells": 6_000_000,
+    "oracle.cells_per_wavelength": DEFAULT_CELLS_PER_WAVELENGTH,
     "retrieve.allow_above_cutoff": False,
     "roundtrip.tolerance": 0.01,
 }
@@ -76,6 +77,7 @@ _DEFAULTS: dict[str, object] = {
 
 def _coerce(key: str, raw: str) -> object:
     kind = _SCHEMA[key]
+    expected = "a finite float" if kind is float else kind.__name__
     raw = raw.strip()
     try:
         if kind is bool:
@@ -88,10 +90,13 @@ def _coerce(key: str, raw: str) -> object:
         if kind is int:
             return int(raw)
         if kind is float:
-            return float(raw)
+            value = float(raw)
+            if not math.isfinite(value):
+                raise ValueError(raw)
+            return value
         return raw
     except ValueError as exc:
-        raise ConfigError(f"cannot parse {key} = {raw!r} as {kind.__name__}") from exc
+        raise ConfigError(f"cannot parse {key} = {raw!r} as {expected}") from exc
 
 
 @dataclass
@@ -118,7 +123,7 @@ class RunConfig:
         for key, raw in (overrides or {}).items():
             if key not in _SCHEMA:
                 raise ConfigError(f"override: unknown key {key!r}")
-            values[key] = _coerce(key, raw) if isinstance(raw, str) else raw
+            values[key] = _coerce(key, raw)
         return cls(values=values)
 
     def require(self, key: str) -> object:
@@ -156,13 +161,6 @@ class RunConfig:
             sum_tolerance=float(self.values["modal.tolerance"]),
             branch_seed=(int(self.values["branch.seed"]) if "branch.seed" in self.values else None),
             allow_above_cutoff=bool(self.values["retrieve.allow_above_cutoff"]),
-            max_condition=float(self.values["solver.max_condition"]),
-        )
-
-    def oracle(self) -> OracleSettings:
-        return OracleSettings(
-            cells_per_wavelength=float(self.values["oracle.cells_per_wavelength"]),
-            max_cells=int(self.values["oracle.max_cells"]),
         )
 
     def sweep_frequencies(self) -> list[float]:

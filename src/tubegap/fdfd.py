@@ -39,6 +39,9 @@ Discretization notes:
   the sample faces with the same k calibrates the air path's numerical
   dispersion out of (T, R).
 
+Usage: ``scene = build_scene(material, geometry, f_max, medium)`` once per
+sweep, then ``solve_harmonic(scene, f)`` returns (T, R) at each frequency.
+
 Time convention matches the rest of the package: exp(+i w t), so
 exp(-i k x) travels toward +x.
 """
@@ -59,25 +62,17 @@ from scipy.special import jn_zeros
 from tubegap.errors import DomainError, ResolutionError
 from tubegap.types import DuctGeometry, MaterialSpec, MediumProperties, ScatteringData
 
+# ~33 cells per local wavelength aims at a few-per-mille scattering accuracy
+DEFAULT_CELLS_PER_WAVELENGTH = 33.0
 MIN_CELLS_PER_WAVELENGTH = 20
+# scene size above which build_scene refuses (ResolutionError)
+MAX_CELLS = 6_000_000
 # air columns between each sample face and the modal termination; the
 # termination is exact, so one is enough (four give the same (T, R) to 1.3e-13)
 TERMINATION_AIR_COLUMNS = 1
 # first positive root of J1: the first non-planar duct mode cuts on at
 # k r2 = J1_FIRST_ROOT (only the warning below uses it)
 J1_FIRST_ROOT = float(jn_zeros(1, 1)[0])
-
-
-@dataclass(frozen=True)
-class OracleSettings:
-    """Numerical knobs for scene construction.
-
-    The default of ~33 cells per local wavelength aims at a few-per-mille
-    scattering accuracy; ``max_cells`` caps the scene size.
-    """
-
-    cells_per_wavelength: float = 33.0
-    max_cells: int = 6_000_000
 
 
 @dataclass(frozen=True)
@@ -101,10 +96,6 @@ class SimGrid:
     radial_modes_inv: np.ndarray     # (nr, nr) V^-1
 
     @property
-    def n_cells(self) -> int:
-        return self.nx * self.nr
-
-    @property
     def n_pml(self) -> int:
         """Absorbing-layer columns: none, the modal terminations are exact."""
         return 0
@@ -115,33 +106,6 @@ class SimGrid:
     @property
     def r_centers(self) -> np.ndarray:
         return (np.arange(self.nr) + 0.5) * self.dr
-
-    @property
-    def domain_length(self) -> float:
-        return self.nx * self.dx
-
-
-@dataclass(frozen=True)
-class PortRecord:
-    """Plane-mode amplitudes of one solved frequency at the two end columns.
-
-    The scene is driven by the plane wave exp(-i k x), of unit amplitude
-    at the incidence-side sample face, in the frame whose origin is that
-    face with +x pointing through the sample.  ``p_upstream`` is the area
-    average of the scattered (reflected) pressure at ``x_upstream < 0``,
-    ``p_downstream`` that of the pressure at ``x_downstream > t``.  ``dx``
-    is the axial grid step the pressures were computed on; referencing
-    uses its grid wavenumber (set it to 0 for data without numerical
-    dispersion, e.g. analytic constructions).
-    """
-
-    f: float
-    x_upstream: float
-    x_downstream: float
-    p_upstream: complex
-    p_downstream: complex
-    residual: float
-    dx: float = 0.0
 
 
 def _snap_radial(r1: float, r2: float, dr_target: float) -> tuple[float, int, int]:
@@ -201,18 +165,24 @@ def build_scene(
     geometry: DuctGeometry,
     f_max: float,
     medium: MediumProperties = MediumProperties(),
-    settings: OracleSettings = OracleSettings(),
+    cells_per_wavelength: float = DEFAULT_CELLS_PER_WAVELENGTH,
 ) -> SimGrid:
     """Construct the simulation grid for sweeps up to ``f_max``.
 
     ``material=None`` builds the empty duct (uniform air, no sleeve),
     used to validate the terminations.  Otherwise the sample disk covers
     0 <= x <= t, r <= r1 with the material's equivalent fluid and a
-    zero-flux sleeve face separates it from the air gap.
+    zero-flux sleeve face separates it from the air gap.  The axial step
+    resolves the shortest wavelength at ``f_max`` (in the sample, if its
+    index exceeds 1) by ``cells_per_wavelength`` cells; fewer than
+    ``MIN_CELLS_PER_WAVELENGTH`` raise ``DomainError``.
     """
     if not (f_max > 0 and math.isfinite(f_max)):
         raise DomainError(f"f_max must be positive, got {f_max}")
-    ppw = max(settings.cells_per_wavelength, float(MIN_CELLS_PER_WAVELENGTH))
+    ppw = cells_per_wavelength
+    if not (ppw >= MIN_CELLS_PER_WAVELENGTH and math.isfinite(ppw)):
+        raise DomainError(f"cells_per_wavelength must be finite and at least "
+                          f"{MIN_CELLS_PER_WAVELENGTH}, got {ppw}")
     index_mag = max(1.0, abs(material.n1)) if material is not None else 1.0
     wavelength_min = medium.c0 / (f_max * index_mag)
     dx_max = wavelength_min / ppw
@@ -225,10 +195,10 @@ def build_scene(
 
     i_sample0 = TERMINATION_AIR_COLUMNS
     nx = nt + 2 * i_sample0
-    if nx * nr > settings.max_cells:
+    if nx * nr > MAX_CELLS:
         raise ResolutionError(
-            f"scene needs {nx * nr} cells, above the budget of {settings.max_cells}; "
-            "lower f_max or relax the settings"
+            f"scene needs {nx * nr} cells, above the budget of {MAX_CELLS}; "
+            "lower f_max or cells_per_wavelength"
         )
 
     rho = np.full((nx, nr), medium.rho0, dtype=complex)
@@ -317,23 +287,9 @@ def _area_average(p: np.ndarray, scene: SimGrid, i: int) -> complex:
     return complex(np.sum(p[i, :] * weights) / np.sum(weights))
 
 
-def _ends(scene: SimGrid, excite: str) -> tuple[int, int, float, float]:
-    """Driven and far end columns, and their positions in the driven frame
-    (origin at the driven sample face, +x through the sample)."""
-    if excite == "upstream":
-        i_in, i_out = 0, scene.nx - 1
-        return i_in, i_out, scene.x_center(i_in), scene.x_center(i_out)
-    if excite == "downstream":
-        t = scene.geometry.t
-        i_in, i_out = scene.nx - 1, 0
-        return i_in, i_out, t - scene.x_center(i_in), t - scene.x_center(i_out)
-    raise DomainError(f"excitation side must be upstream or downstream, got {excite!r}")
-
-
-def _solve_field(scene: SimGrid, f: float, excite: str) -> tuple[np.ndarray, float]:
-    """Total field p[nx, nr] for a unit plane wave incident from ``excite``,
-    and the solve's relative residual."""
-    i_in, _, x_in, _ = _ends(scene, excite)
+def _solve_field(scene: SimGrid, f: float) -> tuple[np.ndarray, float]:
+    """Total field p[nx, nr] for a unit plane wave incident from upstream,
+    and the grid wavenumber k of that wave."""
     k0 = 2.0 * math.pi * f / scene.medium.c0
     k = grid_wavenumber(k0, scene.dx)
     termination = _termination(scene, k0)
@@ -341,12 +297,11 @@ def _solve_field(scene: SimGrid, f: float, excite: str) -> tuple[np.ndarray, flo
     # total = incident + scattered beyond the driven end, and only the
     # scattered part leaves through the termination:
     # p_ghost = inc_ghost + M (p_end - inc_end)
+    x_in = scene.x_center(0)
     inc_end = np.full(scene.nr, cmath.exp(-1j * k * x_in))
     inc_ghost = np.full(scene.nr, cmath.exp(-1j * k * (x_in - scene.dx)))
-    b = np.zeros(scene.n_cells, dtype=complex)
-    b[i_in * scene.nr:(i_in + 1) * scene.nr] = (
-        -(inc_ghost - termination @ inc_end) / (scene.medium.rho0 * scene.dx ** 2)
-    )
+    b = np.zeros(scene.nx * scene.nr, dtype=complex)
+    b[:scene.nr] = -(inc_ghost - termination @ inc_end) / (scene.medium.rho0 * scene.dx ** 2)
     # the matrix is structurally symmetric, so order on A^T + A
     lu = spla.splu(a, permc_spec="MMD_AT_PLUS_A")
     p = lu.solve(b)
@@ -355,16 +310,15 @@ def _solve_field(scene: SimGrid, f: float, excite: str) -> tuple[np.ndarray, flo
         raise ResolutionError(
             f"Helmholtz solve did not converge at {f} Hz (relative residual {residual:.2e})"
         )
-    return p.reshape(scene.nx, scene.nr), residual
+    return p.reshape(scene.nx, scene.nr), k
 
 
-def solve_harmonic(scene: SimGrid, f: float, excite: str = "upstream") -> PortRecord:
-    """Solve one frequency and return the plane-mode amplitudes at the end columns.
+def solve_harmonic(scene: SimGrid, f: float) -> ScatteringData:
+    """Solve one frequency and return (T, R) referenced to the sample faces.
 
-    ``excite="downstream"`` drives the right end instead of the left and
-    reports the record in the mirrored frame (origin at the downstream
-    face, +x toward the upstream end), so the same referencing handles
-    both directions.
+    The end columns' area averages are the scattered field R exp(+i k x)
+    upstream (after subtracting the incident wave) and T exp(-i k (x - t))
+    downstream, x = 0 at the incidence-side face and k the grid wavenumber.
     """
     cutoff = J1_FIRST_ROOT * scene.medium.c0 / (2.0 * math.pi * scene.geometry.r2)
     if f > cutoff:
@@ -373,21 +327,17 @@ def solve_harmonic(scene: SimGrid, f: float, excite: str = "upstream") -> PortRe
             "read-out ignores the propagating higher mode",
             stacklevel=2,
         )
-    p, residual = _solve_field(scene, f, excite)
-    i_in, i_out, x_in, x_out = _ends(scene, excite)
-    k = grid_wavenumber(2.0 * math.pi * f / scene.medium.c0, scene.dx)
-    return PortRecord(
-        f=f, x_upstream=x_in, x_downstream=x_out,
-        # the scattered field at the driven end: total minus the incident wave
-        p_upstream=_area_average(p, scene, i_in) - cmath.exp(-1j * k * x_in),
-        p_downstream=_area_average(p, scene, i_out),
-        residual=residual, dx=scene.dx,
-    )
+    p, k = _solve_field(scene, f)
+    x_in, x_out = scene.x_center(0), scene.x_center(scene.nx - 1)
+    incident_in = cmath.exp(-1j * k * x_in)
+    reflection = (_area_average(p, scene, 0) - incident_in) * incident_in
+    transmission = _area_average(p, scene, -1) * cmath.exp(1j * k * (x_out - scene.geometry.t))
+    return ScatteringData(f=f, transmission=complex(transmission), reflection=complex(reflection))
 
 
 def solve_field(scene: SimGrid, f: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Full complex pressure field (x centers, r centers, p[nx, nr])."""
-    p, _ = _solve_field(scene, f, "upstream")
+    p, _ = _solve_field(scene, f)
     x = scene.x0 + (np.arange(scene.nx) + 0.5) * scene.dx
     return x, scene.r_centers.copy(), p
 
@@ -405,25 +355,3 @@ def grid_wavenumber(k0: float, dx: float) -> float:
     if half > 1.0:
         raise ResolutionError(f"grid step {dx} cannot propagate waves at k0={k0}")
     return 2.0 * math.asin(half) / dx
-
-
-def scattering_from_ports(
-    record: PortRecord,
-    geometry: DuctGeometry,
-    medium: MediumProperties,
-) -> ScatteringData:
-    """Plane-mode amplitudes referenced to the sample faces.
-
-    Upstream the scattered field is R exp(+i k x), downstream the field is
-    T exp(-i k (x - t)), so
-
-        R = p_upstream exp(-i k x_upstream),
-        T = p_downstream exp(+i k (x_downstream - t)).
-
-    k is the grid's numerical wavenumber (see ``grid_wavenumber``), which
-    calibrates the air-path dispersion out of the read-out.
-    """
-    k = grid_wavenumber(2.0 * math.pi * record.f / medium.c0, record.dx)
-    reflection = record.p_upstream * cmath.exp(-1j * k * record.x_upstream)
-    transmission = record.p_downstream * cmath.exp(1j * k * (record.x_downstream - geometry.t))
-    return ScatteringData(f=record.f, transmission=complex(transmission), reflection=complex(reflection))

@@ -46,6 +46,9 @@ from tubegap.modal import (
 )
 from tubegap.types import DuctGeometry, GapProperties, MediumProperties, ScatteringData
 
+# largest condition number of the equilibrated interface system solve_fields accepts
+MAX_CONDITION = 1e12
+
 
 class DegenerateFieldsError(TubegapError):
     """The field combination needed by an extraction formula vanished."""
@@ -137,7 +140,6 @@ class RetrievalConfig:
     sum_tolerance: float = DEFAULT_SUM_TOLERANCE
     branch_seed: int | None = None
     allow_above_cutoff: bool = False
-    max_condition: float = 1e12
 
 
 def transfer_matrix_from_tr(data: ScatteringData, medium: MediumProperties) -> TransferMatrix:
@@ -242,12 +244,7 @@ def assemble_system(
     return q, y
 
 
-def solve_fields(
-    q: np.ndarray,
-    y: np.ndarray,
-    frequency: float | None = None,
-    max_condition: float = 1e12,
-) -> FieldState:
+def solve_fields(q: np.ndarray, y: np.ndarray, frequency: float | None = None) -> FieldState:
     """Solve Q w = Y by LU with partial pivoting and verify the residual.
 
     The raw system mixes pressures (order 1 Pa) with volume velocities
@@ -255,7 +252,8 @@ def solve_fields(
     that unit gap.  Columns are therefore equilibrated to unit max-norm
     before factorizing; the reported condition number is that of the
     equilibrated system, which is what actually bounds the solution
-    error.  The residual is still measured on the original system.
+    error, and above ``MAX_CONDITION`` raises IllConditionedSystemError.
+    The residual is still measured on the original system.
     """
     col_scale = np.max(np.abs(q), axis=0)
     if np.any(col_scale == 0):
@@ -264,9 +262,9 @@ def solve_fields(
         )
     q_eq = q / col_scale
     cond = float(np.linalg.cond(q_eq))
-    if not math.isfinite(cond) or cond > max_condition:
+    if not math.isfinite(cond) or cond > MAX_CONDITION:
         raise IllConditionedSystemError(
-            f"interface system condition number {cond:.3e} exceeds {max_condition:.1e}"
+            f"interface system condition number {cond:.3e} exceeds {MAX_CONDITION:.1e}"
             + (f" at {frequency} Hz" if frequency is not None else ""),
             frequency=frequency,
         )
@@ -366,7 +364,7 @@ def retrieve_point(
     if coupling.above_cutoff:
         flags.append("above_cutoff")
     q, y = assemble_system(matrix, geometry, medium, coupling)
-    state = solve_fields(q, y, frequency=data.f, max_condition=config.max_condition)
+    state = solve_fields(q, y, frequency=data.f)
     try:
         z1 = impedance_from_fields(state)
     except DegenerateFieldsError:

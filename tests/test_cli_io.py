@@ -1,6 +1,9 @@
 """File formats, determinism, CLI subcommands and exit codes."""
 
+import importlib
+import importlib.util
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,7 +12,6 @@ from tubegap.cli import main
 from tubegap.config import RunConfig
 from tubegap.datafiles import read_results_csv, read_tr_csv, write_results_csv, write_tr_csv
 from tubegap.errors import ConfigError
-from tubegap.fdfd import OracleSettings
 from tubegap.retrieval import RetrievedProperties
 from tubegap.types import ScatteringData
 
@@ -56,11 +58,21 @@ class TestConfig:
         with pytest.raises(ConfigError):
             RunConfig.from_file(bad)
 
-    def test_oracle_defaults_match_settings(self):
-        """The oracle defaults are written twice, in the config table and in
-        OracleSettings; they must agree field for field."""
-        config = RunConfig.from_file(None)
-        assert config.oracle() == OracleSettings()
+    @pytest.mark.parametrize("raw", ["nan", "inf", "-inf", "NaN"])
+    def test_non_finite_float_rejected(self, cfg_path, tmp_path, raw):
+        with pytest.raises(ConfigError, match="finite"):
+            RunConfig.from_file(cfg_path, overrides={"modal.tolerance": raw})
+        path = tmp_path / "nan.cfg"
+        path.write_text(f"oracle.cells_per_wavelength = {raw}\n")
+        with pytest.raises(ConfigError, match="finite"):
+            RunConfig.from_file(path)
+
+    @pytest.mark.parametrize("key", ["oracle.max_cells", "solver.max_condition"])
+    def test_retired_keys_unknown(self, tmp_path, key):
+        path = tmp_path / "old.cfg"
+        path.write_text(f"{key} = 1000\n")
+        with pytest.raises(ConfigError, match="unknown key"):
+            RunConfig.from_file(path)
 
     def test_material_needs_impedance(self, tmp_path):
         path = tmp_path / "m.cfg"
@@ -155,6 +167,24 @@ class TestCli:
         assert code == 2
         assert "FAIL" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("argv", [
+        ("forward", "--method", "fdfd", "--set", "oracle.cells_per_wavelength=nan"),
+        ("forward", "--method", "fdfd", "--set", "oracle.cells_per_wavelength=inf"),
+        ("forward", "--method", "fdfd", "--set", "oracle.cells_per_wavelength=-5"),
+        ("roundtrip", "--method", "averaged", "--tolerance", "nan"),
+        ("roundtrip", "--method", "averaged", "--set", "modal.tolerance=nan"),
+    ])
+    def test_bad_numbers_are_validation_errors(self, cfg_path, tmp_path, capsys, argv):
+        """Non-finite values and a resolution below the minimum end in exit
+        1 and one error line, not a traceback or a silent PASS."""
+        extra = ["--output", str(tmp_path / "x.csv")] if argv[0] == "forward" else []
+        code = self.run(*argv, "--config", str(cfg_path), *extra)
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err.startswith("error:")
+        assert "PASS" not in captured.out
+        assert not (tmp_path / "x.csv").exists()
+
     def test_modes_table(self, cfg_path, capsys):
         assert self.run("modes", "--config", str(cfg_path), "--modes", "3",
                         "--freq", "5000") == 0
@@ -230,11 +260,33 @@ class TestTracerSites:
     """The names benchmarks/tracing.py wraps, at the sites where it looks
     them up; a site that stops resolving makes its per-layer metrics read 0."""
 
+    # sites whose code is gone on purpose: their metrics read 0 until the
+    # benchmark drops them
+    RETIRED = {"tubegap.cli.scattering_from_ports"}
+
+    def test_every_site_resolves(self):
+        path = Path(__file__).resolve().parents[1] / "benchmarks" / "tracing.py"
+        spec = importlib.util.spec_from_file_location("benchmark_tracing", path)
+        tracing = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(tracing)
+        targets = {}
+        for module_name, attr, _, _ in tracing.SITES:
+            target = importlib.import_module(module_name)
+            for part in attr.split("."):
+                target = getattr(target, part, None)
+            targets[f"{module_name}.{attr}"] = target
+        assert self.RETIRED <= targets.keys()
+        for name, target in targets.items():
+            if name in self.RETIRED:
+                assert target is None, f"{name} exists again; take it off RETIRED"
+            else:
+                assert callable(target), f"{name} no longer resolves"
+
     def test_fdfd_sites_resolve(self):
         import tubegap.cli as cli_module
         import tubegap.fdfd as fdfd_module
 
-        for name in ("build_scene", "solve_harmonic", "scattering_from_ports"):
+        for name in ("build_scene", "solve_harmonic"):
             assert getattr(cli_module, name) is getattr(fdfd_module, name)
         assert callable(fdfd_module.spla.splu)
 

@@ -6,18 +6,21 @@ import math
 import numpy as np
 import pytest
 
+import tubegap.retrieval as retrieval_module
 from tubegap.errors import (
     IllConditionedSystemError,
     SingularMeasurementError,
 )
 from tubegap.modal import coupling_coefficients
 from tubegap.retrieval import (
+    MAX_CONDITION,
     DegenerateFieldsError,
     FieldState,
     TransferMatrix,
     assemble_system,
     impedance_from_fields,
     index_from_fields,
+    retrieve_point,
     solve_fields,
     tr_from_transfer_matrix,
     transfer_matrix_from_tr,
@@ -170,6 +173,17 @@ class TestSolveFields:
         with pytest.raises(IllConditionedSystemError) as err:
             solve_fields(q, np.ones(8, dtype=complex), frequency=432.1)
         assert err.value.frequency == 432.1
+
+    def test_condition_bound_is_the_module_constant(self, sample1_geometry, medium, monkeypatch):
+        """A real sample-1 point passes under MAX_CONDITION and is refused,
+        naming its frequency, once the bound drops below its condition."""
+        data = ScatteringData(f=900.0, transmission=0.8 - 0.5j, reflection=0.2 + 0.1j)
+        state, *_ = retrieve_point(data, sample1_geometry, medium)
+        assert 1.0 < state.condition_number < MAX_CONDITION
+        monkeypatch.setattr(retrieval_module, "MAX_CONDITION", state.condition_number / 2)
+        with pytest.raises(IllConditionedSystemError, match="900.0 Hz") as err:
+            retrieve_point(data, sample1_geometry, medium)
+        assert err.value.frequency == 900.0
 
 
 def layer_fields(n1, z1, k0, t, p_out=1.0 + 0j, u_out=0.0 + 0j):
