@@ -20,7 +20,7 @@ import sys
 import numpy as np
 
 from tubegap import __version__
-from tubegap.config import RunConfig
+from tubegap.config import RunConfig, parse_value
 from tubegap.datafiles import (
     read_tr_csv,
     write_field_csv,
@@ -53,10 +53,12 @@ def _overrides(args: argparse.Namespace) -> dict[str, str]:
             raise ConfigError(f"--set expects KEY=VALUE, got {item!r}")
         key, value = item.split("=", 1)
         out[key.strip()] = value.strip()
+    # numeric flags stay strings here, so a malformed one fails in the
+    # config's parser (exit 1) like a malformed --set
     for flag, key in (("modes", "modal.count"), ("tolerance", "roundtrip.tolerance"),
                       ("branch_seed", "branch.seed")):
         if getattr(args, flag, None) is not None:
-            out[key] = str(getattr(args, flag))
+            out[key] = getattr(args, flag)
     if getattr(args, "allow_above_cutoff", False):
         out["retrieve.allow_above_cutoff"] = "true"
     return out
@@ -158,7 +160,7 @@ def cmd_modes(args: argparse.Namespace) -> int:
     config = _load_config(args)
     geometry, medium = config.geometry(), config.medium()
     basis = duct_wavenumbers(geometry, int(config.values["modal.count"]))
-    query = args.freq
+    query = None if args.freq is None else parse_value("--freq", args.freq, float)
     print(f"duct radius {geometry.r2} m, sound speed {medium.c0} m/s, "
           f"{basis.n_modes} modes")
     header = f"{'n':>4} {'x_n':>12} {'k_n (1/m)':>12} {'cutoff (Hz)':>12}"
@@ -188,8 +190,8 @@ def build_parser() -> argparse.ArgumentParser:
     _common_flags(p)
     p.add_argument("--input", required=True, help="T,R sweep CSV")
     p.add_argument("--output", required=True, help="results CSV to write")
-    p.add_argument("--branch-seed", type=int, help="inverse-cosine branch at the first point")
-    p.add_argument("--modes", type=int, help="modal truncation")
+    p.add_argument("--branch-seed", help="inverse-cosine branch at the first point")
+    p.add_argument("--modes", help="modal truncation")
     p.add_argument("--allow-above-cutoff", action="store_true")
     p.set_defaults(func=cmd_retrieve)
 
@@ -197,7 +199,7 @@ def build_parser() -> argparse.ArgumentParser:
     _common_flags(p)
     p.add_argument("--method", choices=["averaged", "fdfd"], default="averaged")
     p.add_argument("--output", required=True)
-    p.add_argument("--modes", type=int)
+    p.add_argument("--modes")
     p.add_argument("--allow-above-cutoff", action="store_true")
     p.add_argument("--dump-field", help="also dump the last frequency's pressure field (fdfd)")
     p.set_defaults(func=cmd_forward)
@@ -205,15 +207,15 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("roundtrip", help="forward then retrieve, report errors")
     _common_flags(p)
     p.add_argument("--method", choices=["averaged", "fdfd", "both"], default="averaged")
-    p.add_argument("--tolerance", type=float, help="median relative error bound")
-    p.add_argument("--modes", type=int)
+    p.add_argument("--tolerance", help="median relative error bound")
+    p.add_argument("--modes")
     p.add_argument("--allow-above-cutoff", action="store_true")
     p.set_defaults(func=cmd_roundtrip)
 
     p = sub.add_parser("modes", help="print the duct mode table")
     _common_flags(p)
-    p.add_argument("--modes", type=int, help="how many modes to list")
-    p.add_argument("--freq", type=float, help="mark propagating/evanescent at this frequency")
+    p.add_argument("--modes", help="how many modes to list")
+    p.add_argument("--freq", help="mark propagating/evanescent at this frequency")
     p.set_defaults(func=cmd_modes)
     return parser
 

@@ -75,8 +75,9 @@ _DEFAULTS: dict[str, object] = {
 }
 
 
-def _coerce(key: str, raw: str) -> object:
-    kind = _SCHEMA[key]
+def parse_value(name: str, raw: str, kind: type) -> bool | int | float:
+    """Parse ``raw`` as ``kind`` (bool, int or finite float); ``ConfigError``
+    names ``name`` (a config key or a CLI flag) when it does not parse."""
     expected = "a finite float" if kind is float else kind.__name__
     raw = raw.strip()
     try:
@@ -89,14 +90,12 @@ def _coerce(key: str, raw: str) -> object:
             raise ValueError(raw)
         if kind is int:
             return int(raw)
-        if kind is float:
-            value = float(raw)
-            if not math.isfinite(value):
-                raise ValueError(raw)
-            return value
-        return raw
+        value = float(raw)
+        if not math.isfinite(value):
+            raise ValueError(raw)
+        return value
     except ValueError as exc:
-        raise ConfigError(f"cannot parse {key} = {raw!r} as {expected}") from exc
+        raise ConfigError(f"cannot parse {name} = {raw!r} as {expected}") from exc
 
 
 @dataclass
@@ -119,11 +118,11 @@ class RunConfig:
                 key, raw = (part.strip() for part in stripped.split("=", 1))
                 if key not in _SCHEMA:
                     raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-                values[key] = _coerce(key, raw)
+                values[key] = parse_value(key, raw, _SCHEMA[key])
         for key, raw in (overrides or {}).items():
             if key not in _SCHEMA:
                 raise ConfigError(f"override: unknown key {key!r}")
-            values[key] = _coerce(key, raw)
+            values[key] = parse_value(key, raw, _SCHEMA[key])
         return cls(values=values)
 
     def require(self, key: str) -> object:

@@ -39,6 +39,13 @@ Discretization notes:
   the sample faces with the same k calibrates the air path's numerical
   dispersion out of (T, R).
 
+Only the diagonal (w^2/kappa minus the face couplings) and the two
+termination blocks depend on the frequency.  ``build_scene`` therefore
+assembles the face couplings once, as the scene's stencil: a CSC matrix
+whose pattern already holds explicit zero slots for the diagonal and both
+end blocks.  Each frequency copies the stencil's values, writes its own
+into those slots, and factors the result.
+
 Usage: ``scene = build_scene(material, geometry, f_max, medium)`` once per
 sweep, then ``solve_harmonic(scene, f)`` returns (T, R) at each frequency.
 
@@ -94,6 +101,16 @@ class SimGrid:
     radial_eigenvalues: np.ndarray   # (nr,) lambda_n of the uniform-air radial operator, lambda_0 = 0
     radial_modes: np.ndarray         # (nr, nr) V, mode n in column n; column 0 is constant
     radial_modes_inv: np.ndarray     # (nr, nr) V^-1
+    # the frequency-independent part of the operator, shared by every solve (read-only)
+    stencil: sp.csc_matrix           # (nx*nr, nx*nr) face couplings, with explicit zeros at the
+                                     # sleeve faces, the diagonal and both end blocks
+    axial_coupling: np.ndarray       # (nx-1, nr) coupling of columns i and i+1
+    radial_coupling_hi: np.ndarray   # (nx, nr-1) coupling of ring j to ring j-1, in the row of ring j
+    radial_coupling_lo: np.ndarray   # (nx, nr-1) coupling of ring j-1 to ring j, in the row of ring j-1
+    diagonal_slots: np.ndarray       # (nx*nr,) positions of the diagonal in stencil.data
+    end_block_slots: np.ndarray      # (2, nr*nr) positions of the upstream and downstream
+                                     # termination blocks in stencil.data, row-major
+    area_weights: np.ndarray         # (nr,) ring-centre radii, the weights of a column's area average
 
     @property
     def n_pml(self) -> int:
@@ -102,10 +119,6 @@ class SimGrid:
 
     def x_center(self, i: int) -> float:
         return self.x0 + (i + 0.5) * self.dx
-
-    @property
-    def r_centers(self) -> np.ndarray:
-        return (np.arange(self.nr) + 0.5) * self.dr
 
 
 def _snap_radial(r1: float, r2: float, dr_target: float) -> tuple[float, int, int]:
@@ -158,6 +171,59 @@ def _radial_basis(nr: int, dr: float) -> tuple[np.ndarray, np.ndarray, np.ndarra
     modes = u / root_r[:, None]
     modes[:, 0] = 1.0 / np.linalg.norm(root_r)
     return lam, modes, (u * root_r[:, None]).T
+
+
+def _stencil(
+    rho: np.ndarray, dx: float, dr: float, i_sample0: int, n_sample_cells: int, j_sleeve: int
+) -> dict[str, np.ndarray | sp.csc_matrix]:
+    """The frequency-independent part of the operator and the area-average
+    weights, as ``SimGrid`` fields.
+
+    Face fluxes use series transmissibility; a rigid sleeve keeps its faces
+    as explicit zeros.  The diagonal and the two dense termination blocks
+    get explicit zero slots, so one COO -> CSC conversion fixes the sparsity
+    pattern of every frequency's operator (sparse addition would drop the
+    zeros and change it).  All arrays are read-only.
+    """
+    nx, nr = rho.shape
+    n = nx * nr
+    idx = np.arange(n).reshape(nx, nr)
+
+    # axial fluxes between columns i-1 and i
+    g = 2.0 / ((rho[:-1, :] + rho[1:, :]) * dx ** 2)     # (nx-1, nr)
+    # radial fluxes between rings j-1 and j (face j at radius j*dr)
+    r_face = np.arange(1, nr) * dr
+    r_cell = (np.arange(nr) + 0.5) * dr
+    tr = 2.0 / (rho[:, :-1] + rho[:, 1:])          # (nx, nr-1)
+    if j_sleeve > 0:
+        tr[i_sample0:i_sample0 + n_sample_cells, j_sleeve - 1] = 0.0   # rigid sleeve: no flux through r = r1
+    coup_hi = r_face[None, :] * tr / (r_cell[None, 1:] * dr ** 2)   # row of cell j
+    coup_lo = r_face[None, :] * tr / (r_cell[None, :-1] * dr ** 2)  # row of cell j-1
+
+    # each termination block couples every pair of cells in its end column
+    ends = idx[[0, -1]]
+    block_rows, block_cols = np.repeat(ends, nr, axis=1), np.tile(ends, nr)
+    rows = [idx[1:, :], idx[:-1, :], idx[:, 1:], idx[:, :-1], idx, block_rows]
+    cols = [idx[:-1, :], idx[1:, :], idx[:, :-1], idx[:, 1:], idx, block_cols]
+    vals = [g, g, coup_hi, coup_lo, np.zeros(n + block_rows.size)]
+    stencil = sp.coo_matrix(
+        (np.concatenate([v.ravel() for v in vals]),
+         (np.concatenate([r.ravel() for r in rows]), np.concatenate([c.ravel() for c in cols]))),
+        shape=(n, n),
+    ).tocsc()
+    # canonical CSC stores entries by column, then row: their keys ascend
+    keys = np.repeat(np.arange(n), np.diff(stencil.indptr)) * n + stencil.indices
+    fields = {
+        "axial_coupling": g,
+        "radial_coupling_hi": coup_hi,
+        "radial_coupling_lo": coup_lo,
+        "diagonal_slots": np.searchsorted(keys, idx.ravel() * (n + 1)),
+        "end_block_slots": np.searchsorted(keys, block_cols * n + block_rows),
+        "area_weights": r_cell,
+    }
+    for array in (stencil.data, stencil.indices, stencil.indptr, *fields.values()):
+        array.setflags(write=False)
+    return {"stencil": stencil, **fields}
 
 
 def build_scene(
@@ -217,6 +283,7 @@ def build_scene(
         i_sample0=i_sample0, n_sample_cells=nt,
         j_sleeve=sleeve, rho=rho, kappa=kappa,
         radial_eigenvalues=lam, radial_modes=modes, radial_modes_inv=modes_inv,
+        **_stencil(rho, dx, dr, i_sample0, nt, sleeve),
     )
 
 
@@ -235,55 +302,28 @@ def _termination(scene: SimGrid, k0: float) -> np.ndarray:
 
 
 def _assemble(scene: SimGrid, f: float, termination: np.ndarray) -> sp.csc_matrix:
-    nx, nr = scene.nx, scene.nr
+    """The operator at frequency f: a copy of the scene's stencil with the
+    diagonal, omega^2/kappa minus each cell's face couplings, and the two
+    termination blocks written into their slots."""
     omega = 2.0 * math.pi * f
-    rho, kappa = scene.rho, scene.kappa
-    idx = np.arange(nx * nr).reshape(nx, nr)
-    rows, cols, vals = [], [], []
-    diag = omega ** 2 / kappa
-
-    # axial fluxes between columns i-1 and i
-    g = 2.0 / ((rho[:-1, :] + rho[1:, :]) * scene.dx ** 2)     # (nx-1, nr)
-    rows += [idx[1:, :].ravel(), idx[:-1, :].ravel()]
-    cols += [idx[:-1, :].ravel(), idx[1:, :].ravel()]
-    vals += [g.ravel(), g.ravel()]
-    diag[1:, :] -= g
-    diag[:-1, :] -= g
-
-    # radial fluxes between rings j-1 and j (face j at radius j*dr)
-    r_face = np.arange(1, nr) * scene.dr
-    r_cell = (np.arange(nr) + 0.5) * scene.dr
-    tr = 2.0 / (rho[:, :-1] + rho[:, 1:])          # (nx, nr-1)
-    if scene.j_sleeve > 0:
-        i0, nt = scene.i_sample0, scene.n_sample_cells
-        tr[i0:i0 + nt, scene.j_sleeve - 1] = 0.0   # rigid sleeve: no flux through r = r1
-    coup_hi = r_face[None, :] * tr / (r_cell[None, 1:] * scene.dr ** 2)   # row of cell j
-    coup_lo = r_face[None, :] * tr / (r_cell[None, :-1] * scene.dr ** 2)  # row of cell j-1
-    rows.append(idx[:, 1:].ravel());  cols.append(idx[:, :-1].ravel()); vals.append(coup_hi.ravel())
-    rows.append(idx[:, :-1].ravel()); cols.append(idx[:, 1:].ravel());  vals.append(coup_lo.ravel())
-    diag[:, 1:] -= coup_hi
-    diag[:, :-1] -= coup_lo
-
+    diag = omega ** 2 / scene.kappa
+    diag[1:, :] -= scene.axial_coupling
+    diag[:-1, :] -= scene.axial_coupling
+    diag[:, 1:] -= scene.radial_coupling_hi
+    diag[:, :-1] -= scene.radial_coupling_lo
+    stencil = scene.stencil
+    data = stencil.data.copy()
+    data[scene.diagonal_slots] = diag.ravel()
     # modal terminations: flux through each end face to the ghost column
     # beyond it, p_ghost = M p_end (the drive's known part is on the right-hand side)
-    block = ((termination - np.eye(nr)) / (scene.medium.rho0 * scene.dx ** 2)).ravel()
-    for i in (0, nx - 1):
-        rows.append(np.repeat(idx[i], nr))
-        cols.append(np.tile(idx[i], nr))
-        vals.append(block)
-
-    rows.append(idx.ravel())
-    cols.append(idx.ravel())
-    vals.append(diag.ravel())
-    a = sp.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(nx * nr, nx * nr),
-    )
-    return a.tocsc()
+    data[scene.end_block_slots] += (
+        (termination - np.eye(scene.nr)) / (scene.medium.rho0 * scene.dx ** 2)
+    ).ravel()
+    return sp.csc_matrix((data, stencil.indices, stencil.indptr), shape=stencil.shape)
 
 
 def _area_average(p: np.ndarray, scene: SimGrid, i: int) -> complex:
-    weights = scene.r_centers
+    weights = scene.area_weights
     return complex(np.sum(p[i, :] * weights) / np.sum(weights))
 
 
@@ -339,7 +379,7 @@ def solve_field(scene: SimGrid, f: float) -> tuple[np.ndarray, np.ndarray, np.nd
     """Full complex pressure field (x centers, r centers, p[nx, nr])."""
     p, _ = _solve_field(scene, f)
     x = scene.x0 + (np.arange(scene.nx) + 0.5) * scene.dx
-    return x, scene.r_centers.copy(), p
+    return x, scene.area_weights.copy(), p
 
 
 def grid_wavenumber(k0: float, dx: float) -> float:
@@ -347,10 +387,8 @@ def grid_wavenumber(k0: float, dx: float) -> float:
 
     Solves the discrete dispersion relation 2(cos(k dx) - 1)/dx^2 = -k0^2
     as k = 2 asin(k0 dx / 2) / dx, which keeps full precision at small
-    k0 dx; equals k0 + k0 (k0 dx)^2 / 24 + ...  Falls back to k0 when dx = 0.
+    k0 dx; equals k0 + k0 (k0 dx)^2 / 24 + ...
     """
-    if dx <= 0.0:
-        return k0
     half = 0.5 * k0 * dx
     if half > 1.0:
         raise ResolutionError(f"grid step {dx} cannot propagate waves at k0={k0}")

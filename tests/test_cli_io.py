@@ -173,10 +173,14 @@ class TestCli:
         ("forward", "--method", "fdfd", "--set", "oracle.cells_per_wavelength=-5"),
         ("roundtrip", "--method", "averaged", "--tolerance", "nan"),
         ("roundtrip", "--method", "averaged", "--set", "modal.tolerance=nan"),
+        ("roundtrip", "--method", "averaged", "--tolerance", "abc"),
+        ("forward", "--method", "averaged", "--modes", "x"),
+        ("modes", "--freq", "x"),
     ])
     def test_bad_numbers_are_validation_errors(self, cfg_path, tmp_path, capsys, argv):
-        """Non-finite values and a resolution below the minimum end in exit
-        1 and one error line, not a traceback or a silent PASS."""
+        """Non-finite or malformed values and a resolution below the minimum
+        end in exit 1 and one error line, not a traceback, argparse's usage
+        error (exit 2) or a silent PASS."""
         extra = ["--output", str(tmp_path / "x.csv")] if argv[0] == "forward" else []
         code = self.run(*argv, "--config", str(cfg_path), *extra)
         captured = capsys.readouterr()

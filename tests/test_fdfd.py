@@ -7,6 +7,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 import tubegap.fdfd as fdfd_module
 from mm_reference import solve_bilayer_scene
@@ -89,12 +90,107 @@ class TestBuildScene:
             assert np.all(scene.kappa[i, :] == medium.rho0 * medium.c0 ** 2)
 
 
+def dense_operator(scene, f):
+    """The operator at f written out cell by cell from the discretization:
+    w^2/kappa on the diagonal, a series-transmissibility coupling to each
+    axial and radial neighbour (zero through the sleeve), and the
+    termination's (M - I)/(rho0 dx^2) over each end column.  Returns the
+    dense matrix and the entries it sets, explicit zeros included."""
+    nx, nr, dx, dr = scene.nx, scene.nr, scene.dx, scene.dr
+    rho, kappa = scene.rho, scene.kappa
+    omega = 2 * math.pi * f
+    a = np.zeros((nx * nr, nx * nr), dtype=complex)
+    pattern = np.zeros(a.shape, dtype=bool)
+    sample_columns = range(scene.i_sample0, scene.i_sample0 + scene.n_sample_cells)
+    for i in range(nx):
+        for j in range(nr):
+            c = i * nr + j
+            diag = omega ** 2 / kappa[i, j]
+            for i2 in (i - 1, i + 1):
+                if 0 <= i2 < nx:
+                    coupling = 2.0 / ((rho[min(i, i2), j] + rho[max(i, i2), j]) * dx ** 2)
+                    a[c, i2 * nr + j] = coupling
+                    pattern[c, i2 * nr + j] = True
+                    diag -= coupling
+            for j2 in (j - 1, j + 1):
+                if 0 <= j2 < nr:
+                    face = max(j, j2)       # the face between the rings, at radius face * dr
+                    blocked = face == scene.j_sleeve and i in sample_columns
+                    t = 0.0 if blocked else 2.0 / (rho[i, face - 1] + rho[i, face])
+                    coupling = face * dr * t / ((j + 0.5) * dr * dr ** 2)
+                    a[c, i * nr + j2] = coupling
+                    pattern[c, i * nr + j2] = True
+                    diag -= coupling
+            a[c, c] = diag
+            pattern[c, c] = True
+    termination = fdfd_module._termination(scene, omega / scene.medium.c0)
+    block = (termination - np.eye(nr)) / (scene.medium.rho0 * dx ** 2)
+    for i in (0, nx - 1):
+        end = slice(i * nr, (i + 1) * nr)
+        a[end, end] += block
+        pattern[end, end] = True
+    return a, pattern
+
+
+def scene_operator(scene, f):
+    omega = 2 * math.pi * f
+    return fdfd_module._assemble(scene, f, fdfd_module._termination(scene, omega / scene.medium.c0))
+
+
+class TestStencil:
+    """The frequency-independent stencil built once per scene."""
+
+    @pytest.fixture(params=["empty", "sample"])
+    def small_scene(self, request, sample1_geometry, sample1_material, medium):
+        material = None if request.param == "empty" else sample1_material
+        scene = fast_scene(material, sample1_geometry, 1500.0, medium=medium)
+        assert scene.nx * scene.nr <= 250
+        return scene
+
+    @pytest.mark.parametrize("f", [700.0, 1500.0])
+    def test_operator_matches_cell_by_cell_assembly(self, small_scene, f):
+        """Every value, and the pattern with its explicit zeros, exactly."""
+        a = scene_operator(small_scene, f)
+        expected, pattern = dense_operator(small_scene, f)
+        assert a.has_canonical_format
+        stored = sp.csc_matrix((np.ones(a.nnz), a.indices, a.indptr), shape=a.shape)
+        assert np.array_equal(stored.toarray() != 0, pattern)
+        assert np.array_equal(a.toarray(), expected)
+
+    def test_only_frequency_slots_change(self, small_scene):
+        stencil = small_scene.stencil
+        a1, a2 = scene_operator(small_scene, 700.0), scene_operator(small_scene, 1500.0)
+        for a in (a1, a2):
+            assert np.shares_memory(a.indices, stencil.indices)
+            assert np.shares_memory(a.indptr, stencil.indptr)
+        slots = np.union1d(small_scene.diagonal_slots, small_scene.end_block_slots)
+        changed = np.flatnonzero(a1.data != a2.data)
+        assert np.all(np.isin(changed, slots))
+        assert np.all(np.isin(small_scene.diagonal_slots, changed))
+        fixed = np.ones(stencil.nnz, dtype=bool)
+        fixed[slots] = False
+        assert np.array_equal(a1.data[fixed], stencil.data[fixed])
+
+    def test_solve_leaves_stencil_untouched(self, small_scene):
+        names = ("axial_coupling", "radial_coupling_hi", "radial_coupling_lo",
+                 "diagonal_slots", "end_block_slots", "area_weights")
+        stencil = small_scene.stencil
+        before = [stencil.data.copy(), stencil.indices.copy(), stencil.indptr.copy()]
+        before += [getattr(small_scene, name).copy() for name in names]
+        for f in (700.0, 1500.0):
+            solve_harmonic(small_scene, f)
+        after = [stencil.data, stencil.indices, stencil.indptr]
+        after += [getattr(small_scene, name) for name in names]
+        for old, new in zip(before, after):
+            assert not new.flags.writeable
+            assert old.tobytes() == new.tobytes()
+
+
 class TestDecomposition:
     def test_grid_wavenumber_expansion(self):
         k0, dx = 20.0, 0.001
         expected = k0 * (1 + (k0 * dx) ** 2 / 24)
         assert grid_wavenumber(k0, dx) == pytest.approx(expected, rel=1e-6)
-        assert grid_wavenumber(k0, 0.0) == k0
         with pytest.raises(ResolutionError):
             grid_wavenumber(k0, 2.01 / k0)
 

@@ -1,7 +1,8 @@
 """The J1 root table behind the duct eigenmodes.
 
-``tubegap.modal`` takes J0 and J1 from ``scipy.special`` and builds its
-root table from ``jn_zeros`` with the plane wave (x_0 = 0) prepended,
+``tubegap.modal`` takes J0 and J1 from ``scipy.special``.  Its root
+table is the plane wave (x_0 = 0) followed by the positive roots of J1: a
+constant copy of ``jn_zeros`` up to 127 roots, ``jn_zeros`` itself beyond,
 cached per truncation.  These checks guard that table and the mode-count
 validation in front of it; the roots are compared with mpmath in
 ``tests/test_modal.py``.
@@ -9,7 +10,7 @@ validation in front of it; the roots are compared with mpmath in
 
 import numpy as np
 import pytest
-from scipy.special import j1 as bessel_j1
+from scipy.special import j1 as bessel_j1, jn_zeros
 
 from tubegap.errors import DomainError
 from tubegap.modal import _j1_roots, duct_wavenumbers
@@ -46,6 +47,14 @@ class TestRoots:
         for n, (lo, hi) in enumerate(zip(roots[1:], roots[2:]), start=1):
             signs = set(np.sign(bessel_j1(np.linspace(lo + 0.05, hi - 0.05, 200))))
             assert signs == {(-1.0) ** n}
+
+    def test_table_is_jn_zeros(self):
+        """The constant table and the jn_zeros fallback beyond it equal
+        jn_zeros bit for bit, for every truncation up to 200 modes."""
+        for n in range(1, 201):
+            positive = jn_zeros(1, n - 1) if n > 1 else np.zeros(0)
+            expected = np.concatenate(([0.0], positive))
+            assert _j1_roots(n).tobytes() == expected.tobytes(), n
 
     def test_deterministic(self):
         """A fresh evaluation equals the cached table, bit for bit."""
