@@ -30,7 +30,7 @@ from tubegap.datafiles import (
 )
 from tubegap.errors import ConfigError, DomainError, TubegapError
 from tubegap.fdfd import build_scene, solve_field, solve_harmonic
-from tubegap.modal import duct_wavenumbers, first_cutoff_frequency
+from tubegap.modal import duct_wavenumbers, first_cutoff_frequency, refuse_above_cutoff
 from tubegap.retrieval import forward_averaged_sweep, retrieve_sweep
 from tubegap.types import GapProperties
 
@@ -88,18 +88,12 @@ def _forward_data(config: RunConfig, method: str):
     geometry, medium = config.geometry(), config.medium()
     material = config.material()
     freqs = config.sweep_frequencies()
-    cutoff = first_cutoff_frequency(geometry, medium)
-    if max(freqs) > cutoff and not bool(config.values["retrieve.allow_above_cutoff"]):
-        raise DomainError(
-            f"sweep reaches {max(freqs)} Hz, above the duct cutoff {cutoff:.1f} Hz; "
-            "use --allow-above-cutoff to override"
-        )
+    settings = config.retrieval()
+    if not settings.allow_above_cutoff:
+        refuse_above_cutoff(freqs, geometry, medium)
     if method == "averaged":
-        data = forward_averaged_sweep(
-            material.n1, material.z1, geometry, medium, freqs,
-            n_modes=int(config.values["modal.count"]),
-            sum_tolerance=float(config.values["modal.tolerance"]),
-        )
+        data = forward_averaged_sweep(material.n1, material.z1, geometry, medium, freqs,
+                                      n_modes=settings.n_modes)
         return data, None
     scene = build_scene(material, geometry, max(freqs), medium=medium,
                         cells_per_wavelength=float(config.values["oracle.cells_per_wavelength"]))

@@ -29,7 +29,7 @@ import numpy as np
 
 from tubegap.errors import ConfigError
 from tubegap.fdfd import DEFAULT_CELLS_PER_WAVELENGTH
-from tubegap.modal import DEFAULT_MODE_COUNT, DEFAULT_SUM_TOLERANCE
+from tubegap.modal import DEFAULT_MODE_COUNT
 from tubegap.retrieval import RetrievalConfig
 from tubegap.types import DuctGeometry, GapProperties, MaterialSpec, MediumProperties
 
@@ -40,7 +40,6 @@ _SCHEMA: dict[str, type] = {
     "geometry.r2": float,
     "geometry.t": float,
     "modal.count": int,
-    "modal.tolerance": float,
     "branch.seed": int,
     "sweep.start": float,
     "sweep.stop": float,
@@ -63,7 +62,6 @@ _DEFAULTS: dict[str, object] = {
     "medium.rho0": MediumProperties().rho0,
     "medium.c0": MediumProperties().c0,
     "modal.count": DEFAULT_MODE_COUNT,
-    "modal.tolerance": DEFAULT_SUM_TOLERANCE,
     "sweep.start": 300.0,
     "sweep.stop": 2500.0,
     "sweep.count": 45,
@@ -157,7 +155,6 @@ class RunConfig:
     def retrieval(self) -> RetrievalConfig:
         return RetrievalConfig(
             n_modes=int(self.values["modal.count"]),
-            sum_tolerance=float(self.values["modal.tolerance"]),
             branch_seed=(int(self.values["branch.seed"]) if "branch.seed" in self.values else None),
             allow_above_cutoff=bool(self.values["retrieve.allow_above_cutoff"]),
         )

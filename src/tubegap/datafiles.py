@@ -1,18 +1,19 @@
-"""CSV data files for scattering sweeps and retrieval results.
+"""CSV data files for scattering sweeps, retrieval results and field dumps.
 
 All files are plain CSV with one header row; lines starting with ``#``
 are comments.  Complex quantities are stored as separate Re/Im columns.
 Floats are written with 17 significant digits so that a write/read round
 trip reproduces every value bit for bit, and nothing time- or
 machine-dependent goes into the data files (run metadata lives in a
-``<name>.meta`` sidecar).
+``<name>.meta`` sidecar).  Every table goes through one writer and one
+reader, which reports each defect as ``path:line: reason``.
 """
 
 from __future__ import annotations
 
 from pathlib import Path
 
-from tubegap.errors import ConfigError
+from tubegap.errors import ConfigError, TubegapError
 from tubegap.retrieval import RetrievedProperties
 from tubegap.types import ScatteringData
 
@@ -29,63 +30,68 @@ RESULT_COLUMNS = [
     "condition_number",
     "flags",
 ]
+FIELD_COLUMNS = ["x_m", "r_m", "re_p", "im_p"]
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
-
-
-def write_tr_csv(path: str | Path, data: list[ScatteringData], comments: list[str] = ()) -> None:
+def _write_table(path: str | Path, columns: list[str], rows, comments=()) -> None:
+    """Comments, the header, then one line per row; string cells are
+    written as they are, numbers with 17 significant digits."""
     lines = [f"# {c}" for c in comments]
-    lines.append(",".join(TR_COLUMNS))
-    for d in data:
-        lines.append(
-            ",".join(
-                [
-                    _fmt(d.f),
-                    _fmt(d.transmission.real),
-                    _fmt(d.transmission.imag),
-                    _fmt(d.reflection.real),
-                    _fmt(d.reflection.imag),
-                ]
-            )
-        )
+    lines.append(",".join(columns))
+    for row in rows:
+        lines.append(",".join(c if isinstance(c, str) else format(float(c), ".17g") for c in row))
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def read_tr_csv(path: str | Path) -> list[ScatteringData]:
-    """Parse a scattering sweep file, reporting the line of any defect."""
-    rows: list[ScatteringData] = []
+def _read_table(path: str | Path, columns: list[str], parse) -> list:
+    """``parse(cells)`` of every data row, after checking the header and
+    the column count.  A ``ValueError`` from ``parse`` becomes a
+    ``ConfigError`` naming the line: a package error keeps its own
+    reason, any other one reads as a non-numeric value."""
+    rows = []
     header_seen = False
     for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
+        cells = [c.strip() for c in stripped.split(",")]
         if not header_seen:
-            cols = [c.strip() for c in stripped.split(",")]
-            if cols != TR_COLUMNS:
+            if cells != columns:
                 raise ConfigError(
-                    f"{path}:{lineno}: expected header {','.join(TR_COLUMNS)!r}, got {stripped!r}"
+                    f"{path}:{lineno}: expected header {','.join(columns)!r}, got {stripped!r}"
                 )
             header_seen = True
             continue
-        parts = stripped.split(",")
-        if len(parts) != len(TR_COLUMNS):
-            raise ConfigError(
-                f"{path}:{lineno}: expected {len(TR_COLUMNS)} columns, got {len(parts)}"
-            )
+        if len(cells) != len(columns):
+            raise ConfigError(f"{path}:{lineno}: expected {len(columns)} columns, got {len(cells)}")
         try:
-            f, re_t, im_t, re_r, im_r = (float(p) for p in parts)
+            rows.append(parse(cells))
         except ValueError as exc:
-            raise ConfigError(f"{path}:{lineno}: non-numeric value in {stripped!r}") from exc
-        rows.append(
-            ScatteringData(f=f, transmission=complex(re_t, im_t), reflection=complex(re_r, im_r))
-        )
+            reason = exc if isinstance(exc, TubegapError) else f"non-numeric value in {stripped!r}"
+            raise ConfigError(f"{path}:{lineno}: {reason}") from exc
     if not header_seen:
         raise ConfigError(f"{path}: no header row found")
     if not rows:
         raise ConfigError(f"{path}: no data rows")
     return rows
+
+
+def write_tr_csv(path: str | Path, data: list[ScatteringData], comments: list[str] = ()) -> None:
+    rows = (
+        (d.f, d.transmission.real, d.transmission.imag, d.reflection.real, d.reflection.imag)
+        for d in data
+    )
+    _write_table(path, TR_COLUMNS, rows, comments)
+
+
+def _tr_row(cells: list[str]) -> ScatteringData:
+    f, re_t, im_t, re_r, im_r = map(float, cells)
+    return ScatteringData(f=f, transmission=complex(re_t, im_t), reflection=complex(re_r, im_r))
+
+
+def read_tr_csv(path: str | Path) -> list[ScatteringData]:
+    """Parse a scattering sweep file, reporting the line of any defect."""
+    return _read_table(path, TR_COLUMNS, _tr_row)
 
 
 def write_results_csv(
@@ -94,60 +100,31 @@ def write_results_csv(
     z2: complex,
     comments: list[str] = (),
 ) -> None:
-    lines = [f"# {c}" for c in comments]
-    lines.append(",".join(RESULT_COLUMNS))
-    for r in results:
-        ratio = abs(r.z1 / z2)
-        lines.append(
-            ",".join(
-                [
-                    _fmt(r.f),
-                    _fmt(r.n1.real),
-                    _fmt(r.n1.imag),
-                    _fmt(r.z1.real),
-                    _fmt(r.z1.imag),
-                    _fmt(ratio),
-                    str(r.branch_m),
-                    str(r.sign_choice),
-                    _fmt(r.condition_number),
-                    ";".join(r.flags),
-                ]
-            )
-        )
-    Path(path).write_text("\n".join(lines) + "\n")
+    rows = (
+        (r.f, r.n1.real, r.n1.imag, r.z1.real, r.z1.imag, abs(r.z1 / z2),
+         str(r.branch_m), str(r.sign_choice), r.condition_number, ";".join(r.flags))
+        for r in results
+    )
+    _write_table(path, RESULT_COLUMNS, rows, comments)
+
+
+def _result_row(cells: list[str]) -> dict:
+    f, re_n1, im_n1, re_z1, im_z1, ratio, branch_m, sign, condition_number, flags = cells
+    return {
+        "f": float(f),
+        "n1": complex(float(re_n1), float(im_n1)),
+        "z1": complex(float(re_z1), float(im_z1)),
+        "z1_over_z2_mag": float(ratio),
+        "branch_m": int(branch_m),
+        "sign": int(sign),
+        "condition_number": float(condition_number),
+        "flags": tuple(p for p in flags.split(";") if p),
+    }
 
 
 def read_results_csv(path: str | Path) -> list[dict]:
     """Read a results file back as dict rows (floats, ints, flag tuple)."""
-    rows: list[dict] = []
-    header_seen = False
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        if not header_seen:
-            if [c.strip() for c in stripped.split(",")] != RESULT_COLUMNS:
-                raise ConfigError(f"{path}:{lineno}: unexpected results header {stripped!r}")
-            header_seen = True
-            continue
-        parts = stripped.split(",")
-        if len(parts) != len(RESULT_COLUMNS):
-            raise ConfigError(f"{path}:{lineno}: expected {len(RESULT_COLUMNS)} columns")
-        rows.append(
-            {
-                "f": float(parts[0]),
-                "n1": complex(float(parts[1]), float(parts[2])),
-                "z1": complex(float(parts[3]), float(parts[4])),
-                "z1_over_z2_mag": float(parts[5]),
-                "branch_m": int(parts[6]),
-                "sign": int(parts[7]),
-                "condition_number": float(parts[8]),
-                "flags": tuple(p for p in parts[9].split(";") if p),
-            }
-        )
-    if not header_seen:
-        raise ConfigError(f"{path}: no header row found")
-    return rows
+    return _read_table(path, RESULT_COLUMNS, _result_row)
 
 
 def write_sidecar(path: str | Path, config_dump: str, extra: dict[str, str] = ()) -> None:
@@ -162,9 +139,7 @@ def write_sidecar(path: str | Path, config_dump: str, extra: dict[str, str] = ()
 
 def write_field_csv(path: str | Path, x, r, p) -> None:
     """Raster dump of a complex pressure field as x, r, Re p, Im p rows."""
-    lines = ["x_m,r_m,re_p,im_p"]
-    for i, xv in enumerate(x):
-        for j, rv in enumerate(r):
-            val = p[i, j]
-            lines.append(f"{_fmt(xv)},{_fmt(rv)},{_fmt(val.real)},{_fmt(val.imag)}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    rows = (
+        (xv, rv, p[i, j].real, p[i, j].imag) for i, xv in enumerate(x) for j, rv in enumerate(r)
+    )
+    _write_table(path, FIELD_COLUMNS, rows)

@@ -44,7 +44,9 @@ from tubegap.errors import ConvergenceError, DomainError
 from tubegap.types import DuctGeometry, MediumProperties
 
 DEFAULT_MODE_COUNT = 64
-DEFAULT_SUM_TOLERANCE = 1e-3
+# largest relative movement of a coupling coefficient when the truncation is
+# doubled from n_modes/2 to n_modes; read at call time, so tests can patch it
+SUM_TOLERANCE = 1e-3
 # geometries whose patch integrals stay cached; fixed so that runs over many
 # geometries (e.g. randomized draws) keep a bounded memory footprint
 PATCH_CACHE_SIZE = 32
@@ -156,6 +158,19 @@ def first_cutoff_frequency(geometry: DuctGeometry, medium: MediumProperties) -> 
     return _j1_roots(2)[1] * medium.c0 / (2.0 * math.pi * geometry.r2)
 
 
+def refuse_above_cutoff(freqs: list[float], geometry: DuctGeometry, medium: MediumProperties) -> None:
+    """Raise DomainError naming the first frequency above the first duct
+    cutoff, if any: there a second duct mode propagates, and plane-wave
+    (T, R) no longer describe the scattering."""
+    cutoff = first_cutoff_frequency(geometry, medium)
+    first_bad = next((f for f in freqs if f > cutoff), None)
+    if first_bad is not None:
+        raise DomainError(
+            f"sweep reaches {first_bad} Hz, above the first duct cutoff ({cutoff:.1f} Hz); "
+            "set allow_above_cutoff (--allow-above-cutoff) to proceed anyway"
+        )
+
+
 def eigenmode(n: int, r: float, basis: ModalBasis) -> float:
     """Radial eigenmode profile, normalized to 1 at the duct wall."""
     if not 0 <= n < basis.n_modes:
@@ -223,7 +238,6 @@ class CouplingCoefficients:
     frequency: float
     upstream: np.ndarray
     downstream: np.ndarray
-    n_modes: int
     rel_change: float
     above_cutoff: bool
 
@@ -233,7 +247,6 @@ def coupling_coefficients(
     medium: MediumProperties,
     f: float,
     n_modes: int = DEFAULT_MODE_COUNT,
-    sum_tolerance: float = DEFAULT_SUM_TOLERANCE,
 ) -> CouplingCoefficients:
     """Compute the eight patch-coupling coefficients at one frequency.
 
@@ -242,10 +255,10 @@ def coupling_coefficients(
     the radial integrals use the closed form of ``radial_integral``.
 
     Raises ConvergenceError if doubling the truncation from n_modes/2 to
-    n_modes still moves any coefficient by more than ``sum_tolerance``
+    n_modes still moves any coefficient by more than ``SUM_TOLERANCE``
     (relative).  The modal tail decays like n^-3, so the partial sums
-    converge quadratically in the truncation; the default tolerance is
-    chosen accordingly.
+    converge quadratically in the truncation; the tolerance is chosen
+    accordingly.
     """
     if not (f > 0 and math.isfinite(f)):
         raise DomainError(f"frequency must be positive, got {f}")
@@ -272,9 +285,9 @@ def coupling_coefficients(
     rel_change = float(
         np.max(np.abs(upstream - upstream_half) / np.abs(upstream))
     )
-    if n_modes > 1 and rel_change > sum_tolerance:
+    if n_modes > 1 and rel_change > SUM_TOLERANCE:
         raise ConvergenceError(
-            f"modal sum moved by {rel_change:.3e} (> {sum_tolerance:.1e}) when "
+            f"modal sum moved by {rel_change:.3e} (> {SUM_TOLERANCE:.1e}) when "
             f"doubling the truncation to {n_modes} modes at {f} Hz"
         )
     above = f > first_cutoff_frequency(geometry, medium)
@@ -282,7 +295,6 @@ def coupling_coefficients(
         frequency=f,
         upstream=upstream,
         downstream=downstream,
-        n_modes=n_modes,
         rel_change=rel_change,
         above_cutoff=above,
     )

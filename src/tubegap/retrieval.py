@@ -39,10 +39,9 @@ from tubegap.errors import (
 )
 from tubegap.modal import (
     DEFAULT_MODE_COUNT,
-    DEFAULT_SUM_TOLERANCE,
     CouplingCoefficients,
     coupling_coefficients,
-    first_cutoff_frequency,
+    refuse_above_cutoff,
 )
 from tubegap.types import DuctGeometry, GapProperties, MediumProperties, ScatteringData
 
@@ -131,13 +130,14 @@ class RetrievedProperties:
 class RetrievalConfig:
     """Knobs for the sweep driver.
 
+    n_modes is the modal truncation of the coupling sums, whose
+    convergence bound is the constant ``tubegap.modal.SUM_TOLERANCE``.
     branch_seed fixes the inverse-cosine branch at the first sweep point;
     the automatic seed (None) assumes the first point lies on branch 0,
     which holds whenever f_min < c0 / (2 |n1| t).
     """
 
     n_modes: int = DEFAULT_MODE_COUNT
-    sum_tolerance: float = DEFAULT_SUM_TOLERANCE
     branch_seed: int | None = None
     allow_above_cutoff: bool = False
 
@@ -286,7 +286,7 @@ def _positive_real_sqrt(value: complex) -> complex:
     return root
 
 
-def impedance_from_fields(state: FieldState, rel_tol: float = 1e-6) -> complex:
+def impedance_from_fields(state: FieldState) -> complex:
     """Sample impedance from its patch fields on the two faces.
 
     z1 = sqrt((p_in^2 - p_out^2) / (u_in^2 - u_out^2)), root chosen with
@@ -297,7 +297,7 @@ def impedance_from_fields(state: FieldState, rel_tol: float = 1e-6) -> complex:
     num = state.p1_in * state.p1_in - state.p1_out * state.p1_out
     den = state.u1_in * state.u1_in - state.u1_out * state.u1_out
     u_scale = max(abs(state.u1_in), abs(state.u1_out)) ** 2
-    if abs(den) <= rel_tol * u_scale:
+    if abs(den) <= 1e-6 * u_scale:
         raise DegenerateFieldsError(
             "velocity contrast between the sample faces vanished "
             "(half-wave resonance); impedance is indeterminate here"
@@ -358,9 +358,7 @@ def retrieve_point(
     """
     flags: list[str] = []
     matrix = transfer_matrix_from_tr(data, medium)
-    coupling = coupling_coefficients(
-        geometry, medium, data.f, n_modes=config.n_modes, sum_tolerance=config.sum_tolerance
-    )
+    coupling = coupling_coefficients(geometry, medium, data.f, n_modes=config.n_modes)
     if coupling.above_cutoff:
         flags.append("above_cutoff")
     q, y = assemble_system(matrix, geometry, medium, coupling)
@@ -399,13 +397,8 @@ def retrieve_sweep(
     freqs = [d.f for d in data]
     if any(f2 <= f1 for f1, f2 in zip(freqs, freqs[1:])):
         raise DomainError("sweep frequencies must be strictly increasing")
-    cutoff = first_cutoff_frequency(geometry, medium)
-    if not config.allow_above_cutoff and freqs[-1] > cutoff:
-        first_bad = next(f for f in freqs if f > cutoff)
-        raise DomainError(
-            f"sweep reaches {first_bad} Hz, above the first duct cutoff "
-            f"({cutoff:.1f} Hz); pass allow_above_cutoff to proceed anyway"
-        )
+    if not config.allow_above_cutoff:
+        refuse_above_cutoff(freqs, geometry, medium)
 
     seed_m = config.branch_seed if config.branch_seed is not None else 0
     results: list[RetrievedProperties | None] = []
@@ -553,14 +546,11 @@ def forward_averaged_sweep(
     medium: MediumProperties,
     freqs: list[float],
     n_modes: int = DEFAULT_MODE_COUNT,
-    sum_tolerance: float = DEFAULT_SUM_TOLERANCE,
 ) -> list[ScatteringData]:
     """Averaged-model scattering data over a frequency list."""
     out = []
     for f in freqs:
-        coupling = coupling_coefficients(
-            geometry, medium, f, n_modes=n_modes, sum_tolerance=sum_tolerance
-        )
+        coupling = coupling_coefficients(geometry, medium, f, n_modes=n_modes)
         t_coef, r_coef = forward_averaged(n1, z1, geometry, medium, coupling)
         out.append(ScatteringData(f=f, transmission=t_coef, reflection=r_coef))
     return out

@@ -7,6 +7,7 @@ independent of each other's mathematics.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -105,6 +106,11 @@ class MaterialSpec:
 
     n1: complex
     z1: complex
+
+    def __post_init__(self):
+        for name, value in (("refractive index", self.n1), ("impedance", self.z1)):
+            if value == 0 or not cmath.isfinite(value):
+                raise DomainError(f"sample {name} must be finite and nonzero, got {value}")
 
     def effective_density(self, geometry: DuctGeometry, medium: MediumProperties) -> complex:
         """Equivalent fluid density realizing (n1, z1) over the sample area."""

@@ -3,6 +3,7 @@
 import importlib
 import importlib.util
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -10,7 +11,13 @@ import pytest
 
 from tubegap.cli import main
 from tubegap.config import RunConfig
-from tubegap.datafiles import read_results_csv, read_tr_csv, write_results_csv, write_tr_csv
+from tubegap.datafiles import (
+    RESULT_COLUMNS,
+    read_results_csv,
+    read_tr_csv,
+    write_results_csv,
+    write_tr_csv,
+)
 from tubegap.errors import ConfigError
 from tubegap.retrieval import RetrievedProperties
 from tubegap.types import ScatteringData
@@ -61,13 +68,13 @@ class TestConfig:
     @pytest.mark.parametrize("raw", ["nan", "inf", "-inf", "NaN"])
     def test_non_finite_float_rejected(self, cfg_path, tmp_path, raw):
         with pytest.raises(ConfigError, match="finite"):
-            RunConfig.from_file(cfg_path, overrides={"modal.tolerance": raw})
+            RunConfig.from_file(cfg_path, overrides={"roundtrip.tolerance": raw})
         path = tmp_path / "nan.cfg"
         path.write_text(f"oracle.cells_per_wavelength = {raw}\n")
         with pytest.raises(ConfigError, match="finite"):
             RunConfig.from_file(path)
 
-    @pytest.mark.parametrize("key", ["oracle.max_cells", "solver.max_condition"])
+    @pytest.mark.parametrize("key", ["oracle.max_cells", "solver.max_condition", "modal.tolerance"])
     def test_retired_keys_unknown(self, tmp_path, key):
         path = tmp_path / "old.cfg"
         path.write_text(f"{key} = 1000\n")
@@ -128,6 +135,23 @@ class TestDataFiles:
         with pytest.raises(ConfigError, match="no data rows"):
             read_tr_csv(path)
 
+    def test_invalid_row_keeps_reason_and_line(self, tmp_path):
+        path = tmp_path / "neg.csv"
+        path.write_text("# sweep\nf_hz,re_t,im_t,re_r,im_r\n-5,0.5,0.1,0.2,0\n")
+        with pytest.raises(ConfigError,
+                           match=re.escape("neg.csv:3: frequency must be positive, got -5.0")):
+            read_tr_csv(path)
+
+    def test_results_reader_checks_rows(self, tmp_path):
+        path = tmp_path / "out.csv"
+        header = ",".join(RESULT_COLUMNS)
+        path.write_text(f"{header}\n500,5,0,1e5,0,15,0,1,abc,\n")
+        with pytest.raises(ConfigError, match="out.csv:2: non-numeric value"):
+            read_results_csv(path)
+        path.write_text(f"# nothing retrieved\n{header}\n")
+        with pytest.raises(ConfigError, match="no data rows"):
+            read_results_csv(path)
+
 
 class TestCli:
     def run(self, *argv):
@@ -172,15 +196,20 @@ class TestCli:
         ("forward", "--method", "fdfd", "--set", "oracle.cells_per_wavelength=inf"),
         ("forward", "--method", "fdfd", "--set", "oracle.cells_per_wavelength=-5"),
         ("roundtrip", "--method", "averaged", "--tolerance", "nan"),
-        ("roundtrip", "--method", "averaged", "--set", "modal.tolerance=nan"),
+        ("roundtrip", "--method", "averaged", "--set", "medium.c0=nan"),
         ("roundtrip", "--method", "averaged", "--tolerance", "abc"),
         ("forward", "--method", "averaged", "--modes", "x"),
         ("modes", "--freq", "x"),
+        ("forward", "--method", "averaged", "--set", "material.z1_over_z2=0"),
+        ("forward", "--method", "fdfd", "--set", "material.z1_over_z2=0"),
+        ("forward", "--method", "averaged", "--set", "material.n1_re=0"),
+        ("forward", "--method", "fdfd", "--set", "material.n1_re=0"),
     ])
     def test_bad_numbers_are_validation_errors(self, cfg_path, tmp_path, capsys, argv):
-        """Non-finite or malformed values and a resolution below the minimum
-        end in exit 1 and one error line, not a traceback, argparse's usage
-        error (exit 2) or a silent PASS."""
+        """Non-finite or malformed values, a zero sample index or impedance
+        and a resolution below the minimum end in exit 1 and one error
+        line, not a traceback, argparse's usage error (exit 2), a silent
+        PASS or a written file."""
         extra = ["--output", str(tmp_path / "x.csv")] if argv[0] == "forward" else []
         code = self.run(*argv, "--config", str(cfg_path), *extra)
         captured = capsys.readouterr()
@@ -222,10 +251,27 @@ class TestCli:
         assert "unwrapping is undetermined" in capsys.readouterr().err
 
     def test_forward_above_cutoff_refuses(self, cfg_path, tmp_path, capsys):
+        """The sweep 400, 1400, 2400, 3400 Hz crosses the 2988 Hz cutoff;
+        the refusal names 3400 Hz and the override flag."""
         code = self.run("forward", "--config", str(cfg_path),
                         "--set", "sweep.stop=3400", "--output", str(tmp_path / "x.csv"))
         assert code == 1
-        assert "cutoff" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("error: sweep reaches 3400.0 Hz, above the first duct cutoff")
+        assert "--allow-above-cutoff" in err
+        assert not (tmp_path / "x.csv").exists()
+
+    def test_retrieve_above_cutoff_refuses_like_forward(self, cfg_path, tmp_path, capsys):
+        tr, out = tmp_path / "tr.csv", tmp_path / "props.csv"
+        above = ("--config", str(cfg_path), "--set", "sweep.stop=3400")
+        assert self.run("forward", *above, "--output", str(tmp_path / "x.csv")) == 1
+        forward_err = capsys.readouterr().err
+        assert self.run("forward", *above, "--output", str(tr), "--allow-above-cutoff") == 0
+        capsys.readouterr()
+        assert self.run("retrieve", "--config", str(cfg_path), "--input", str(tr),
+                        "--output", str(out)) == 1
+        assert capsys.readouterr().err == forward_err
+        assert not out.exists()
 
     def test_branch_seed_flag(self, cfg_path, tmp_path):
         tr = tmp_path / "tr.csv"

@@ -8,6 +8,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.special import j0 as scipy_j0
 
+from tubegap import modal
 from tubegap.errors import ConvergenceError, DomainError
 from tubegap.modal import (
     PATCH_CACHE_SIZE,
@@ -191,9 +192,10 @@ class TestCouplingCoefficients:
             ratio = changes[a] / changes[b]
             assert 2.5 < ratio < 6.5  # ~4x per doubling
 
-    def test_convergence_tolerance_enforced(self, sample1_geometry, medium):
+    def test_convergence_tolerance_enforced(self, sample1_geometry, medium, monkeypatch):
+        monkeypatch.setattr(modal, "SUM_TOLERANCE", 1e-9)
         with pytest.raises(ConvergenceError):
-            coupling_coefficients(sample1_geometry, medium, 1000.0, n_modes=64, sum_tolerance=1e-9)
+            coupling_coefficients(sample1_geometry, medium, 1000.0, n_modes=64)
 
     def test_above_cutoff_flag(self, sample1_geometry, medium):
         assert coupling_coefficients(sample1_geometry, medium, 3200.0).above_cutoff
@@ -214,15 +216,16 @@ class TestCouplingCoefficients:
         ref = mp_coupling_upstream(geom, medium, f, n_modes)
         assert np.max(np.abs(coup.upstream - ref) / np.abs(ref)) < 1e-13
 
-    def test_patch_cache_bounded_and_transparent(self, medium):
+    def test_patch_cache_bounded_and_transparent(self, medium, monkeypatch):
         """A warm geometry cache gives bit-identical coefficients, and it
         keeps at most PATCH_CACHE_SIZE geometries however many are used."""
         geoms = [DuctGeometry(r1=0.03 + 1e-4 * i, r2=0.07, t=0.005)
                  for i in range(PATCH_CACHE_SIZE + 3)]
+        monkeypatch.setattr(modal, "SUM_TOLERANCE", 1.0)
         _patch_integrals.cache_clear()
-        cold = coupling_coefficients(geoms[0], medium, 900.0, n_modes=4, sum_tolerance=1.0)
-        warm = coupling_coefficients(geoms[0], medium, 900.0, n_modes=4, sum_tolerance=1.0)
+        cold = coupling_coefficients(geoms[0], medium, 900.0, n_modes=4)
+        warm = coupling_coefficients(geoms[0], medium, 900.0, n_modes=4)
         assert np.array_equal(cold.upstream, warm.upstream)
         for geom in geoms:
-            coupling_coefficients(geom, medium, 900.0, n_modes=4, sum_tolerance=1.0)
+            coupling_coefficients(geom, medium, 900.0, n_modes=4)
         assert _patch_integrals.cache_info().currsize == PATCH_CACHE_SIZE

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from tubegap import modal
 from tubegap.errors import DomainError
 from tubegap.retrieval import (
     RetrievalConfig,
@@ -240,7 +241,7 @@ class TestClassicRetrieve:
         assert r.n1 == pytest.approx(1j * nu, rel=1e-10)
         assert r.z1.real >= 0
 
-    def test_matches_gap_model_when_gap_is_tiny(self, medium):
+    def test_matches_gap_model_when_gap_is_tiny(self, medium, monkeypatch):
         """Nearly full-duct sample (r1/r2 = 0.999): the gap pipeline
         approaches the classic inversion (through the averaged forward
         model; the gap formulation is singular at exact equality).
@@ -251,10 +252,9 @@ class TestClassicRetrieve:
         geometry = DuctGeometry(r1=0.999 * 0.07, r2=0.07, t=0.01)
         n1 = 4.0
         z1 = 3.0 * medium.alpha / geometry.s1    # specific ratio 3 over the disk
-        sweep = forward_averaged_sweep(
-            n1, z1, geometry, medium, [900.0], n_modes=1024, sum_tolerance=0.05
-        )
-        config = RetrievalConfig(n_modes=1024, sum_tolerance=0.05)
+        monkeypatch.setattr(modal, "SUM_TOLERANCE", 0.05)
+        sweep = forward_averaged_sweep(n1, z1, geometry, medium, [900.0], n_modes=1024)
+        config = RetrievalConfig(n_modes=1024)
         gap_result = retrieve_sweep(sweep, geometry, medium, config)[0]
         classic = classic_retrieve(sweep[0], geometry.t, medium)
         assert classic.n1 == pytest.approx(gap_result.n1, rel=2e-2)

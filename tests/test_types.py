@@ -41,6 +41,18 @@ def test_air_material_maps_to_background(sample1_geometry, medium):
     )
 
 
+@pytest.mark.parametrize("n1, z1", [
+    (0.0, 1e5), (0j, 1e5), (5.0, 0.0), (complex("nan"), 1e5), (5.0, complex(1e5, float("inf"))),
+])
+def test_material_rejects_zero_or_non_finite(n1, z1):
+    with pytest.raises(DomainError):
+        MaterialSpec(n1=n1, z1=z1)
+
+
+def test_material_accepts_imaginary_index():
+    assert MaterialSpec(n1=2j, z1=1e5).n1 == 2j
+
+
 def test_scattering_data_validation():
     with pytest.raises(DomainError):
         ScatteringData(f=-10.0, transmission=1.0, reflection=0.0)
