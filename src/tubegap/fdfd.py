@@ -39,12 +39,21 @@ Discretization notes:
   the sample faces with the same k calibrates the air path's numerical
   dispersion out of (T, R).
 
-Only the diagonal (w^2/kappa minus the face couplings) and the two
-termination blocks depend on the frequency.  ``build_scene`` therefore
-assembles the face couplings once, as the scene's stencil: a CSC matrix
-whose pattern already holds explicit zero slots for the diagonal and both
-end blocks.  Each frequency copies the stencil's values, writes its own
-into those slots, and factors the result.
+Solution method.  The same separation holds inside the sample span: the
+sleeve decouples the disk from the annulus and both media are uniform
+along x, so the span's columns share one radial eigenbasis W, block-
+diagonal over disk and annulus (the discrete form of mode matching).
+In W each mode is an independent tridiagonal chain across the sample
+columns, coupled to the neighbouring air columns only at its two ends.
+``build_scene`` computes W once; each frequency solves every chain for a
+unit drive at its first column (all modes at once), takes the Schur
+complement of the span onto the two air columns next to it, and solves
+that dense system.  The scene is mirror-symmetric about x = t/2, so the
+even and odd parts of the pair decouple into two dense nr x nr solves.
+The span's field is then W times the chains' amplitudes.  Every solve is
+checked against the full five-point operator with its terminations,
+applied cell by cell: a relative residual of 1e-9 or more raises
+``ResolutionError``.
 
 Usage: ``scene = build_scene(material, geometry, f_max, medium)`` once per
 sweep, then ``solve_harmonic(scene, f)`` returns (T, R) at each frequency.
@@ -61,10 +70,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
-from scipy.linalg import eigh_tridiagonal
-from scipy.special import jn_zeros
 
 from tubegap.errors import DomainError, ResolutionError
 from tubegap.types import DuctGeometry, MaterialSpec, MediumProperties, ScatteringData
@@ -75,16 +80,18 @@ MIN_CELLS_PER_WAVELENGTH = 20
 # scene size above which build_scene refuses (ResolutionError)
 MAX_CELLS = 6_000_000
 # air columns between each sample face and the modal termination; the
-# termination is exact, so one is enough (four give the same (T, R) to 1.3e-13)
+# termination is exact, so one is enough (more hold the outgoing continuation
+# of the field, and four give the same (T, R) to 1.3e-15)
 TERMINATION_AIR_COLUMNS = 1
-# first positive root of J1: the first non-planar duct mode cuts on at
-# k r2 = J1_FIRST_ROOT (only the warning below uses it)
-J1_FIRST_ROOT = float(jn_zeros(1, 1)[0])
+# first positive root of J1 (scipy.special.jn_zeros(1, 1)): the first
+# non-planar duct mode cuts on at k r2 = J1_FIRST_ROOT (only the warning below uses it)
+J1_FIRST_ROOT = 3.8317059702075125
 
 
 @dataclass(frozen=True)
 class SimGrid:
-    """Frozen simulation scene: grid, media maps, radial modes of the terminations."""
+    """Frozen simulation scene: grid, media maps, radial modes of the
+    terminations and of the sample span.  All arrays are read-only."""
 
     geometry: DuctGeometry
     medium: MediumProperties
@@ -101,15 +108,13 @@ class SimGrid:
     radial_eigenvalues: np.ndarray   # (nr,) lambda_n of the uniform-air radial operator, lambda_0 = 0
     radial_modes: np.ndarray         # (nr, nr) V, mode n in column n; column 0 is constant
     radial_modes_inv: np.ndarray     # (nr, nr) V^-1
-    # the frequency-independent part of the operator, shared by every solve (read-only)
-    stencil: sp.csc_matrix           # (nx*nr, nx*nr) face couplings, with explicit zeros at the
-                                     # sleeve faces, the diagonal and both end blocks
+    span_eigenvalues: np.ndarray     # (nr,) lambda_m of the sample columns' radial operator times rho
+    span_modes: np.ndarray           # (nr, nr) W, block-diagonal: mode m lies in the block
+                                     # (disk or annulus) of ring m
+    span_modes_inv: np.ndarray       # (nr, nr) W^-1
     axial_coupling: np.ndarray       # (nx-1, nr) coupling of columns i and i+1
     radial_coupling_hi: np.ndarray   # (nx, nr-1) coupling of ring j to ring j-1, in the row of ring j
     radial_coupling_lo: np.ndarray   # (nx, nr-1) coupling of ring j-1 to ring j, in the row of ring j-1
-    diagonal_slots: np.ndarray       # (nx*nr,) positions of the diagonal in stencil.data
-    end_block_slots: np.ndarray      # (2, nr*nr) positions of the upstream and downstream
-                                     # termination blocks in stencil.data, row-major
     area_weights: np.ndarray         # (nr,) ring-centre radii, the weights of a column's area average
 
     @property
@@ -145,8 +150,9 @@ def _snap_radial(r1: float, r2: float, dr_target: float) -> tuple[float, int, in
     return dr, m1, m2
 
 
-def _radial_basis(nr: int, dr: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Eigenpairs of the uniform-air radial operator L: -L v_n = lambda_n v_n.
+def _radial_basis(first: int, last: int, dr: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Eigenpairs of the radial operator L of rings first..last-1 with no
+    flux through either bounding face: -L v_n = lambda_n v_n.
 
     L is self-adjoint in the area weight r, so sqrt(r) L / sqrt(r) is a
     symmetric tridiagonal matrix with orthonormal eigenvectors U; then
@@ -157,13 +163,14 @@ def _radial_basis(nr: int, dr: float) -> tuple[np.ndarray, np.ndarray, np.ndarra
     on sample 2.
     Returns (lambda, V, V^-1).
     """
-    r = (np.arange(nr) + 0.5) * dr
-    r_face = np.arange(1, nr) * dr
+    r = (np.arange(first, last) + 0.5) * dr
+    r_face = np.arange(first + 1, last) * dr
     root_r = np.sqrt(r)
-    face_sum = np.zeros(nr)
+    face_sum = np.zeros(r.size)
     face_sum[:-1] += r_face
     face_sum[1:] += r_face
-    lam, u = eigh_tridiagonal(face_sum / (r * dr ** 2), -r_face / (dr ** 2 * root_r[:-1] * root_r[1:]))
+    off = -r_face / (dr ** 2 * root_r[:-1] * root_r[1:])
+    lam, u = np.linalg.eigh(np.diag(face_sum / (r * dr ** 2)) + np.diag(off, 1) + np.diag(off, -1))
     lam[0] = 0.0
     u[:, 0] = root_r / np.linalg.norm(root_r)
     u[:, 1:] -= np.outer(u[:, 0], u[:, 0] @ u[:, 1:])
@@ -173,57 +180,41 @@ def _radial_basis(nr: int, dr: float) -> tuple[np.ndarray, np.ndarray, np.ndarra
     return lam, modes, (u * root_r[:, None]).T
 
 
-def _stencil(
+def _span_basis(nr: int, j_sleeve: int, dr: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(lambda, W, W^-1) of the sample columns: the sleeve face j_sleeve
+    splits the rings into the disk and the annulus, each with its own
+    basis (one block of all rings without a sleeve).  Dividing lambda by a
+    block's density gives the eigenvalues of its radial operator."""
+    lam = np.empty(nr)
+    modes, modes_inv = np.zeros((nr, nr)), np.zeros((nr, nr))
+    for first, last in ((0, j_sleeve), (j_sleeve, nr)):
+        if last > first:
+            block = slice(first, last)
+            lam[block], modes[block, block], modes_inv[block, block] = _radial_basis(first, last, dr)
+    return lam, modes, modes_inv
+
+
+def _couplings(
     rho: np.ndarray, dx: float, dr: float, i_sample0: int, n_sample_cells: int, j_sleeve: int
-) -> dict[str, np.ndarray | sp.csc_matrix]:
-    """The frequency-independent part of the operator and the area-average
-    weights, as ``SimGrid`` fields.
+) -> dict[str, np.ndarray]:
+    """Face couplings of the five-point operator, as ``SimGrid`` fields.
 
-    Face fluxes use series transmissibility; a rigid sleeve keeps its faces
-    as explicit zeros.  The diagonal and the two dense termination blocks
-    get explicit zero slots, so one COO -> CSC conversion fixes the sparsity
-    pattern of every frequency's operator (sparse addition would drop the
-    zeros and change it).  All arrays are read-only.
-    """
-    nx, nr = rho.shape
-    n = nx * nr
-    idx = np.arange(n).reshape(nx, nr)
-
+    Face fluxes use series transmissibility; a rigid sleeve zeroes its
+    faces.  These fix the operator that the residual check applies."""
     # axial fluxes between columns i-1 and i
     g = 2.0 / ((rho[:-1, :] + rho[1:, :]) * dx ** 2)     # (nx-1, nr)
     # radial fluxes between rings j-1 and j (face j at radius j*dr)
-    r_face = np.arange(1, nr) * dr
-    r_cell = (np.arange(nr) + 0.5) * dr
+    r_face = np.arange(1, rho.shape[1]) * dr
+    r_cell = (np.arange(rho.shape[1]) + 0.5) * dr
     tr = 2.0 / (rho[:, :-1] + rho[:, 1:])          # (nx, nr-1)
     if j_sleeve > 0:
         tr[i_sample0:i_sample0 + n_sample_cells, j_sleeve - 1] = 0.0   # rigid sleeve: no flux through r = r1
-    coup_hi = r_face[None, :] * tr / (r_cell[None, 1:] * dr ** 2)   # row of cell j
-    coup_lo = r_face[None, :] * tr / (r_cell[None, :-1] * dr ** 2)  # row of cell j-1
-
-    # each termination block couples every pair of cells in its end column
-    ends = idx[[0, -1]]
-    block_rows, block_cols = np.repeat(ends, nr, axis=1), np.tile(ends, nr)
-    rows = [idx[1:, :], idx[:-1, :], idx[:, 1:], idx[:, :-1], idx, block_rows]
-    cols = [idx[:-1, :], idx[1:, :], idx[:, :-1], idx[:, 1:], idx, block_cols]
-    vals = [g, g, coup_hi, coup_lo, np.zeros(n + block_rows.size)]
-    stencil = sp.coo_matrix(
-        (np.concatenate([v.ravel() for v in vals]),
-         (np.concatenate([r.ravel() for r in rows]), np.concatenate([c.ravel() for c in cols]))),
-        shape=(n, n),
-    ).tocsc()
-    # canonical CSC stores entries by column, then row: their keys ascend
-    keys = np.repeat(np.arange(n), np.diff(stencil.indptr)) * n + stencil.indices
-    fields = {
+    return {
         "axial_coupling": g,
-        "radial_coupling_hi": coup_hi,
-        "radial_coupling_lo": coup_lo,
-        "diagonal_slots": np.searchsorted(keys, idx.ravel() * (n + 1)),
-        "end_block_slots": np.searchsorted(keys, block_cols * n + block_rows),
+        "radial_coupling_hi": r_face[None, :] * tr / (r_cell[None, 1:] * dr ** 2),   # row of cell j
+        "radial_coupling_lo": r_face[None, :] * tr / (r_cell[None, :-1] * dr ** 2),  # row of cell j-1
         "area_weights": r_cell,
     }
-    for array in (stencil.data, stencil.indices, stencil.indptr, *fields.values()):
-        array.setflags(write=False)
-    return {"stencil": stencil, **fields}
 
 
 def build_scene(
@@ -277,18 +268,25 @@ def build_scene(
         kappa[i_sample0:i_sample0 + nt, :j_sleeve] = kappa_eff
         sleeve = j_sleeve
 
-    lam, modes, modes_inv = _radial_basis(nr, dr)
+    lam, modes, modes_inv = _radial_basis(0, nr, dr)
+    span_lam, span_modes, span_modes_inv = _span_basis(nr, sleeve, dr)
+    fields = {
+        "rho": rho, "kappa": kappa,
+        "radial_eigenvalues": lam, "radial_modes": modes, "radial_modes_inv": modes_inv,
+        "span_eigenvalues": span_lam, "span_modes": span_modes, "span_modes_inv": span_modes_inv,
+        **_couplings(rho, dx, dr, i_sample0, nt, sleeve),
+    }
+    for array in fields.values():
+        array.setflags(write=False)
     return SimGrid(
         geometry=geometry, medium=medium, dx=dx, dr=dr, nx=nx, nr=nr, x0=-i_sample0 * dx,
-        i_sample0=i_sample0, n_sample_cells=nt,
-        j_sleeve=sleeve, rho=rho, kappa=kappa,
-        radial_eigenvalues=lam, radial_modes=modes, radial_modes_inv=modes_inv,
-        **_stencil(rho, dx, dr, i_sample0, nt, sleeve),
+        i_sample0=i_sample0, n_sample_cells=nt, j_sleeve=sleeve, **fields,
     )
 
 
-def _termination(scene: SimGrid, k0: float) -> np.ndarray:
-    """Column-to-column map M = V diag(mu) V^-1 of an outgoing field in uniform air.
+def _termination_factors(scene: SimGrid, k0: float) -> np.ndarray:
+    """Column-to-column factors mu_n of an outgoing field in uniform air, so
+    that the termination map is M = V diag(mu) V^-1.
 
     mu_n = exp(-2i asin(dx sqrt(q_n) / 2)) with q_n = k0^2 - lambda_n solves
     mu + 1/mu = 2 - dx^2 q_n; the branch sqrt(q) = -i sqrt(-q) for q < 0
@@ -297,60 +295,98 @@ def _termination(scene: SimGrid, k0: float) -> np.ndarray:
     """
     q = k0 ** 2 - scene.radial_eigenvalues
     root = np.where(q >= 0.0, np.sqrt(np.abs(q)), -1j * np.sqrt(np.abs(q)))
-    mu = np.exp(-2j * np.arcsin(0.5 * scene.dx * root))
-    return (scene.radial_modes * mu) @ scene.radial_modes_inv
+    return np.exp(-2j * np.arcsin(0.5 * scene.dx * root))
 
 
-def _assemble(scene: SimGrid, f: float, termination: np.ndarray) -> sp.csc_matrix:
-    """The operator at frequency f: a copy of the scene's stencil with the
-    diagonal, omega^2/kappa minus each cell's face couplings, and the two
-    termination blocks written into their slots."""
-    omega = 2.0 * math.pi * f
-    diag = omega ** 2 / scene.kappa
-    diag[1:, :] -= scene.axial_coupling
-    diag[:-1, :] -= scene.axial_coupling
-    diag[:, 1:] -= scene.radial_coupling_hi
-    diag[:, :-1] -= scene.radial_coupling_lo
-    stencil = scene.stencil
-    data = stencil.data.copy()
-    data[scene.diagonal_slots] = diag.ravel()
-    # modal terminations: flux through each end face to the ghost column
-    # beyond it, p_ghost = M p_end (the drive's known part is on the right-hand side)
-    data[scene.end_block_slots] += (
-        (termination - np.eye(scene.nr)) / (scene.medium.rho0 * scene.dx ** 2)
-    ).ravel()
-    return sp.csc_matrix((data, stencil.indices, stencil.indptr), shape=stencil.shape)
-
-
-def _area_average(p: np.ndarray, scene: SimGrid, i: int) -> complex:
-    weights = scene.area_weights
-    return complex(np.sum(p[i, :] * weights) / np.sum(weights))
+def _apply_operator(scene: SimGrid, omega: float, terminate, p: np.ndarray) -> np.ndarray:
+    """The five-point operator with both terminations, applied cell by cell
+    to p[nx, nr]; ``terminate`` maps an end column to its ghost column's
+    scattered part, p_ghost = M p_end."""
+    out = omega ** 2 / scene.kappa * p
+    flux = scene.axial_coupling * np.diff(p, axis=0)
+    out[:-1] += flux
+    out[1:] -= flux
+    step = np.diff(p, axis=1)
+    out[:, :-1] += scene.radial_coupling_lo * step
+    out[:, 1:] -= scene.radial_coupling_hi * step
+    ends = p[[0, -1]]
+    out[[0, -1]] += (terminate(ends) - ends) / (scene.medium.rho0 * scene.dx ** 2)
+    return out
 
 
 def _solve_field(scene: SimGrid, f: float) -> tuple[np.ndarray, float]:
     """Total field p[nx, nr] for a unit plane wave incident from upstream,
     and the grid wavenumber k of that wave."""
-    k0 = 2.0 * math.pi * f / scene.medium.c0
-    k = grid_wavenumber(k0, scene.dx)
-    termination = _termination(scene, k0)
-    a = _assemble(scene, f, termination)
-    # total = incident + scattered beyond the driven end, and only the
-    # scattered part leaves through the termination:
-    # p_ghost = inc_ghost + M (p_end - inc_end)
-    x_in = scene.x_center(0)
-    inc_end = np.full(scene.nr, cmath.exp(-1j * k * x_in))
-    inc_ghost = np.full(scene.nr, cmath.exp(-1j * k * (x_in - scene.dx)))
-    b = np.zeros(scene.nx * scene.nr, dtype=complex)
-    b[:scene.nr] = -(inc_ghost - termination @ inc_end) / (scene.medium.rho0 * scene.dx ** 2)
-    # the matrix is structurally symmetric, so order on A^T + A
-    lu = spla.splu(a, permc_spec="MMD_AT_PLUS_A")
-    p = lu.solve(b)
-    residual = float(np.linalg.norm(a @ p - b) / np.linalg.norm(b))
+    medium, dx, nr = scene.medium, scene.dx, scene.nr
+    omega = 2.0 * math.pi * f
+    k0 = omega / medium.c0
+    k = grid_wavenumber(k0, dx)
+    mu = _termination_factors(scene, k0)
+    v, v_inv = scene.radial_modes, scene.radial_modes_inv
+
+    def terminate(columns: np.ndarray) -> np.ndarray:
+        return ((columns @ v_inv.T) * mu) @ v.T
+
+    def incident(i: int) -> complex:
+        return cmath.exp(-1j * k * scene.x_center(i))
+
+    def drive(i: int) -> np.ndarray:
+        # total = incident + scattered beyond column i, and only the scattered
+        # part leaves: p_ghost = inc_ghost + M (p_i - inc_i); this is its known part
+        return (terminate(np.full(nr, incident(i))) - incident(i - 1)) / (medium.rho0 * dx ** 2)
+
+    # the sample span in its radial modes: mode m has the medium of ring m,
+    # chain coupling c between sample columns and g across the sample faces
+    first, nt = scene.i_sample0, scene.n_sample_cells
+    i_in, i_out = first - 1, first + nt
+    rho, kappa = scene.rho[first], scene.kappa[first]
+    c = 1.0 / (rho * dx ** 2)
+    g = scene.axial_coupling[i_in]
+    diag = np.tile(omega ** 2 / kappa - scene.span_eigenvalues / rho - 2.0 * c, (nt, 1))
+    diag[0] += c - g
+    diag[-1] += c - g
+    # chain[i] = (T^-1 e_0)[i] per mode, T the chain's tridiagonal matrix:
+    # ratios x_i / x_(i-1) from the far end back, then their running product
+    steps = np.empty((nt, nr), dtype=complex)
+    ratio = np.zeros(nr, dtype=complex)
+    for i in range(nt - 1, 0, -1):
+        ratio = steps[i] = -c / (diag[i] + c * ratio)
+    steps[0] = 1.0 / (diag[0] + c * ratio)
+    chain = np.cumprod(steps, axis=0)
+
+    # Schur complement onto the air columns next to the span.  Each carries
+    # the air's radial operator and, through the air beyond it, the exact
+    # termination (both diagonal in V); the span adds W diag(g^2 x) W^-1.
+    # T is symmetric and persymmetric, so (T^-1 e_last) = chain reversed.
+    w, w_inv = scene.span_modes, scene.span_modes_inv
+    air = (k0 ** 2 - scene.radial_eigenvalues + (mu - 1.0) / dx ** 2) / medium.rho0
+    end = (v * air) @ v_inv - np.diag(g)
+    near = (w * (g * g * chain[0])) @ w_inv
+    far = (w * (g * g * chain[-1])) @ w_inv
+    # mirror symmetry: the sum and difference of the two columns decouple
+    blocks = np.stack([end - near - far, end - near + far])
+    even, odd = np.linalg.solve(blocks, drive(i_in)[:, None])[..., 0]
+
+    p = np.empty((scene.nx, nr), dtype=complex)
+    p[i_in], p[i_out] = 0.5 * (even + odd), 0.5 * (even - odd)
+    from_in, from_out = g * (w_inv @ p[i_in]), g * (w_inv @ p[i_out])
+    p[first:i_out] = -(chain * from_in + chain[::-1] * from_out) @ w.T
+    # any further air columns hold the outgoing continuation exactly
+    for i in range(i_in - 1, -1, -1):
+        p[i] = incident(i) + terminate(p[i + 1] - incident(i + 1))
+    for i in range(i_out + 1, scene.nx):
+        p[i] = terminate(p[i - 1])
+
+    # the residual of the full operator
+    b = np.zeros_like(p)
+    b[0] = drive(0)
+    residual = float(np.linalg.norm(_apply_operator(scene, omega, terminate, p) - b)
+                     / np.linalg.norm(b))
     if not residual < 1e-9:
         raise ResolutionError(
             f"Helmholtz solve did not converge at {f} Hz (relative residual {residual:.2e})"
         )
-    return p.reshape(scene.nx, scene.nr), k
+    return p, k
 
 
 def solve_harmonic(scene: SimGrid, f: float) -> ScatteringData:
@@ -373,6 +409,11 @@ def solve_harmonic(scene: SimGrid, f: float) -> ScatteringData:
     reflection = (_area_average(p, scene, 0) - incident_in) * incident_in
     transmission = _area_average(p, scene, -1) * cmath.exp(1j * k * (x_out - scene.geometry.t))
     return ScatteringData(f=f, transmission=complex(transmission), reflection=complex(reflection))
+
+
+def _area_average(p: np.ndarray, scene: SimGrid, i: int) -> complex:
+    weights = scene.area_weights
+    return complex(np.sum(p[i, :] * weights) / np.sum(weights))
 
 
 def solve_field(scene: SimGrid, f: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -395,8 +395,10 @@ def retrieve_sweep(
     if not data:
         raise DomainError("empty sweep")
     freqs = [d.f for d in data]
-    if any(f2 <= f1 for f1, f2 in zip(freqs, freqs[1:])):
-        raise DomainError("sweep frequencies must be strictly increasing")
+    for i, (f1, f2) in enumerate(zip(freqs, freqs[1:]), start=1):
+        if f2 <= f1:
+            raise DomainError(f"sweep frequencies must be strictly increasing: point {i} "
+                              f"(counting from 0) is {f2} Hz, after {f1} Hz")
     if not config.allow_above_cutoff:
         refuse_above_cutoff(freqs, geometry, medium)
 

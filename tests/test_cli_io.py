@@ -3,7 +3,10 @@
 import importlib
 import importlib.util
 import math
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -250,6 +253,36 @@ class TestCli:
         assert code == 0
         assert "unwrapping is undetermined" in capsys.readouterr().err
 
+    def test_retrieve_names_out_of_order_point(self, cfg_path, tmp_path, capsys):
+        tr = tmp_path / "twice.csv"
+        point = ScatteringData(f=500.0, transmission=0.9 + 0j, reflection=0.1 + 0j)
+        write_tr_csv(tr, [point, point])
+        code = self.run("retrieve", "--config", str(cfg_path), "--input", str(tr),
+                        "--output", str(tmp_path / "out.csv"))
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: sweep frequencies must be strictly increasing")
+        assert "point 1 (counting from 0) is 500.0 Hz, after 500.0 Hz" in err
+        assert not (tmp_path / "out.csv").exists()
+
+    def test_forward_warns_past_branch_zero(self, cfg_path, tmp_path, capsys):
+        """n1 = 200 on sample 1 puts 400 Hz at k0 Re(n1) t = 7.62 > pi; the
+        sweep is still written as before, with a warning on stderr, and
+        roundtrip warns the same way."""
+        tr, plain = tmp_path / "tr.csv", tmp_path / "plain.csv"
+        assert self.run("forward", "--config", str(cfg_path), "--output", str(plain)) == 0
+        assert "warning" not in capsys.readouterr().err
+        code = self.run("forward", "--config", str(cfg_path), "--set", "material.n1_re=200",
+                        "--output", str(tr))
+        assert code == 0
+        err = capsys.readouterr().err
+        warning = "warning: k0*Re(n1)*t = 7.62 > pi at the first sweep point, 400.0 Hz"
+        assert err.startswith(warning)
+        assert "--branch-seed" in err
+        assert len(read_tr_csv(tr)) == 4
+        self.run("roundtrip", "--config", str(cfg_path), "--set", "material.n1_re=200")
+        assert capsys.readouterr().err.startswith(warning)
+
     def test_forward_above_cutoff_refuses(self, cfg_path, tmp_path, capsys):
         """The sweep 400, 1400, 2400, 3400 Hz crosses the 2988 Hz cutoff;
         the refusal names 3400 Hz and the override flag."""
@@ -312,7 +345,7 @@ class TestTracerSites:
 
     # sites whose code is gone on purpose: their metrics read 0 until the
     # benchmark drops them
-    RETIRED = {"tubegap.cli.scattering_from_ports"}
+    RETIRED = {"tubegap.cli.scattering_from_ports", "tubegap.fdfd.spla.splu"}
 
     def test_every_site_resolves(self):
         path = Path(__file__).resolve().parents[1] / "benchmarks" / "tracing.py"
@@ -338,13 +371,15 @@ class TestTracerSites:
 
         for name in ("build_scene", "solve_harmonic"):
             assert getattr(cli_module, name) is getattr(fdfd_module, name)
-        assert callable(fdfd_module.spla.splu)
 
     def test_one_factorization_per_point(self, cfg_path, tmp_path, monkeypatch):
+        """One scene basis, one end-column solve per point: the sample span's
+        radial basis is built once per scene, and each frequency factors
+        one dense system (its even and odd halves in one batched call)."""
         import tubegap.cli as cli_module
         import tubegap.fdfd as fdfd_module
 
-        calls = {"splu": 0, "solve_harmonic": 0}
+        calls = {"span_basis": 0, "solve": 0, "solve_harmonic": 0}
         scenes = []
         build_scene = cli_module.build_scene
 
@@ -358,7 +393,10 @@ class TestTracerSites:
             scenes.append(build_scene(*args, **kwargs))
             return scenes[-1]
 
-        monkeypatch.setattr(fdfd_module.spla, "splu", counted("splu", fdfd_module.spla.splu))
+        monkeypatch.setattr(fdfd_module, "_span_basis",
+                            counted("span_basis", fdfd_module._span_basis))
+        monkeypatch.setattr(fdfd_module.np.linalg, "solve",
+                            counted("solve", fdfd_module.np.linalg.solve))
         monkeypatch.setattr(cli_module, "solve_harmonic",
                             counted("solve_harmonic", cli_module.solve_harmonic))
         monkeypatch.setattr(cli_module, "build_scene", recorded)
@@ -366,6 +404,20 @@ class TestTracerSites:
                      "--set", "oracle.cells_per_wavelength=20",
                      "--output", str(tmp_path / "tr.csv")])
         assert code == 0
-        assert calls == {"splu": 4, "solve_harmonic": 4}
+        assert calls == {"span_basis": 1, "solve": 4, "solve_harmonic": 4}
         (scene,) = scenes
         assert scene.nx > 0 and scene.nr > 0 and scene.n_pml == 0
+
+
+def test_cli_imports_no_sparse_or_dense_scipy_solvers():
+    """The CLI's import closure leaves out scipy.sparse and scipy.linalg."""
+    import tubegap
+
+    src = str(Path(tubegap.__file__).resolve().parents[1])
+    probe = ("import sys, tubegap.cli; "
+             "print('\\n'.join(m for m in sys.modules "
+             "if m.startswith(('scipy.sparse', 'scipy.linalg'))))")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env=env, timeout=60, check=True)
+    assert done.stdout.split() == []

@@ -3,11 +3,12 @@
 import cmath
 import functools
 import math
+import re
 
 import mpmath
 import numpy as np
 import pytest
-import scipy.sparse as sp
+from scipy.special import jn_zeros
 
 import tubegap.fdfd as fdfd_module
 from mm_reference import solve_bilayer_scene
@@ -20,7 +21,7 @@ from tubegap.fdfd import (
     solve_field,
     solve_harmonic,
 )
-from tubegap.types import GapProperties, MaterialSpec
+from tubegap.types import DuctGeometry, GapProperties, MaterialSpec
 
 # the coarsest scene build_scene accepts, for checks that need no accuracy
 fast_scene = functools.partial(build_scene, cells_per_wavelength=MIN_CELLS_PER_WAVELENGTH)
@@ -94,13 +95,11 @@ def dense_operator(scene, f):
     """The operator at f written out cell by cell from the discretization:
     w^2/kappa on the diagonal, a series-transmissibility coupling to each
     axial and radial neighbour (zero through the sleeve), and the
-    termination's (M - I)/(rho0 dx^2) over each end column.  Returns the
-    dense matrix and the entries it sets, explicit zeros included."""
+    termination's (M - I)/(rho0 dx^2) over each end column."""
     nx, nr, dx, dr = scene.nx, scene.nr, scene.dx, scene.dr
     rho, kappa = scene.rho, scene.kappa
     omega = 2 * math.pi * f
     a = np.zeros((nx * nr, nx * nr), dtype=complex)
-    pattern = np.zeros(a.shape, dtype=bool)
     sample_columns = range(scene.i_sample0, scene.i_sample0 + scene.n_sample_cells)
     for i in range(nx):
         for j in range(nr):
@@ -110,7 +109,6 @@ def dense_operator(scene, f):
                 if 0 <= i2 < nx:
                     coupling = 2.0 / ((rho[min(i, i2), j] + rho[max(i, i2), j]) * dx ** 2)
                     a[c, i2 * nr + j] = coupling
-                    pattern[c, i2 * nr + j] = True
                     diag -= coupling
             for j2 in (j - 1, j + 1):
                 if 0 <= j2 < nr:
@@ -119,26 +117,58 @@ def dense_operator(scene, f):
                     t = 0.0 if blocked else 2.0 / (rho[i, face - 1] + rho[i, face])
                     coupling = face * dr * t / ((j + 0.5) * dr * dr ** 2)
                     a[c, i * nr + j2] = coupling
-                    pattern[c, i * nr + j2] = True
                     diag -= coupling
             a[c, c] = diag
-            pattern[c, c] = True
-    termination = fdfd_module._termination(scene, omega / scene.medium.c0)
-    block = (termination - np.eye(nr)) / (scene.medium.rho0 * dx ** 2)
+    block = (termination_map(scene, f) - np.eye(nr)) / (scene.medium.rho0 * dx ** 2)
     for i in (0, nx - 1):
         end = slice(i * nr, (i + 1) * nr)
         a[end, end] += block
-        pattern[end, end] = True
-    return a, pattern
+    return a
 
 
-def scene_operator(scene, f):
+def termination_map(scene, f):
+    """M = V diag(mu) V^-1, the ghost column of an outgoing field."""
+    mu = fdfd_module._termination_factors(scene, 2 * math.pi * f / scene.medium.c0)
+    return (scene.radial_modes * mu) @ scene.radial_modes_inv
+
+
+def dense_field(scene, f):
+    """The field from np.linalg.solve on the dense operator, driven by the
+    discrete plane wave through the upstream termination."""
+    k = grid_wavenumber(2 * math.pi * f / scene.medium.c0, scene.dx)
+    x_end = scene.x_center(0)
+    inc_end = np.full(scene.nr, cmath.exp(-1j * k * x_end))
+    inc_ghost = np.full(scene.nr, cmath.exp(-1j * k * (x_end - scene.dx)))
+    b = np.zeros(scene.nx * scene.nr, dtype=complex)
+    b[:scene.nr] = termination_map(scene, f) @ inc_end - inc_ghost
+    b /= scene.medium.rho0 * scene.dx ** 2
+    return np.linalg.solve(dense_operator(scene, f), b).reshape(scene.nx, scene.nr)
+
+
+def lossless_index15(geometry, medium):
+    """Lossless n1 = 15: the sample's half-wave resonance, near 2.2 kHz on a
+    5.2 mm sample, lies inside the band."""
+    z2 = GapProperties.from_geometry(geometry, medium).z2
+    return MaterialSpec(n1=15.0 + 0j, z1=15.0 * z2)
+
+
+def operator_matrix(scene, f):
+    """The operator the residual check applies, column by column."""
     omega = 2 * math.pi * f
-    return fdfd_module._assemble(scene, f, fdfd_module._termination(scene, omega / scene.medium.c0))
+    m = termination_map(scene, f)
+    columns = []
+    for c in range(scene.nx * scene.nr):
+        unit = np.zeros(scene.nx * scene.nr, dtype=complex)
+        unit[c] = 1.0
+        out = fdfd_module._apply_operator(scene, omega, lambda ends: ends @ m.T,
+                                          unit.reshape(scene.nx, scene.nr))
+        columns.append(out.ravel())
+    return np.array(columns).T
 
 
 class TestStencil:
-    """The frequency-independent stencil built once per scene."""
+    """The five-point stencil with its terminations, as the residual check
+    applies it cell by cell, and the per-scene arrays it reads."""
 
     @pytest.fixture(params=["empty", "sample"])
     def small_scene(self, request, sample1_geometry, sample1_material, medium):
@@ -149,41 +179,101 @@ class TestStencil:
 
     @pytest.mark.parametrize("f", [700.0, 1500.0])
     def test_operator_matches_cell_by_cell_assembly(self, small_scene, f):
-        """Every value, and the pattern with its explicit zeros, exactly."""
-        a = scene_operator(small_scene, f)
-        expected, pattern = dense_operator(small_scene, f)
-        assert a.has_canonical_format
-        stored = sp.csc_matrix((np.ones(a.nnz), a.indices, a.indptr), shape=a.shape)
-        assert np.array_equal(stored.toarray() != 0, pattern)
-        assert np.array_equal(a.toarray(), expected)
+        """Every entry, to roundoff (the two sum a cell's terms in different orders)."""
+        a = operator_matrix(small_scene, f)
+        expected = dense_operator(small_scene, f)
+        assert np.array_equal(a != 0, expected != 0)
+        assert np.max(np.abs(a - expected)) <= 1e-14 * np.max(np.abs(expected))
 
     def test_only_frequency_slots_change(self, small_scene):
-        stencil = small_scene.stencil
-        a1, a2 = scene_operator(small_scene, 700.0), scene_operator(small_scene, 1500.0)
-        for a in (a1, a2):
-            assert np.shares_memory(a.indices, stencil.indices)
-            assert np.shares_memory(a.indptr, stencil.indptr)
-        slots = np.union1d(small_scene.diagonal_slots, small_scene.end_block_slots)
-        changed = np.flatnonzero(a1.data != a2.data)
-        assert np.all(np.isin(changed, slots))
-        assert np.all(np.isin(small_scene.diagonal_slots, changed))
-        fixed = np.ones(stencil.nnz, dtype=bool)
-        fixed[slots] = False
-        assert np.array_equal(a1.data[fixed], stencil.data[fixed])
+        """Only the diagonal and the two termination blocks depend on f."""
+        nx, nr = small_scene.nx, small_scene.nr
+        changed = operator_matrix(small_scene, 700.0) != operator_matrix(small_scene, 1500.0)
+        allowed = np.eye(nx * nr, dtype=bool)
+        for i in (0, nx - 1):
+            allowed[i * nr:(i + 1) * nr, i * nr:(i + 1) * nr] = True
+        assert np.all(np.diag(changed))
+        assert not np.any(changed & ~allowed)
 
     def test_solve_leaves_stencil_untouched(self, small_scene):
-        names = ("axial_coupling", "radial_coupling_hi", "radial_coupling_lo",
-                 "diagonal_slots", "end_block_slots", "area_weights")
-        stencil = small_scene.stencil
-        before = [stencil.data.copy(), stencil.indices.copy(), stencil.indptr.copy()]
-        before += [getattr(small_scene, name).copy() for name in names]
+        """The per-scene arrays, the span's basis among them, are read-only
+        and identical after solves."""
+        names = ("rho", "kappa", "radial_eigenvalues", "radial_modes", "radial_modes_inv",
+                 "span_eigenvalues", "span_modes", "span_modes_inv", "axial_coupling",
+                 "radial_coupling_hi", "radial_coupling_lo", "area_weights")
+        before = [getattr(small_scene, name).copy() for name in names]
         for f in (700.0, 1500.0):
             solve_harmonic(small_scene, f)
-        after = [stencil.data, stencil.indices, stencil.indptr]
-        after += [getattr(small_scene, name) for name in names]
-        for old, new in zip(before, after):
-            assert not new.flags.writeable
-            assert old.tobytes() == new.tobytes()
+        for name, old in zip(names, before):
+            new = getattr(small_scene, name)
+            assert not new.flags.writeable, name
+            assert old.tobytes() == new.tobytes(), name
+
+
+class TestIndependentSolve:
+    """The modal solve against np.linalg.solve on the cell-by-cell operator."""
+
+    @staticmethod
+    def assert_matches_dense(scene, freqs):
+        for f in freqs:
+            _, _, p = solve_field(scene, f)
+            expected = dense_field(scene, f)
+            assert np.linalg.norm(p - expected) <= 1e-10 * np.linalg.norm(expected), f
+
+    def test_empty_duct(self, sample1_geometry, medium):
+        scene = fast_scene(None, sample1_geometry, 1500.0, medium=medium)
+        self.assert_matches_dense(scene, (300.0, 1500.0))
+
+    def test_sample1(self, sample1_geometry, sample1_material, medium):
+        scene = fast_scene(sample1_material, sample1_geometry, 2500.0, medium=medium)
+        self.assert_matches_dense(scene, (300.0, 1300.0, 2500.0))
+
+    def test_lossy_sample2(self, sample2_geometry, medium):
+        z2 = GapProperties.from_geometry(sample2_geometry, medium).z2
+        material = MaterialSpec(n1=7.0 - 0.8j, z1=(10.0 + 3.0j) * z2)
+        scene = fast_scene(material, sample2_geometry, 1500.0, medium=medium)
+        self.assert_matches_dense(scene, (400.0, 1500.0))
+
+    def test_four_air_columns(self, sample1_geometry, sample1_material, medium, monkeypatch):
+        """The outer air columns hold the outgoing continuation."""
+        monkeypatch.setattr(fdfd_module, "TERMINATION_AIR_COLUMNS", 4)
+        scene = fast_scene(sample1_material, sample1_geometry, 1500.0, medium=medium)
+        assert scene.nx == scene.n_sample_cells + 8
+        self.assert_matches_dense(scene, (300.0, 1500.0))
+
+    def test_across_sample_resonance(self, medium):
+        """Lossless n1 = 15 through the half-wave resonance, where the span's
+        tridiagonal chains come closest to singular: on this scene (14 x 35
+        cells) the smallest singular value of a chain falls to 7e-6 of its
+        largest between 2191 and 2192 Hz."""
+        geometry = DuctGeometry(r1=0.012, r2=0.0175, t=0.0052)
+        scene = fast_scene(lossless_index15(geometry, medium), geometry, 2500.0, medium=medium)
+        assert (scene.nx, scene.nr) == (14, 35)
+        self.assert_matches_dense(scene, np.linspace(2180.0, 2200.0, 41))
+
+    def test_resonance_sweep_conserves_energy(self, sample1_geometry, medium):
+        """The full sample-1 scene at n1 = 15, 1500-2500 Hz: every point passes
+        the residual check and conserves energy."""
+        scene = build_scene(lossless_index15(sample1_geometry, medium), sample1_geometry,
+                            2500.0, medium=medium)
+        for f in np.linspace(1500.0, 2500.0, 51):
+            sd = solve_harmonic(scene, f)
+            assert abs(abs(sd.transmission) ** 2 + abs(sd.reflection) ** 2 - 1.0) <= 1e-12, f
+
+    def test_span_basis_diagonalizes_each_block(self, sample1_geometry, sample1_material, medium):
+        """W is block-diagonal over disk and annulus, W^-1 W = I, and each
+        block's mode 0 is the constant with eigenvalue 0."""
+        scene = fast_scene(sample1_material, sample1_geometry, 1500.0, medium=medium)
+        w, w_inv, j = scene.span_modes, scene.span_modes_inv, scene.j_sleeve
+        assert np.all(w[:j, j:] == 0) and np.all(w[j:, :j] == 0)
+        assert np.allclose(w_inv @ w, np.eye(scene.nr), atol=1e-12)
+        for block in (slice(0, j), slice(j, scene.nr)):
+            assert scene.span_eigenvalues[block][0] == 0.0
+            column = w[block, block][:, 0]
+            assert np.all(column == column[0])
+
+    def test_j1_first_root(self):
+        assert fdfd_module.J1_FIRST_ROOT == jn_zeros(1, 1)[0]
 
 
 class TestDecomposition:
@@ -285,6 +375,7 @@ class TestScenePhysics:
         source = open(fdfd_module.__file__).read()
         assert "tubegap.modal" not in source
         assert "tubegap.retrieval" not in source
+        assert re.search(r"^\s*(import|from)\s+scipy\b", source, re.MULTILINE) is None
 
 
 class TestTerminations:
