@@ -36,7 +36,6 @@ from tubegap.modal import (
     ModalBasis,
     coupling_coefficients,
     duct_wavenumbers,
-    eigenmode,
     first_cutoff_frequency,
     radial_integral,
 )

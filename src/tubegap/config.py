@@ -143,6 +143,10 @@ class RunConfig:
 
     def material(self) -> MaterialSpec:
         n1 = complex(float(self.require("material.n1_re")), float(self.values["material.n1_im"]))
+        if "material.z1_re" in self.values and "material.z1_over_z2" in self.values:
+            raise ConfigError("set either material.z1_over_z2 or material.z1_re, not both")
+        if "material.z1_re" not in self.values and self.values["material.z1_im"] != 0.0:
+            raise ConfigError("material.z1_im needs material.z1_re (it would be ignored)")
         if "material.z1_re" in self.values:
             z1 = complex(float(self.values["material.z1_re"]), float(self.values["material.z1_im"]))
         elif "material.z1_over_z2" in self.values:

@@ -21,16 +21,18 @@ Discretization notes:
   exact for piecewise-constant media;
 * the sleeve between sample and gap is a zero-flux internal face, the
   rigid wall and the axis are natural zero-flux boundaries;
-* the scene is the sample's columns plus ``TERMINATION_AIR_COLUMNS`` air
-  columns on each side.  Beyond them the duct is uniform air, where the
-  discrete field separates into the eigenvectors V of the discrete radial
-  operator, and mode n steps from one column to the next by the factor
-  mu_n, the outgoing or decaying root of
+* the scene is ``[air | nt sample columns | air]``: the sample's columns
+  plus one air column on each side.  Beyond them the duct is uniform air,
+  where the discrete field separates into the eigenvectors V of the
+  discrete radial operator, and mode n steps from one column to the next
+  by the factor mu_n, the outgoing or decaying root of
   mu + 1/mu = 2 - dx^2 (k0^2 - lambda_n).  Each end column therefore
   sees the exact discrete Dirichlet-to-Neumann condition
   p_ghost = V diag(mu) V^-1 p_end (Givoli & Keller, J. Comput. Phys. 82,
   1989; Arnold & Ehrhardt, J. Comput. Phys. 145, 1998): nothing returns
-  from the terminations, so no absorbing layer is needed;
+  from the terminations, so no absorbing layer is needed, and one air
+  column per side is enough (more would only hold the outgoing
+  continuation of the field);
 * the upstream end is driven by the discrete plane wave exp(-i k x), k the
   grid wavenumber.  The area average of a column projects out every
   non-planar duct mode (they are orthogonal to the constant mode 0), so
@@ -79,10 +81,6 @@ DEFAULT_CELLS_PER_WAVELENGTH = 33.0
 MIN_CELLS_PER_WAVELENGTH = 20
 # scene size above which build_scene refuses (ResolutionError)
 MAX_CELLS = 6_000_000
-# air columns between each sample face and the modal termination; the
-# termination is exact, so one is enough (more hold the outgoing continuation
-# of the field, and four give the same (T, R) to 1.3e-15)
-TERMINATION_AIR_COLUMNS = 1
 # first positive root of J1 (scipy.special.jn_zeros(1, 1)): the first
 # non-planar duct mode cuts on at k r2 = J1_FIRST_ROOT (only the warning below uses it)
 J1_FIRST_ROOT = 3.8317059702075125
@@ -91,7 +89,10 @@ J1_FIRST_ROOT = 3.8317059702075125
 @dataclass(frozen=True)
 class SimGrid:
     """Frozen simulation scene: grid, media maps, radial modes of the
-    terminations and of the sample span.  All arrays are read-only."""
+    terminations and of the sample span.  All arrays are read-only.
+
+    Column 0 and column nx - 1 are uniform air; columns 1..n_sample_cells
+    hold the sample, whose upstream face is x = 0."""
 
     geometry: DuctGeometry
     medium: MediumProperties
@@ -99,8 +100,6 @@ class SimGrid:
     dr: float
     nx: int
     nr: int
-    x0: float                 # coordinate of the left domain face (x=0 is the upstream sample face)
-    i_sample0: int
     n_sample_cells: int
     j_sleeve: int             # radial face index blocked over the sample span (0 = no sleeve)
     rho: np.ndarray           # (nx, nr) complex cell densities
@@ -123,7 +122,7 @@ class SimGrid:
         return 0
 
     def x_center(self, i: int) -> float:
-        return self.x0 + (i + 0.5) * self.dx
+        return -self.dx + (i + 0.5) * self.dx
 
 
 def _snap_radial(r1: float, r2: float, dr_target: float) -> tuple[float, int, int]:
@@ -194,9 +193,7 @@ def _span_basis(nr: int, j_sleeve: int, dr: float) -> tuple[np.ndarray, np.ndarr
     return lam, modes, modes_inv
 
 
-def _couplings(
-    rho: np.ndarray, dx: float, dr: float, i_sample0: int, n_sample_cells: int, j_sleeve: int
-) -> dict[str, np.ndarray]:
+def _couplings(rho: np.ndarray, dx: float, dr: float, j_sleeve: int) -> dict[str, np.ndarray]:
     """Face couplings of the five-point operator, as ``SimGrid`` fields.
 
     Face fluxes use series transmissibility; a rigid sleeve zeroes its
@@ -208,7 +205,7 @@ def _couplings(
     r_cell = (np.arange(rho.shape[1]) + 0.5) * dr
     tr = 2.0 / (rho[:, :-1] + rho[:, 1:])          # (nx, nr-1)
     if j_sleeve > 0:
-        tr[i_sample0:i_sample0 + n_sample_cells, j_sleeve - 1] = 0.0   # rigid sleeve: no flux through r = r1
+        tr[1:-1, j_sleeve - 1] = 0.0   # rigid sleeve over the sample columns: no flux through r = r1
     return {
         "axial_coupling": g,
         "radial_coupling_hi": r_face[None, :] * tr / (r_cell[None, 1:] * dr ** 2),   # row of cell j
@@ -250,8 +247,7 @@ def build_scene(
 
     dr, j_sleeve, nr = _snap_radial(geometry.r1, geometry.r2, dx)
 
-    i_sample0 = TERMINATION_AIR_COLUMNS
-    nx = nt + 2 * i_sample0
+    nx = nt + 2
     if nx * nr > MAX_CELLS:
         raise ResolutionError(
             f"scene needs {nx * nr} cells, above the budget of {MAX_CELLS}; "
@@ -264,8 +260,8 @@ def build_scene(
     if material is not None:
         rho_eff = material.effective_density(geometry, medium)
         kappa_eff = material.effective_bulk_modulus(geometry, medium)
-        rho[i_sample0:i_sample0 + nt, :j_sleeve] = rho_eff
-        kappa[i_sample0:i_sample0 + nt, :j_sleeve] = kappa_eff
+        rho[1:-1, :j_sleeve] = rho_eff
+        kappa[1:-1, :j_sleeve] = kappa_eff
         sleeve = j_sleeve
 
     lam, modes, modes_inv = _radial_basis(0, nr, dr)
@@ -274,13 +270,13 @@ def build_scene(
         "rho": rho, "kappa": kappa,
         "radial_eigenvalues": lam, "radial_modes": modes, "radial_modes_inv": modes_inv,
         "span_eigenvalues": span_lam, "span_modes": span_modes, "span_modes_inv": span_modes_inv,
-        **_couplings(rho, dx, dr, i_sample0, nt, sleeve),
+        **_couplings(rho, dx, dr, sleeve),
     }
     for array in fields.values():
         array.setflags(write=False)
     return SimGrid(
-        geometry=geometry, medium=medium, dx=dx, dr=dr, nx=nx, nr=nr, x0=-i_sample0 * dx,
-        i_sample0=i_sample0, n_sample_cells=nt, j_sleeve=sleeve, **fields,
+        geometry=geometry, medium=medium, dx=dx, dr=dr, nx=nx, nr=nr,
+        n_sample_cells=nt, j_sleeve=sleeve, **fields,
     )
 
 
@@ -327,21 +323,17 @@ def _solve_field(scene: SimGrid, f: float) -> tuple[np.ndarray, float]:
     def terminate(columns: np.ndarray) -> np.ndarray:
         return ((columns @ v_inv.T) * mu) @ v.T
 
-    def incident(i: int) -> complex:
-        return cmath.exp(-1j * k * scene.x_center(i))
-
-    def drive(i: int) -> np.ndarray:
-        # total = incident + scattered beyond column i, and only the scattered
-        # part leaves: p_ghost = inc_ghost + M (p_i - inc_i); this is its known part
-        return (terminate(np.full(nr, incident(i))) - incident(i - 1)) / (medium.rho0 * dx ** 2)
+    # total = incident + scattered beyond the upstream column, and only the
+    # scattered part leaves: p_ghost = inc_ghost + M (p_0 - inc_0); this is its known part
+    inc_end, inc_ghost = (cmath.exp(-1j * k * scene.x_center(i)) for i in (0, -1))
+    drive = (terminate(np.full(nr, inc_end)) - inc_ghost) / (medium.rho0 * dx ** 2)
 
     # the sample span in its radial modes: mode m has the medium of ring m,
     # chain coupling c between sample columns and g across the sample faces
-    first, nt = scene.i_sample0, scene.n_sample_cells
-    i_in, i_out = first - 1, first + nt
-    rho, kappa = scene.rho[first], scene.kappa[first]
+    nt = scene.n_sample_cells
+    rho, kappa = scene.rho[1], scene.kappa[1]
     c = 1.0 / (rho * dx ** 2)
-    g = scene.axial_coupling[i_in]
+    g = scene.axial_coupling[0]
     diag = np.tile(omega ** 2 / kappa - scene.span_eigenvalues / rho - 2.0 * c, (nt, 1))
     diag[0] += c - g
     diag[-1] += c - g
@@ -365,21 +357,16 @@ def _solve_field(scene: SimGrid, f: float) -> tuple[np.ndarray, float]:
     far = (w * (g * g * chain[-1])) @ w_inv
     # mirror symmetry: the sum and difference of the two columns decouple
     blocks = np.stack([end - near - far, end - near + far])
-    even, odd = np.linalg.solve(blocks, drive(i_in)[:, None])[..., 0]
+    even, odd = np.linalg.solve(blocks, drive[:, None])[..., 0]
 
     p = np.empty((scene.nx, nr), dtype=complex)
-    p[i_in], p[i_out] = 0.5 * (even + odd), 0.5 * (even - odd)
-    from_in, from_out = g * (w_inv @ p[i_in]), g * (w_inv @ p[i_out])
-    p[first:i_out] = -(chain * from_in + chain[::-1] * from_out) @ w.T
-    # any further air columns hold the outgoing continuation exactly
-    for i in range(i_in - 1, -1, -1):
-        p[i] = incident(i) + terminate(p[i + 1] - incident(i + 1))
-    for i in range(i_out + 1, scene.nx):
-        p[i] = terminate(p[i - 1])
+    p[0], p[-1] = 0.5 * (even + odd), 0.5 * (even - odd)
+    from_in, from_out = g * (w_inv @ p[0]), g * (w_inv @ p[-1])
+    p[1:-1] = -(chain * from_in + chain[::-1] * from_out) @ w.T
 
     # the residual of the full operator
     b = np.zeros_like(p)
-    b[0] = drive(0)
+    b[0] = drive
     residual = float(np.linalg.norm(_apply_operator(scene, omega, terminate, p) - b)
                      / np.linalg.norm(b))
     if not residual < 1e-9:
@@ -419,7 +406,7 @@ def _area_average(p: np.ndarray, scene: SimGrid, i: int) -> complex:
 def solve_field(scene: SimGrid, f: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Full complex pressure field (x centers, r centers, p[nx, nr])."""
     p, _ = _solve_field(scene, f)
-    x = scene.x0 + (np.arange(scene.nx) + 0.5) * scene.dx
+    x = -scene.dx + (np.arange(scene.nx) + 0.5) * scene.dx
     return x, scene.area_weights.copy(), p
 
 

@@ -26,9 +26,9 @@ Sign and branch conventions (fixed package-wide):
 J0 and J1 come from ``scipy.special``.  The first 127 roots of J1 are a
 constant, equal bit for bit to ``scipy.special.jn_zeros(1, 127)``; that
 covers twice the default truncation, and only larger ones call
-``jn_zeros``.  The root tables are cached per truncation and the patch
-integrals per geometry, so a sweep evaluates Bessel functions only once,
-as whole-array expressions.
+``jn_zeros``.  The patch integrals are cached per geometry and
+truncation, so a sweep evaluates Bessel functions only once, as
+whole-array expressions.
 """
 
 from __future__ import annotations
@@ -92,7 +92,6 @@ _J1_ROOT_TABLE = np.array([
 _J1_ROOT_TABLE.setflags(write=False)
 
 
-@lru_cache(maxsize=PATCH_CACHE_SIZE)
 def _j1_roots(n_modes: int) -> np.ndarray:
     """0 followed by the first ``n_modes - 1`` positive roots of J1 (read-only).
 
@@ -110,12 +109,10 @@ class ModalBasis:
     """Radial eigenmode set of a rigid duct, truncated to ``n_modes``.
 
     Attributes:
-        geometry: the duct the basis belongs to
         k: radial wavenumbers k_n = x_n / r2 (1/m), k[0] == 0
         wall_values: J0(k_n r2), the eigenmode normalization at the wall
     """
 
-    geometry: DuctGeometry
     k: np.ndarray
     wall_values: np.ndarray
 
@@ -150,12 +147,12 @@ def duct_wavenumbers(geometry: DuctGeometry, n_modes: int) -> ModalBasis:
         raise DomainError(f"mode count must be a positive integer, got {n_modes!r}")
     k = _j1_roots(n_modes) / geometry.r2
     wall = bessel_j0(k * geometry.r2)
-    return ModalBasis(geometry=geometry, k=k, wall_values=wall)
+    return ModalBasis(k=k, wall_values=wall)
 
 
 def first_cutoff_frequency(geometry: DuctGeometry, medium: MediumProperties) -> float:
     """Cutoff of the first non-planar axisymmetric mode (Hz)."""
-    return _j1_roots(2)[1] * medium.c0 / (2.0 * math.pi * geometry.r2)
+    return _J1_ROOT_TABLE[0] * medium.c0 / (2.0 * math.pi * geometry.r2)
 
 
 def refuse_above_cutoff(freqs: list[float], geometry: DuctGeometry, medium: MediumProperties) -> None:
@@ -169,15 +166,6 @@ def refuse_above_cutoff(freqs: list[float], geometry: DuctGeometry, medium: Medi
             f"sweep reaches {first_bad} Hz, above the first duct cutoff ({cutoff:.1f} Hz); "
             "set allow_above_cutoff (--allow-above-cutoff) to proceed anyway"
         )
-
-
-def eigenmode(n: int, r: float, basis: ModalBasis) -> float:
-    """Radial eigenmode profile, normalized to 1 at the duct wall."""
-    if not 0 <= n < basis.n_modes:
-        raise DomainError(f"mode index {n} outside basis of {basis.n_modes} modes")
-    if not 0.0 <= r <= basis.geometry.r2:
-        raise DomainError(f"radius {r} outside duct of radius {basis.geometry.r2}")
-    return bessel_j0(basis.k[n] * r) / basis.wall_values[n]
 
 
 def radial_integral(k: float, a: float, b: float) -> float:

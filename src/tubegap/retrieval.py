@@ -92,25 +92,6 @@ class FieldState:
     condition_number: float = math.nan
     residual: float = math.nan
 
-    @classmethod
-    def from_vector(cls, w: np.ndarray, condition_number=math.nan, residual=math.nan):
-        return cls(*map(complex, w), condition_number=condition_number, residual=residual)
-
-    @property
-    def vector(self) -> np.ndarray:
-        return np.array(
-            [
-                self.p1_in,
-                self.p2_in,
-                self.p1_out,
-                self.p2_out,
-                self.u1_in,
-                self.u2_in,
-                self.u1_out,
-                self.u2_out,
-            ]
-        )
-
 
 @dataclass(frozen=True)
 class RetrievedProperties:
@@ -192,7 +173,7 @@ def _interface_rows(
     Rows 1-4 are the duct radiation conditions on each patch of each face
     (their blocked-pressure drive sits on the callers' right-hand sides);
     rows 5-6 are the known air-gap layer linking its two faces.  Unknown
-    ordering as in ``FieldState.vector``.
+    ordering as in ``FieldState``'s fields.
     """
     gap = GapProperties.from_geometry(geometry, medium)
     k0 = 2.0 * math.pi * coupling.frequency / medium.c0
@@ -275,7 +256,7 @@ def solve_fields(q: np.ndarray, y: np.ndarray, frequency: float | None = None) -
             f"interface system is singular: {exc}", frequency=frequency
         ) from exc
     residual = float(np.linalg.norm(q @ w - y) / np.linalg.norm(y))
-    return FieldState.from_vector(w, condition_number=cond, residual=residual)
+    return FieldState(*map(complex, w), condition_number=cond, residual=residual)
 
 
 def _positive_real_sqrt(value: complex) -> complex:

@@ -207,12 +207,15 @@ class TestCli:
         ("forward", "--method", "fdfd", "--set", "material.z1_over_z2=0"),
         ("forward", "--method", "averaged", "--set", "material.n1_re=0"),
         ("forward", "--method", "fdfd", "--set", "material.n1_re=0"),
+        ("forward", "--method", "averaged", "--set", "material.z1_im=-5e5"),
+        ("forward", "--method", "averaged", "--set", "material.z1_re=1000"),
     ])
     def test_bad_numbers_are_validation_errors(self, cfg_path, tmp_path, capsys, argv):
-        """Non-finite or malformed values, a zero sample index or impedance
-        and a resolution below the minimum end in exit 1 and one error
-        line, not a traceback, argparse's usage error (exit 2), a silent
-        PASS or a written file."""
+        """Non-finite or malformed values, a zero sample index or impedance,
+        a resolution below the minimum and a material key that would be
+        ignored (z1_im without z1_re, or z1_re beside z1_over_z2) end in
+        exit 1 and one error line, not a traceback, argparse's usage error
+        (exit 2), a silent PASS or a written file."""
         extra = ["--output", str(tmp_path / "x.csv")] if argv[0] == "forward" else []
         code = self.run(*argv, "--config", str(cfg_path), *extra)
         captured = capsys.readouterr()
@@ -337,6 +340,21 @@ class TestCli:
         header = dump.read_text().splitlines()[0]
         assert header == "x_m,r_m,re_p,im_p"
         assert len(read_tr_csv(tr)) == 1
+        # the nt + 2 solved columns (the sample's nt and one air column on
+        # each side) times the nr rings, column by column
+        x, r = np.loadtxt(dump, delimiter=",", skiprows=1, usecols=(0, 1), unpack=True)
+        t, r2 = 0.0052, 0.070
+        columns, rings = np.unique(x), np.unique(r)
+        nt = int(np.count_nonzero((columns > 0) & (columns < t)))
+        assert len(x) == (nt + 2) * len(rings)
+        assert np.array_equal(x, np.repeat(columns, len(rings)))
+        assert np.array_equal(r, np.tile(rings, nt + 2))
+        dx, dr = t / nt, 2 * rings[0]
+        assert columns[0] < 0 and columns[-1] > t
+        assert np.allclose(columns, (np.arange(nt + 2) - 0.5) * dx, rtol=0, atol=1e-15)
+        assert np.allclose(columns + columns[::-1], t, rtol=0, atol=1e-15)
+        assert np.allclose(rings, (np.arange(len(rings)) + 0.5) * dr, rtol=0, atol=1e-15)
+        assert len(rings) * dr == pytest.approx(r2, rel=5e-3)
 
 
 class TestTracerSites:

@@ -1,6 +1,7 @@
 """Transfer-matrix inversion, the 8x8 interface system, and field extraction."""
 
 import cmath
+import dataclasses
 import math
 
 import numpy as np
@@ -35,6 +36,11 @@ def random_tr(rng):
         t = complex(rng.normal(), rng.normal()) * 0.5
     r = complex(rng.normal(), rng.normal()) * 0.4
     return t, r
+
+
+def field_values(state):
+    """The eight interface fields of a FieldState, in the unknown ordering."""
+    return np.array(dataclasses.astuple(state)[:8])
 
 
 class TestTransferMatrix:
@@ -147,7 +153,7 @@ class TestSolveFields:
     def test_identity_system(self):
         y = np.array([0, 0, 2, 2, 0, 0, 0, 0], dtype=complex)
         state = solve_fields(np.eye(8, dtype=complex), y)
-        assert np.allclose(state.vector, y)
+        assert np.allclose(field_values(state), y)
         assert state.residual < 1e-15
         assert state.condition_number == pytest.approx(1.0)
 
@@ -156,7 +162,7 @@ class TestSolveFields:
         q = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8)) + 4 * np.eye(8)
         w_true = rng.normal(size=8) + 1j * rng.normal(size=8)
         state = solve_fields(q, q @ w_true)
-        assert np.allclose(state.vector, w_true, rtol=1e-12)
+        assert np.allclose(field_values(state), w_true, rtol=1e-12)
         assert state.residual < 1e-12
 
     def test_singular_system_rejected(self):
