@@ -240,6 +240,17 @@ class TestIndependentSolve:
         scene = fast_scene(material, sample2_geometry, 1500.0, medium=medium)
         self.assert_matches_dense(scene, (400.0, 1500.0))
 
+    def test_four_air_columns(self, sample1_geometry, sample1_material, medium):
+        """The field outside the sample is the outgoing continuation: with
+        three more uniform-air columns before each termination (four in
+        all), the dense solve gives the same field in the scene's columns."""
+        scene = fast_scene(sample1_material, sample1_geometry, 1500.0, medium=medium)
+        assert scene.nx == scene.n_sample_cells + 2
+        for f in (300.0, 1500.0):
+            _, _, p = solve_field(scene, f)
+            expected = dense_field(scene, f, pad=3)
+            assert np.linalg.norm(p - expected) <= 1e-10 * np.linalg.norm(expected), f
+
     def test_across_sample_resonance(self, medium):
         """Lossless n1 = 15 through the half-wave resonance, where the span's
         tridiagonal chains come closest to singular: on this scene (14 x 35
@@ -380,7 +391,7 @@ class TestScenePhysics:
 class TestTerminations:
     """The modal terminations: (T, R) must not depend on where they sit."""
 
-    def test_termination_placement(self, default_scene, sample2_geometry, medium):
+    def test_termination_drops_out(self, default_scene, sample2_geometry, medium):
         """One air column before each termination is enough: the solved field
         equals, in the scene's columns, the dense solve with three more
         uniform-air columns on each side (measured at most 6.5e-14 on
