@@ -92,9 +92,9 @@ def _forward_data(config: RunConfig, method: str):
     settings = config.retrieval()
     if not settings.allow_above_cutoff:
         refuse_above_cutoff(freqs, geometry, medium)
-    phase = 2.0 * math.pi * freqs[0] / medium.c0 * material.n1.real * geometry.t
+    phase = 2.0 * math.pi * freqs[0] / medium.c0 * abs(material.n1.real) * geometry.t
     if phase > math.pi:
-        print(f"warning: k0*Re(n1)*t = {phase:.4g} > pi at the first sweep point, {freqs[0]} Hz; "
+        print(f"warning: k0*|Re(n1)|*t = {phase:.4g} > pi at the first sweep point, {freqs[0]} Hz; "
               "the sample is past branch 0 there, where retrieval's automatic seed starts, "
               "so retrieve with --branch-seed (branch.seed)", file=sys.stderr)
     if method == "averaged":

@@ -121,7 +121,9 @@ class SimGrid:
         """Absorbing-layer columns: none, the modal terminations are exact."""
         return 0
 
-    def x_center(self, i: int) -> float:
+    def x_center(self, i: int | np.ndarray) -> float | np.ndarray:
+        """Centre of column i (or of each column in an index array); -1 is
+        the ghost column beyond the upstream end."""
         return -self.dx + (i + 0.5) * self.dx
 
 
@@ -406,8 +408,7 @@ def _area_average(p: np.ndarray, scene: SimGrid, i: int) -> complex:
 def solve_field(scene: SimGrid, f: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Full complex pressure field (x centers, r centers, p[nx, nr])."""
     p, _ = _solve_field(scene, f)
-    x = -scene.dx + (np.arange(scene.nx) + 0.5) * scene.dx
-    return x, scene.area_weights.copy(), p
+    return scene.x_center(np.arange(scene.nx)), scene.area_weights.copy(), p
 
 
 def grid_wavenumber(k0: float, dx: float) -> float:

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, replace
+from dataclasses import astuple, dataclass, replace
 
 import numpy as np
 
@@ -191,6 +191,20 @@ def _interface_rows(
             [0.0, 0.0, 0.0, -1j / gap.z2 * sin2, 0.0, 1.0, 0.0, -cos2],
         ],
         dtype=complex,
+    )
+
+
+def _sample_rows(n1: complex, z1: complex, k0: float, t: float) -> np.ndarray:
+    """The sample layer's two rows, in ``FieldState``'s field order:
+
+        p1_in = cos(k0 n1 t) p1_out + i z1 sin(k0 n1 t) u1_out
+        u1_in = i/z1 sin(k0 n1 t) p1_out + cos(k0 n1 t) u1_out
+    """
+    theta1 = k0 * n1 * t
+    c1, s1_ = cmath.cos(theta1), cmath.sin(theta1)
+    return np.array(
+        [[1.0, 0.0, -c1, 0.0, 0.0, 0.0, -1j * z1 * s1_, 0.0],
+         [0.0, 0.0, -1j / z1 * s1_, 0.0, 1.0, 0.0, -c1, 0.0]]
     )
 
 
@@ -367,8 +381,11 @@ def retrieve_sweep(
     """Retrieve (n1, z1) over an ordered frequency sweep.
 
     Branch resolution: the first non-degenerate point is assigned branch
-    ``config.branch_seed`` (0 if None) with the sign that makes
-    Re(n1) >= 0; every following point picks the (branch, sign) pair that
+    ``config.branch_seed`` (0 if None) with the inverse-cosine sign whose
+    n1 best satisfies the sample layer's relation
+    p1_in = cos(k0 n1 t) p1_out + i z1 sin(k0 n1 t) u1_out, with the
+    retrieved z1 (Re z1 >= 0), so a passive negative-index sample keeps
+    Re(n1) < 0; every following point picks the (branch, sign) pair that
     keeps n1 closest to its predecessor.  Points where the extraction is
     degenerate are filled by linear interpolation from their neighbours
     and marked with an "interpolated" flag.
@@ -400,9 +417,12 @@ def retrieve_sweep(
             )
             continue
         if prev_n1 is None:
+            # the seed branch's two candidates differ in the sign of sin(k0 n1 t),
+            # which the sample layer's first row fixes given z1 (Re z1 >= 0)
+            fields = np.array(astuple(state)[:8])
             candidates = _index_candidates(state, k0, geometry.t, (seed_m,))
-            viable = [c for c in candidates if c[0].real >= 0] or candidates
-            n1, m, sign = max(viable, key=lambda c: (c[0].real, c[0].imag))
+            n1, m, sign = min(candidates, key=lambda c: abs(
+                _sample_rows(c[0], z1, k0, geometry.t)[0] @ fields))
         else:
             m_values = range(prev_m - 2, prev_m + 3)
             candidates = _index_candidates(state, k0, geometry.t, m_values)
@@ -505,14 +525,8 @@ def forward_averaged(
     """
     f = coupling.frequency
     k0 = 2.0 * math.pi * f / medium.c0
-    theta1 = k0 * n1 * geometry.t
-    c1, s1_ = cmath.cos(theta1), cmath.sin(theta1)
     q = np.vstack(
-        [
-            _interface_rows(geometry, medium, coupling),
-            [[1.0, 0.0, -c1, 0.0, 0.0, 0.0, -1j * z1 * s1_, 0.0],
-             [0.0, 0.0, -1j / z1 * s1_, 0.0, 1.0, 0.0, -c1, 0.0]],
-        ]
+        [_interface_rows(geometry, medium, coupling), _sample_rows(n1, z1, k0, geometry.t)]
     )
     y = np.array([2.0, 2.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0], dtype=complex)
     state = solve_fields(q, y, frequency=f)

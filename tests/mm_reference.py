@@ -7,6 +7,11 @@ transmission/reflection pair.  Uses scipy Bessel functions and numpy
 linear algebra only, so it shares no code with either the retrieval
 model or the finite-difference solver it arbitrates between.
 
+Radial integrals are Lommel's closed forms (Watson, *Treatise on Bessel
+Functions*, 5.11).  Disk and annulus mode counts follow their widths
+r1 : (r2 - r1), since at an edge the limit of mode matching depends on
+that ratio (Lee, Jones & Campbell, IEEE T-MTT 19(6), 1971).
+
 Conventions match the package: time dependence exp(+i w t), incident
 wave exp(-i k0 x), sample spanning 0 <= x <= t.
 """
@@ -16,7 +21,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.optimize import brentq
 from scipy.special import j0, j1, jn_zeros, y0, y1
 
@@ -27,150 +31,88 @@ def _annulus_modes(r1: float, r2: float, count: int) -> np.ndarray:
     def cross(mu):
         return j1(mu * r1) * y1(mu * r2) - j1(mu * r2) * y1(mu * r1)
 
-    mus = [0.0]
     grid = np.linspace(0.5, (count + 4) * math.pi / (r2 - r1), 40 * (count + 4))
-    vals = [cross(g) for g in grid]
-    for i in range(len(grid) - 1):
-        if vals[i] * vals[i + 1] < 0 and len(mus) < count:
-            mus.append(brentq(cross, grid[i], grid[i + 1], xtol=1e-14))
-    if len(mus) < count:
+    vals = cross(grid)
+    brackets = np.flatnonzero(vals[:-1] * vals[1:] < 0)[: count - 1]
+    if len(brackets) < count - 1:
         raise RuntimeError("annulus mode search exhausted the scan grid")
-    return np.array(mus)
+    return np.array([0.0] + [brentq(cross, grid[i], grid[i + 1], xtol=1e-14) for i in brackets])
 
 
-def _outgoing(k2: np.ndarray) -> np.ndarray:
+def _annulus_functions(mu: np.ndarray, r: float, r1: float) -> tuple[np.ndarray, np.ndarray]:
+    """Annulus mode Z0 = J0(mu r) Y1(mu r1) - Y0(mu r) J1(mu r1) and its
+    order-1 partner Z1 (d/dr Z0 = -mu Z1); the mode mu = 0 is Z0 = 1, Z1 = 0."""
+    m = np.where(mu > 0, mu, 1.0)
+    z0 = j0(m * r) * y1(m * r1) - y0(m * r) * j1(m * r1)
+    z1 = j1(m * r) * y1(m * r1) - y1(m * r) * j1(m * r1)
+    return np.where(mu > 0, z0, 1.0), np.where(mu > 0, z1, 0.0)
+
+
+def _lommel(a: np.ndarray, b: np.ndarray, r: float, w0: np.ndarray, w1: np.ndarray) -> np.ndarray:
+    """Lommel's antiderivative at r of r J0(a r) W0(b r) for every pair (a, b):
+    r [a J1(a r) W0 - b J0(a r) W1] / (a^2 - b^2), or r^2/2 (J0 W0 + J1 W1)
+    at a = b.  W0 is an order-0 cylinder function with d/dr W0(b r) =
+    -b W1(b r); w0, w1 are their values at r."""
+    a, b = a[:, None], b[None, :]
+    ja0, ja1 = j0(a * r), j1(a * r)
+    same = np.isclose(a, b, rtol=1e-9, atol=0.0)
+    unequal = r * (a * ja1 * w0 - b * ja0 * w1) / np.where(same, 1.0, a * a - b * b)
+    return np.where(same, r * r / 2.0 * (ja0 * w0 + ja1 * w1), unequal)
+
+
+def radial_basis(r1: float, r2: float, n_modes: int):
+    """Radial modes of the scene and their integrals, all in closed form.
+
+    The duct carries n_modes modes, the disk round(n_modes r1 / r2) and the
+    annulus the rest.  Returns the duct, disk and annulus wavenumbers, the
+    projections of the duct modes (rows) on the disk then annulus modes
+    (columns), the duct mode norms and the disk then annulus mode norms.
+    """
+    n_disk = round(n_modes * r1 / r2)
+    roots = jn_zeros(1, n_modes - 1)
+    kd = np.concatenate([[0.0], roots]) / r2
+    kdisk = np.concatenate([[0.0], roots[: n_disk - 1]]) / r1
+    mus = _annulus_modes(r1, r2, n_modes - n_disk)
+    z_in, z_out = _annulus_functions(mus, r1, r1), _annulus_functions(mus, r2, r1)
+    cross = np.hstack([
+        _lommel(kd, kdisk, r1, j0(kdisk * r1), j1(kdisk * r1)),
+        _lommel(kd, mus, r2, *z_out) - _lommel(kd, mus, r1, *z_in),
+    ])
+    norm = np.concatenate([r1 * r1 / 2.0 * j0(kdisk * r1) ** 2,
+                           (r2 * r2 * z_out[0] ** 2 - r1 * r1 * z_in[0] ** 2) / 2.0])
+    return kd, kdisk, mus, cross, r2 * r2 / 2.0 * j0(kd * r2) ** 2, norm
+
+
+def _decaying(k2: np.ndarray) -> np.ndarray:
     """Axial wavenumbers on the outgoing/decaying branch for exp(+iwt)."""
-    return np.where(k2 >= 0, np.sqrt(np.maximum(k2, 0.0)), -1j * np.sqrt(np.maximum(-k2, 0.0)))
+    q = np.sqrt(np.asarray(k2, dtype=complex))
+    return np.where((q.imag > 0) | ((q.imag == 0) & (q.real < 0)), -q, q)
 
 
 def solve_bilayer_scene(
-    r1: float,
-    r2: float,
-    t: float,
-    rho0: float,
-    c0: float,
-    rho_disk: complex,
-    c_disk: complex,
-    f: float,
-    n_duct: int = 50,
-    n_disk: int = 25,
-    n_ann: int = 25,
+    r1: float, r2: float, t: float, rho0: float, c0: float,
+    rho_disk: complex, c_disk: complex, f: float, n_modes: int = 56,
 ) -> tuple[complex, complex]:
-    """Plane-wave (T, R) of the duct + sleeved (disk | annulus) sample."""
+    """Plane-wave (T, R) of the duct + sleeved (disk | annulus) sample,
+    with n_modes duct modes and as many sample modes (``radial_basis``)."""
     om = 2 * math.pi * f
     k0 = om / c0
+    kd, kdisk, mus, cross, duct_norm, norm = radial_basis(r1, r2, n_modes)
+    beta = _decaying(k0 * k0 - kd * kd)
+    q = _decaying(np.concatenate([(om / c_disk) ** 2 - kdisk ** 2, k0 * k0 - mus ** 2]))
+    rho = np.concatenate([np.full(len(kdisk), rho_disk), np.full(len(mus), rho0)])
+    e = np.exp(-1j * q * t)
+    flux = cross * (q / rho)
+    duct = np.diag(beta / rho0 * duct_norm)
+    rhs = np.concatenate([-cross[0], [-k0 / rho0 * duct_norm[0]], np.zeros(n_modes - 1)])
 
-    xd = np.concatenate([[0.0], jn_zeros(1, n_duct - 1)])
-    kd = xd / r2
-    duct_norm = np.array([j0(x) ** 2 for x in xd]) * (r2 * r2 / 2.0)
-
-    yd = np.concatenate([[0.0], jn_zeros(1, n_disk - 1)])
-    kdisk = yd / r1
-    disk_norm = np.array([j0(x) ** 2 for x in yd]) * (r1 * r1 / 2.0)
-
-    mus = _annulus_modes(r1, r2, n_ann)
-
-    def chi(l, r):
-        if mus[l] == 0.0:
-            return np.ones_like(r)
-        m = mus[l]
-        return j0(m * r) * y1(m * r1) - y0(m * r) * j1(m * r1)
-
-    ann_norm = np.empty(n_ann)
-    for l in range(n_ann):
-        ann_norm[l], _ = quad(lambda r: chi(l, np.asarray([r]))[0] ** 2 * r, r1, r2, limit=200)
-
-    def cross_j0(a, b, lo, hi):
-        if a == 0.0 and b == 0.0:
-            return (hi * hi - lo * lo) / 2.0
-        if a == 0.0:
-            return (hi * j1(b * hi) - lo * j1(b * lo)) / b
-        if b == 0.0:
-            return (hi * j1(a * hi) - lo * j1(a * lo)) / a
-        if abs(a - b) < 1e-9 * max(a, b):
-            val, _ = quad(lambda r: j0(a * r) * j0(b * r) * r, lo, hi, limit=200)
-            return val
-
-        def antideriv(r):
-            return r * (a * j1(a * r) * j0(b * r) - b * j0(a * r) * j1(b * r)) / (a * a - b * b)
-
-        return antideriv(hi) - antideriv(lo)
-
-    c_disk_mat = np.empty((n_duct, n_disk))
-    for n in range(n_duct):
-        for m in range(n_disk):
-            c_disk_mat[n, m] = cross_j0(kd[n], kdisk[m], 0.0, r1)
-    c_ann_mat = np.empty((n_duct, n_ann))
-    for n in range(n_duct):
-        for l in range(n_ann):
-            val, _ = quad(
-                lambda r: j0(kd[n] * r) * chi(l, np.asarray([r]))[0] * r, r1, r2, limit=200
-            )
-            c_ann_mat[n, l] = val
-
-    beta = _outgoing(k0 * k0 - kd * kd)
-    # disk medium may be complex: q^2 = (w/c_disk)^2 - kdisk^2, decaying branch
-    k_in_disk = om / c_disk
-    q_disk = np.empty(n_disk, dtype=complex)
-    for i, q2 in enumerate(k_in_disk ** 2 - kdisk ** 2):
-        root = np.sqrt(complex(q2))
-        if root.imag > 0 or (root.imag == 0 and root.real < 0):
-            root = -root
-        q_disk[i] = root
-    q_ann = _outgoing(k0 * k0 - mus ** 2)
-
-    e_disk = np.exp(-1j * q_disk * t)
-    e_ann = np.exp(-1j * q_ann * t)
-
-    nu = 2 * n_duct + 2 * n_disk + 2 * n_ann
-    a = np.zeros((nu, nu), dtype=complex)
-    rhs = np.zeros(nu, dtype=complex)
-    i_r, i_t = 0, n_duct
-    i_a, i_b = 2 * n_duct, 2 * n_duct + n_disk
-    i_c, i_d = 2 * n_duct + 2 * n_disk, 2 * n_duct + 2 * n_disk + n_ann
-    row = 0
-
-    # pressure continuity at x = 0, projected on disk and annulus modes
-    for m in range(n_disk):
-        a[row, i_r:i_r + n_duct] = c_disk_mat[:, m]
-        a[row, i_a + m] = -disk_norm[m]
-        a[row, i_b + m] = -disk_norm[m]
-        rhs[row] = -c_disk_mat[0, m]
-        row += 1
-    for l in range(n_ann):
-        a[row, i_r:i_r + n_duct] = c_ann_mat[:, l]
-        a[row, i_c + l] = -ann_norm[l]
-        a[row, i_d + l] = -ann_norm[l]
-        rhs[row] = -c_ann_mat[0, l]
-        row += 1
-    # velocity continuity at x = 0, projected on duct modes
-    for n in range(n_duct):
-        a[row, i_r + n] = -beta[n] / rho0 * duct_norm[n]
-        a[row, i_a:i_a + n_disk] -= q_disk / rho_disk * c_disk_mat[n, :]
-        a[row, i_b:i_b + n_disk] += q_disk / rho_disk * c_disk_mat[n, :]
-        a[row, i_c:i_c + n_ann] -= q_ann / rho0 * c_ann_mat[n, :]
-        a[row, i_d:i_d + n_ann] += q_ann / rho0 * c_ann_mat[n, :]
-        rhs[row] = -(beta[0] / rho0) * duct_norm[0] if n == 0 else 0.0
-        row += 1
-    # pressure continuity at x = t
-    for m in range(n_disk):
-        a[row, i_t:i_t + n_duct] = c_disk_mat[:, m]
-        a[row, i_a + m] = -disk_norm[m] * e_disk[m]
-        a[row, i_b + m] = -disk_norm[m] / e_disk[m]
-        row += 1
-    for l in range(n_ann):
-        a[row, i_t:i_t + n_duct] = c_ann_mat[:, l]
-        a[row, i_c + l] = -ann_norm[l] * e_ann[l]
-        a[row, i_d + l] = -ann_norm[l] / e_ann[l]
-        row += 1
-    # velocity continuity at x = t
-    for n in range(n_duct):
-        a[row, i_t + n] = beta[n] / rho0 * duct_norm[n]
-        a[row, i_a:i_a + n_disk] -= q_disk / rho_disk * c_disk_mat[n, :] * e_disk
-        a[row, i_b:i_b + n_disk] += q_disk / rho_disk * c_disk_mat[n, :] / e_disk
-        a[row, i_c:i_c + n_ann] -= q_ann / rho0 * c_ann_mat[n, :] * e_ann
-        a[row, i_d:i_d + n_ann] += q_ann / rho0 * c_ann_mat[n, :] / e_ann
-        row += 1
-
-    sol = np.linalg.solve(a, rhs)
-    return complex(sol[i_t]), complex(sol[i_r])
+    # Sample modes carry A exp(-iqx) + B exp(iq(x - t)), so no entry grows
+    # with t.  By mirror symmetry the sum (s = 1) and difference (s = -1) of
+    # the continuity conditions at x = 0 and x = t (pressure on the sample
+    # modes, velocity on the duct modes) decouple for (R + sT, A + sB).
+    even, odd = (
+        np.linalg.solve(np.block([[cross.T, np.diag(-norm * (1 + s * e))],
+                                  [-duct, -flux * (1 - s * e)]]), rhs)[0]
+        for s in (1, -1)
+    )
+    return complex((even - odd) / 2), complex((even + odd) / 2)

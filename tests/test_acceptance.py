@@ -7,8 +7,10 @@ Criteria 1 and 2 are implemented faithfully at their stated 1%/2%
 tolerances and are expected to FAIL: the median n1 error is about 16%
 (sample 1) and 15% (sample 2), and it is systematic (16% already at
 300 Hz).  Two independent solutions of the scene, the grid solver and a
-continuum mode-matching expansion (tests/mm_reference.py), agree with
-each other to 3e-4 at 300 Hz and 3e-3 at 2500 Hz in (T, R), while the
+continuum mode-matching expansion (tests/mm_reference.py, closed-form
+radial integrals, mode counts in proportion to the region widths),
+agree with each other in (T, R) to 2.8e-4 (300 Hz) to 2.9e-3 (2500 Hz)
+on sample 1 and 2.7e-4 to 2.5e-3 on sample 2, while the
 averaged interface model sits 3.5e-3 (300 Hz) to 6e-2 (2500 Hz) away
 from them; the retrieval's thin-sample sensitivity turns that into the
 ~16% parameter offset.  The model's piston-averaged interface coupling

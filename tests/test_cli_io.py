@@ -269,9 +269,9 @@ class TestCli:
         assert not (tmp_path / "out.csv").exists()
 
     def test_forward_warns_past_branch_zero(self, cfg_path, tmp_path, capsys):
-        """n1 = 200 on sample 1 puts 400 Hz at k0 Re(n1) t = 7.62 > pi; the
+        """n1 = 200 on sample 1 puts 400 Hz at k0 |Re(n1)| t = 7.62 > pi; the
         sweep is still written as before, with a warning on stderr, and
-        roundtrip warns the same way."""
+        roundtrip warns the same way.  n1 = -200 is as far past branch 0."""
         tr, plain = tmp_path / "tr.csv", tmp_path / "plain.csv"
         assert self.run("forward", "--config", str(cfg_path), "--output", str(plain)) == 0
         assert "warning" not in capsys.readouterr().err
@@ -279,11 +279,15 @@ class TestCli:
                         "--output", str(tr))
         assert code == 0
         err = capsys.readouterr().err
-        warning = "warning: k0*Re(n1)*t = 7.62 > pi at the first sweep point, 400.0 Hz"
+        warning = "warning: k0*|Re(n1)|*t = 7.62 > pi at the first sweep point, 400.0 Hz"
         assert err.startswith(warning)
         assert "--branch-seed" in err
         assert len(read_tr_csv(tr)) == 4
         self.run("roundtrip", "--config", str(cfg_path), "--set", "material.n1_re=200")
+        assert capsys.readouterr().err.startswith(warning)
+        code = self.run("forward", "--config", str(cfg_path), "--set", "material.n1_re=-200",
+                        "--output", str(tr))
+        assert code == 0
         assert capsys.readouterr().err.startswith(warning)
 
     def test_forward_above_cutoff_refuses(self, cfg_path, tmp_path, capsys):

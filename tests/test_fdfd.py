@@ -355,7 +355,7 @@ class TestScenePhysics:
         t_ref, r_ref = solve_bilayer_scene(
             sample1_geometry.r1, sample1_geometry.r2, sample1_geometry.t,
             medium.rho0, medium.c0, medium.rho0, medium.c0, f,
-            n_duct=30, n_disk=15, n_ann=15,
+            n_modes=30,
         )
         k0t = 2 * math.pi * f / medium.c0 * sample1_geometry.t
         assert t_ref == pytest.approx(cmath.exp(-1j * k0t), abs=1e-8)
@@ -363,7 +363,8 @@ class TestScenePhysics:
 
     def test_matches_mode_matching_reference(self, sample1_geometry, medium, sample1_material):
         """Independent continuum oracle: exact modal solution of the same
-        scene agrees with the grid solution to a few parts in 1e3."""
+        scene agrees with the grid solution to a few parts in 1e3 (9.5e-4
+        measured with 56 modes split in proportion to the region widths)."""
         f = 1000.0
         scene = build_scene(sample1_material, sample1_geometry, 2500.0, medium=medium)
         sd = solve_harmonic(scene, f)
@@ -373,7 +374,7 @@ class TestScenePhysics:
         t_ref, r_ref = solve_bilayer_scene(
             sample1_geometry.r1, sample1_geometry.r2, sample1_geometry.t,
             medium.rho0, medium.c0, rho_disk, c_disk, f,
-            n_duct=50, n_disk=25, n_ann=25,
+            n_modes=56,
         )
         assert sd.transmission == pytest.approx(t_ref, abs=2e-3)
         assert sd.reflection == pytest.approx(r_ref, abs=2e-3)

@@ -48,6 +48,17 @@ class TestAveragedRoundTrip:
             assert abs(r.n1 - n1) / abs(n1) < 1e-8
             assert abs(r.z1 - z1) / abs(z1) < 1e-8
 
+    @pytest.mark.parametrize("n1", [-5.0 - 0.1j, -5.0, -3.0 - 1.0j, -9.0])
+    def test_negative_index(self, n1, sample1_geometry, medium, sample1_z2):
+        """A passive negative-index sample (Re z1 > 0, Re n1 < 0) keeps its
+        sign through the round trip, to criterion 3's 1e-8, instead of coming
+        back as the active n1 = 5 + 0.1i."""
+        z1 = 15.0 * sample1_z2 * (1.0 - 0.05j)
+        freqs = list(np.linspace(300.0, 2500.0, 45))
+        for r in roundtrip(n1, z1, sample1_geometry, medium, freqs):
+            assert abs(r.n1 - n1) / abs(n1) < 1e-8
+            assert abs(r.z1 - z1) / abs(z1) < 1e-8
+
     def test_passivity_signs(self, sample1_geometry, medium, sample1_z2):
         """Absorbing samples keep Re(z1) >= 0 and decay-consistent Im(n1).
 
