@@ -73,10 +73,11 @@ def cmd_retrieve(args: argparse.Namespace) -> int:
     config = _load_config(args)
     data = read_tr_csv(args.input)
     geometry, medium = config.geometry(), config.medium()
+    settings = config.retrieval()
     if len(data) == 1:
-        print("warning: single-frequency sweep; branch unwrapping is undetermined, using seed m=0",
-              file=sys.stderr)
-    results = retrieve_sweep(data, geometry, medium, config.retrieval())
+        print("warning: single-frequency sweep; branch unwrapping is undetermined, "
+              f"using seed m={settings.branch_seed or 0}", file=sys.stderr)
+    results = retrieve_sweep(data, geometry, medium, settings)
     gap = GapProperties.from_geometry(geometry, medium)
     write_results_csv(args.output, results, gap.z2, comments=["retrieved effective properties"])
     write_sidecar(args.output, config.dump(), {"tool": f"tubegap {__version__}", "command": "retrieve"})
@@ -92,11 +93,13 @@ def _forward_data(config: RunConfig, method: str):
     settings = config.retrieval()
     if not settings.allow_above_cutoff:
         refuse_above_cutoff(freqs, geometry, medium)
-    phase = 2.0 * math.pi * freqs[0] / medium.c0 * abs(material.n1.real) * geometry.t
-    if phase > math.pi:
-        print(f"warning: k0*|Re(n1)|*t = {phase:.4g} > pi at the first sweep point, {freqs[0]} Hz; "
+    phase = 2.0 * math.pi * freqs[0] / medium.c0 * material.n1.real * geometry.t
+    if abs(phase) > math.pi:
+        seed = round(phase / (2.0 * math.pi))
+        print(f"warning: k0*|Re(n1)|*t = {abs(phase):.4g} > pi at the first sweep point, {freqs[0]} Hz; "
               "the sample is past branch 0 there, where retrieval's automatic seed starts, "
-              "so retrieve with --branch-seed (branch.seed)", file=sys.stderr)
+              f"so retrieve on branch {seed}: --branch-seed {seed} (--set branch.seed={seed})",
+              file=sys.stderr)
     if method == "averaged":
         data = forward_averaged_sweep(material.n1, material.z1, geometry, medium, freqs,
                                       n_modes=settings.n_modes)

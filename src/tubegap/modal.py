@@ -26,9 +26,9 @@ Sign and branch conventions (fixed package-wide):
 J0 and J1 come from ``scipy.special``.  The first 127 roots of J1 are a
 constant, equal bit for bit to ``scipy.special.jn_zeros(1, 127)``; that
 covers twice the default truncation, and only larger ones call
-``jn_zeros``.  The patch integrals are cached per geometry and
-truncation, so a sweep evaluates Bessel functions only once, as
-whole-array expressions.
+``jn_zeros``, once per truncation.  The patch integrals are cached per
+geometry and truncation, so a sweep evaluates Bessel functions only
+once, as whole-array expressions.
 """
 
 from __future__ import annotations
@@ -47,8 +47,9 @@ DEFAULT_MODE_COUNT = 64
 # largest relative movement of a coupling coefficient when the truncation is
 # doubled from n_modes/2 to n_modes; read at call time, so tests can patch it
 SUM_TOLERANCE = 1e-3
-# geometries whose patch integrals stay cached; fixed so that runs over many
-# geometries (e.g. randomized draws) keep a bounded memory footprint
+# geometries whose patch integrals, and truncations whose J1 roots, stay
+# cached; fixed so that runs over many geometries (e.g. randomized draws)
+# keep a bounded memory footprint
 PATCH_CACHE_SIZE = 32
 
 
@@ -92,10 +93,12 @@ _J1_ROOT_TABLE = np.array([
 _J1_ROOT_TABLE.setflags(write=False)
 
 
+@lru_cache(maxsize=PATCH_CACHE_SIZE)
 def _j1_roots(n_modes: int) -> np.ndarray:
     """0 followed by the first ``n_modes - 1`` positive roots of J1 (read-only).
 
-    Truncations beyond the table search their roots with ``jn_zeros``.
+    Truncations beyond the table search their roots with ``jn_zeros``,
+    once per truncation.
     """
     count = n_modes - 1
     positive = _J1_ROOT_TABLE[:count] if count <= len(_J1_ROOT_TABLE) else jn_zeros(1, count)
@@ -185,12 +188,12 @@ def radial_integral(k: float, a: float, b: float) -> float:
 
 
 @lru_cache(maxsize=PATCH_CACHE_SIZE, typed=True)
-def _patch_integrals(
-    geometry: DuctGeometry, n_modes: int
-) -> tuple[ModalBasis, np.ndarray, np.ndarray]:
-    """Basis plus per-mode disk and ring integrals of the normalized eigenmode.
+def _patch_integrals(geometry: DuctGeometry, n_modes: int) -> tuple[ModalBasis, np.ndarray]:
+    """Basis plus the per-mode products of the patch integrals.
 
-    These depend only on the geometry and the truncation, so a sweep
+    ``products[i, j, n]`` is the product of the integrals of the
+    normalized eigenmode n over patches i and j (0 the disk, 1 the ring).
+    They depend only on the geometry and the truncation, so a sweep
     computes them once.  The returned arrays are shared between callers
     and therefore read-only.
     """
@@ -202,9 +205,11 @@ def _patch_integrals(
     outer = r2 * bessel_j1(k * r2)
     disk = np.concatenate(([0.5 * r1 * r1], inner / k)) / basis.wall_values
     ring = np.concatenate(([0.5 * (r2 * r2 - r1 * r1)], (outer - inner) / k)) / basis.wall_values
-    for array in (basis.k, basis.wall_values, disk, ring):
+    patch = np.stack((disk, ring))
+    products = patch[:, None, :] * patch[None, :, :]
+    for array in (basis.k, basis.wall_values, products):
         array.setflags(write=False)
-    return basis, disk, ring
+    return basis, products
 
 
 @dataclass(frozen=True)
@@ -227,7 +232,6 @@ class CouplingCoefficients:
     upstream: np.ndarray
     downstream: np.ndarray
     rel_change: float
-    above_cutoff: bool
 
 
 def coupling_coefficients(
@@ -250,7 +254,7 @@ def coupling_coefficients(
     """
     if not (f > 0 and math.isfinite(f)):
         raise DomainError(f"frequency must be positive, got {f}")
-    basis, disk, ring = _patch_integrals(geometry, n_modes)
+    basis, products = _patch_integrals(geometry, n_modes)
     r1, r2 = geometry.r1, geometry.r2
     omega = 2.0 * math.pi * f
     beta = basis.axial_wavenumbers(f, medium)
@@ -262,8 +266,7 @@ def coupling_coefficients(
     # division rounds differently from Python's
     cross = scale / (r1 * r1 * ring_sq)
     pre = np.array([[scale / r1 ** 4, cross], [cross, scale / ring_sq ** 2]])
-    patch = np.stack((disk, ring))
-    terms = pre[:, :, None] * (patch[:, None, :] * patch[None, :, :]) * green
+    terms = pre[:, :, None] * products * green
     running = np.cumsum(terms, axis=-1)
 
     half = n_modes // 2 if n_modes > 1 else 1
@@ -278,11 +281,6 @@ def coupling_coefficients(
             f"modal sum moved by {rel_change:.3e} (> {SUM_TOLERANCE:.1e}) when "
             f"doubling the truncation to {n_modes} modes at {f} Hz"
         )
-    above = f > first_cutoff_frequency(geometry, medium)
     return CouplingCoefficients(
-        frequency=f,
-        upstream=upstream,
-        downstream=downstream,
-        rel_change=rel_change,
-        above_cutoff=above,
+        frequency=f, upstream=upstream, downstream=downstream, rel_change=rel_change
     )

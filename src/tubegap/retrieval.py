@@ -41,6 +41,7 @@ from tubegap.modal import (
     DEFAULT_MODE_COUNT,
     CouplingCoefficients,
     coupling_coefficients,
+    first_cutoff_frequency,
     refuse_above_cutoff,
 )
 from tubegap.types import DuctGeometry, GapProperties, MediumProperties, ScatteringData
@@ -300,21 +301,12 @@ def impedance_from_fields(state: FieldState) -> complex:
     return _positive_real_sqrt(num / den)
 
 
-def index_from_fields(
-    state: FieldState,
-    k0: float,
-    t: float,
-    branch_m: int = 0,
-    sign: int = 1,
-) -> complex:
-    """Sample refractive index from its patch fields on the two faces.
-
-    n1 = (sign * arccos(ratio) + 2 pi m) / (k0 t) with
-    ratio = (p_in u_in + p_out u_out) / (p_in u_out + p_out u_in), using
-    the principal complex inverse cosine.
+def _index_phase(state: FieldState) -> complex:
+    """Principal complex arccos(ratio) with
+    ratio = (p_in u_in + p_out u_out) / (p_in u_out + p_out u_in), the
+    sample's phase thickness k0 n1 t up to its sign and branch.  Raises
+    DegenerateFieldsError where the ratio's denominator vanishes.
     """
-    if sign not in (1, -1):
-        raise DomainError(f"sign must be +1 or -1, got {sign}")
     num = state.p1_in * state.u1_in + state.p1_out * state.u1_out
     den = state.p1_in * state.u1_out + state.p1_out * state.u1_in
     scale = max(
@@ -325,18 +317,24 @@ def index_from_fields(
             "cross pressure-velocity product between the faces vanished; "
             "index is indeterminate here"
         )
-    ratio = num / den
-    return (sign * cmath.acos(ratio) + 2.0 * math.pi * branch_m) / (k0 * t)
+    return cmath.acos(num / den)
 
 
-def _index_candidates(state, k0, t, m_values):
-    """All (n1, m, sign) branch candidates for one frequency point."""
-    out = []
-    for m in m_values:
-        for sign in (1, -1):
-            n1 = index_from_fields(state, k0, t, branch_m=m, sign=sign)
-            out.append((n1, m, sign))
-    return out
+def index_from_fields(
+    state: FieldState,
+    k0: float,
+    t: float,
+    branch_m: int = 0,
+    sign: int = 1,
+) -> complex:
+    """Sample refractive index from its patch fields on the two faces.
+
+    n1 = (sign * arccos(ratio) + 2 pi m) / (k0 t) with the ratio and the
+    principal complex inverse cosine of ``_index_phase``.
+    """
+    if sign not in (1, -1):
+        raise DomainError(f"sign must be +1 or -1, got {sign}")
+    return (sign * _index_phase(state) + 2.0 * math.pi * branch_m) / (k0 * t)
 
 
 def retrieve_point(
@@ -344,32 +342,15 @@ def retrieve_point(
     geometry: DuctGeometry,
     medium: MediumProperties,
     config: RetrievalConfig = RetrievalConfig(),
-) -> tuple[FieldState, complex | None, complex | None, tuple[str, ...]]:
-    """Solve the interface system for one point and extract raw properties.
+) -> FieldState:
+    """Solve the interface system for one point and return its fields.
 
-    Returns the solved fields, the impedance and the branch-0/+ index (or
-    None where an extraction formula is degenerate), and the flags raised.
-    Branch selection happens at sweep level.
+    Extraction, branch selection and flags happen at sweep level.
     """
-    flags: list[str] = []
     matrix = transfer_matrix_from_tr(data, medium)
     coupling = coupling_coefficients(geometry, medium, data.f, n_modes=config.n_modes)
-    if coupling.above_cutoff:
-        flags.append("above_cutoff")
     q, y = assemble_system(matrix, geometry, medium, coupling)
-    state = solve_fields(q, y, frequency=data.f)
-    try:
-        z1 = impedance_from_fields(state)
-    except DegenerateFieldsError:
-        z1 = None
-        flags.append("degenerate_impedance")
-    k0 = 2.0 * math.pi * data.f / medium.c0
-    try:
-        n1 = index_from_fields(state, k0, geometry.t, branch_m=0, sign=1)
-    except DegenerateFieldsError:
-        n1 = None
-        flags.append("degenerate_index")
-    return state, z1, n1, tuple(flags)
+    return solve_fields(q, y, frequency=data.f)
 
 
 def retrieve_sweep(
@@ -386,7 +367,9 @@ def retrieve_sweep(
     p1_in = cos(k0 n1 t) p1_out + i z1 sin(k0 n1 t) u1_out, with the
     retrieved z1 (Re z1 >= 0), so a passive negative-index sample keeps
     Re(n1) < 0; every following point picks the (branch, sign) pair that
-    keeps n1 closest to its predecessor.  Points where the extraction is
+    keeps n1 closest to its predecessor.  Each point takes one inverse
+    cosine, shared by all its candidates.  Points above the first duct
+    cutoff are flagged "above_cutoff"; points where the extraction is
     degenerate are filled by linear interpolation from their neighbours
     and marked with an "interpolated" flag.
     """
@@ -399,42 +382,45 @@ def retrieve_sweep(
                               f"(counting from 0) is {f2} Hz, after {f1} Hz")
     if not config.allow_above_cutoff:
         refuse_above_cutoff(freqs, geometry, medium)
+    cutoff = first_cutoff_frequency(geometry, medium)
 
-    seed_m = config.branch_seed if config.branch_seed is not None else 0
-    results: list[RetrievedProperties | None] = []
+    seed_m = config.branch_seed or 0
+    results: list[RetrievedProperties] = []
     prev_n1: complex | None = None
     prev_m, prev_sign = seed_m, 1
     for point in data:
-        state, z1, n1_raw, flags = retrieve_point(point, geometry, medium, config)
-        k0 = 2.0 * math.pi * point.f / medium.c0
-        if z1 is None or n1_raw is None:
-            results.append(
-                RetrievedProperties(
-                    f=point.f, n1=math.nan, z1=math.nan, branch_m=prev_m,
-                    sign_choice=prev_sign, condition_number=state.condition_number,
-                    residual=state.residual, flags=flags,
-                )
-            )
-            continue
-        if prev_n1 is None:
-            # the seed branch's two candidates differ in the sign of sin(k0 n1 t),
-            # which the sample layer's first row fixes given z1 (Re z1 >= 0)
-            fields = np.array(astuple(state)[:8])
-            candidates = _index_candidates(state, k0, geometry.t, (seed_m,))
-            n1, m, sign = min(candidates, key=lambda c: abs(
-                _sample_rows(c[0], z1, k0, geometry.t)[0] @ fields))
+        state = retrieve_point(point, geometry, medium, config)
+        flags = ["above_cutoff"] if point.f > cutoff else []
+        try:
+            z1 = impedance_from_fields(state)
+        except DegenerateFieldsError:
+            z1 = None
+            flags.append("degenerate_impedance")
+        try:
+            theta = _index_phase(state)
+        except DegenerateFieldsError:
+            theta = None
+            flags.append("degenerate_index")
+        if z1 is None or theta is None:
+            # filled in later from the neighbours; keeps the last branch
+            n1, z1, m, sign = math.nan, math.nan, prev_m, prev_sign
         else:
-            m_values = range(prev_m - 2, prev_m + 3)
-            candidates = _index_candidates(state, k0, geometry.t, m_values)
-            n1, m, sign = min(candidates, key=lambda c: abs(c[0] - prev_n1))
-        prev_n1, prev_m, prev_sign = n1, m, sign
-        results.append(
-            RetrievedProperties(
-                f=point.f, n1=n1, z1=z1, branch_m=m, sign_choice=sign,
-                condition_number=state.condition_number, residual=state.residual,
-                flags=flags,
-            )
-        )
+            k0 = 2.0 * math.pi * point.f / medium.c0
+            m_values = (seed_m,) if prev_n1 is None else range(prev_m - 2, prev_m + 3)
+            candidates = [((sign * theta + 2.0 * math.pi * m) / (k0 * geometry.t), m, sign)
+                          for m in m_values for sign in (1, -1)]
+            if prev_n1 is None:
+                # the seed branch's two candidates differ in the sign of sin(k0 n1 t),
+                # which the sample layer's first row fixes given z1 (Re z1 >= 0)
+                fields = np.array(astuple(state)[:8])
+                n1, m, sign = min(candidates, key=lambda c: abs(
+                    _sample_rows(c[0], z1, k0, geometry.t)[0] @ fields))
+            else:
+                n1, m, sign = min(candidates, key=lambda c: abs(c[0] - prev_n1))
+            prev_n1, prev_m, prev_sign = n1, m, sign
+        results.append(RetrievedProperties(
+            f=point.f, n1=n1, z1=z1, branch_m=m, sign_choice=sign,
+            condition_number=state.condition_number, residual=state.residual, flags=tuple(flags)))
 
     return _fill_degenerate_points(results)
 

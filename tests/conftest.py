@@ -1,3 +1,9 @@
+import os
+
+# one BLAS thread, set before numpy loads: on small hosts OpenBLAS's thread
+# pool makes the first dense solves of a process 100-300 times slower
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 import pytest
 
 from tubegap.types import DuctGeometry, GapProperties, MediumProperties

@@ -270,8 +270,10 @@ class TestCli:
 
     def test_forward_warns_past_branch_zero(self, cfg_path, tmp_path, capsys):
         """n1 = 200 on sample 1 puts 400 Hz at k0 |Re(n1)| t = 7.62 > pi; the
-        sweep is still written as before, with a warning on stderr, and
-        roundtrip warns the same way.  n1 = -200 is as far past branch 0."""
+        sweep is still written as before, with a warning on stderr that
+        names the seed, round(k0 Re(n1) t / 2 pi) = 1, in both its forms, and
+        roundtrip warns the same way.  n1 = -200 is as far past branch 0,
+        on the seed -1."""
         tr, plain = tmp_path / "tr.csv", tmp_path / "plain.csv"
         assert self.run("forward", "--config", str(cfg_path), "--output", str(plain)) == 0
         assert "warning" not in capsys.readouterr().err
@@ -281,14 +283,16 @@ class TestCli:
         err = capsys.readouterr().err
         warning = "warning: k0*|Re(n1)|*t = 7.62 > pi at the first sweep point, 400.0 Hz"
         assert err.startswith(warning)
-        assert "--branch-seed" in err
+        assert "--branch-seed 1 (--set branch.seed=1)" in err
         assert len(read_tr_csv(tr)) == 4
         self.run("roundtrip", "--config", str(cfg_path), "--set", "material.n1_re=200")
         assert capsys.readouterr().err.startswith(warning)
         code = self.run("forward", "--config", str(cfg_path), "--set", "material.n1_re=-200",
                         "--output", str(tr))
         assert code == 0
-        assert capsys.readouterr().err.startswith(warning)
+        err = capsys.readouterr().err
+        assert err.startswith(warning)
+        assert "--branch-seed -1 (--set branch.seed=-1)" in err
 
     def test_forward_above_cutoff_refuses(self, cfg_path, tmp_path, capsys):
         """The sweep 400, 1400, 2400, 3400 Hz crosses the 2988 Hz cutoff;
@@ -313,15 +317,19 @@ class TestCli:
         assert capsys.readouterr().err == forward_err
         assert not out.exists()
 
-    def test_branch_seed_flag(self, cfg_path, tmp_path):
+    def test_branch_seed_flag(self, cfg_path, tmp_path, capsys):
+        """A one-point sweep is retrieved on the seed given, and the warning
+        names that seed."""
         tr = tmp_path / "tr.csv"
         out = tmp_path / "props.csv"
         assert self.run("forward", "--config", str(cfg_path), "--set", "sweep.count=1",
                         "--output", str(tr)) == 0
+        capsys.readouterr()
         assert self.run("retrieve", "--config", str(cfg_path), "--input", str(tr),
                         "--output", str(out), "--branch-seed", "1") == 0
         row = read_results_csv(out)[0]
         assert row["branch_m"] == 1
+        assert "using seed m=1" in capsys.readouterr().err
 
     def test_field_dump_needs_fdfd(self, cfg_path, tmp_path, capsys):
         tr, dump = tmp_path / "tr.csv", tmp_path / "field.csv"

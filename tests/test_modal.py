@@ -145,6 +145,22 @@ class TestJ1Roots:
             expected = np.concatenate(([0.0], positive))
             assert _j1_roots(n).tobytes() == expected.tobytes(), n
 
+    def test_roots_searched_once_per_truncation(self, medium, monkeypatch):
+        """Two fresh geometries at 200 modes, past the constant table, share
+        one ``jn_zeros`` search."""
+        calls = []
+
+        def counting_jn_zeros(n, nt):
+            calls.append(nt)
+            return jn_zeros(n, nt)
+
+        monkeypatch.setattr(modal, "jn_zeros", counting_jn_zeros)
+        _j1_roots.cache_clear()
+        for r2 in (0.0731, 0.0737):
+            geometry = DuctGeometry(r1=0.031, r2=r2, t=0.0052)
+            coupling_coefficients(geometry, medium, 700.0, n_modes=200)
+        assert calls == [199]
+
     @pytest.mark.parametrize("bad", [0, -3, 2.5])
     def test_count_validation(self, bad):
         with pytest.raises(DomainError):
@@ -224,10 +240,6 @@ class TestCouplingCoefficients:
         monkeypatch.setattr(modal, "SUM_TOLERANCE", 1e-9)
         with pytest.raises(ConvergenceError):
             coupling_coefficients(sample1_geometry, medium, 1000.0, n_modes=64)
-
-    def test_above_cutoff_flag(self, sample1_geometry, medium):
-        assert coupling_coefficients(sample1_geometry, medium, 3200.0).above_cutoff
-        assert not coupling_coefficients(sample1_geometry, medium, 1000.0).above_cutoff
 
     def test_frequency_validation(self, sample1_geometry, medium):
         with pytest.raises(DomainError):

@@ -184,7 +184,7 @@ class TestSolveFields:
         """A real sample-1 point passes under MAX_CONDITION and is refused,
         naming its frequency, once the bound drops below its condition."""
         data = ScatteringData(f=900.0, transmission=0.8 - 0.5j, reflection=0.2 + 0.1j)
-        state, *_ = retrieve_point(data, sample1_geometry, medium)
+        state = retrieve_point(data, sample1_geometry, medium)
         assert 1.0 < state.condition_number < MAX_CONDITION
         monkeypatch.setattr(retrieval_module, "MAX_CONDITION", state.condition_number / 2)
         with pytest.raises(IllConditionedSystemError, match="900.0 Hz") as err:

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from tubegap import modal
+from tubegap import retrieval as retrieval_module
 from tubegap.errors import DomainError
 from tubegap.retrieval import (
     RetrievalConfig,
@@ -132,6 +133,22 @@ class TestBranchTracking:
         assert seeded.branch_m == 1
         assert seeded.n1 == pytest.approx(5.0 + 2 * math.pi / k0t, rel=1e-9)
 
+    def test_one_inverse_cosine_per_point(self, sample1_geometry, medium, sample1_z2, monkeypatch):
+        """Every branch candidate of a point shares that point's one
+        inverse cosine, seed and continuity points alike."""
+        freqs = list(np.linspace(300.0, 2500.0, 45))
+        sweep = forward_averaged_sweep(5.0, 15.0 * sample1_z2, sample1_geometry, medium, freqs)
+        calls, acos = [], cmath.acos
+
+        def counting_acos(x):
+            calls.append(x)
+            return acos(x)
+
+        monkeypatch.setattr(retrieval_module.cmath, "acos", counting_acos)
+        results = retrieve_sweep(sweep, sample1_geometry, medium)
+        assert len(results) == 45
+        assert len(calls) == 45
+
 
 class TestDegenerateHandling:
     def test_half_wave_point_interpolated(self, medium):
@@ -176,7 +193,7 @@ class TestDegenerateHandling:
             5.0, 15.0 * sample1_z2, sample1_geometry, medium, [700.0, 2100.0]
         )
         for point in sweep:
-            state, _, _, _ = retrieve_point(point, sample1_geometry, medium)
+            state = retrieve_point(point, sample1_geometry, medium)
             flux_in = (
                 state.p1_in * state.u1_in.conjugate()
                 + state.p2_in * state.u2_in.conjugate()
@@ -196,6 +213,7 @@ class TestDegenerateHandling:
         results = retrieve_sweep(
             sweep, sample1_geometry, medium, RetrievalConfig(allow_above_cutoff=True)
         )
+        assert "above_cutoff" not in results[0].flags
         assert "above_cutoff" in results[1].flags
 
 
