@@ -8,7 +8,7 @@ Subcommands:
 * ``roundtrip`` - forward then retrieve, report per-frequency errors
 * ``modes``     - print the duct mode table (wavenumbers, cutoffs)
 
-Exit codes: 0 success, 1 validation failure, 2 numerical failure.
+Exit codes: 0 success, 1 validation or file failure, 2 numerical failure.
 """
 
 from __future__ import annotations
@@ -228,7 +228,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, DomainError, FileNotFoundError) as exc:
+    except (ConfigError, DomainError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except TubegapError as exc:

@@ -27,6 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
+from tubegap.datafiles import read_text
 from tubegap.errors import ConfigError
 from tubegap.fdfd import DEFAULT_CELLS_PER_WAVELENGTH
 from tubegap.modal import DEFAULT_MODE_COUNT
@@ -106,7 +107,7 @@ class RunConfig:
     def from_file(cls, path: str | Path | None, overrides: dict[str, str] | None = None) -> "RunConfig":
         values = dict(_DEFAULTS)
         if path is not None:
-            text = Path(path).read_text()
+            text = read_text(path)
             for lineno, line in enumerate(text.splitlines(), start=1):
                 stripped = line.split("#", 1)[0].strip()
                 if not stripped:

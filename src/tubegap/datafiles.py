@@ -43,6 +43,14 @@ def _write_table(path: str | Path, columns: list[str], rows, comments=()) -> Non
     Path(path).write_text("\n".join(lines) + "\n")
 
 
+def read_text(path: str | Path) -> str:
+    """The text of a file; undecodable bytes raise a ``ConfigError`` naming it."""
+    try:
+        return Path(path).read_text()
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not a text file ({exc})") from exc
+
+
 def _read_table(path: str | Path, columns: list[str], parse) -> list:
     """``parse(cells)`` of every data row, after checking the header and
     the column count.  A ``ValueError`` from ``parse`` becomes a
@@ -50,7 +58,7 @@ def _read_table(path: str | Path, columns: list[str], parse) -> list:
     reason, any other one reads as a non-numeric value."""
     rows = []
     header_seen = False
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
+    for lineno, line in enumerate(read_text(path).splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue

@@ -79,7 +79,7 @@ from tubegap.types import DuctGeometry, MaterialSpec, MediumProperties, Scatteri
 # ~33 cells per local wavelength aims at a few-per-mille scattering accuracy
 DEFAULT_CELLS_PER_WAVELENGTH = 33.0
 MIN_CELLS_PER_WAVELENGTH = 20
-# scene size above which build_scene refuses (ResolutionError)
+# cell count, or dense nr x nr array size, above which build_scene refuses (ResolutionError)
 MAX_CELLS = 6_000_000
 # first positive root of J1 (scipy.special.jn_zeros(1, 1)): the first
 # non-planar duct mode cuts on at k r2 = J1_FIRST_ROOT (only the warning below uses it)
@@ -250,10 +250,11 @@ def build_scene(
     dr, j_sleeve, nr = _snap_radial(geometry.r1, geometry.r2, dx)
 
     nx = nt + 2
-    if nx * nr > MAX_CELLS:
+    # the radial bases and the per-frequency blocks are dense nr x nr arrays
+    if max(nx * nr, nr * nr) > MAX_CELLS:
         raise ResolutionError(
-            f"scene needs {nx * nr} cells, above the budget of {MAX_CELLS}; "
-            "lower f_max or cells_per_wavelength"
+            f"scene needs {nx * nr} cells and {nr * nr} radial-basis entries, "
+            f"above the budget of {MAX_CELLS}; lower f_max or cells_per_wavelength"
         )
 
     rho = np.full((nx, nr), medium.rho0, dtype=complex)

@@ -27,7 +27,7 @@ J0 and J1 come from ``scipy.special``.  The first 127 roots of J1 are a
 constant, equal bit for bit to ``scipy.special.jn_zeros(1, 127)``; that
 covers twice the default truncation, and only larger ones call
 ``jn_zeros``, once per truncation.  The patch integrals are cached per
-geometry and truncation, so a sweep evaluates Bessel functions only
+pair of radii and truncation, so a sweep evaluates Bessel functions only
 once, as whole-array expressions.
 """
 
@@ -47,7 +47,7 @@ DEFAULT_MODE_COUNT = 64
 # largest relative movement of a coupling coefficient when the truncation is
 # doubled from n_modes/2 to n_modes; read at call time, so tests can patch it
 SUM_TOLERANCE = 1e-3
-# geometries whose patch integrals, and truncations whose J1 roots, stay
+# radius pairs whose patch integrals, and truncations whose J1 roots, stay
 # cached; fixed so that runs over many geometries (e.g. randomized draws)
 # keep a bounded memory footprint
 PATCH_CACHE_SIZE = 32
@@ -188,17 +188,17 @@ def radial_integral(k: float, a: float, b: float) -> float:
 
 
 @lru_cache(maxsize=PATCH_CACHE_SIZE, typed=True)
-def _patch_integrals(geometry: DuctGeometry, n_modes: int) -> tuple[ModalBasis, np.ndarray]:
+def _patch_integrals(r1: float, r2: float, n_modes: int) -> tuple[ModalBasis, np.ndarray]:
     """Basis plus the per-mode products of the patch integrals.
 
     ``products[i, j, n]`` is the product of the integrals of the
     normalized eigenmode n over patches i and j (0 the disk, 1 the ring).
-    They depend only on the geometry and the truncation, so a sweep
-    computes them once.  The returned arrays are shared between callers
-    and therefore read-only.
+    They depend only on the two radii and the truncation, not on the
+    thickness, so a sweep computes them once.  The returned arrays are
+    shared between callers and therefore read-only.
     """
-    basis = duct_wavenumbers(geometry, n_modes)
-    r1, r2 = geometry.r1, geometry.r2
+    # the basis reads only r2; any thickness builds the same one
+    basis = duct_wavenumbers(DuctGeometry(r1=r1, r2=r2, t=1.0), n_modes)
     # radial_integral's closed form over all modes; mode 0 (k = 0) separately
     k = basis.k[1:]
     inner = r1 * bessel_j1(k * r1)
@@ -254,8 +254,8 @@ def coupling_coefficients(
     """
     if not (f > 0 and math.isfinite(f)):
         raise DomainError(f"frequency must be positive, got {f}")
-    basis, products = _patch_integrals(geometry, n_modes)
     r1, r2 = geometry.r1, geometry.r2
+    basis, products = _patch_integrals(r1, r2, n_modes)
     omega = 2.0 * math.pi * f
     beta = basis.axial_wavenumbers(f, medium)
     green = 1.0 / (-1j * math.pi * r2 * r2 * beta)

@@ -240,7 +240,7 @@ def assemble_system(
     return q, y
 
 
-def solve_fields(q: np.ndarray, y: np.ndarray, frequency: float | None = None) -> FieldState:
+def solve_fields(q: np.ndarray, y: np.ndarray, frequency: float) -> FieldState:
     """Solve Q w = Y by LU with partial pivoting and verify the residual.
 
     The raw system mixes pressures (order 1 Pa) with volume velocities
@@ -249,27 +249,24 @@ def solve_fields(q: np.ndarray, y: np.ndarray, frequency: float | None = None) -
     before factorizing; the reported condition number is that of the
     equilibrated system, which is what actually bounds the solution
     error, and above ``MAX_CONDITION`` raises IllConditionedSystemError.
-    The residual is still measured on the original system.
+    Every refusal names ``frequency``.  The residual is still measured on
+    the original system.
     """
     col_scale = np.max(np.abs(q), axis=0)
     if np.any(col_scale == 0):
         raise IllConditionedSystemError(
-            "interface system has an identically zero column", frequency=frequency
-        )
+            f"interface system has an identically zero column at {frequency} Hz", frequency)
     q_eq = q / col_scale
     cond = float(np.linalg.cond(q_eq))
     if not math.isfinite(cond) or cond > MAX_CONDITION:
         raise IllConditionedSystemError(
-            f"interface system condition number {cond:.3e} exceeds {MAX_CONDITION:.1e}"
-            + (f" at {frequency} Hz" if frequency is not None else ""),
-            frequency=frequency,
-        )
+            f"interface system condition number {cond:.3e} exceeds {MAX_CONDITION:.1e} "
+            f"at {frequency} Hz", frequency)
     try:
         w = np.linalg.solve(q_eq, y) / col_scale
     except np.linalg.LinAlgError as exc:
         raise IllConditionedSystemError(
-            f"interface system is singular: {exc}", frequency=frequency
-        ) from exc
+            f"interface system is singular at {frequency} Hz: {exc}", frequency) from exc
     residual = float(np.linalg.norm(q @ w - y) / np.linalg.norm(y))
     return FieldState(*map(complex, w), condition_number=cond, residual=residual)
 
@@ -388,7 +385,8 @@ def retrieve_sweep(
     results: list[RetrievedProperties] = []
     prev_n1: complex | None = None
     prev_m, prev_sign = seed_m, 1
-    for point in data:
+    missing: list[int] = []
+    for i, point in enumerate(data):
         state = retrieve_point(point, geometry, medium, config)
         flags = ["above_cutoff"] if point.f > cutoff else []
         try:
@@ -403,6 +401,7 @@ def retrieve_sweep(
             flags.append("degenerate_index")
         if z1 is None or theta is None:
             # filled in later from the neighbours; keeps the last branch
+            missing.append(i)
             n1, z1, m, sign = math.nan, math.nan, prev_m, prev_sign
         else:
             k0 = 2.0 * math.pi * point.f / medium.c0
@@ -422,18 +421,18 @@ def retrieve_sweep(
             f=point.f, n1=n1, z1=z1, branch_m=m, sign_choice=sign,
             condition_number=state.condition_number, residual=state.residual, flags=tuple(flags)))
 
-    return _fill_degenerate_points(results)
+    _fill_degenerate_points(results, missing)
+    return results
 
 
-def _fill_degenerate_points(results: list[RetrievedProperties]) -> list[RetrievedProperties]:
-    """Linear interpolation of n1, z1 over flagged degenerate points."""
-    valid = [i for i, r in enumerate(results) if not _is_degenerate(r)]
+def _fill_degenerate_points(results: list[RetrievedProperties], missing: list[int]) -> None:
+    """Linear interpolation of n1, z1, in place, over the points at the increasing
+    indices ``missing`` from their nearest other points; an edge copies its neighbour."""
+    valid = sorted(set(range(len(results))).difference(missing))
     if not valid:
         raise DomainError("every sweep point is degenerate; nothing to interpolate from")
-    filled = list(results)
-    for i, r in enumerate(results):
-        if not _is_degenerate(r):
-            continue
+    for i in missing:
+        r = results[i]
         left = max((j for j in valid if j < i), default=None)
         right = min((j for j in valid if j > i), default=None)
         if left is None or right is None:
@@ -444,12 +443,7 @@ def _fill_degenerate_points(results: list[RetrievedProperties]) -> list[Retrieve
             w = (r.f - lo.f) / (hi.f - lo.f)
             n1 = lo.n1 + (hi.n1 - lo.n1) * w
             z1 = lo.z1 + (hi.z1 - lo.z1) * w
-        filled[i] = replace(r, n1=n1, z1=z1, flags=r.flags + ("interpolated",))
-    return filled
-
-
-def _is_degenerate(r: RetrievedProperties) -> bool:
-    return "degenerate_impedance" in r.flags or "degenerate_index" in r.flags
+        results[i] = replace(r, n1=n1, z1=z1, flags=r.flags + ("interpolated",))
 
 
 def classic_retrieve(
@@ -475,12 +469,7 @@ def classic_retrieve(
         raise DegenerateFieldsError("m21 vanished; impedance is indeterminate here")
     z = _positive_real_sqrt(matrix.m12 / matrix.m21)
     theta = cmath.acos(matrix.m11)
-    best_sign, best_err = 1, math.inf
-    for sign in (1, -1):
-        reconstructed = 1j * z * cmath.sin(sign * theta)
-        err = abs(reconstructed - matrix.m12)
-        if err < best_err:
-            best_sign, best_err = sign, err
+    best_sign = min((1, -1), key=lambda sign: abs(1j * z * cmath.sin(sign * theta) - matrix.m12))
     n = (best_sign * theta + 2.0 * math.pi * branch_m) / (k0 * t)
     return RetrievedProperties(
         f=data.f, n1=n, z1=z, branch_m=branch_m, sign_choice=best_sign
@@ -492,7 +481,8 @@ def forward_averaged(
     z1: complex,
     geometry: DuctGeometry,
     medium: MediumProperties,
-    coupling: CouplingCoefficients,
+    f: float,
+    n_modes: int = DEFAULT_MODE_COUNT,
 ) -> tuple[complex, complex]:
     """Scattering coefficients predicted by the averaged interface model.
 
@@ -501,7 +491,8 @@ def forward_averaged(
     a measured transfer matrix: rows are the shared interface rows
     (``_interface_rows``: the four duct radiation conditions, with a
     unit-amplitude blocked-pressure drive upstream, and the gap layer) at
-    ``coupling.frequency``, then the sample layer.  Then
+    ``f``, with the coupling ``retrieve_point`` computes, then the sample
+    layer.  Then
 
         T = alpha * (u1_out + u2_out) / S2
         R = 1 - alpha * (u1_in + u2_in) / S2
@@ -509,7 +500,7 @@ def forward_averaged(
     Feeding the result back through the retrieval reproduces (n1, z1) to
     solver precision, which the test suite exercises heavily.
     """
-    f = coupling.frequency
+    coupling = coupling_coefficients(geometry, medium, f, n_modes=n_modes)
     k0 = 2.0 * math.pi * f / medium.c0
     q = np.vstack(
         [_interface_rows(geometry, medium, coupling), _sample_rows(n1, z1, k0, geometry.t)]
@@ -531,9 +522,5 @@ def forward_averaged_sweep(
     n_modes: int = DEFAULT_MODE_COUNT,
 ) -> list[ScatteringData]:
     """Averaged-model scattering data over a frequency list."""
-    out = []
-    for f in freqs:
-        coupling = coupling_coefficients(geometry, medium, f, n_modes=n_modes)
-        t_coef, r_coef = forward_averaged(n1, z1, geometry, medium, coupling)
-        out.append(ScatteringData(f=f, transmission=t_coef, reflection=r_coef))
-    return out
+    return [ScatteringData(f, *forward_averaged(n1, z1, geometry, medium, f, n_modes))
+            for f in freqs]

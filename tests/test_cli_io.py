@@ -237,6 +237,31 @@ class TestCli:
                         "--output", str(tmp_path / "out.csv"))
         assert code == 1
 
+    @pytest.mark.parametrize("case", ["input_folder", "input_binary", "config_folder",
+                                      "config_binary", "output_folder"])
+    def test_unreadable_paths_are_validation_errors(self, cfg_path, tmp_path, capsys, case):
+        """A folder or a binary file where a text file belongs ends in exit 1
+        and one error line naming it, not a traceback."""
+        folder, binary = tmp_path / "folder", tmp_path / "binary.csv"
+        folder.mkdir()
+        binary.write_bytes(b"\xff\xfe\x00\x80" * 8)
+        out = str(tmp_path / "out.csv")
+        argv, culprit = {
+            "input_folder": (("retrieve", "--config", str(cfg_path), "--input", str(folder),
+                              "--output", out), folder),
+            "input_binary": (("retrieve", "--config", str(cfg_path), "--input", str(binary),
+                              "--output", out), binary),
+            "config_folder": (("forward", "--config", str(folder), "--output", out), folder),
+            "config_binary": (("forward", "--config", str(binary), "--output", out), binary),
+            "output_folder": (("forward", "--config", str(cfg_path), "--output", str(folder)),
+                              folder),
+        }[case]
+        code = self.run(*argv)
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error:") and str(culprit) in err
+        assert "Traceback" not in err
+
     def test_empty_input_reports_no_data(self, cfg_path, tmp_path, capsys):
         empty = tmp_path / "empty.csv"
         empty.write_text("f_hz,re_t,im_t,re_r,im_r\n")

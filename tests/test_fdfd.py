@@ -66,6 +66,14 @@ class TestBuildScene:
         with pytest.raises(ResolutionError):
             build_scene(sample1_material, sample1_geometry, 2500.0, medium=medium)
 
+    def test_radial_basis_budget_enforced(self, sample1_geometry, medium, sample1_material,
+                                          monkeypatch):
+        """The dense nr x nr radial bases count against the budget too: the
+        default sample-1 scene has 504 cells but nr^2 = 3136 entries."""
+        monkeypatch.setattr(fdfd_module, "MAX_CELLS", 3000)
+        with pytest.raises(ResolutionError, match="504 cells and 3136"):
+            build_scene(sample1_material, sample1_geometry, 2500.0, medium=medium)
+
     @pytest.mark.parametrize("ppw", [MIN_CELLS_PER_WAVELENGTH - 1, -5.0, math.nan, math.inf])
     def test_resolution_below_minimum_rejected(self, sample1_geometry, medium, ppw):
         """Too coarse or non-finite resolutions are refused, not silently raised."""

@@ -269,3 +269,11 @@ class TestCouplingCoefficients:
         for geom in geoms:
             coupling_coefficients(geom, medium, 900.0, n_modes=4)
         assert _patch_integrals.cache_info().currsize == PATCH_CACHE_SIZE
+
+    def test_patch_cache_ignores_thickness(self, medium):
+        """The patch integrals depend on the radii and the truncation only,
+        so a second thickness at the same radii is a cache hit."""
+        _patch_integrals.cache_clear()
+        for t in (0.005, 0.008):
+            coupling_coefficients(DuctGeometry(r1=0.04, r2=0.07, t=t), medium, 900.0)
+        assert _patch_integrals.cache_info().misses == 1

@@ -152,7 +152,7 @@ class TestAssembleSystem:
 class TestSolveFields:
     def test_identity_system(self):
         y = np.array([0, 0, 2, 2, 0, 0, 0, 0], dtype=complex)
-        state = solve_fields(np.eye(8, dtype=complex), y)
+        state = solve_fields(np.eye(8, dtype=complex), y, frequency=500.0)
         assert np.allclose(field_values(state), y)
         assert state.residual < 1e-15
         assert state.condition_number == pytest.approx(1.0)
@@ -161,14 +161,14 @@ class TestSolveFields:
         rng = np.random.default_rng(3)
         q = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8)) + 4 * np.eye(8)
         w_true = rng.normal(size=8) + 1j * rng.normal(size=8)
-        state = solve_fields(q, q @ w_true)
+        state = solve_fields(q, q @ w_true, frequency=500.0)
         assert np.allclose(field_values(state), w_true, rtol=1e-12)
         assert state.residual < 1e-12
 
     def test_singular_system_rejected(self):
         q = np.zeros((8, 8), dtype=complex)
         q[:, 0] = 1.0
-        with pytest.raises(IllConditionedSystemError):
+        with pytest.raises(IllConditionedSystemError, match="777.0 Hz"):
             solve_fields(q, np.ones(8, dtype=complex), frequency=777.0)
 
     def test_condition_gate(self):

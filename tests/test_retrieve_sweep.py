@@ -165,6 +165,20 @@ class TestDegenerateHandling:
         clean = [r for r in results if "interpolated" not in r.flags]
         assert max(abs(r.n1 - n1) / n1 for r in clean) < 1e-8
 
+    def test_sweep_starting_on_half_wave_point(self, medium):
+        """A degenerate first point has no left neighbour: it takes its right
+        neighbour's values, and the sweep stays on the seeded branch."""
+        geometry = DuctGeometry(r1=0.04, r2=0.07, t=0.05)
+        z2 = GapProperties.from_geometry(geometry, medium).z2.real
+        n1 = 5.0
+        f_degenerate = medium.c0 / (2 * n1 * geometry.t)
+        freqs = [f_degenerate + 100.0 * i for i in range(5)]
+        results = roundtrip(n1, 8.0 * z2, geometry, medium, freqs, RetrievalConfig(branch_seed=1))
+        assert results[0].flags == ("degenerate_impedance", "interpolated")
+        assert (results[0].n1, results[0].z1) == (results[1].n1, results[1].z1)
+        assert all("interpolated" not in r.flags for r in results[1:])
+        assert max(abs(r.n1 - n1) for r in results) < 1e-8
+
     def test_validation_errors(self, sample1_geometry, medium):
         with pytest.raises(DomainError):
             retrieve_sweep([], sample1_geometry, medium)
