@@ -17,6 +17,7 @@ import argparse
 import math
 import statistics
 import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -69,7 +70,18 @@ def _load_config(args: argparse.Namespace) -> RunConfig:
     return RunConfig.from_file(args.config, overrides=_overrides(args))
 
 
+def _refuse_unwritable(*paths: str | None) -> None:
+    """Refuse, before any work, an output path that is a folder or whose
+    folder does not exist."""
+    for path in map(Path, filter(None, paths)):
+        if path.is_dir():
+            raise ConfigError(f"cannot write {path}: it is a folder")
+        if not path.parent.is_dir():
+            raise ConfigError(f"cannot write {path}: its folder does not exist")
+
+
 def cmd_retrieve(args: argparse.Namespace) -> int:
+    _refuse_unwritable(args.output)
     config = _load_config(args)
     data = read_tr_csv(args.input)
     geometry, medium = config.geometry(), config.medium()
@@ -113,6 +125,7 @@ def _forward_data(config: RunConfig, method: str):
 def cmd_forward(args: argparse.Namespace) -> int:
     if args.dump_field and args.method != "fdfd":
         raise ConfigError(f"--dump-field needs --method fdfd, got --method {args.method}")
+    _refuse_unwritable(args.output, args.dump_field)
     config = _load_config(args)
     data, scene = _forward_data(config, args.method)
     write_tr_csv(args.output, data, comments=[f"forward sweep, method={args.method}"])

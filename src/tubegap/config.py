@@ -34,43 +34,30 @@ from tubegap.modal import DEFAULT_MODE_COUNT
 from tubegap.retrieval import RetrievalConfig
 from tubegap.types import DuctGeometry, GapProperties, MaterialSpec, MediumProperties
 
-_SCHEMA: dict[str, type] = {
-    "medium.rho0": float,
-    "medium.c0": float,
-    "geometry.r1": float,
-    "geometry.r2": float,
-    "geometry.t": float,
-    "modal.count": int,
-    "branch.seed": int,
-    "sweep.start": float,
-    "sweep.stop": float,
-    "sweep.count": int,
-    "material.n1_re": float,
-    "material.n1_im": float,
-    "material.z1_over_z2": float,
-    "material.z1_re": float,
-    "material.z1_im": float,
-    "oracle.cells_per_wavelength": float,
+# every key: (type, default, or None where the key has no default)
+_KEYS: dict[str, tuple[type, object]] = {
+    "medium.rho0": (float, MediumProperties().rho0),
+    "medium.c0": (float, MediumProperties().c0),
+    "geometry.r1": (float, None),
+    "geometry.r2": (float, None),
+    "geometry.t": (float, None),
+    "modal.count": (int, DEFAULT_MODE_COUNT),
+    "branch.seed": (int, None),
+    "sweep.start": (float, 300.0),
+    "sweep.stop": (float, 2500.0),
+    "sweep.count": (int, 45),
+    "material.n1_re": (float, None),
+    "material.n1_im": (float, 0.0),
+    "material.z1_over_z2": (float, None),
+    "material.z1_re": (float, None),
+    "material.z1_im": (float, 0.0),
+    "oracle.cells_per_wavelength": (float, DEFAULT_CELLS_PER_WAVELENGTH),
     # accepted and ignored: the simulator no longer sizes anything from the
     # lowest frequency, but benchmarks/workloads.fdfd_config still passes
     # it; remove it with ROADMAP item 1 (benchmark housekeeping)
-    "oracle.f_min": float,
-    "retrieve.allow_above_cutoff": bool,
-    "roundtrip.tolerance": float,
-}
-
-_DEFAULTS: dict[str, object] = {
-    "medium.rho0": MediumProperties().rho0,
-    "medium.c0": MediumProperties().c0,
-    "modal.count": DEFAULT_MODE_COUNT,
-    "sweep.start": 300.0,
-    "sweep.stop": 2500.0,
-    "sweep.count": 45,
-    "material.n1_im": 0.0,
-    "material.z1_im": 0.0,
-    "oracle.cells_per_wavelength": DEFAULT_CELLS_PER_WAVELENGTH,
-    "retrieve.allow_above_cutoff": False,
-    "roundtrip.tolerance": 0.01,
+    "oracle.f_min": (float, None),
+    "retrieve.allow_above_cutoff": (bool, False),
+    "roundtrip.tolerance": (float, 0.01),
 }
 
 
@@ -105,7 +92,7 @@ class RunConfig:
 
     @classmethod
     def from_file(cls, path: str | Path | None, overrides: dict[str, str] | None = None) -> "RunConfig":
-        values = dict(_DEFAULTS)
+        values = {key: default for key, (_, default) in _KEYS.items() if default is not None}
         if path is not None:
             text = read_text(path)
             for lineno, line in enumerate(text.splitlines(), start=1):
@@ -115,13 +102,13 @@ class RunConfig:
                 if "=" not in stripped:
                     raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
                 key, raw = (part.strip() for part in stripped.split("=", 1))
-                if key not in _SCHEMA:
+                if key not in _KEYS:
                     raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-                values[key] = parse_value(key, raw, _SCHEMA[key])
+                values[key] = parse_value(key, raw, _KEYS[key][0])
         for key, raw in (overrides or {}).items():
-            if key not in _SCHEMA:
+            if key not in _KEYS:
                 raise ConfigError(f"override: unknown key {key!r}")
-            values[key] = parse_value(key, raw, _SCHEMA[key])
+            values[key] = parse_value(key, raw, _KEYS[key][0])
         return cls(values=values)
 
     def require(self, key: str) -> object:

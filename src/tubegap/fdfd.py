@@ -54,8 +54,9 @@ that dense system.  The scene is mirror-symmetric about x = t/2, so the
 even and odd parts of the pair decouple into two dense nr x nr solves.
 The span's field is then W times the chains' amplitudes.  Every solve is
 checked against the full five-point operator with its terminations,
-applied cell by cell: a relative residual of 1e-9 or more raises
-``ResolutionError``.
+applied cell by cell.  The check builds that operator from the media maps
+and shares no coefficient array with the modal solve; a relative residual
+of 1e-9 or more raises ``ResolutionError``.
 
 Usage: ``scene = build_scene(material, geometry, f_max, medium)`` once per
 sweep, then ``solve_harmonic(scene, f)`` returns (T, R) at each frequency.
@@ -111,9 +112,6 @@ class SimGrid:
     span_modes: np.ndarray           # (nr, nr) W, block-diagonal: mode m lies in the block
                                      # (disk or annulus) of ring m
     span_modes_inv: np.ndarray       # (nr, nr) W^-1
-    axial_coupling: np.ndarray       # (nx-1, nr) coupling of columns i and i+1
-    radial_coupling_hi: np.ndarray   # (nx, nr-1) coupling of ring j to ring j-1, in the row of ring j
-    radial_coupling_lo: np.ndarray   # (nx, nr-1) coupling of ring j-1 to ring j, in the row of ring j-1
     area_weights: np.ndarray         # (nr,) ring-centre radii, the weights of a column's area average
 
     @property
@@ -195,27 +193,6 @@ def _span_basis(nr: int, j_sleeve: int, dr: float) -> tuple[np.ndarray, np.ndarr
     return lam, modes, modes_inv
 
 
-def _couplings(rho: np.ndarray, dx: float, dr: float, j_sleeve: int) -> dict[str, np.ndarray]:
-    """Face couplings of the five-point operator, as ``SimGrid`` fields.
-
-    Face fluxes use series transmissibility; a rigid sleeve zeroes its
-    faces.  These fix the operator that the residual check applies."""
-    # axial fluxes between columns i-1 and i
-    g = 2.0 / ((rho[:-1, :] + rho[1:, :]) * dx ** 2)     # (nx-1, nr)
-    # radial fluxes between rings j-1 and j (face j at radius j*dr)
-    r_face = np.arange(1, rho.shape[1]) * dr
-    r_cell = (np.arange(rho.shape[1]) + 0.5) * dr
-    tr = 2.0 / (rho[:, :-1] + rho[:, 1:])          # (nx, nr-1)
-    if j_sleeve > 0:
-        tr[1:-1, j_sleeve - 1] = 0.0   # rigid sleeve over the sample columns: no flux through r = r1
-    return {
-        "axial_coupling": g,
-        "radial_coupling_hi": r_face[None, :] * tr / (r_cell[None, 1:] * dr ** 2),   # row of cell j
-        "radial_coupling_lo": r_face[None, :] * tr / (r_cell[None, :-1] * dr ** 2),  # row of cell j-1
-        "area_weights": r_cell,
-    }
-
-
 def build_scene(
     material: MaterialSpec | None,
     geometry: DuctGeometry,
@@ -273,7 +250,7 @@ def build_scene(
         "rho": rho, "kappa": kappa,
         "radial_eigenvalues": lam, "radial_modes": modes, "radial_modes_inv": modes_inv,
         "span_eigenvalues": span_lam, "span_modes": span_modes, "span_modes_inv": span_modes_inv,
-        **_couplings(rho, dx, dr, sleeve),
+        "area_weights": (np.arange(nr) + 0.5) * dr,
     }
     for array in fields.values():
         array.setflags(write=False)
@@ -299,17 +276,23 @@ def _termination_factors(scene: SimGrid, k0: float) -> np.ndarray:
 
 def _apply_operator(scene: SimGrid, omega: float, terminate, p: np.ndarray) -> np.ndarray:
     """The five-point operator with both terminations, applied cell by cell
-    to p[nx, nr]; ``terminate`` maps an end column to its ghost column's
+    to p[nx, nr] and built from the media maps alone: face fluxes use series
+    transmissibility, and the sleeve face carries none over the sample
+    columns.  ``terminate`` maps an end column to its ghost column's
     scattered part, p_ghost = M p_end."""
+    rho, dx, dr, r = scene.rho, scene.dx, scene.dr, scene.area_weights
     out = omega ** 2 / scene.kappa * p
-    flux = scene.axial_coupling * np.diff(p, axis=0)
+    flux = 2.0 / ((rho[:-1] + rho[1:]) * dx ** 2) * np.diff(p, axis=0)
     out[:-1] += flux
     out[1:] -= flux
-    step = np.diff(p, axis=1)
-    out[:, :-1] += scene.radial_coupling_lo * step
-    out[:, 1:] -= scene.radial_coupling_hi * step
+    # radius-weighted flux through face j (at j dr, between rings j-1 and j)
+    flux = 2.0 * np.arange(1, r.size) / ((rho[:, :-1] + rho[:, 1:]) * dr) * np.diff(p, axis=1)
+    if scene.j_sleeve > 0:
+        flux[1:-1, scene.j_sleeve - 1] = 0.0
+    out[:, :-1] += flux / r[:-1]
+    out[:, 1:] -= flux / r[1:]
     ends = p[[0, -1]]
-    out[[0, -1]] += (terminate(ends) - ends) / (scene.medium.rho0 * scene.dx ** 2)
+    out[[0, -1]] += (terminate(ends) - ends) / (scene.medium.rho0 * dx ** 2)
     return out
 
 
@@ -336,7 +319,7 @@ def _solve_field(scene: SimGrid, f: float) -> tuple[np.ndarray, float]:
     nt = scene.n_sample_cells
     rho, kappa = scene.rho[1], scene.kappa[1]
     c = 1.0 / (rho * dx ** 2)
-    g = scene.axial_coupling[0]
+    g = 2.0 / ((scene.rho[0] + rho) * dx ** 2)
     diag = np.tile(omega ** 2 / kappa - scene.span_eigenvalues / rho - 2.0 * c, (nt, 1))
     diag[0] += c - g
     diag[-1] += c - g

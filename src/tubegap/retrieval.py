@@ -44,7 +44,8 @@ from tubegap.modal import (
     first_cutoff_frequency,
     refuse_above_cutoff,
 )
-from tubegap.types import DuctGeometry, GapProperties, MediumProperties, ScatteringData
+from tubegap.types import (DuctGeometry, GapProperties, MaterialSpec, MediumProperties,
+                           ScatteringData)
 
 # largest condition number of the equilibrated interface system solve_fields accepts
 MAX_CONDITION = 1e12
@@ -144,8 +145,9 @@ def transfer_matrix_from_tr(data: ScatteringData, medium: MediumProperties) -> T
         )
     alpha = medium.alpha
     m11 = (1.0 - r_coef * r_coef + t_coef * t_coef) / (2.0 * t_coef)
-    m12 = alpha * ((1.0 + r_coef) ** 2 - t_coef * t_coef) / (2.0 * t_coef)
-    m21 = ((1.0 - r_coef) ** 2 - t_coef * t_coef) / (2.0 * t_coef * alpha)
+    # squares by multiplication: an overflow gives inf, where ** 2 raises
+    m12 = alpha * ((1.0 + r_coef) * (1.0 + r_coef) - t_coef * t_coef) / (2.0 * t_coef)
+    m21 = ((1.0 - r_coef) * (1.0 - r_coef) - t_coef * t_coef) / (2.0 * t_coef * alpha)
     return TransferMatrix(m11=m11, m12=m12, m21=m21, m22=m11)
 
 
@@ -248,14 +250,14 @@ def solve_fields(q: np.ndarray, y: np.ndarray, frequency: float) -> FieldState:
     that unit gap.  Columns are therefore equilibrated to unit max-norm
     before factorizing; the reported condition number is that of the
     equilibrated system, which is what actually bounds the solution
-    error, and above ``MAX_CONDITION`` raises IllConditionedSystemError.
-    Every refusal names ``frequency``.  The residual is still measured on
-    the original system.
+    error, and above ``MAX_CONDITION`` raises IllConditionedSystemError, as
+    does a zero or non-finite column.  Every refusal names ``frequency``.
+    The residual is still measured on the original system.
     """
     col_scale = np.max(np.abs(q), axis=0)
-    if np.any(col_scale == 0):
+    if not np.all((col_scale > 0) & (col_scale < math.inf)):
         raise IllConditionedSystemError(
-            f"interface system has an identically zero column at {frequency} Hz", frequency)
+            f"interface system has a zero or non-finite column at {frequency} Hz", frequency)
     q_eq = q / col_scale
     cond = float(np.linalg.cond(q_eq))
     if not math.isfinite(cond) or cond > MAX_CONDITION:
@@ -498,13 +500,20 @@ def forward_averaged(
         R = 1 - alpha * (u1_in + u2_in) / S2
 
     Feeding the result back through the retrieval reproduces (n1, z1) to
-    solver precision, which the test suite exercises heavily.
+    solver precision, which the test suite exercises heavily.  A zero or
+    non-finite n1 or z1 raises DomainError, and a sample phase k0 n1 t
+    whose cosine overflows raises IllConditionedSystemError.
     """
+    MaterialSpec(n1=n1, z1=z1)
     coupling = coupling_coefficients(geometry, medium, f, n_modes=n_modes)
     k0 = 2.0 * math.pi * f / medium.c0
-    q = np.vstack(
-        [_interface_rows(geometry, medium, coupling), _sample_rows(n1, z1, k0, geometry.t)]
-    )
+    try:
+        sample = _sample_rows(n1, z1, k0, geometry.t)
+    except OverflowError as exc:
+        raise IllConditionedSystemError(
+            f"the sample's phase k0*n1*t = {k0 * n1 * geometry.t:.4g} overflows at {f} Hz", f
+        ) from exc
+    q = np.vstack([_interface_rows(geometry, medium, coupling), sample])
     y = np.array([2.0, 2.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0], dtype=complex)
     state = solve_fields(q, y, frequency=f)
     alpha = medium.alpha

@@ -127,10 +127,19 @@ class TestDataFiles:
         assert row["flags"] == ("above_cutoff",)
 
     def test_malformed_lines_report_position(self, tmp_path):
+        """A non-numeric cell, a wrong header and a wrong column count name
+        their line; a file of comments only has no header row."""
         path = tmp_path / "broken.csv"
-        path.write_text("f_hz,re_t,im_t,re_r,im_r\n100,0.5,0.1,abc,0\n")
-        with pytest.raises(ConfigError, match="broken.csv:2"):
-            read_tr_csv(path)
+        for text, message in [
+            ("f_hz,re_t,im_t,re_r,im_r\n100,0.5,0.1,abc,0\n", "broken.csv:2: non-numeric value"),
+            ("# sweep\nf,re_t,im_t,re_r,im_r\n100,0.5,0.1,0.2,0\n",
+             "broken.csv:2: expected header 'f_hz,re_t,im_t,re_r,im_r', got 'f,re_t"),
+            ("f_hz,re_t,im_t,re_r,im_r\n100,0.5,0.1,0.2\n", "broken.csv:2: expected 5 columns, got 4"),
+            ("# only comments\n# here\n", "broken.csv: no header row found"),
+        ]:
+            path.write_text(text)
+            with pytest.raises(ConfigError, match=re.escape(message)):
+                read_tr_csv(path)
 
     def test_empty_file_rejected(self, tmp_path):
         path = tmp_path / "empty.csv"
@@ -238,14 +247,26 @@ class TestCli:
         assert code == 1
 
     @pytest.mark.parametrize("case", ["input_folder", "input_binary", "config_folder",
-                                      "config_binary", "output_folder"])
-    def test_unreadable_paths_are_validation_errors(self, cfg_path, tmp_path, capsys, case):
-        """A folder or a binary file where a text file belongs ends in exit 1
-        and one error line naming it, not a traceback."""
+                                      "config_binary", "output_folder", "output_missing_parent",
+                                      "dump_folder", "retrieve_output_folder"])
+    def test_unreadable_paths_are_validation_errors(self, cfg_path, tmp_path, capsys, case,
+                                                    monkeypatch):
+        """A folder or a binary file where a text file belongs, or an output
+        whose folder does not exist, ends in exit 1 and one error line naming
+        it, not a traceback; an output is refused before any sweep runs."""
+        def no_sweep(*args, **kwargs):
+            raise AssertionError("the sweep ran before the output path was checked")
+
+        monkeypatch.setattr("tubegap.cli.forward_averaged_sweep", no_sweep)
+        monkeypatch.setattr("tubegap.cli.build_scene", no_sweep)
+        monkeypatch.setattr("tubegap.cli.retrieve_sweep", no_sweep)
         folder, binary = tmp_path / "folder", tmp_path / "binary.csv"
         folder.mkdir()
         binary.write_bytes(b"\xff\xfe\x00\x80" * 8)
         out = str(tmp_path / "out.csv")
+        tr = tmp_path / "tr.csv"
+        write_tr_csv(tr, [ScatteringData(f=500.0, transmission=0.9 + 0j, reflection=0.1 + 0j)])
+        nowhere = tmp_path / "nowhere" / "out.csv"
         argv, culprit = {
             "input_folder": (("retrieve", "--config", str(cfg_path), "--input", str(folder),
                               "--output", out), folder),
@@ -255,12 +276,57 @@ class TestCli:
             "config_binary": (("forward", "--config", str(binary), "--output", out), binary),
             "output_folder": (("forward", "--config", str(cfg_path), "--output", str(folder)),
                               folder),
+            "output_missing_parent": (("forward", "--config", str(cfg_path),
+                                       "--output", str(nowhere)), nowhere),
+            "dump_folder": (("forward", "--config", str(cfg_path), "--method", "fdfd",
+                             "--output", out, "--dump-field", str(folder)), folder),
+            "retrieve_output_folder": (("retrieve", "--config", str(cfg_path), "--input", str(tr),
+                                        "--output", str(folder)), folder),
         }[case]
         code = self.run(*argv)
         err = capsys.readouterr().err
         assert code == 1
         assert err.startswith("error:") and str(culprit) in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("case", ["forward_phase", "retrieve_tiny_t", "retrieve_huge_tr"])
+    def test_overflows_are_numerical_errors(self, cfg_path, tmp_path, capsys, case):
+        """Numbers that overflow (a sample phase whose cosine overflows, a
+        layer matrix entry that overflows to inf, squares of 1e300) end in
+        exit 2 and one numerical-error line naming the frequency, not a
+        traceback or a written file."""
+        tr, out = tmp_path / "tr.csv", tmp_path / "out.csv"
+        if case == "forward_phase":
+            argv, f = ("forward", "--set", "material.n1_im=-1e5"), 400.0
+        else:
+            row = {"retrieve_tiny_t": "1000,1e-307,0,0.5,0",
+                   "retrieve_huge_tr": "1000,1e300,0,1e300,0"}[case]
+            tr.write_text(f"f_hz,re_t,im_t,re_r,im_r\n{row}\n")
+            argv, f = ("retrieve", "--input", str(tr)), 1000.0
+        code = self.run(*argv, "--config", str(cfg_path), "--output", str(out))
+        err = capsys.readouterr().err
+        assert code == 2
+        errors = [line for line in err.splitlines() if line.startswith("numerical error:")]
+        assert len(errors) == 1 and errors[0].endswith(f" at {f} Hz")
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_complex_impedance_round_trip(self, tmp_path):
+        """material.z1_re and material.z1_im set a complex z1, which a
+        forward then retrieve recovers."""
+        z1 = complex(6.0e5, -4.0e4)
+        cfg = tmp_path / "z1.cfg"
+        cfg.write_text(SAMPLE1_CFG.replace(
+            "material.z1_over_z2 = 15\n", f"material.z1_re = {z1.real}\nmaterial.z1_im = {z1.imag}\n"))
+        assert RunConfig.from_file(cfg).material().z1 == z1
+        tr, out = tmp_path / "tr.csv", tmp_path / "props.csv"
+        assert self.run("forward", "--config", str(cfg), "--output", str(tr)) == 0
+        assert self.run("retrieve", "--config", str(cfg), "--input", str(tr),
+                        "--output", str(out)) == 0
+        rows = read_results_csv(out)
+        assert len(rows) == 4
+        for row in rows:
+            assert abs(row["z1"] - z1) / abs(z1) < 1e-8
 
     def test_empty_input_reports_no_data(self, cfg_path, tmp_path, capsys):
         empty = tmp_path / "empty.csv"

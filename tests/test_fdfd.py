@@ -1,6 +1,7 @@
 """Finite-difference oracle: grid building, (T, R) read-out, physics checks."""
 
 import cmath
+import dataclasses
 import functools
 import math
 import re
@@ -15,6 +16,7 @@ from mm_reference import solve_bilayer_scene
 from tubegap.errors import DomainError, ResolutionError
 from tubegap.fdfd import (
     MIN_CELLS_PER_WAVELENGTH,
+    SimGrid,
     build_scene,
     grid_wavenumber,
     solve_field,
@@ -210,11 +212,11 @@ class TestStencil:
         assert not np.any(changed & ~allowed)
 
     def test_solve_leaves_stencil_untouched(self, small_scene):
-        """The per-scene arrays, the span's basis among them, are read-only
-        and identical after solves."""
-        names = ("rho", "kappa", "radial_eigenvalues", "radial_modes", "radial_modes_inv",
-                 "span_eigenvalues", "span_modes", "span_modes_inv", "axial_coupling",
-                 "radial_coupling_hi", "radial_coupling_lo", "area_weights")
+        """Every array the scene holds, the span's basis among them, is
+        read-only and identical after solves."""
+        names = [field.name for field in dataclasses.fields(SimGrid)
+                 if isinstance(getattr(small_scene, field.name), np.ndarray)]
+        assert {"rho", "kappa", "span_modes", "area_weights"} <= set(names)
         before = [getattr(small_scene, name).copy() for name in names]
         for f in (700.0, 1500.0):
             solve_harmonic(small_scene, f)
@@ -222,6 +224,17 @@ class TestStencil:
             new = getattr(small_scene, name)
             assert not new.flags.writeable, name
             assert old.tobytes() == new.tobytes(), name
+
+
+    def test_residual_check_refuses_a_wrong_basis(self, default_scene):
+        """The check builds its operator from the media maps, not from the
+        modal data the solve uses, so a span basis with eigenvalues 0.1% off
+        fails it (relative residual 3.5e-5 on sample 1 at 1 kHz) and the
+        refusal names the frequency."""
+        wrong = dataclasses.replace(
+            default_scene, span_eigenvalues=default_scene.span_eigenvalues * (1 + 1e-3))
+        with pytest.raises(ResolutionError, match=r"at 1000\.0 Hz \(relative residual"):
+            solve_harmonic(wrong, 1000.0)
 
 
 class TestIndependentSolve:

@@ -12,6 +12,7 @@ from tubegap.errors import DomainError
 from tubegap.retrieval import (
     RetrievalConfig,
     classic_retrieve,
+    forward_averaged,
     forward_averaged_sweep,
     retrieve_sweep,
 )
@@ -93,6 +94,13 @@ class TestForwardAveraged:
             assert abs(d.transmission) ** 2 + abs(d.reflection) ** 2 == pytest.approx(
                 1.0, abs=1e-10
             )
+
+    @pytest.mark.parametrize("z1", [0.0, math.nan])
+    def test_zero_or_nan_impedance_rejected(self, sample1_geometry, medium, z1):
+        """The sample check of ``MaterialSpec`` refuses them, where a division
+        by zero or numpy's LinAlgError ended the call before."""
+        with pytest.raises(DomainError, match="impedance must be finite and nonzero"):
+            forward_averaged(5.0, z1, sample1_geometry, medium, 1000.0)
 
     def test_degenerate_layer_matrix_rejected(self, medium):
         from tubegap.errors import DegenerateSampleError
@@ -178,6 +186,30 @@ class TestDegenerateHandling:
         assert (results[0].n1, results[0].z1) == (results[1].n1, results[1].z1)
         assert all("interpolated" not in r.flags for r in results[1:])
         assert max(abs(r.n1 - n1) for r in results) < 1e-8
+
+    def test_degenerate_index_point_interpolated(self, sample1_geometry, medium, sample1_z2,
+                                                 monkeypatch):
+        """A point whose inverse cosine is degenerate (forced here at the
+        second of three points) is flagged and filled linearly from its
+        neighbours, on the branch of the point before it."""
+        freqs = [800.0, 1000.0, 1400.0]
+        sweep = forward_averaged_sweep(5.0 - 0.2j, (15.0 - 1.0j) * sample1_z2,
+                                       sample1_geometry, medium, freqs)
+        calls, index_phase = [], retrieval_module._index_phase
+
+        def degenerate_second(state):
+            calls.append(state)
+            if len(calls) == 2:
+                raise retrieval_module.DegenerateFieldsError("forced")
+            return index_phase(state)
+
+        monkeypatch.setattr(retrieval_module, "_index_phase", degenerate_second)
+        lo, mid, hi = retrieve_sweep(sweep, sample1_geometry, medium)
+        assert (lo.flags, mid.flags, hi.flags) == ((), ("degenerate_index", "interpolated"), ())
+        w = (1000.0 - 800.0) / (1400.0 - 800.0)
+        assert mid.n1 == lo.n1 + (hi.n1 - lo.n1) * w
+        assert mid.z1 == lo.z1 + (hi.z1 - lo.z1) * w
+        assert (mid.branch_m, mid.sign_choice) == (lo.branch_m, lo.sign_choice)
 
     def test_validation_errors(self, sample1_geometry, medium):
         with pytest.raises(DomainError):
