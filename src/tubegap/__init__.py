@@ -3,7 +3,7 @@
 The package has two independent halves:
 
 * a model-based retrieval pipeline (``tubegap.retrieval`` on top of
-  ``tubegap.modal``, whose Bessel functions come from ``scipy.special``)
+  ``tubegap.modal``, which evaluates its Bessel functions with numpy)
   that inverts measured complex transmission/reflection pairs into the
   sample's effective refractive index and acoustic impedance by solving
   an 8x8 interface system;

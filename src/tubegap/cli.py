@@ -72,7 +72,9 @@ def _load_config(args: argparse.Namespace) -> RunConfig:
 
 def _refuse_unwritable(*paths: str | None) -> None:
     """Refuse, before any work, an output path that is a folder or whose
-    folder does not exist."""
+    folder does not exist.  Callers list a data file's ``.meta`` sidecar
+    too, so that a sidecar path that is a folder is refused before the
+    data file is written."""
     for path in map(Path, filter(None, paths)):
         if path.is_dir():
             raise ConfigError(f"cannot write {path}: it is a folder")
@@ -81,7 +83,7 @@ def _refuse_unwritable(*paths: str | None) -> None:
 
 
 def cmd_retrieve(args: argparse.Namespace) -> int:
-    _refuse_unwritable(args.output)
+    _refuse_unwritable(args.output, args.output + ".meta")
     config = _load_config(args)
     data = read_tr_csv(args.input)
     geometry, medium = config.geometry(), config.medium()
@@ -125,7 +127,7 @@ def _forward_data(config: RunConfig, method: str):
 def cmd_forward(args: argparse.Namespace) -> int:
     if args.dump_field and args.method != "fdfd":
         raise ConfigError(f"--dump-field needs --method fdfd, got --method {args.method}")
-    _refuse_unwritable(args.output, args.dump_field)
+    _refuse_unwritable(args.output, args.output + ".meta", args.dump_field)
     config = _load_config(args)
     data, scene = _forward_data(config, args.method)
     write_tr_csv(args.output, data, comments=[f"forward sweep, method={args.method}"])

@@ -23,12 +23,16 @@ Sign and branch conventions (fixed package-wide):
   finite-difference oracle in tubegap.fdfd independently confirms this
   choice via the round-trip tests.
 
-J0 and J1 come from ``scipy.special``.  The first 127 roots of J1 are a
-constant, equal bit for bit to ``scipy.special.jn_zeros(1, 127)``; that
-covers twice the default truncation, and only larger ones call
-``jn_zeros``, once per truncation.  The patch integrals are cached per
-pair of radii and truncation, so a sweep evaluates Bessel functions only
-once, as whole-array expressions.
+J0 and J1 are evaluated here with numpy alone (``bessel_j0``,
+``bessel_j1``): importing ``scipy.special`` would cost the command line
+about 0.3 s per process, more than its whole computation.  The first 127
+roots of J1 are a constant, equal bit for bit to
+``scipy.special.jn_zeros(1, 127)``; that covers twice the default
+truncation, and only larger ones import scipy and call ``jn_zeros``, once
+per truncation.  The wall values J0(x_n) depend on the truncation alone
+and are cached with it, and the patch integrals are cached per pair of
+radii and truncation, so a fresh geometry costs one J1 evaluation over
+``n_modes - 1`` arguments and a sweep over one geometry costs no more.
 """
 
 from __future__ import annotations
@@ -38,7 +42,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import j0 as bessel_j0, j1 as bessel_j1, jn_zeros
 
 from tubegap.errors import ConvergenceError, DomainError
 from tubegap.types import DuctGeometry, MediumProperties
@@ -47,10 +50,93 @@ DEFAULT_MODE_COUNT = 64
 # largest relative movement of a coupling coefficient when the truncation is
 # doubled from n_modes/2 to n_modes; read at call time, so tests can patch it
 SUM_TOLERANCE = 1e-3
-# radius pairs whose patch integrals, and truncations whose J1 roots, stay
-# cached; fixed so that runs over many geometries (e.g. randomized draws)
-# keep a bounded memory footprint
+# radius pairs whose patch integrals, and truncations whose J1 roots and wall
+# values, stay cached; fixed so that runs over many geometries (e.g.
+# randomized draws) keep a bounded memory footprint
 PATCH_CACHE_SIZE = 32
+
+# J0 and J1 below _HANKEL_FROM: Bessel's integral (DLMF 10.9.2) folded onto
+# a quarter period,
+#     J0(x) = (2/pi) int_0^{pi/2} cos(x sin tau) dtau,
+#     J1(x) = (2/pi) int_0^{pi/2} sin(x sin tau) sin tau dtau,
+# by the midpoint rule.  The integrands are smooth and periodic, so the rule
+# converges exponentially (Trefethen & Weideman, SIAM Rev. 56(3), 2014): 16
+# nodes are the 64-node rule on the full period, whose aliasing error is of
+# the size of J_63(25) = 5e-20.  From _HANKEL_FROM on, Hankel's expansion
+# (DLMF 10.17.3) to _HANKEL_TERMS powers of 1/x, whose first omitted term,
+# sqrt(2/(pi x)) a_18(nu) / x^18, is below 1e-17 there.  Both agree with
+# mpmath to a few 1e-16 absolute, and with scipy.special to 1.3e-15, which
+# is scipy's own error near x = 257.
+_HANKEL_FROM = 25.0
+_HANKEL_TERMS = 18
+_QUADRATURE_NODES = 16
+_SIN_NODES = np.sin((np.arange(_QUADRATURE_NODES) + 0.5) * (0.5 * math.pi / _QUADRATURE_NODES))
+_QUADRATURE = ((np.cos, np.full(_QUADRATURE_NODES, 1.0 / _QUADRATURE_NODES)),
+               (np.sin, _SIN_NODES / _QUADRATURE_NODES))
+
+
+def _hankel_coefficients(nu: int) -> np.ndarray:
+    """The (_HANKEL_TERMS, 2) matrix C with, for large x,
+    J_nu(x) = sqrt(1/x) (A cos x + B sin x),  [A, B] = [1, 1/x, 1/x^2, ...] @ C.
+
+    Hankel's P and Q series (DLMF 10.17.3, coefficients a_j(nu) from DLMF
+    10.17.1) times sqrt(2/pi), with the phase (2 nu + 1) pi / 4 folded in,
+    so that cos and sin take x itself, not x minus a rounded phase.
+    """
+    phase = (2 * nu + 1) * math.pi / 4
+    scale = math.sqrt(2.0 / math.pi)
+    cos_p, sin_p = scale * math.cos(phase), scale * math.sin(phase)
+    coefficients = np.empty((_HANKEL_TERMS, 2))
+    a = 1.0
+    for j in range(_HANKEL_TERMS):
+        if j:
+            a *= (4 * nu * nu - (2 * j - 1) ** 2) / (8 * j)
+        signed = -a if j % 4 >= 2 else a  # (-1)^(j // 2) a_j
+        coefficients[j] = ((signed * cos_p, signed * sin_p) if j % 2 == 0
+                           else (signed * sin_p, -signed * cos_p))
+    coefficients.setflags(write=False)
+    return coefficients
+
+
+_HANKEL = (_hankel_coefficients(0), _hankel_coefficients(1))
+_HANKEL_POWERS = np.arange(_HANKEL_TERMS)
+
+
+def _bessel(nu: int, x):
+    """J_nu(x) for nu = 0 or 1 at finite real x of any shape and order;
+    a scalar or 0-d input gives a numpy scalar."""
+    x = np.asarray(x, dtype=float)
+    ax = np.abs(x)
+    out = np.empty_like(ax)
+    near = ax < _HANKEL_FROM
+    trig, weights = _QUADRATURE[nu]
+    out[near] = trig(np.multiply.outer(ax[near], _SIN_NODES)) @ weights
+    far = ~near
+    xf = ax[far]
+    inverse = 1.0 / xf
+    ab = np.power.outer(inverse, _HANKEL_POWERS) @ _HANKEL[nu]
+    out[far] = np.sqrt(inverse) * (ab[:, 0] * np.cos(xf) + ab[:, 1] * np.sin(xf))
+    if nu:
+        out *= np.sign(x)  # J1 is odd
+    return out[()]
+
+
+def bessel_j0(x):
+    """Bessel function J0, elementwise (see ``_bessel``)."""
+    return _bessel(0, x)
+
+
+def bessel_j1(x):
+    """Bessel function J1, elementwise (see ``_bessel``)."""
+    return _bessel(1, x)
+
+
+def jn_zeros(n: int, nt: int) -> np.ndarray:
+    """``scipy.special.jn_zeros``, imported on first use: only truncations
+    beyond the root table search for roots."""
+    from scipy.special import jn_zeros as search
+
+    return search(n, nt)
 
 
 # jn_zeros(1, 127), copied bit for bit: the default truncation and its
@@ -107,6 +193,15 @@ def _j1_roots(n_modes: int) -> np.ndarray:
     return roots
 
 
+@lru_cache(maxsize=PATCH_CACHE_SIZE)
+def _wall_values(n_modes: int) -> np.ndarray:
+    """J0 at ``_j1_roots(n_modes)`` (read-only): the eigenmode normalization
+    at the wall, the same for every duct radius."""
+    wall = bessel_j0(_j1_roots(n_modes))
+    wall.setflags(write=False)
+    return wall
+
+
 @dataclass(frozen=True)
 class ModalBasis:
     """Radial eigenmode set of a rigid duct, truncated to ``n_modes``.
@@ -114,6 +209,7 @@ class ModalBasis:
     Attributes:
         k: radial wavenumbers k_n = x_n / r2 (1/m), k[0] == 0
         wall_values: J0(k_n r2), the eigenmode normalization at the wall
+            (shared between bases of one truncation, read-only)
     """
 
     k: np.ndarray
@@ -148,9 +244,7 @@ def duct_wavenumbers(geometry: DuctGeometry, n_modes: int) -> ModalBasis:
     """
     if not isinstance(n_modes, int) or isinstance(n_modes, bool) or n_modes < 1:
         raise DomainError(f"mode count must be a positive integer, got {n_modes!r}")
-    k = _j1_roots(n_modes) / geometry.r2
-    wall = bessel_j0(k * geometry.r2)
-    return ModalBasis(k=k, wall_values=wall)
+    return ModalBasis(k=_j1_roots(n_modes) / geometry.r2, wall_values=_wall_values(n_modes))
 
 
 def first_cutoff_frequency(geometry: DuctGeometry, medium: MediumProperties) -> float:
@@ -199,15 +293,17 @@ def _patch_integrals(r1: float, r2: float, n_modes: int) -> tuple[ModalBasis, np
     """
     # the basis reads only r2; any thickness builds the same one
     basis = duct_wavenumbers(DuctGeometry(r1=r1, r2=r2, t=1.0), n_modes)
-    # radial_integral's closed form over all modes; mode 0 (k = 0) separately
+    # radial_integral's closed form over all modes, mode 0 (k = 0) apart, over
+    # the wall values.  The ring's outer term r2 J1(k_n r2) is left out: k_n r2
+    # are the roots of J1, so it is roundoff (|J1(x_n)| of a few 1e-15)
     k = basis.k[1:]
-    inner = r1 * bessel_j1(k * r1)
-    outer = r2 * bessel_j1(k * r2)
-    disk = np.concatenate(([0.5 * r1 * r1], inner / k)) / basis.wall_values
-    ring = np.concatenate(([0.5 * (r2 * r2 - r1 * r1)], (outer - inner) / k)) / basis.wall_values
-    patch = np.stack((disk, ring))
+    patch = np.empty((2, n_modes))
+    patch[:, 0] = 0.5 * r1 * r1, 0.5 * (r2 * r2 - r1 * r1)
+    np.divide(r1 * bessel_j1(k * r1), k, out=patch[0, 1:])
+    np.negative(patch[0, 1:], out=patch[1, 1:])
+    patch /= basis.wall_values
     products = patch[:, None, :] * patch[None, :, :]
-    for array in (basis.k, basis.wall_values, products):
+    for array in (basis.k, products):
         array.setflags(write=False)
     return basis, products
 

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import astuple, dataclass, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -259,7 +259,9 @@ def solve_fields(q: np.ndarray, y: np.ndarray, frequency: float) -> FieldState:
         raise IllConditionedSystemError(
             f"interface system has a zero or non-finite column at {frequency} Hz", frequency)
     q_eq = q / col_scale
-    cond = float(np.linalg.cond(q_eq))
+    # the 2-norm condition number, as np.linalg.cond gives it, without its overhead
+    singular = np.linalg.svd(q_eq, compute_uv=False)
+    cond = float(singular[0] / singular[-1]) if singular[-1] > 0 else math.inf
     if not math.isfinite(cond) or cond > MAX_CONDITION:
         raise IllConditionedSystemError(
             f"interface system condition number {cond:.3e} exceeds {MAX_CONDITION:.1e} "
@@ -413,7 +415,8 @@ def retrieve_sweep(
             if prev_n1 is None:
                 # the seed branch's two candidates differ in the sign of sin(k0 n1 t),
                 # which the sample layer's first row fixes given z1 (Re z1 >= 0)
-                fields = np.array(astuple(state)[:8])
+                fields = np.array([state.p1_in, state.p2_in, state.p1_out, state.p2_out,
+                                   state.u1_in, state.u2_in, state.u1_out, state.u2_out])
                 n1, m, sign = min(candidates, key=lambda c: abs(
                     _sample_rows(c[0], z1, k0, geometry.t)[0] @ fields))
             else:

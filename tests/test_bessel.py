@@ -1,0 +1,107 @@
+"""The package's own J0 and J1 (``tubegap.modal.bessel_j0``/``bessel_j1``)
+against scipy.special and mpmath, and the number of Bessel evaluations a
+fresh geometry costs."""
+
+import mpmath
+import numpy as np
+import pytest
+from scipy.special import j0 as scipy_j0, j1 as scipy_j1
+
+from tubegap import modal
+from tubegap.modal import (
+    _J1_ROOT_TABLE,
+    _j1_roots,
+    _patch_integrals,
+    _wall_values,
+    bessel_j0,
+    bessel_j1,
+    coupling_coefficients,
+)
+from tubegap.types import DuctGeometry
+
+
+class TestAccuracy:
+    def test_against_scipy_on_a_dense_grid(self):
+        x = np.linspace(0.0, 900.0, 200001)
+        assert np.max(np.abs(bessel_j0(x) - scipy_j0(x))) <= 2e-15
+        assert np.max(np.abs(bessel_j1(x) - scipy_j1(x))) <= 2e-15
+
+    @pytest.mark.parametrize("ratio", [0.3, 0.57, 0.95, 0.99])
+    def test_at_the_patch_arguments(self, ratio):
+        """The 63 arguments k_n r1 of a 64-mode geometry, formed as
+        ``_patch_integrals`` forms them."""
+        r2 = 0.070
+        r1 = ratio * r2
+        x = _j1_roots(64)[1:] / r2 * r1
+        assert np.max(np.abs(bessel_j1(x) - scipy_j1(x))) <= 1e-15
+
+    def test_wall_values_at_the_root_table(self):
+        assert np.max(np.abs(bessel_j0(_J1_ROOT_TABLE) - scipy_j0(_J1_ROOT_TABLE))) <= 1e-15
+
+    def test_against_mpmath_across_the_cutoff(self):
+        """Both sides of the switch from Bessel's integral to Hankel's
+        expansion, and a few points far from it."""
+        cut = modal._HANKEL_FROM
+        x = np.array([0.0, 1e-8, 0.5, 2.404825557695773, 3.8317059702075125, 11.0,
+                      cut - 0.5, np.nextafter(cut, 0.0), cut, cut + 1e-6, cut + 0.5,
+                      60.0, 333.3, 899.0])
+        for nu, ours in ((0, bessel_j0), (1, bessel_j1)):
+            with mpmath.workdps(30):
+                ref = np.array([float(mpmath.besselj(nu, mpmath.mpf(float(v)))) for v in x])
+            assert np.max(np.abs(ours(x) - ref)) <= 1e-15, nu
+
+
+class TestShapes:
+    @pytest.mark.parametrize("fn", [bessel_j0, bessel_j1])
+    def test_scalar_and_0d_inputs_give_scalars(self, fn):
+        for value in (3.0, 30.0, np.float64(3.0), np.array(3.0), np.array(30.0), 7):
+            out = fn(value)
+            assert np.shape(out) == () and isinstance(out, np.floating)
+            assert out == fn(np.array([float(value)]))[0]
+
+    @pytest.mark.parametrize("fn, ref", [(bessel_j0, scipy_j0), (bessel_j1, scipy_j1)])
+    def test_unsorted_and_shaped_inputs(self, fn, ref):
+        """Unsorted arguments on both sides of the cutoff, in any shape, and
+        negative ones (J0 even, J1 odd) give each element its own value."""
+        x = np.array([[40.0, 0.0, 3.0], [-30.0, 700.0, -2.5]])
+        out = fn(x)
+        assert out.shape == x.shape
+        assert np.max(np.abs(out - ref(x))) <= 1e-15
+        assert fn(np.empty(0)).shape == (0,)
+
+
+class TestCallCounts:
+    """Only the sample radius makes a Bessel evaluation depend on the
+    geometry: one J1 call per fresh geometry, and J0 at the duct roots once
+    per truncation."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        log = []
+
+        def counted(name, fn):
+            def wrapper(x):
+                log.append((name, np.size(x)))
+                return fn(x)
+            return wrapper
+
+        monkeypatch.setattr(modal, "bessel_j0", counted("j0", modal.bessel_j0))
+        monkeypatch.setattr(modal, "bessel_j1", counted("j1", modal.bessel_j1))
+        return log
+
+    def test_one_j1_call_per_fresh_geometry(self, medium, calls):
+        coupling_coefficients(DuctGeometry(r1=0.031, r2=0.07, t=0.005), medium, 900.0)
+        calls.clear()
+        _patch_integrals.cache_clear()
+        geometry = DuctGeometry(r1=0.0412, r2=0.07, t=0.005)
+        for f in (500.0, 900.0, 1300.0):
+            coupling_coefficients(geometry, medium, f)
+        assert calls == [("j1", 63)]
+
+    def test_wall_values_once_per_truncation(self, medium, calls):
+        _wall_values.cache_clear()
+        _patch_integrals.cache_clear()
+        for r1 in (0.040, 0.045):
+            coupling_coefficients(DuctGeometry(r1=r1, r2=0.07, t=0.005), medium, 900.0,
+                                  n_modes=48)
+        assert calls == [("j0", 48), ("j1", 47), ("j1", 47)]

@@ -289,6 +289,22 @@ class TestCli:
         assert err.startswith("error:") and str(culprit) in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("command", ["forward", "retrieve"])
+    def test_sidecar_folder_refused_before_the_data_file(self, cfg_path, tmp_path, capsys,
+                                                         command):
+        """A folder where the ``.meta`` sidecar belongs ends in exit 1 naming
+        it, and no data file is left on disk without its sidecar."""
+        tr, out = tmp_path / "tr.csv", tmp_path / "out.csv"
+        write_tr_csv(tr, [ScatteringData(f=500.0, transmission=0.9 + 0j, reflection=0.1 + 0j)])
+        sidecar = tmp_path / "out.csv.meta"
+        sidecar.mkdir()
+        inputs = ("--input", str(tr)) if command == "retrieve" else ()
+        code = self.run(command, "--config", str(cfg_path), *inputs, "--output", str(out))
+        err = capsys.readouterr().err
+        assert code == 1
+        assert f"cannot write {sidecar}: it is a folder" in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("case", ["forward_phase", "retrieve_tiny_t", "retrieve_huge_tr"])
     def test_overflows_are_numerical_errors(self, cfg_path, tmp_path, capsys, case):
         """Numbers that overflow (a sample phase whose cosine overflows, a
@@ -542,3 +558,24 @@ def test_cli_imports_no_sparse_or_dense_scipy_solvers():
     done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                           env=env, timeout=60, check=True)
     assert done.stdout.split() == []
+
+
+def test_cli_and_averaged_roundtrip_load_no_scipy(cfg_path):
+    """Neither importing the CLI nor a default one-point averaged round trip
+    loads any scipy module: the Bessel functions are the package's own, and
+    scipy is imported only to search J1 roots beyond the 127-root table."""
+    import tubegap
+
+    src = str(Path(tubegap.__file__).resolve().parents[1])
+    probe = ("import contextlib, io, sys, tubegap.cli\n"
+             "def scipy_modules():\n"
+             "    return sorted(m for m in sys.modules if m.startswith('scipy'))\n"
+             "print('import', *scipy_modules())\n"
+             "with contextlib.redirect_stdout(io.StringIO()):\n"
+             "    code = tubegap.cli.main(['roundtrip', '--config', sys.argv[1], "
+             "'--method', 'averaged', '--set', 'sweep.count=1'])\n"
+             "print('roundtrip', code, *scipy_modules())\n")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run([sys.executable, "-c", probe, str(cfg_path)], capture_output=True,
+                          text=True, env=env, timeout=60, check=True)
+    assert done.stdout.splitlines() == ["import", "roundtrip 0"]
