@@ -6,7 +6,7 @@ The package has two independent halves:
   ``tubegap.modal``, which evaluates its Bessel functions with numpy)
   that inverts measured complex transmission/reflection pairs into the
   sample's effective refractive index and acoustic impedance by solving
-  an 8x8 interface system;
+  one 8x8 interface system per frequency, a sweep's in one stacked call;
 * a finite-difference frequency-domain simulator (``tubegap.fdfd``)
   that produces transmission/reflection data for the same scene from
   first principles, used to verify the retrieval end to end.
@@ -47,11 +47,9 @@ from tubegap.retrieval import (
     TransferMatrix,
     assemble_system,
     classic_retrieve,
-    forward_averaged,
     forward_averaged_sweep,
     impedance_from_fields,
     index_from_fields,
-    retrieve_point,
     retrieve_sweep,
     solve_fields,
     tr_from_transfer_matrix,

@@ -208,12 +208,9 @@ class ModalBasis:
 
     Attributes:
         k: radial wavenumbers k_n = x_n / r2 (1/m), k[0] == 0
-        wall_values: J0(k_n r2), the eigenmode normalization at the wall
-            (shared between bases of one truncation, read-only)
     """
 
     k: np.ndarray
-    wall_values: np.ndarray
 
     @property
     def n_modes(self) -> int:
@@ -244,7 +241,7 @@ def duct_wavenumbers(geometry: DuctGeometry, n_modes: int) -> ModalBasis:
     """
     if not isinstance(n_modes, int) or isinstance(n_modes, bool) or n_modes < 1:
         raise DomainError(f"mode count must be a positive integer, got {n_modes!r}")
-    return ModalBasis(k=_j1_roots(n_modes) / geometry.r2, wall_values=_wall_values(n_modes))
+    return ModalBasis(k=_j1_roots(n_modes) / geometry.r2)
 
 
 def first_cutoff_frequency(geometry: DuctGeometry, medium: MediumProperties) -> float:
@@ -293,6 +290,7 @@ def _patch_integrals(r1: float, r2: float, n_modes: int) -> tuple[ModalBasis, np
     """
     # the basis reads only r2; any thickness builds the same one
     basis = duct_wavenumbers(DuctGeometry(r1=r1, r2=r2, t=1.0), n_modes)
+    wall = _wall_values(n_modes)
     # radial_integral's closed form over all modes, mode 0 (k = 0) apart, over
     # the wall values.  The ring's outer term r2 J1(k_n r2) is left out: k_n r2
     # are the roots of J1, so it is roundoff (|J1(x_n)| of a few 1e-15)
@@ -301,7 +299,7 @@ def _patch_integrals(r1: float, r2: float, n_modes: int) -> tuple[ModalBasis, np
     patch[:, 0] = 0.5 * r1 * r1, 0.5 * (r2 * r2 - r1 * r1)
     np.divide(r1 * bessel_j1(k * r1), k, out=patch[0, 1:])
     np.negative(patch[0, 1:], out=patch[1, 1:])
-    patch /= basis.wall_values
+    patch /= wall
     products = patch[:, None, :] * patch[None, :, :]
     for array in (basis.k, products):
         array.setflags(write=False)

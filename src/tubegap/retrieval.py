@@ -1,15 +1,15 @@
 """Effective-parameter retrieval for a sample narrower than its duct.
 
-Pipeline per frequency point:
+Pipeline per frequency sweep:
 
-1. invert the measured transmission/reflection pair into the 2x2 transfer
+1. invert each measured transmission/reflection pair into the 2x2 transfer
    matrix of the composite (sample + gap) layer, using the symmetry
    (equal diagonal) and reciprocity (unit determinant) constraints;
-2. assemble the 8x8 interface system coupling the patch-averaged
+2. assemble one 8x8 interface system per point, coupling the patch-averaged
    pressures and volume velocities on both faces of the sample and gap
    to the duct radiation loading and to the gap's known layer behaviour;
-3. solve it with partial pivoting and read the sample's refractive index
-   and acoustic impedance off the sample-patch fields.
+3. solve the whole stack in one call with partial pivoting and read each
+   point's refractive index and acoustic impedance off its sample fields.
 
 The sweep driver adds inverse-cosine branch tracking across frequency and
 interpolation over isolated degenerate points (half-wave resonances of
@@ -39,7 +39,6 @@ from tubegap.errors import (
 )
 from tubegap.modal import (
     DEFAULT_MODE_COUNT,
-    CouplingCoefficients,
     coupling_coefficients,
     first_cutoff_frequency,
     refuse_above_cutoff,
@@ -91,8 +90,6 @@ class FieldState:
     u2_in: complex
     u1_out: complex
     u2_out: complex
-    condition_number: float = math.nan
-    residual: float = math.nan
 
 
 @dataclass(frozen=True)
@@ -167,23 +164,23 @@ def tr_from_transfer_matrix(matrix: TransferMatrix, medium: MediumProperties) ->
 
 
 def _interface_rows(
-    geometry: DuctGeometry,
-    medium: MediumProperties,
-    coupling: CouplingCoefficients,
+    geometry: DuctGeometry, medium: MediumProperties, f: float, n_modes: int
 ) -> np.ndarray:
-    """The six interface rows shared by the retrieval and the forward model.
+    """The six interface rows at ``f`` shared by the retrieval and the forward model.
 
-    Rows 1-4 are the duct radiation conditions on each patch of each face
-    (their blocked-pressure drive sits on the callers' right-hand sides);
-    rows 5-6 are the known air-gap layer linking its two faces.  Unknown
-    ordering as in ``FieldState``'s fields.
+    Rows 1-4 are the duct radiation conditions on each patch of each face,
+    from ``coupling_coefficients`` (their blocked-pressure drive sits on the
+    callers' right-hand sides); rows 5-6 are the known air-gap layer linking
+    its two faces.  Unknown ordering as in ``FieldState``'s fields.
     """
+    coupling = coupling_coefficients(geometry, medium, f, n_modes=n_modes)
     gap = GapProperties.from_geometry(geometry, medium)
-    k0 = 2.0 * math.pi * coupling.frequency / medium.c0
+    k0 = 2.0 * math.pi * f / medium.c0
     theta2 = k0 * gap.n2 * geometry.t
     cos2, sin2 = cmath.cos(theta2), cmath.sin(theta2)
-    (a_c, b_c), (c_c, d_c) = coupling.upstream
-    (e_c, f_c), (g_c, h_c) = coupling.downstream
+    # Python complex scalars negate, and convert into the array, faster than numpy's
+    (a_c, b_c), (c_c, d_c) = coupling.upstream.tolist()
+    (e_c, f_c), (g_c, h_c) = coupling.downstream.tolist()
     return np.array(
         [
             [1.0, 0.0, 0.0, 0.0, -a_c, -b_c, 0.0, 0.0],
@@ -212,38 +209,43 @@ def _sample_rows(n1: complex, z1: complex, k0: float, t: float) -> np.ndarray:
 
 
 def assemble_system(
-    matrix: TransferMatrix,
+    data: list[ScatteringData],
     geometry: DuctGeometry,
     medium: MediumProperties,
-    coupling: CouplingCoefficients,
+    n_modes: int = DEFAULT_MODE_COUNT,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Build the 8x8 interface system Q and its right-hand side Y.
+    """Build the (nf, 8, 8) stack of interface systems Q and the (nf, 8) Y,
+    point by point in sweep order, so the first point that fails raises.
 
     Unknown ordering: [p1_in, p2_in, p1_out, p2_out, u1_in, u2_in, u1_out,
-    u2_out].  Rows 1-2 encode the measured layer matrix acting on the
-    area-weighted total pressure/velocity; rows 3-8 are the shared
-    interface rows (``_interface_rows``) at ``coupling.frequency``, with
-    the blocked-pressure drive 2 on the upstream radiation rows.  Every
-    row follows the package-wide +x velocity / exp(+i w t) convention,
-    under which forward simulation and retrieval are exact inverses.
+    u2_out].  Rows 1-2 encode the point's measured layer matrix acting on
+    the area-weighted total pressure/velocity; rows 3-8 are the shared
+    interface rows (``_interface_rows``) at its frequency, with the
+    blocked-pressure drive 2 on the upstream radiation rows.  Every row
+    follows the package-wide +x velocity / exp(+i w t) convention, under
+    which forward simulation and retrieval are exact inverses.
     """
     s1, s2, s3 = geometry.s1, geometry.s2, geometry.s3
-    q = np.vstack(
-        [
-            # layer matrix acting on the area-averaged totals
-            [[-s1 / s2, -s3 / s2, matrix.m11 * s1 / s2, matrix.m11 * s3 / s2,
-              0.0, 0.0, matrix.m12 / s2, matrix.m12 / s2],
-             [0.0, 0.0, matrix.m21 * s1 / s2, matrix.m21 * s3 / s2,
-              -1.0 / s2, -1.0 / s2, matrix.m22 / s2, matrix.m22 / s2]],
-            _interface_rows(geometry, medium, coupling),
-        ]
-    )
-    y = np.array([0.0, 0.0, 2.0, 2.0, 0.0, 0.0, 0.0, 0.0], dtype=complex)
+    q = np.empty((len(data), 8, 8), dtype=complex)
+    for q_point, point in zip(q, data):
+        matrix = transfer_matrix_from_tr(point, medium)
+        # layer matrix acting on the area-averaged totals
+        q_point[:2] = [
+            [-s1 / s2, -s3 / s2, matrix.m11 * s1 / s2, matrix.m11 * s3 / s2,
+             0.0, 0.0, matrix.m12 / s2, matrix.m12 / s2],
+            [0.0, 0.0, matrix.m21 * s1 / s2, matrix.m21 * s3 / s2,
+             -1.0 / s2, -1.0 / s2, matrix.m22 / s2, matrix.m22 / s2]]
+        q_point[2:] = _interface_rows(geometry, medium, point.f, n_modes)
+    y = np.zeros((len(data), 8), dtype=complex)
+    y[:, 2:4] = 2.0
     return q, y
 
 
-def solve_fields(q: np.ndarray, y: np.ndarray, frequency: float) -> FieldState:
-    """Solve Q w = Y by LU with partial pivoting and verify the residual.
+def solve_fields(q: np.ndarray, y: np.ndarray,
+                 freqs: list[float]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Solve the stack Q w = Y by LU with partial pivoting, in one call, and
+    return the (nf, 8) fields w, in ``FieldState``'s order, with each point's
+    condition number and relative residual.
 
     The raw system mixes pressures (order 1 Pa) with volume velocities
     (order 1/z2 m^3/s), so its unscaled condition number mostly measures
@@ -251,28 +253,37 @@ def solve_fields(q: np.ndarray, y: np.ndarray, frequency: float) -> FieldState:
     before factorizing; the reported condition number is that of the
     equilibrated system, which is what actually bounds the solution
     error, and above ``MAX_CONDITION`` raises IllConditionedSystemError, as
-    does a zero or non-finite column.  Every refusal names ``frequency``.
-    The residual is still measured on the original system.
+    does a zero or non-finite column.  Each refusal names the frequency of
+    the first point it refuses.  The residual is measured on the raw system.
     """
-    col_scale = np.max(np.abs(q), axis=0)
-    if not np.all((col_scale > 0) & (col_scale < math.inf)):
+    col_scale = np.abs(q).max(axis=1)
+    usable = (col_scale > 0) & (col_scale < math.inf)
+    if not usable.all():
+        f = freqs[(~usable.all(axis=1)).argmax()]
         raise IllConditionedSystemError(
-            f"interface system has a zero or non-finite column at {frequency} Hz", frequency)
-    q_eq = q / col_scale
-    # the 2-norm condition number, as np.linalg.cond gives it, without its overhead
+            f"interface system has a zero or non-finite column at {f} Hz", f)
+    q_eq = q / col_scale[:, None, :]
+    # the 2-norm condition number, as np.linalg.cond gives it, without its overhead;
+    # the largest singular value is positive, so an exactly singular system gives inf
     singular = np.linalg.svd(q_eq, compute_uv=False)
-    cond = float(singular[0] / singular[-1]) if singular[-1] > 0 else math.inf
-    if not math.isfinite(cond) or cond > MAX_CONDITION:
+    with np.errstate(divide="ignore"):
+        cond = singular[:, 0] / singular[:, -1]
+    within = cond <= MAX_CONDITION
+    if not within.all():
+        i = (~within).argmax()
         raise IllConditionedSystemError(
-            f"interface system condition number {cond:.3e} exceeds {MAX_CONDITION:.1e} "
-            f"at {frequency} Hz", frequency)
+            f"interface system condition number {cond[i]:.3e} exceeds {MAX_CONDITION:.1e} "
+            f"at {freqs[i]} Hz", freqs[i])
     try:
-        w = np.linalg.solve(q_eq, y) / col_scale
+        w = np.linalg.solve(q_eq, y[..., None])[..., 0] / col_scale
     except np.linalg.LinAlgError as exc:
+        # the stacked solve does not say which point failed: name the worst conditioned
+        f = freqs[cond.argmax()]
         raise IllConditionedSystemError(
-            f"interface system is singular at {frequency} Hz: {exc}", frequency) from exc
-    residual = float(np.linalg.norm(q @ w - y) / np.linalg.norm(y))
-    return FieldState(*map(complex, w), condition_number=cond, residual=residual)
+            f"interface system is singular at {f} Hz: {exc}", f) from exc
+    r = (q @ w[..., None])[..., 0] - y
+    residual = np.sqrt(np.square(np.abs(r)).sum(axis=1) / np.square(np.abs(y)).sum(axis=1))
+    return w, cond, residual
 
 
 def _positive_real_sqrt(value: complex) -> complex:
@@ -338,22 +349,6 @@ def index_from_fields(
     return (sign * _index_phase(state) + 2.0 * math.pi * branch_m) / (k0 * t)
 
 
-def retrieve_point(
-    data: ScatteringData,
-    geometry: DuctGeometry,
-    medium: MediumProperties,
-    config: RetrievalConfig = RetrievalConfig(),
-) -> FieldState:
-    """Solve the interface system for one point and return its fields.
-
-    Extraction, branch selection and flags happen at sweep level.
-    """
-    matrix = transfer_matrix_from_tr(data, medium)
-    coupling = coupling_coefficients(geometry, medium, data.f, n_modes=config.n_modes)
-    q, y = assemble_system(matrix, geometry, medium, coupling)
-    return solve_fields(q, y, frequency=data.f)
-
-
 def retrieve_sweep(
     data: list[ScatteringData],
     geometry: DuctGeometry,
@@ -390,8 +385,10 @@ def retrieve_sweep(
     prev_n1: complex | None = None
     prev_m, prev_sign = seed_m, 1
     missing: list[int] = []
+    q, y = assemble_system(data, geometry, medium, config.n_modes)
+    w, cond, residual = solve_fields(q, y, freqs)
     for i, point in enumerate(data):
-        state = retrieve_point(point, geometry, medium, config)
+        state = FieldState(*w[i].tolist())
         flags = ["above_cutoff"] if point.f > cutoff else []
         try:
             z1 = impedance_from_fields(state)
@@ -415,16 +412,14 @@ def retrieve_sweep(
             if prev_n1 is None:
                 # the seed branch's two candidates differ in the sign of sin(k0 n1 t),
                 # which the sample layer's first row fixes given z1 (Re z1 >= 0)
-                fields = np.array([state.p1_in, state.p2_in, state.p1_out, state.p2_out,
-                                   state.u1_in, state.u2_in, state.u1_out, state.u2_out])
                 n1, m, sign = min(candidates, key=lambda c: abs(
-                    _sample_rows(c[0], z1, k0, geometry.t)[0] @ fields))
+                    _sample_rows(c[0], z1, k0, geometry.t)[0] @ w[i]))
             else:
                 n1, m, sign = min(candidates, key=lambda c: abs(c[0] - prev_n1))
             prev_n1, prev_m, prev_sign = n1, m, sign
         results.append(RetrievedProperties(
             f=point.f, n1=n1, z1=z1, branch_m=m, sign_choice=sign,
-            condition_number=state.condition_number, residual=state.residual, flags=tuple(flags)))
+            condition_number=float(cond[i]), residual=float(residual[i]), flags=tuple(flags)))
 
     _fill_degenerate_points(results, missing)
     return results
@@ -481,23 +476,22 @@ def classic_retrieve(
     )
 
 
-def forward_averaged(
+def forward_averaged_sweep(
     n1: complex,
     z1: complex,
     geometry: DuctGeometry,
     medium: MediumProperties,
-    f: float,
+    freqs: list[float],
     n_modes: int = DEFAULT_MODE_COUNT,
-) -> tuple[complex, complex]:
-    """Scattering coefficients predicted by the averaged interface model.
+) -> list[ScatteringData]:
+    """Scattering data predicted by the averaged interface model over ``freqs``.
 
-    Solves the same eight interface unknowns as the retrieval, but with
-    the sample described by its known (n1, z1) layer behaviour instead of
-    a measured transfer matrix: rows are the shared interface rows
-    (``_interface_rows``: the four duct radiation conditions, with a
-    unit-amplitude blocked-pressure drive upstream, and the gap layer) at
-    ``f``, with the coupling ``retrieve_point`` computes, then the sample
-    layer.  Then
+    Solves the retrieval's stack of interface systems, but with the sample
+    described by its known (n1, z1) layer behaviour instead of a measured
+    transfer matrix: rows are the shared interface rows (``_interface_rows``:
+    the four duct radiation conditions, with a unit-amplitude blocked-pressure
+    drive upstream, and the gap layer) at each point's frequency, then the
+    sample layer.  Then
 
         T = alpha * (u1_out + u2_out) / S2
         R = 1 - alpha * (u1_in + u2_in) / S2
@@ -508,31 +502,21 @@ def forward_averaged(
     whose cosine overflows raises IllConditionedSystemError.
     """
     MaterialSpec(n1=n1, z1=z1)
-    coupling = coupling_coefficients(geometry, medium, f, n_modes=n_modes)
-    k0 = 2.0 * math.pi * f / medium.c0
-    try:
-        sample = _sample_rows(n1, z1, k0, geometry.t)
-    except OverflowError as exc:
-        raise IllConditionedSystemError(
-            f"the sample's phase k0*n1*t = {k0 * n1 * geometry.t:.4g} overflows at {f} Hz", f
-        ) from exc
-    q = np.vstack([_interface_rows(geometry, medium, coupling), sample])
-    y = np.array([2.0, 2.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0], dtype=complex)
-    state = solve_fields(q, y, frequency=f)
+    q = np.empty((len(freqs), 8, 8), dtype=complex)
+    for q_point, f in zip(q, freqs):
+        q_point[:6] = _interface_rows(geometry, medium, f, n_modes)
+        k0 = 2.0 * math.pi * f / medium.c0
+        try:
+            q_point[6:] = _sample_rows(n1, z1, k0, geometry.t)
+        except OverflowError as exc:
+            raise IllConditionedSystemError(
+                f"the sample's phase k0*n1*t = {k0 * n1 * geometry.t:.4g} overflows at {f} Hz", f
+            ) from exc
+    y = np.zeros((len(freqs), 8), dtype=complex)
+    y[:, :2] = 2.0
+    w, _, _ = solve_fields(q, y, freqs)
     alpha = medium.alpha
-    t_coef = alpha * (state.u1_out + state.u2_out) / geometry.s2
-    r_coef = 1.0 - alpha * (state.u1_in + state.u2_in) / geometry.s2
-    return t_coef, r_coef
-
-
-def forward_averaged_sweep(
-    n1: complex,
-    z1: complex,
-    geometry: DuctGeometry,
-    medium: MediumProperties,
-    freqs: list[float],
-    n_modes: int = DEFAULT_MODE_COUNT,
-) -> list[ScatteringData]:
-    """Averaged-model scattering data over a frequency list."""
-    return [ScatteringData(f, *forward_averaged(n1, z1, geometry, medium, f, n_modes))
-            for f in freqs]
+    # Python complex arithmetic per point: numpy's complex division rounds differently
+    return [ScatteringData(f, alpha * (u1_out + u2_out) / geometry.s2,
+                           1.0 - alpha * (u1_in + u2_in) / geometry.s2)
+            for f, (u1_in, u2_in, u1_out, u2_out) in zip(freqs, w[:, 4:].tolist())]

@@ -1,8 +1,8 @@
 """Transfer-matrix inversion, the 8x8 interface system, and field extraction."""
 
 import cmath
-import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -19,9 +19,9 @@ from tubegap.retrieval import (
     FieldState,
     TransferMatrix,
     assemble_system,
+    forward_averaged_sweep,
     impedance_from_fields,
     index_from_fields,
-    retrieve_point,
     solve_fields,
     tr_from_transfer_matrix,
     transfer_matrix_from_tr,
@@ -36,11 +36,6 @@ def random_tr(rng):
         t = complex(rng.normal(), rng.normal()) * 0.5
     r = complex(rng.normal(), rng.normal()) * 0.4
     return t, r
-
-
-def field_values(state):
-    """The eight interface fields of a FieldState, in the unknown ordering."""
-    return np.array(dataclasses.astuple(state)[:8])
 
 
 class TestTransferMatrix:
@@ -106,26 +101,26 @@ class TestTransferMatrix:
 class TestAssembleSystem:
     @pytest.fixture
     def parts(self, sample1_geometry, medium):
+        """The one-point stack's system and right-hand side, with the coupling
+        its interface rows are built from."""
         coup = coupling_coefficients(sample1_geometry, medium, 1000.0)
         data = ScatteringData(f=1000.0, transmission=0.9 - 0.3j, reflection=0.1 + 0.2j)
-        matrix = transfer_matrix_from_tr(data, medium)
-        return matrix, coup
+        q, y = assemble_system([data], sample1_geometry, medium)
+        assert q.shape == (1, 8, 8) and y.shape == (1, 8)
+        return q[0], y[0], coup
 
-    def test_rhs_is_blocked_pressure_drive(self, parts, sample1_geometry, medium):
-        matrix, coup = parts
-        _, y = assemble_system(matrix, sample1_geometry, medium, coup)
+    def test_rhs_is_blocked_pressure_drive(self, parts):
+        _, y, _ = parts
         assert np.array_equal(y, np.array([0, 0, 2, 2, 0, 0, 0, 0], dtype=complex))
 
-    def test_disk_radiation_row(self, parts, sample1_geometry, medium):
-        matrix, coup = parts
-        q, _ = assemble_system(matrix, sample1_geometry, medium, coup)
+    def test_disk_radiation_row(self, parts):
+        q, _, coup = parts
         a_c, b_c = coup.upstream[0]
         expected = np.array([1, 0, 0, 0, -a_c, -b_c, 0, 0])
         assert np.allclose(q[2], expected, rtol=0, atol=0)
 
-    def test_other_radiation_rows(self, parts, sample1_geometry, medium):
-        matrix, coup = parts
-        q, _ = assemble_system(matrix, sample1_geometry, medium, coup)
+    def test_other_radiation_rows(self, parts):
+        q, _, coup = parts
         c_c, d_c = coup.upstream[1]
         (e_c, f_c), (g_c, h_c) = coup.downstream
         expected = np.array([
@@ -136,8 +131,7 @@ class TestAssembleSystem:
         assert np.allclose(q[3:6], expected, rtol=0, atol=0)
 
     def test_gap_layer_row_consistent_signs(self, parts, sample1_geometry, medium):
-        matrix, coup = parts
-        q, _ = assemble_system(matrix, sample1_geometry, medium, coup)
+        q, _, _ = parts
         gap = GapProperties.from_geometry(sample1_geometry, medium)
         k0 = 2 * math.pi * 1000.0 / medium.c0
         theta2 = k0 * gap.n2 * sample1_geometry.t
@@ -151,25 +145,25 @@ class TestAssembleSystem:
 
 class TestSolveFields:
     def test_identity_system(self):
-        y = np.array([0, 0, 2, 2, 0, 0, 0, 0], dtype=complex)
-        state = solve_fields(np.eye(8, dtype=complex), y, frequency=500.0)
-        assert np.allclose(field_values(state), y)
-        assert state.residual < 1e-15
-        assert state.condition_number == pytest.approx(1.0)
+        y = np.array([[0, 0, 2, 2, 0, 0, 0, 0]], dtype=complex)
+        w, cond, residual = solve_fields(np.eye(8, dtype=complex)[None], y, [500.0])
+        assert np.allclose(w, y)
+        assert residual[0] < 1e-15
+        assert cond[0] == pytest.approx(1.0)
 
     def test_constructed_solution(self):
         rng = np.random.default_rng(3)
         q = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8)) + 4 * np.eye(8)
         w_true = rng.normal(size=8) + 1j * rng.normal(size=8)
-        state = solve_fields(q, q @ w_true, frequency=500.0)
-        assert np.allclose(field_values(state), w_true, rtol=1e-12)
-        assert state.residual < 1e-12
+        w, _, residual = solve_fields(q[None], (q @ w_true)[None], [500.0])
+        assert np.allclose(w[0], w_true, rtol=1e-12)
+        assert residual[0] < 1e-12
 
     def test_singular_system_rejected(self):
-        q = np.zeros((8, 8), dtype=complex)
-        q[:, 0] = 1.0
+        q = np.zeros((1, 8, 8), dtype=complex)
+        q[0, :, 0] = 1.0
         with pytest.raises(IllConditionedSystemError, match="777.0 Hz"):
-            solve_fields(q, np.ones(8, dtype=complex), frequency=777.0)
+            solve_fields(q, np.ones((1, 8), dtype=complex), [777.0])
 
     def test_condition_gate(self):
         # two almost linearly dependent columns: equilibration cannot help
@@ -177,19 +171,71 @@ class TestSolveFields:
         q = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
         q[:, 7] = q[:, 6] * (1.0 + 1e-14)
         with pytest.raises(IllConditionedSystemError) as err:
-            solve_fields(q, np.ones(8, dtype=complex), frequency=432.1)
+            solve_fields(q[None], np.ones((1, 8), dtype=complex), [432.1])
         assert err.value.frequency == 432.1
 
     def test_condition_bound_is_the_module_constant(self, sample1_geometry, medium, monkeypatch):
         """A real sample-1 point passes under MAX_CONDITION and is refused,
         naming its frequency, once the bound drops below its condition."""
-        data = ScatteringData(f=900.0, transmission=0.8 - 0.5j, reflection=0.2 + 0.1j)
-        state = retrieve_point(data, sample1_geometry, medium)
-        assert 1.0 < state.condition_number < MAX_CONDITION
-        monkeypatch.setattr(retrieval_module, "MAX_CONDITION", state.condition_number / 2)
+        data = [ScatteringData(f=900.0, transmission=0.8 - 0.5j, reflection=0.2 + 0.1j)]
+        _, cond, _ = solve_fields(*assemble_system(data, sample1_geometry, medium), [900.0])
+        assert 1.0 < cond[0] < MAX_CONDITION
+        monkeypatch.setattr(retrieval_module, "MAX_CONDITION", cond[0] / 2)
         with pytest.raises(IllConditionedSystemError, match="900.0 Hz") as err:
-            retrieve_point(data, sample1_geometry, medium)
+            solve_fields(*assemble_system(data, sample1_geometry, medium), [900.0])
         assert err.value.frequency == 900.0
+
+
+class TestStackedRefusals:
+    """A refusal of the stacked solve names the first failing point of its sweep."""
+
+    FREQS = [500.0, 900.0, 1300.0, 1700.0, 2100.0]
+
+    @pytest.fixture
+    def stack(self, sample1_geometry, medium, sample1_z2):
+        sweep = forward_averaged_sweep(5.0, 15.0 * sample1_z2, sample1_geometry, medium,
+                                       self.FREQS)
+        return assemble_system(sweep, sample1_geometry, medium)
+
+    def test_non_finite_column_names_its_point(self, stack):
+        q, y = stack
+        q[2, 0, 3] = math.inf
+        with pytest.raises(IllConditionedSystemError, match="1300.0 Hz") as err:
+            solve_fields(q, y, self.FREQS)
+        assert err.value.frequency == 1300.0
+
+    def test_first_point_above_the_bound_is_named(self, stack, monkeypatch):
+        q, y = stack
+        _, cond, _ = solve_fields(q, y, self.FREQS)
+        # the bound sits between two points' condition numbers, with points on either side
+        limit = 0.5 * (np.sort(cond)[1] + np.sort(cond)[2])
+        first = int(np.flatnonzero(cond > limit)[0])
+        assert (cond <= limit).sum() == 2 and (cond[first + 1:] > limit).any()
+        monkeypatch.setattr(retrieval_module, "MAX_CONDITION", limit)
+        with pytest.raises(IllConditionedSystemError) as err:
+            solve_fields(q, y, self.FREQS)
+        assert err.value.frequency == self.FREQS[first]
+
+    def test_exactly_singular_point_refused_without_warning(self, stack):
+        q, y = stack
+        q[3] = np.eye(8)
+        q[3, :, 7] = q[3, :, 6]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(IllConditionedSystemError, match="condition number inf") as err:
+                solve_fields(q, y, self.FREQS)
+        assert err.value.frequency == 1700.0
+
+    def test_singular_solve_names_its_point(self, stack, monkeypatch):
+        """With the condition bound lifted, the stacked solve's own LinAlgError,
+        which names no point, still ends in a refusal at the singular one."""
+        q, y = stack
+        q[3] = np.eye(8)
+        q[3, :, 7] = q[3, :, 6]
+        monkeypatch.setattr(retrieval_module, "MAX_CONDITION", math.inf)
+        with pytest.raises(IllConditionedSystemError, match="singular at 1700.0 Hz") as err:
+            solve_fields(q, y, self.FREQS)
+        assert err.value.frequency == 1700.0
 
 
 def layer_fields(n1, z1, k0, t, p_out=1.0 + 0j, u_out=0.0 + 0j):

@@ -11,10 +11,11 @@ from tubegap import retrieval as retrieval_module
 from tubegap.errors import DomainError
 from tubegap.retrieval import (
     RetrievalConfig,
+    assemble_system,
     classic_retrieve,
-    forward_averaged,
     forward_averaged_sweep,
     retrieve_sweep,
+    solve_fields,
 )
 from tubegap.types import DuctGeometry, GapProperties, ScatteringData
 
@@ -100,7 +101,7 @@ class TestForwardAveraged:
         """The sample check of ``MaterialSpec`` refuses them, where a division
         by zero or numpy's LinAlgError ended the call before."""
         with pytest.raises(DomainError, match="impedance must be finite and nonzero"):
-            forward_averaged(5.0, z1, sample1_geometry, medium, 1000.0)
+            forward_averaged_sweep(5.0, z1, sample1_geometry, medium, [1000.0])
 
     def test_degenerate_layer_matrix_rejected(self, medium):
         from tubegap.errors import DegenerateSampleError
@@ -233,21 +234,12 @@ class TestDegenerateHandling:
 
     def test_energy_conserved_through_interior(self, sample1_geometry, medium, sample1_z2):
         """Lossless solve: power entering region B equals power leaving it."""
-        from tubegap.retrieval import retrieve_point
-
-        sweep = forward_averaged_sweep(
-            5.0, 15.0 * sample1_z2, sample1_geometry, medium, [700.0, 2100.0]
-        )
-        for point in sweep:
-            state = retrieve_point(point, sample1_geometry, medium)
-            flux_in = (
-                state.p1_in * state.u1_in.conjugate()
-                + state.p2_in * state.u2_in.conjugate()
-            ).real
-            flux_out = (
-                state.p1_out * state.u1_out.conjugate()
-                + state.p2_out * state.u2_out.conjugate()
-            ).real
+        freqs = [700.0, 2100.0]
+        sweep = forward_averaged_sweep(5.0, 15.0 * sample1_z2, sample1_geometry, medium, freqs)
+        w, _, _ = solve_fields(*assemble_system(sweep, sample1_geometry, medium), freqs)
+        for p1_in, p2_in, p1_out, p2_out, u1_in, u2_in, u1_out, u2_out in w.tolist():
+            flux_in = (p1_in * u1_in.conjugate() + p2_in * u2_in.conjugate()).real
+            flux_out = (p1_out * u1_out.conjugate() + p2_out * u2_out.conjugate()).real
             assert flux_in == pytest.approx(flux_out, rel=1e-6)
 
     def test_above_cutoff_needs_override(self, sample1_geometry, medium, sample1_z2):
@@ -261,6 +253,37 @@ class TestDegenerateHandling:
         )
         assert "above_cutoff" not in results[0].flags
         assert "above_cutoff" in results[1].flags
+
+
+class TestOneStackedSolve:
+    """A sweep, forward or inverse, is one stack of independent 8x8 systems
+    solved in one call; its one-point case is the same path."""
+
+    def test_point_does_not_depend_on_its_sweep(self, sample1_geometry, medium, sample1_z2):
+        n1, z1 = 5.0 - 0.2j, (15.0 - 1.0j) * sample1_z2
+        freqs = list(np.linspace(300.0, 2500.0, 45))
+        sweep = forward_averaged_sweep(n1, z1, sample1_geometry, medium, freqs)
+        singles = [forward_averaged_sweep(n1, z1, sample1_geometry, medium, [f])[0]
+                   for f in freqs]
+        assert sweep == singles
+        results = retrieve_sweep(sweep, sample1_geometry, medium)
+        for r, point in zip(results, sweep):
+            single = retrieve_sweep([point], sample1_geometry, medium)[0]
+            assert (r.z1, r.condition_number) == (single.z1, single.condition_number)
+
+    def test_one_solve_per_sweep(self, sample1_geometry, medium, sample1_z2, monkeypatch):
+        calls, solve = [], retrieval_module.solve_fields
+
+        def counting_solve(q, y, freqs):
+            calls.append(len(freqs))
+            return solve(q, y, freqs)
+
+        monkeypatch.setattr(retrieval_module, "solve_fields", counting_solve)
+        freqs = list(np.linspace(300.0, 2500.0, 45))
+        sweep = forward_averaged_sweep(5.0, 15.0 * sample1_z2, sample1_geometry, medium, freqs)
+        assert calls == [45]
+        retrieve_sweep(sweep, sample1_geometry, medium)
+        assert calls == [45, 45]
 
 
 class TestClassicRetrieve:
