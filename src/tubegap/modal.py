@@ -33,6 +33,11 @@ per truncation.  The wall values J0(x_n) depend on the truncation alone
 and are cached with it, and the patch integrals are cached per pair of
 radii and truncation, so a fresh geometry costs one J1 evaluation over
 ``n_modes - 1`` arguments and a sweep over one geometry costs no more.
+
+``coupling_stack`` sums the couplings of many frequencies as one numpy
+expression; ``coupling_coefficients`` is its one-frequency call.  Each
+frequency's sums take the same operations in the same order as a loop over
+the modes, so a point's couplings are the same bits whatever sweep it is in.
 """
 
 from __future__ import annotations
@@ -216,20 +221,26 @@ class ModalBasis:
     def n_modes(self) -> int:
         return len(self.k)
 
-    def axial_wavenumbers(self, f: float, medium: MediumProperties) -> np.ndarray:
-        """Per-mode axial wavenumbers beta_n at frequency f.
+    def axial_wavenumbers(self, f: float | list[float], medium: MediumProperties) -> np.ndarray:
+        """Per-mode axial wavenumbers beta_n at frequency f, or one row of
+        them per frequency of an array f.
 
         Real positive for propagating modes, -i*positive for evanescent
-        ones (see module docstring for the branch rule).
+        ones (see module docstring for the branch rule).  A frequency on a
+        mode's cutoff, where beta_n = 0, raises DomainError naming the
+        first such frequency and its mode.
         """
-        k0 = 2.0 * math.pi * f / medium.c0
+        freqs = np.asarray(f, dtype=float)
+        k0 = (2.0 * math.pi * freqs / medium.c0)[..., None]
         diff = (k0 - self.k) * (k0 + self.k)
-        on_cutoff = np.flatnonzero(np.abs(diff) < 1e-24 * k0 * k0)
-        if on_cutoff.size:
+        size = np.abs(diff)
+        on_cutoff = size < 1e-24 * k0 * k0
+        if on_cutoff.any():
+            *point, mode = np.argwhere(on_cutoff)[0]
             raise DomainError(
-                f"frequency {f} Hz sits exactly on the cutoff of duct mode {on_cutoff[0]}"
+                f"frequency {freqs[tuple(point)]} Hz sits exactly on the cutoff of duct mode {mode}"
             )
-        root = np.sqrt(np.abs(diff))
+        root = np.sqrt(size)
         return np.where(diff > 0, root, -1j * root)
 
 
@@ -328,53 +339,78 @@ class CouplingCoefficients:
     rel_change: float
 
 
+def coupling_stack(
+    geometry: DuctGeometry,
+    medium: MediumProperties,
+    freqs: list[float],
+    n_modes: int = DEFAULT_MODE_COUNT,
+) -> tuple[np.ndarray, np.ndarray]:
+    """The upstream coupling matrices at each frequency of ``freqs``, as an
+    (nf, 2, 2) array, with each one's ``rel_change`` as an (nf,) array; the
+    downstream matrices are their negatives (see ``CouplingCoefficients``).
+
+    Each coefficient is a modal sum of (prefactor) * (source-patch radial
+    integral) * (receiver-patch radial integral) / (-i pi r2^2 beta_n);
+    the radial integrals use the closed form of ``radial_integral``.  Every
+    frequency's sums take the same terms in the same order whatever the
+    other frequencies, so a point's couplings do not depend on its sweep.
+    The temporaries hold nf * 4 * n_modes complex terms: pass a long sweep
+    in blocks.
+
+    Raises DomainError at the first frequency that is not positive and
+    finite, or that sits on a mode's cutoff, and ConvergenceError at the
+    first one where doubling the truncation from n_modes/2 to n_modes
+    still moves any coefficient by more than ``SUM_TOLERANCE`` (relative).
+    The modal tail decays like n^-3, so the partial sums converge
+    quadratically in the truncation; the tolerance is chosen accordingly.
+    """
+    for f in freqs:
+        if not (f > 0 and math.isfinite(f)):
+            raise DomainError(f"frequency must be positive, got {f}")
+    r1, r2 = geometry.r1, geometry.r2
+    basis, products = _patch_integrals(r1, r2, n_modes)
+    beta = basis.axial_wavenumbers(freqs, medium)
+    green = 1.0 / (-1j * math.pi * r2 * r2 * beta)
+
+    ring_sq = r2 * r2 - r1 * r1
+    pre = []
+    for f in freqs:
+        # the prefactors stay Python complex scalars: numpy's complex-by-real
+        # division rounds differently from Python's
+        scale = 4j * medium.rho0 * (2.0 * math.pi * f)
+        cross = scale / (r1 * r1 * ring_sq)
+        pre.append([[scale / r1 ** 4, cross], [cross, scale / ring_sq ** 2]])
+    # a cumulative sum adds the modes one after another, as a loop would
+    # (sum and einsum add them pairwise, which rounds differently); in place,
+    # so a block holds one array of terms
+    running = np.array(pre)[..., None] * products
+    running *= green[:, None, None, :]
+    np.cumsum(running, axis=-1, out=running)
+
+    half = n_modes // 2 if n_modes > 1 else 1
+    upstream = running[..., -1]
+    upstream_half = running[..., half - 1]
+    rel_change = (np.abs(upstream - upstream_half) / np.abs(upstream)).reshape(-1, 4).max(axis=1)
+    # fmax passes over a NaN, as a comparison point by point would
+    if n_modes > 1 and np.fmax.reduce(rel_change) > SUM_TOLERANCE:
+        i = (rel_change > SUM_TOLERANCE).argmax()
+        raise ConvergenceError(
+            f"modal sum moved by {rel_change[i]:.3e} (> {SUM_TOLERANCE:.1e}) when "
+            f"doubling the truncation to {n_modes} modes at {freqs[i]} Hz"
+        )
+    return upstream, rel_change
+
+
 def coupling_coefficients(
     geometry: DuctGeometry,
     medium: MediumProperties,
     f: float,
     n_modes: int = DEFAULT_MODE_COUNT,
 ) -> CouplingCoefficients:
-    """Compute the eight patch-coupling coefficients at one frequency.
-
-    Each coefficient is a modal sum of (prefactor) * (source-patch radial
-    integral) * (receiver-patch radial integral) / (-i pi r2^2 beta_n);
-    the radial integrals use the closed form of ``radial_integral``.
-
-    Raises ConvergenceError if doubling the truncation from n_modes/2 to
-    n_modes still moves any coefficient by more than ``SUM_TOLERANCE``
-    (relative).  The modal tail decays like n^-3, so the partial sums
-    converge quadratically in the truncation; the tolerance is chosen
-    accordingly.
-    """
-    if not (f > 0 and math.isfinite(f)):
-        raise DomainError(f"frequency must be positive, got {f}")
-    r1, r2 = geometry.r1, geometry.r2
-    basis, products = _patch_integrals(r1, r2, n_modes)
-    omega = 2.0 * math.pi * f
-    beta = basis.axial_wavenumbers(f, medium)
-    green = 1.0 / (-1j * math.pi * r2 * r2 * beta)
-
-    ring_sq = r2 * r2 - r1 * r1
-    scale = 4j * medium.rho0 * omega
-    # the prefactors stay Python complex scalars: numpy's complex-by-real
-    # division rounds differently from Python's
-    cross = scale / (r1 * r1 * ring_sq)
-    pre = np.array([[scale / r1 ** 4, cross], [cross, scale / ring_sq ** 2]])
-    terms = pre[:, :, None] * products * green
-    running = np.cumsum(terms, axis=-1)
-
-    half = n_modes // 2 if n_modes > 1 else 1
-    upstream = running[:, :, -1]
-    upstream_half = running[:, :, half - 1]
-    downstream = -upstream
-    rel_change = float(
-        np.max(np.abs(upstream - upstream_half) / np.abs(upstream))
-    )
-    if n_modes > 1 and rel_change > SUM_TOLERANCE:
-        raise ConvergenceError(
-            f"modal sum moved by {rel_change:.3e} (> {SUM_TOLERANCE:.1e}) when "
-            f"doubling the truncation to {n_modes} modes at {f} Hz"
-        )
+    """The eight patch-coupling coefficients at one frequency: the one-point
+    case of ``coupling_stack``, with its refusals."""
+    upstream, rel_change = coupling_stack(geometry, medium, [f], n_modes)
     return CouplingCoefficients(
-        frequency=f, upstream=upstream, downstream=downstream, rel_change=rel_change
+        frequency=f, upstream=upstream[0], downstream=-upstream[0],
+        rel_change=float(rel_change[0]),
     )

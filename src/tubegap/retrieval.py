@@ -8,6 +8,8 @@ Pipeline per frequency sweep:
 2. assemble one 8x8 interface system per point, coupling the patch-averaged
    pressures and volume velocities on both faces of the sample and gap
    to the duct radiation loading and to the gap's known layer behaviour;
+   the couplings and interface rows of ``SWEEP_BLOCK`` points at a time
+   are stacked numpy expressions, so a long sweep's memory stays bounded;
 3. solve the whole stack in one call with partial pivoting and read each
    point's refractive index and acoustic impedance off its sample fields.
 
@@ -39,7 +41,7 @@ from tubegap.errors import (
 )
 from tubegap.modal import (
     DEFAULT_MODE_COUNT,
-    coupling_coefficients,
+    coupling_stack,
     first_cutoff_frequency,
     refuse_above_cutoff,
 )
@@ -48,6 +50,9 @@ from tubegap.types import (DuctGeometry, GapProperties, MaterialSpec, MediumProp
 
 # largest condition number of the equilibrated interface system solve_fields accepts
 MAX_CONDITION = 1e12
+# sweep points whose couplings and interface rows are stacked at once; fixed, so
+# that a long sweep's temporaries stay the size of one block's
+SWEEP_BLOCK = 64
 
 
 class DegenerateFieldsError(TubegapError):
@@ -163,38 +168,52 @@ def tr_from_transfer_matrix(matrix: TransferMatrix, medium: MediumProperties) ->
     return 2.0 / denom, (a - b) / denom
 
 
+# the constant entries of the six interface rows; _interface_rows writes the
+# couplings and the gap layer over its zeros
+_INTERFACE_ONES = np.array(
+    [
+        [1, 0, 0, 0, 0, 0, 0, 0],
+        [0, 1, 0, 0, 0, 0, 0, 0],
+        [0, 0, 1, 0, 0, 0, 0, 0],
+        [0, 0, 0, 1, 0, 0, 0, 0],
+        [0, 1, 0, 0, 0, 0, 0, 0],
+        [0, 0, 0, 0, 0, 1, 0, 0],
+    ],
+    dtype=complex,
+)
+_INTERFACE_ONES.setflags(write=False)
+
+
 def _interface_rows(
-    geometry: DuctGeometry, medium: MediumProperties, f: float, n_modes: int
-) -> np.ndarray:
-    """The six interface rows at ``f`` shared by the retrieval and the forward model.
+    rows: np.ndarray,
+    freqs: list[float],
+    geometry: DuctGeometry,
+    medium: MediumProperties,
+    gap: GapProperties,
+    n_modes: int,
+) -> None:
+    """Write the six interface rows at each of ``freqs`` into ``rows``, an
+    (nf, 6, 8) slice of a stack; the retrieval and the forward model share them.
 
     Rows 1-4 are the duct radiation conditions on each patch of each face,
-    from ``coupling_coefficients`` (their blocked-pressure drive sits on the
-    callers' right-hand sides); rows 5-6 are the known air-gap layer linking
-    its two faces.  Unknown ordering as in ``FieldState``'s fields.
+    from one ``coupling_stack`` call (their blocked-pressure drive sits on
+    the callers' right-hand sides); rows 5-6 are the known air-gap layer
+    linking its two faces.  Unknown ordering as in ``FieldState``'s fields.
     """
-    coupling = coupling_coefficients(geometry, medium, f, n_modes=n_modes)
-    gap = GapProperties.from_geometry(geometry, medium)
-    k0 = 2.0 * math.pi * f / medium.c0
-    theta2 = k0 * gap.n2 * geometry.t
-    cos2, sin2 = cmath.cos(theta2), cmath.sin(theta2)
-    # Python complex scalars negate, and convert into the array, faster than numpy's
-    (a_c, b_c), (c_c, d_c) = coupling.upstream.tolist()
-    (e_c, f_c), (g_c, h_c) = coupling.downstream.tolist()
-    return np.array(
-        [
-            [1.0, 0.0, 0.0, 0.0, -a_c, -b_c, 0.0, 0.0],
-            [0.0, 1.0, 0.0, 0.0, -c_c, -d_c, 0.0, 0.0],
-            [0.0, 0.0, 1.0, 0.0, 0.0, 0.0, -e_c, -f_c],
-            [0.0, 0.0, 0.0, 1.0, 0.0, 0.0, -g_c, -h_c],
-            [0.0, 1.0, 0.0, -cos2, 0.0, 0.0, 0.0, -1j * gap.z2 * sin2],
-            [0.0, 0.0, 0.0, -1j / gap.z2 * sin2, 0.0, 1.0, 0.0, -cos2],
-        ],
-        dtype=complex,
-    )
+    upstream, _ = coupling_stack(geometry, medium, freqs, n_modes)
+    rows[:] = _INTERFACE_ONES
+    rows[:, 0:2, 4:6] = -upstream
+    rows[:, 2:4, 6:8] = upstream  # minus the downstream coupling
+    for row, f in zip(rows, freqs):
+        # per point in Python: numpy's complex cos and sin may round differently
+        theta2 = 2.0 * math.pi * f / medium.c0 * gap.n2 * geometry.t
+        cos2, sin2 = cmath.cos(theta2), cmath.sin(theta2)
+        row[4, 3] = row[5, 7] = -cos2
+        row[4, 7] = -1j * gap.z2 * sin2
+        row[5, 3] = -1j / gap.z2 * sin2
 
 
-def _sample_rows(n1: complex, z1: complex, k0: float, t: float) -> np.ndarray:
+def _sample_rows(n1: complex, z1: complex, k0: float, t: float) -> list[list[complex]]:
     """The sample layer's two rows, in ``FieldState``'s field order:
 
         p1_in = cos(k0 n1 t) p1_out + i z1 sin(k0 n1 t) u1_out
@@ -202,10 +221,8 @@ def _sample_rows(n1: complex, z1: complex, k0: float, t: float) -> np.ndarray:
     """
     theta1 = k0 * n1 * t
     c1, s1_ = cmath.cos(theta1), cmath.sin(theta1)
-    return np.array(
-        [[1.0, 0.0, -c1, 0.0, 0.0, 0.0, -1j * z1 * s1_, 0.0],
-         [0.0, 0.0, -1j / z1 * s1_, 0.0, 1.0, 0.0, -c1, 0.0]]
-    )
+    return [[1.0, 0.0, -c1, 0.0, 0.0, 0.0, -1j * z1 * s1_, 0.0],
+            [0.0, 0.0, -1j / z1 * s1_, 0.0, 1.0, 0.0, -c1, 0.0]]
 
 
 def assemble_system(
@@ -215,7 +232,9 @@ def assemble_system(
     n_modes: int = DEFAULT_MODE_COUNT,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Build the (nf, 8, 8) stack of interface systems Q and the (nf, 8) Y,
-    point by point in sweep order, so the first point that fails raises.
+    ``SWEEP_BLOCK`` points at a time.  The first block with a failing point
+    raises: first for an unusable measurement (in sweep order), then for
+    the couplings (see ``coupling_stack``).
 
     Unknown ordering: [p1_in, p2_in, p1_out, p2_out, u1_in, u2_in, u1_out,
     u2_out].  Rows 1-2 encode the point's measured layer matrix acting on
@@ -226,16 +245,23 @@ def assemble_system(
     which forward simulation and retrieval are exact inverses.
     """
     s1, s2, s3 = geometry.s1, geometry.s2, geometry.s3
+    gap = GapProperties.from_geometry(geometry, medium)
     q = np.empty((len(data), 8, 8), dtype=complex)
-    for q_point, point in zip(q, data):
-        matrix = transfer_matrix_from_tr(point, medium)
-        # layer matrix acting on the area-averaged totals
-        q_point[:2] = [
-            [-s1 / s2, -s3 / s2, matrix.m11 * s1 / s2, matrix.m11 * s3 / s2,
-             0.0, 0.0, matrix.m12 / s2, matrix.m12 / s2],
-            [0.0, 0.0, matrix.m21 * s1 / s2, matrix.m21 * s3 / s2,
-             -1.0 / s2, -1.0 / s2, matrix.m22 / s2, matrix.m22 / s2]]
-        q_point[2:] = _interface_rows(geometry, medium, point.f, n_modes)
+    for start in range(0, len(data), SWEEP_BLOCK):
+        block = data[start:start + SWEEP_BLOCK]
+        q_block = q[start:start + SWEEP_BLOCK]
+        measured = []
+        for point in block:
+            matrix = transfer_matrix_from_tr(point, medium)
+            # layer matrix acting on the area-averaged totals
+            measured.append([
+                [-s1 / s2, -s3 / s2, matrix.m11 * s1 / s2, matrix.m11 * s3 / s2,
+                 0.0, 0.0, matrix.m12 / s2, matrix.m12 / s2],
+                [0.0, 0.0, matrix.m21 * s1 / s2, matrix.m21 * s3 / s2,
+                 -1.0 / s2, -1.0 / s2, matrix.m22 / s2, matrix.m22 / s2]])
+        q_block[:, :2] = measured
+        _interface_rows(q_block[:, 2:], [point.f for point in block], geometry, medium, gap,
+                        n_modes)
     y = np.zeros((len(data), 8), dtype=complex)
     y[:, 2:4] = 2.0
     return q, y
@@ -413,7 +439,7 @@ def retrieve_sweep(
                 # the seed branch's two candidates differ in the sign of sin(k0 n1 t),
                 # which the sample layer's first row fixes given z1 (Re z1 >= 0)
                 n1, m, sign = min(candidates, key=lambda c: abs(
-                    _sample_rows(c[0], z1, k0, geometry.t)[0] @ w[i]))
+                    np.array(_sample_rows(c[0], z1, k0, geometry.t)[0]) @ w[i]))
             else:
                 n1, m, sign = min(candidates, key=lambda c: abs(c[0] - prev_n1))
             prev_n1, prev_m, prev_sign = n1, m, sign
@@ -502,16 +528,22 @@ def forward_averaged_sweep(
     whose cosine overflows raises IllConditionedSystemError.
     """
     MaterialSpec(n1=n1, z1=z1)
+    gap = GapProperties.from_geometry(geometry, medium)
     q = np.empty((len(freqs), 8, 8), dtype=complex)
-    for q_point, f in zip(q, freqs):
-        q_point[:6] = _interface_rows(geometry, medium, f, n_modes)
-        k0 = 2.0 * math.pi * f / medium.c0
-        try:
-            q_point[6:] = _sample_rows(n1, z1, k0, geometry.t)
-        except OverflowError as exc:
-            raise IllConditionedSystemError(
-                f"the sample's phase k0*n1*t = {k0 * n1 * geometry.t:.4g} overflows at {f} Hz", f
-            ) from exc
+    for start in range(0, len(freqs), SWEEP_BLOCK):
+        block = freqs[start:start + SWEEP_BLOCK]
+        q_block = q[start:start + SWEEP_BLOCK]
+        _interface_rows(q_block[:, :6], block, geometry, medium, gap, n_modes)
+        sample = []
+        for f in block:
+            k0 = 2.0 * math.pi * f / medium.c0
+            try:
+                sample.append(_sample_rows(n1, z1, k0, geometry.t))
+            except OverflowError as exc:
+                raise IllConditionedSystemError(
+                    f"the sample's phase k0*n1*t = {k0 * n1 * geometry.t:.4g} overflows at {f} Hz",
+                    f) from exc
+        q_block[:, 6:] = sample
     y = np.zeros((len(freqs), 8), dtype=complex)
     y[:, :2] = 2.0
     w, _, _ = solve_fields(q, y, freqs)

@@ -483,7 +483,8 @@ class TestTracerSites:
     # sites whose code is gone on purpose: their metrics read 0 until the
     # benchmark drops them
     RETIRED = {"tubegap.cli.scattering_from_ports", "tubegap.fdfd.spla.splu",
-               "tubegap.retrieval.retrieve_point", "tubegap.retrieval.forward_averaged"}
+               "tubegap.retrieval.retrieve_point", "tubegap.retrieval.forward_averaged",
+               "tubegap.retrieval.coupling_coefficients"}
 
     def test_every_site_resolves(self):
         path = Path(__file__).resolve().parents[1] / "benchmarks" / "tracing.py"

@@ -1,6 +1,7 @@
 """Duct eigenmodes, their J1 root table, radial integrals, and the
 radiation-coupling matrices."""
 
+import math
 from functools import lru_cache
 
 import mpmath
@@ -16,6 +17,7 @@ from tubegap.modal import (
     _j1_roots,
     _patch_integrals,
     coupling_coefficients,
+    coupling_stack,
     duct_wavenumbers,
     first_cutoff_frequency,
     radial_integral,
@@ -66,6 +68,34 @@ def mp_coupling_upstream(geometry, medium, f, n_modes):
         return np.array([[complex(v) for v in row] for row in total])
 
 
+def loop_coupling_upstream(geometry, medium, f, n_modes):
+    """One frequency's upstream couplings and rel_change in scalar Python
+    steps and float64 numpy, the arithmetic ``coupling_stack`` must keep:
+    the same operations in the same order, so its results must be equal
+    bit for bit."""
+    r1, r2 = geometry.r1, geometry.r2
+    basis, products = _patch_integrals(r1, r2, n_modes)
+    k0 = 2.0 * math.pi * f / medium.c0
+    diff = (k0 - basis.k) * (k0 + basis.k)
+    root = np.sqrt(np.abs(diff))
+    beta = np.where(diff > 0, root, -1j * root)
+    green = 1.0 / (-1j * math.pi * r2 * r2 * beta)
+    ring_sq = r2 * r2 - r1 * r1
+    scale = 4j * medium.rho0 * (2.0 * math.pi * f)
+    cross = scale / (r1 * r1 * ring_sq)
+    pre = np.array([[scale / r1 ** 4, cross], [cross, scale / ring_sq ** 2]])
+    terms = pre[:, :, None] * products * green
+    upstream = np.zeros((2, 2), dtype=complex)
+    half_sum = upstream
+    half = n_modes // 2 if n_modes > 1 else 1
+    for n in range(n_modes):
+        upstream = upstream + terms[:, :, n]
+        if n == half - 1:
+            half_sum = upstream
+    rel_change = float(np.max(np.abs(upstream - half_sum) / np.abs(upstream)))
+    return upstream, rel_change
+
+
 class TestWavenumbers:
     def test_first_radial_wavenumber(self, sample1_geometry):
         basis = duct_wavenumbers(sample1_geometry, 2)
@@ -91,6 +121,23 @@ class TestWavenumbers:
     def test_mode_count_validation(self, sample1_geometry):
         with pytest.raises(DomainError):
             duct_wavenumbers(sample1_geometry, 0)
+
+    def test_frequency_rows(self, sample1_geometry, medium):
+        """An array of frequencies gives one row per frequency, each equal to
+        that frequency's own call."""
+        basis = duct_wavenumbers(sample1_geometry, 64)
+        freqs = [300.0, 1000.0, 2900.0, 6000.0]
+        rows = basis.axial_wavenumbers(freqs, medium)
+        assert rows.shape == (4, 64)
+        for row, f in zip(rows, freqs):
+            assert row.tobytes() == basis.axial_wavenumbers(f, medium).tobytes()
+
+    def test_cutoff_refused_with_frequency_and_mode(self, sample1_geometry, medium):
+        basis = duct_wavenumbers(sample1_geometry, 4)
+        on_cutoff = float(basis.k[1] * medium.c0 / (2.0 * math.pi))
+        assert 2.0 * math.pi * on_cutoff / medium.c0 == basis.k[1]
+        with pytest.raises(DomainError, match=f"{on_cutoff} Hz .* duct mode 1$"):
+            basis.axial_wavenumbers(on_cutoff, medium)
 
     def test_roots_match_mpmath(self, sample1_geometry):
         """k_n r2 are the J1 roots to 1e-13 relative over a 128-mode basis."""
@@ -277,3 +324,51 @@ class TestCouplingCoefficients:
         for t in (0.005, 0.008):
             coupling_coefficients(DuctGeometry(r1=0.04, r2=0.07, t=t), medium, 900.0)
         assert _patch_integrals.cache_info().misses == 1
+
+
+class TestCouplingStack:
+    """One ``coupling_stack`` call over a sweep gives, at every point, the
+    couplings of that point alone, bit for bit, and refuses at the first
+    point that fails."""
+
+    @pytest.mark.parametrize("points", [1, 150])
+    @pytest.mark.parametrize("n_modes", [1, 2, 64, 128, 200])
+    @pytest.mark.parametrize("sample", ["sample1_geometry", "sample2_geometry"])
+    def test_equals_per_frequency(self, request, medium, monkeypatch, sample, n_modes, points):
+        """Against ``coupling_coefficients`` and the scalar loop, from below the
+        first duct cutoff to above the second; 200 modes is past the root table."""
+        monkeypatch.setattr(modal, "SUM_TOLERANCE", math.inf)
+        geometry = request.getfixturevalue(sample)
+        freqs = [1234.5] if points == 1 else np.linspace(100.0, 6000.0, points).tolist()
+        upstream, rel_change = coupling_stack(geometry, medium, freqs, n_modes)
+        assert upstream.shape == (points, 2, 2) and rel_change.shape == (points,)
+        for i, f in enumerate(freqs):
+            single = coupling_coefficients(geometry, medium, f, n_modes)
+            loop_upstream, loop_rel = loop_coupling_upstream(geometry, medium, f, n_modes)
+            assert upstream[i].tobytes() == single.upstream.tobytes() == loop_upstream.tobytes()
+            assert single.downstream.tobytes() == (-loop_upstream).tobytes()
+            assert rel_change[i] == single.rel_change == loop_rel
+
+    def test_convergence_error_names_first_point_above(self, sample1_geometry, medium,
+                                                       monkeypatch):
+        freqs = np.linspace(300.0, 2500.0, 150).tolist()
+        _, rel_change = coupling_stack(sample1_geometry, medium, freqs)
+        # rel_change grows with frequency up to about 2000 Hz here
+        limit = 0.5 * (rel_change[69] + rel_change[70])
+        first = int(np.flatnonzero(rel_change > limit)[0])
+        assert first > 0 and (rel_change[:first] <= limit).all()
+        monkeypatch.setattr(modal, "SUM_TOLERANCE", limit)
+        with pytest.raises(ConvergenceError, match=f"at {freqs[first]} Hz$"):
+            coupling_stack(sample1_geometry, medium, freqs)
+
+    def test_cutoff_names_frequency_and_mode(self, sample1_geometry, medium):
+        basis = duct_wavenumbers(sample1_geometry, 2)
+        on_cutoff = float(basis.k[1] * medium.c0 / (2.0 * math.pi))
+        freqs = [2000.0, 2500.0, on_cutoff, 3500.0]
+        with pytest.raises(DomainError, match=f"{on_cutoff} Hz .* duct mode 1$"):
+            coupling_stack(sample1_geometry, medium, freqs)
+
+    @pytest.mark.parametrize("bad", [math.nan, -5.0, 0.0, math.inf])
+    def test_frequency_validation_names_the_point(self, sample1_geometry, medium, bad):
+        with pytest.raises(DomainError, match=f"got {bad}$"):
+            coupling_stack(sample1_geometry, medium, [500.0, bad, 700.0])
