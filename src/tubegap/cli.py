@@ -8,16 +8,16 @@ Subcommands:
 * ``roundtrip`` - forward then retrieve, report per-frequency errors
 * ``modes``     - print the duct mode table (wavenumbers, cutoffs)
 
-Exit codes: 0 success, 1 validation or file failure, 2 numerical failure.
+Exit codes: 0 success, 1 validation or file failure, 2 numerical failure
+or a usage error (a ``usage:`` line, then an ``error:`` line, and no work).
 """
 
 from __future__ import annotations
 
-import argparse
 import math
-import statistics
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -37,18 +37,7 @@ from tubegap.retrieval import forward_averaged_sweep, retrieve_sweep
 from tubegap.types import GapProperties
 
 
-def _common_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--config", help="configuration file (key = value lines)")
-    sub.add_argument(
-        "--set",
-        action="append",
-        default=[],
-        metavar="KEY=VALUE",
-        help="override a config value (repeatable; wins over the file)",
-    )
-
-
-def _overrides(args: argparse.Namespace) -> dict[str, str]:
+def _overrides(args: SimpleNamespace) -> dict[str, str]:
     out: dict[str, str] = {}
     for item in args.set:
         if "=" not in item:
@@ -66,7 +55,7 @@ def _overrides(args: argparse.Namespace) -> dict[str, str]:
     return out
 
 
-def _load_config(args: argparse.Namespace) -> RunConfig:
+def _load_config(args: SimpleNamespace) -> RunConfig:
     return RunConfig.from_file(args.config, overrides=_overrides(args))
 
 
@@ -82,7 +71,7 @@ def _refuse_unwritable(*paths: str | None) -> None:
             raise ConfigError(f"cannot write {path}: its folder does not exist")
 
 
-def cmd_retrieve(args: argparse.Namespace) -> int:
+def cmd_retrieve(args: SimpleNamespace) -> int:
     _refuse_unwritable(args.output, args.output + ".meta")
     config = _load_config(args)
     data = read_tr_csv(args.input)
@@ -124,7 +113,7 @@ def _forward_data(config: RunConfig, method: str):
     return data, scene
 
 
-def cmd_forward(args: argparse.Namespace) -> int:
+def cmd_forward(args: SimpleNamespace) -> int:
     if args.dump_field and args.method != "fdfd":
         raise ConfigError(f"--dump-field needs --method fdfd, got --method {args.method}")
     _refuse_unwritable(args.output, args.output + ".meta", args.dump_field)
@@ -141,12 +130,14 @@ def cmd_forward(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_roundtrip(args: argparse.Namespace) -> int:
+def cmd_roundtrip(args: SimpleNamespace) -> int:
     config = _load_config(args)
     geometry, medium = config.geometry(), config.medium()
     material = config.material()
     gap = GapProperties.from_geometry(geometry, medium)
     tolerance = float(config.values["roundtrip.tolerance"])
+    if tolerance < 0:
+        raise ConfigError(f"roundtrip.tolerance must not be negative, got {tolerance}")
     methods = ["averaged", "fdfd"] if args.method == "both" else [args.method]
     worst_of_all = 0.0
     for method in methods:
@@ -165,8 +156,11 @@ def cmd_roundtrip(args: argparse.Namespace) -> int:
                 n_errs.append(n_err)
                 z_errs.append(z_err)
         for name, errs in (("n1", n_errs), ("z1/z2", z_errs)):
-            print(f"   {name}: median {statistics.median(errs):.3e}, max {max(errs):.3e}")
-            worst_of_all = max(worst_of_all, statistics.median(errs))
+            # not np.median, whose first call imports numpy.ma (about 12 ms)
+            ranked = sorted(errs)
+            median = (ranked[(len(ranked) - 1) // 2] + ranked[len(ranked) // 2]) / 2
+            print(f"   {name}: median {median:.3e}, max {max(errs):.3e}")
+            worst_of_all = max(worst_of_all, median)
     if worst_of_all > tolerance:
         print(f"FAIL: median error {worst_of_all:.3e} exceeds tolerance {tolerance:.3e}")
         return 2
@@ -174,11 +168,13 @@ def cmd_roundtrip(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_modes(args: argparse.Namespace) -> int:
+def cmd_modes(args: SimpleNamespace) -> int:
     config = _load_config(args)
     geometry, medium = config.geometry(), config.medium()
     basis = duct_wavenumbers(geometry, int(config.values["modal.count"]))
     query = None if args.freq is None else parse_value("--freq", args.freq, float)
+    if query is not None and query <= 0:
+        raise ConfigError(f"--freq must be positive, got {query}")
     print(f"duct radius {geometry.r2} m, sound speed {medium.c0} m/s, "
           f"{basis.n_modes} modes")
     header = f"{'n':>4} {'x_n':>12} {'k_n (1/m)':>12} {'cutoff (Hz)':>12}"
@@ -196,53 +192,105 @@ def cmd_modes(args: argparse.Namespace) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="tubegap",
-        description="Effective-parameter retrieval for duct samples with an air gap",
-    )
-    parser.add_argument("--version", action="version", version=f"tubegap {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
+# The command table: each command's handler, one-line help and long
+# options.  An option's kind is "value" (default None), "required" (a
+# value that must be given), "flag" (default False), "append" (repeatable,
+# kept in order; default []) or a tuple of choices, the first the default.
+_COMMON = {"--config": ("value", "configuration file (key = value lines)"),
+           "--set": ("append", "override a config value (repeatable; wins over the file)")}
+_SWEEP = {"--modes": ("value", "modal truncation"),
+          "--allow-above-cutoff": ("flag", "allow a sweep above the first duct cutoff")}
+COMMANDS = {
+    "retrieve": (cmd_retrieve, "invert a T,R sweep file into n1, z1", {
+        **_COMMON, "--input": ("required", "T,R sweep CSV"),
+        "--output": ("required", "results CSV to write"),
+        "--branch-seed": ("value", "inverse-cosine branch at the first point"), **_SWEEP}),
+    "forward": (cmd_forward, "generate a T,R sweep", {
+        **_COMMON, "--method": (("averaged", "fdfd"), "forward model"),
+        "--output": ("required", "T,R sweep CSV to write"), **_SWEEP,
+        "--dump-field": ("value", "also dump the last frequency's pressure field (fdfd)")}),
+    "roundtrip": (cmd_roundtrip, "forward then retrieve, report errors", {
+        **_COMMON, "--method": (("averaged", "fdfd", "both"), "forward model"),
+        "--tolerance": ("value", "median relative error bound"), **_SWEEP}),
+    "modes": (cmd_modes, "print the duct mode table", {
+        **_COMMON, "--modes": ("value", "how many modes to list"),
+        "--freq": ("value", "mark propagating/evanescent at this frequency")}),
+}
+# the bare program, which takes a command or one of these options
+_TOP = (None, "Effective-parameter retrieval for duct samples with an air gap",
+        {"--version": ("flag", "print the version and exit")})
 
-    p = sub.add_parser("retrieve", help="invert a T,R sweep file into n1, z1")
-    _common_flags(p)
-    p.add_argument("--input", required=True, help="T,R sweep CSV")
-    p.add_argument("--output", required=True, help="results CSV to write")
-    p.add_argument("--branch-seed", help="inverse-cosine branch at the first point")
-    p.add_argument("--modes", help="modal truncation")
-    p.add_argument("--allow-above-cutoff", action="store_true")
-    p.set_defaults(func=cmd_retrieve)
 
-    p = sub.add_parser("forward", help="generate a T,R sweep")
-    _common_flags(p)
-    p.add_argument("--method", choices=["averaged", "fdfd"], default="averaged")
-    p.add_argument("--output", required=True)
-    p.add_argument("--modes")
-    p.add_argument("--allow-above-cutoff", action="store_true")
-    p.add_argument("--dump-field", help="also dump the last frequency's pressure field (fdfd)")
-    p.set_defaults(func=cmd_forward)
+class _UsageError(Exception):
+    """A command line that does not fit ``COMMANDS``: (command, message)."""
 
-    p = sub.add_parser("roundtrip", help="forward then retrieve, report errors")
-    _common_flags(p)
-    p.add_argument("--method", choices=["averaged", "fdfd", "both"], default="averaged")
-    p.add_argument("--tolerance", help="median relative error bound")
-    p.add_argument("--modes")
-    p.add_argument("--allow-above-cutoff", action="store_true")
-    p.set_defaults(func=cmd_roundtrip)
 
-    p = sub.add_parser("modes", help="print the duct mode table")
-    _common_flags(p)
-    p.add_argument("--modes", help="how many modes to list")
-    p.add_argument("--freq", help="mark propagating/evanescent at this frequency")
-    p.set_defaults(func=cmd_modes)
-    return parser
+def _spell(name: str, kind: str | tuple[str, ...]) -> str:
+    if isinstance(kind, tuple):
+        return f"{name} {{{','.join(kind)}}}"
+    meta = "KEY=VALUE" if kind == "append" else name[2:].upper().replace("-", "_")
+    return name if kind == "flag" else f"{name} {meta}"
+
+
+def _help(command: str, full: bool = True) -> str:
+    """The usage line of ``tubegap [command]`` and, if ``full``, its help."""
+    _, about, options = COMMANDS.get(command, _TOP)
+    required = [_spell(n, k) for n, (k, _) in options.items() if k == "required"]
+    usage = " ".join(["usage: tubegap", command or f"{{{','.join(COMMANDS)}}}", *required, "[options]"])
+    if not full:
+        return usage
+    rows = [] if command else [(n, text) for n, (_, text, _) in COMMANDS.items()]
+    rows += [("-h, --help", "print this help and exit")]
+    rows += [(_spell(n, k), text) for n, (k, text) in options.items()]
+    return "\n".join([usage, "", about, ""] + [f"  {a:<30} {b}" for a, b in rows])
+
+
+def _parse(argv: list[str]) -> SimpleNamespace | None:
+    """The namespace ``argv`` parses to against ``COMMANDS``, or None once
+    the help or version asked for is printed; ``_UsageError`` if it does not fit."""
+    command = argv[0] if argv and argv[0] in COMMANDS else ""
+    words = argv[1:] if command else argv
+    if "-h" in words or any(len(w) > 2 and "--help".startswith(w) for w in words):
+        print(_help(command))
+        return None
+    if not command:
+        if not any(len(w) > 2 and "--version".startswith(w) for w in words):
+            raise _UsageError("", f"expected a command, got {argv[0]!r}" if argv else "expected a command")
+        print(f"tubegap {__version__}")
+        return None
+    handler, _, options = COMMANDS[command]
+    values = {n: k[0] if isinstance(k, tuple) else {"flag": False, "append": []}.get(k)
+              for n, (k, _) in options.items()}
+    # --name=value is --name value, and a flag given a value leaves it stray;
+    # otherwise a value is the next word unless that begins with "--"
+    tokens = iter([part for w in words for part in (w.split("=", 1) if w[:2] == "--" else [w])])
+    for token in tokens:
+        hits = [n for n in options if n.startswith(token)] if token[:2] == "--" else []
+        if len(hits) != 1:
+            raise _UsageError(command, f"ambiguous option {token}: {', '.join(hits)}" if hits
+                              else f"unrecognized argument {token!r}")
+        name, kind = hits[0], options[hits[0]][0]
+        value = True if kind == "flag" else next(tokens, "--")
+        if value is not True and value.startswith("--"):
+            raise _UsageError(command, f"{name} needs a value")
+        if isinstance(kind, tuple) and value not in kind:
+            raise _UsageError(command, f"{name} must be one of {', '.join(kind)}, got {value!r}")
+        values[name] = values[name] + [value] if kind == "append" else value
+    missing = [n for n, (k, _) in options.items() if k == "required" and values[n] is None]
+    if missing:
+        raise _UsageError(command, f"missing required {', '.join(missing)}")
+    return SimpleNamespace(func=handler, **{n[2:].replace("-", "_"): v for n, v in values.items()})
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        args = _parse(sys.argv[1:] if argv is None else argv)
+        return 0 if args is None else args.func(args)
+    except _UsageError as exc:
+        command, message = exc.args
+        print(_help(command, full=False), f"tubegap {command}".rstrip() + f": error: {message}",
+              sep="\n", file=sys.stderr)
+        return 2
     except (ConfigError, DomainError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

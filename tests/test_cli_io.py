@@ -12,6 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import tubegap
 from tubegap.cli import main
 from tubegap.config import RunConfig
 from tubegap.datafiles import (
@@ -167,7 +168,10 @@ class TestDataFiles:
 
 class TestCli:
     def run(self, *argv):
-        return main(list(argv))
+        try:
+            return main(list(argv))
+        except SystemExit as exc:
+            return exc.code
 
     def test_forward_then_retrieve(self, cfg_path, tmp_path, capsys):
         tr = tmp_path / "tr.csv"
@@ -218,19 +222,24 @@ class TestCli:
         ("forward", "--method", "fdfd", "--set", "material.n1_re=0"),
         ("forward", "--method", "averaged", "--set", "material.z1_im=-5e5"),
         ("forward", "--method", "averaged", "--set", "material.z1_re=1000"),
+        ("roundtrip", "--method", "averaged", "--tolerance", "-1"),
+        ("roundtrip", "--method", "both", "--set", "roundtrip.tolerance=-1e-9"),
+        ("modes", "--freq", "0"),
+        ("modes", "--freq", "-5"),
     ])
     def test_bad_numbers_are_validation_errors(self, cfg_path, tmp_path, capsys, argv):
         """Non-finite or malformed values, a zero sample index or impedance,
-        a resolution below the minimum and a material key that would be
-        ignored (z1_im without z1_re, or z1_re beside z1_over_z2) end in
-        exit 1 and one error line, not a traceback, argparse's usage error
-        (exit 2), a silent PASS or a written file."""
+        a resolution below the minimum, a material key that would be
+        ignored (z1_im without z1_re, or z1_re beside z1_over_z2), a
+        negative round-trip tolerance and a mode-table frequency that is not
+        positive end in exit 1 and one error line, not a traceback, a usage
+        error (exit 2), a silent PASS or a written file."""
         extra = ["--output", str(tmp_path / "x.csv")] if argv[0] == "forward" else []
         code = self.run(*argv, "--config", str(cfg_path), *extra)
         captured = capsys.readouterr()
         assert code == 1
         assert captured.err.startswith("error:")
-        assert "PASS" not in captured.out
+        assert captured.out == ""
         assert not (tmp_path / "x.csv").exists()
 
     def test_modes_table(self, cfg_path, capsys):
@@ -475,6 +484,121 @@ class TestCli:
         assert np.allclose(rings, (np.arange(len(rings)) + 0.5) * dr, rtol=0, atol=1e-15)
         assert len(rings) * dr == pytest.approx(r2, rel=5e-3)
 
+    # every command's one-line help and its options' help texts (None where
+    # an option's help is not pinned)
+    COMMAND_HELP = {
+        "retrieve": ("invert a T,R sweep file into n1, z1", {
+            "--input": "T,R sweep CSV", "--output": "results CSV to write",
+            "--branch-seed": "inverse-cosine branch at the first point",
+            "--modes": "modal truncation", "--allow-above-cutoff": None}),
+        "forward": ("generate a T,R sweep", {
+            "--method": None, "--output": None, "--modes": None, "--allow-above-cutoff": None,
+            "--dump-field": "also dump the last frequency's pressure field (fdfd)"}),
+        "roundtrip": ("forward then retrieve, report errors", {
+            "--method": None, "--tolerance": "median relative error bound", "--modes": None,
+            "--allow-above-cutoff": None}),
+        "modes": ("print the duct mode table", {
+            "--modes": "how many modes to list",
+            "--freq": "mark propagating/evanescent at this frequency"}),
+    }
+    COMMON_HELP = {"--config": "configuration file (key = value lines)",
+                   "--set": "override a config value (repeatable; wins over the file)"}
+
+    @pytest.mark.parametrize("flag", ["-h", "--help"])
+    @pytest.mark.parametrize("command", [None, *COMMAND_HELP])
+    def test_help_names_every_command_and_option(self, command, flag, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "200")   # no wrapped help lines
+        code = self.run(flag) if command is None else self.run(command, flag)
+        captured = capsys.readouterr()
+        assert code == 0 and captured.err == ""
+        assert captured.out.startswith("usage: tubegap")
+        text = " ".join(captured.out.split())
+        if command is None:
+            pinned = {name: about for name, (about, _) in self.COMMAND_HELP.items()}
+            pinned["--version"] = None
+        else:
+            pinned = {**self.COMMON_HELP, **self.COMMAND_HELP[command][1]}
+        for name, about in pinned.items():
+            assert name in text
+            assert about is None or about in text
+
+    def test_version(self, capsys):
+        assert self.run("--version") == 0
+        assert capsys.readouterr().out == f"tubegap {tubegap.__version__}\n"
+
+    def test_main_returns_usage_and_help_codes(self, capsys):
+        """``main`` returns the exit code of a usage error or a help request
+        rather than raising ``SystemExit``; the console script exits with it."""
+        assert main(["forward"]) == 2
+        assert main(["forward", "--help"]) == 0
+        assert main(["--version"]) == 0
+
+    def test_equals_and_unique_prefixes(self, cfg_path, tmp_path):
+        """``--name=value`` and an unambiguous prefix of a long option parse
+        as the full option does."""
+        tr1, tr2 = tmp_path / "a.csv", tmp_path / "b.csv"
+        assert self.run("forward", f"--config={cfg_path}", f"--output={tr1}") == 0
+        assert self.run("forward", "--conf", str(cfg_path), "--out", str(tr2),
+                        "--meth=averaged", "--allow") == 0
+        assert tr1.read_bytes() == tr2.read_bytes()
+
+    def test_negative_value(self, cfg_path, tmp_path, capsys):
+        tr, out = tmp_path / "tr.csv", tmp_path / "props.csv"
+        assert self.run("forward", "--config", str(cfg_path), "--set", "sweep.count=1",
+                        "--output", str(tr)) == 0
+        capsys.readouterr()
+        assert self.run("retrieve", "--config", str(cfg_path), "--input", str(tr),
+                        "--output", str(out), "--branch-seed", "-1") == 0
+        assert "using seed m=-1" in capsys.readouterr().err
+        assert read_results_csv(out)[0]["branch_m"] == -1
+
+    def test_repeated_options(self, cfg_path, tmp_path, capsys):
+        """``--set`` applies in order, so the later of two equal keys wins;
+        a repeated value option keeps its last value."""
+        tr = tmp_path / "tr.csv"
+        assert self.run("forward", "--config", str(cfg_path), "--set", "sweep.count=2",
+                        "--set", "sweep.start=500", "--set", "sweep.count=3",
+                        "--output", str(tr)) == 0
+        assert [row.f for row in read_tr_csv(tr)] == [500.0, 1050.0, 1600.0]
+        capsys.readouterr()
+        assert self.run("modes", "--config", str(cfg_path), "--modes", "2",
+                        "--modes", "3") == 0
+        assert ", 3 modes" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("argv", [
+        (),
+        ("fit",),
+        ("--bogus",),
+        ("forward", "--bogus", "1"),
+        ("forward", "stray"),
+        ("forward", "-x"),
+        ("forward", "--output"),
+        ("forward", "--output", "--modes", "3"),
+        ("forward", "--m", "3"),
+        ("forward", "--allow-above-cutoff=yes"),
+        ("forward", "--method", "exact"),
+        ("roundtrip", "--method", "mixed"),
+        ("retrieve", "--input", "tr.csv"),
+    ])
+    def test_usage_errors(self, cfg_path, tmp_path, capsys, argv):
+        """No command or an unknown one, an unknown option or stray token, a
+        missing value, an ambiguous prefix, a value on a flag, a bad choice
+        and a missing required option exit 2 with a usage line and an error
+        line on stderr, before any work."""
+        extra = []
+        if argv and argv[0] in ("forward", "retrieve"):
+            extra = ["--config", str(cfg_path), "--output", str(tmp_path / "x.csv")]
+            if argv[0] == "retrieve":
+                extra = extra[:2]
+        code = self.run(*argv[:1], *extra, *argv[1:])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "Traceback" not in captured.err
+        assert re.search(r"^usage: tubegap", captured.err, re.M)
+        assert re.search(r"^tubegap( \w+)?: error: ", captured.err, re.M)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["run.cfg"]
+
 
 class TestTracerSites:
     """The names benchmarks/tracing.py wraps, at the sites where it looks
@@ -562,21 +686,23 @@ def test_cli_imports_no_sparse_or_dense_scipy_solvers():
     assert done.stdout.split() == []
 
 
-def test_cli_and_averaged_roundtrip_load_no_scipy(cfg_path):
+def test_cli_and_averaged_roundtrip_load_no_slow_modules(cfg_path):
     """Neither importing the CLI nor a default one-point averaged round trip
     loads any scipy module: the Bessel functions are the package's own, and
-    scipy is imported only to search J1 roots beyond the 127-root table."""
-    import tubegap
-
+    scipy is imported only to search J1 roots beyond the 127-root table.
+    The CLI parses its arguments from its own command table, so argparse
+    and gettext stay out too, and its medians need neither statistics nor
+    numpy.ma, which np.median imports on its first call."""
     src = str(Path(tubegap.__file__).resolve().parents[1])
     probe = ("import contextlib, io, sys, tubegap.cli\n"
-             "def scipy_modules():\n"
-             "    return sorted(m for m in sys.modules if m.startswith('scipy'))\n"
-             "print('import', *scipy_modules())\n"
+             "def slow_modules():\n"
+             "    return sorted(m for m in sys.modules if m.startswith('scipy')\n"
+             "                  or m in ('argparse', 'gettext', 'statistics', 'numpy.ma'))\n"
+             "print('import', *slow_modules())\n"
              "with contextlib.redirect_stdout(io.StringIO()):\n"
              "    code = tubegap.cli.main(['roundtrip', '--config', sys.argv[1], "
              "'--method', 'averaged', '--set', 'sweep.count=1'])\n"
-             "print('roundtrip', code, *scipy_modules())\n")
+             "print('roundtrip', code, *slow_modules())\n")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     done = subprocess.run([sys.executable, "-c", probe, str(cfg_path)], capture_output=True,
                           text=True, env=env, timeout=60, check=True)
