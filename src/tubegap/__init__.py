@@ -55,6 +55,6 @@ from tubegap.retrieval import (
     tr_from_transfer_matrix,
     transfer_matrix_from_tr,
 )
-from tubegap.fdfd import SimGrid, build_scene, grid_wavenumber, solve_field, solve_harmonic
+from tubegap.fdfd import SimGrid, build_scene, grid_wavenumber, solve_field, solve_harmonic, solve_sweep
 
 __all__ = [name for name in dir() if not name.startswith("_")]

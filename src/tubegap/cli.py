@@ -15,6 +15,7 @@ or a usage error (a ``usage:`` line, then an ``error:`` line, and no work).
 from __future__ import annotations
 
 import math
+import os
 import sys
 from pathlib import Path
 from types import SimpleNamespace
@@ -23,15 +24,10 @@ import numpy as np
 
 from tubegap import __version__
 from tubegap.config import RunConfig, parse_value
-from tubegap.datafiles import (
-    read_tr_csv,
-    write_field_csv,
-    write_results_csv,
-    write_sidecar,
-    write_tr_csv,
-)
+from tubegap.datafiles import (read_tr_csv, write_field_csv, write_results_csv, write_sidecar,
+                               write_tr_csv)
 from tubegap.errors import ConfigError, DomainError, TubegapError
-from tubegap.fdfd import build_scene, solve_field, solve_harmonic
+from tubegap.fdfd import build_scene, solve_field, solve_sweep
 from tubegap.modal import duct_wavenumbers, first_cutoff_frequency, refuse_above_cutoff
 from tubegap.retrieval import forward_averaged_sweep, retrieve_sweep
 from tubegap.types import GapProperties
@@ -60,11 +56,13 @@ def _load_config(args: SimpleNamespace) -> RunConfig:
 
 
 def _refuse_unwritable(*paths: str | None) -> None:
-    """Refuse, before any work, an output path that is a folder or whose
-    folder does not exist.  Callers list a data file's ``.meta`` sidecar
+    """Refuse, before any work, an output path that is empty, is a folder or
+    whose folder does not exist.  Callers list a data file's ``.meta`` sidecar
     too, so that a sidecar path that is a folder is refused before the
     data file is written."""
-    for path in map(Path, filter(None, paths)):
+    if "" in paths:
+        raise ConfigError("cannot write to an empty path")
+    for path in (Path(p) for p in paths if p is not None):
         if path.is_dir():
             raise ConfigError(f"cannot write {path}: it is a folder")
         if not path.parent.is_dir():
@@ -109,8 +107,7 @@ def _forward_data(config: RunConfig, method: str):
         return data, None
     scene = build_scene(material, geometry, max(freqs), medium=medium,
                         cells_per_wavelength=float(config.values["oracle.cells_per_wavelength"]))
-    data = [solve_harmonic(scene, f) for f in freqs]
-    return data, scene
+    return solve_sweep(scene, freqs), scene
 
 
 def cmd_forward(args: SimpleNamespace) -> int:
@@ -285,7 +282,13 @@ def _parse(argv: list[str]) -> SimpleNamespace | None:
 def main(argv: list[str] | None = None) -> int:
     try:
         args = _parse(sys.argv[1:] if argv is None else argv)
-        return 0 if args is None else args.func(args)
+        code = 0 if args is None else args.func(args)
+        sys.stdout.flush()      # a reader that closed early fails here, not at exit
+        return code
+    except BrokenPipeError:
+        # the reader is gone: end quietly, stdout on devnull for the flush at exit
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except _UsageError as exc:
         command, message = exc.args
         print(_help(command, full=False), f"tubegap {command}".rstrip() + f": error: {message}",

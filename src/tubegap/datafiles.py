@@ -18,18 +18,8 @@ from tubegap.retrieval import RetrievedProperties
 from tubegap.types import ScatteringData
 
 TR_COLUMNS = ["f_hz", "re_t", "im_t", "re_r", "im_r"]
-RESULT_COLUMNS = [
-    "f_hz",
-    "re_n1",
-    "im_n1",
-    "re_z1",
-    "im_z1",
-    "z1_over_z2_mag",
-    "branch_m",
-    "sign",
-    "condition_number",
-    "flags",
-]
+RESULT_COLUMNS = ["f_hz", "re_n1", "im_n1", "re_z1", "im_z1", "z1_over_z2_mag", "branch_m", "sign",
+                  "condition_number", "flags"]
 FIELD_COLUMNS = ["x_m", "r_m", "re_p", "im_p"]
 
 

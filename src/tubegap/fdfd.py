@@ -44,22 +44,23 @@ Discretization notes:
 Solution method.  The same separation holds inside the sample span: the
 sleeve decouples the disk from the annulus and both media are uniform
 along x, so the span's columns share one radial eigenbasis W, block-
-diagonal over disk and annulus (the discrete form of mode matching).
-In W each mode is an independent tridiagonal chain across the sample
-columns, coupled to the neighbouring air columns only at its two ends.
-``build_scene`` computes W once; each frequency solves every chain for a
-unit drive at its first column (all modes at once), takes the Schur
-complement of the span onto the two air columns next to it, and solves
-that dense system.  The scene is mirror-symmetric about x = t/2, so the
-even and odd parts of the pair decouple into two dense nr x nr solves.
-The span's field is then W times the chains' amplitudes.  Every solve is
-checked against the full five-point operator with its terminations,
-applied cell by cell.  The check builds that operator from the media maps
-and shares no coefficient array with the modal solve; a relative residual
-of 1e-9 or more raises ``ResolutionError``.
+diagonal over disk and annulus (the discrete form of mode matching), in
+which each mode is a tridiagonal chain across the sample columns, coupled
+to the air columns beside the span only at its ends.  ``build_scene``
+computes W and P = W^-1 V once.  Per frequency, the chains reduce the span
+to a Schur complement on those two air columns, whose even and odd parts
+decouple by the scene's mirror symmetry about x = t/2; as the face
+coupling is constant on each block of W, each part is the dense system
+(P diag(air) - diag(h) P) u = W^-1 drive, formed in O(nr^2), and its LU
+is the frequency's only O(nr^3) work.  ``solve_sweep`` stacks all
+elementwise work over blocks of frequencies and keeps each point's matrix
+products its own, so a point's (T, R) has the same bits in any sweep.
+Each field is checked against the five-point operator with its
+terminations, built from the media maps alone; a relative residual of
+1e-9 or more raises ``ResolutionError`` naming the first failing frequency.
 
 Usage: ``scene = build_scene(material, geometry, f_max, medium)`` once per
-sweep, then ``solve_harmonic(scene, f)`` returns (T, R) at each frequency.
+sweep, then ``solve_sweep(scene, freqs)`` returns (T, R) at each frequency.
 
 Time convention matches the rest of the package: exp(+i w t), so
 exp(-i k x) travels toward +x.
@@ -85,6 +86,8 @@ MAX_CELLS = 6_000_000
 # first positive root of J1 (scipy.special.jn_zeros(1, 1)): the first
 # non-planar duct mode cuts on at k r2 = J1_FIRST_ROOT (only the warning below uses it)
 J1_FIRST_ROOT = 3.8317059702075125
+# points solve_sweep solves in one stacked pass
+SWEEP_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -112,6 +115,7 @@ class SimGrid:
     span_modes: np.ndarray           # (nr, nr) W, block-diagonal: mode m lies in the block
                                      # (disk or annulus) of ring m
     span_modes_inv: np.ndarray       # (nr, nr) W^-1
+    span_air_modes: np.ndarray       # (nr, nr) P = W^-1 V, the air's radial modes in W (real)
     area_weights: np.ndarray         # (nr,) ring-centre radii, the weights of a column's area average
 
     @property
@@ -250,6 +254,7 @@ def build_scene(
         "rho": rho, "kappa": kappa,
         "radial_eigenvalues": lam, "radial_modes": modes, "radial_modes_inv": modes_inv,
         "span_eigenvalues": span_lam, "span_modes": span_modes, "span_modes_inv": span_modes_inv,
+        "span_air_modes": span_modes_inv @ modes,
         "area_weights": (np.arange(nr) + 0.5) * dr,
     }
     for array in fields.values():
@@ -260,9 +265,9 @@ def build_scene(
     )
 
 
-def _termination_factors(scene: SimGrid, k0: float) -> np.ndarray:
-    """Column-to-column factors mu_n of an outgoing field in uniform air, so
-    that the termination map is M = V diag(mu) V^-1.
+def _termination_factors(scene: SimGrid, k0: float | np.ndarray) -> np.ndarray:
+    """Column-to-column factors mu_n of an outgoing field in uniform air (a row
+    per frequency for a column of k0): the termination map is M = V diag(mu) V^-1.
 
     mu_n = exp(-2i asin(dx sqrt(q_n) / 2)) with q_n = k0^2 - lambda_n solves
     mu + 1/mu = 2 - dx^2 q_n; the branch sqrt(q) = -i sqrt(-q) for q < 0
@@ -274,125 +279,128 @@ def _termination_factors(scene: SimGrid, k0: float) -> np.ndarray:
     return np.exp(-2j * np.arcsin(0.5 * scene.dx * root))
 
 
-def _apply_operator(scene: SimGrid, omega: float, terminate, p: np.ndarray) -> np.ndarray:
+def _apply_operator(scene: SimGrid, omega, terminate, p: np.ndarray) -> np.ndarray:
     """The five-point operator with both terminations, applied cell by cell
-    to p[nx, nr] and built from the media maps alone: face fluxes use series
-    transmissibility, and the sleeve face carries none over the sample
-    columns.  ``terminate`` maps an end column to its ghost column's
-    scattered part, p_ghost = M p_end."""
+    to p[..., nx, nr] and built from the media maps alone: face fluxes use
+    series transmissibility, and the sleeve face carries none over the
+    sample columns.  ``terminate`` maps the end columns p[..., [0, -1], :]
+    to their ghost columns' scattered parts, p_ghost = M p_end."""
     rho, dx, dr, r = scene.rho, scene.dx, scene.dr, scene.area_weights
     out = omega ** 2 / scene.kappa * p
-    flux = 2.0 / ((rho[:-1] + rho[1:]) * dx ** 2) * np.diff(p, axis=0)
-    out[:-1] += flux
-    out[1:] -= flux
+    flux = 2.0 / ((rho[:-1] + rho[1:]) * dx ** 2) * np.diff(p, axis=-2)
+    out[..., :-1, :] += flux
+    out[..., 1:, :] -= flux
     # radius-weighted flux through face j (at j dr, between rings j-1 and j)
-    flux = 2.0 * np.arange(1, r.size) / ((rho[:, :-1] + rho[:, 1:]) * dr) * np.diff(p, axis=1)
+    flux = 2.0 * np.arange(1, r.size) / ((rho[:, :-1] + rho[:, 1:]) * dr) * np.diff(p, axis=-1)
     if scene.j_sleeve > 0:
-        flux[1:-1, scene.j_sleeve - 1] = 0.0
-    out[:, :-1] += flux / r[:-1]
-    out[:, 1:] -= flux / r[1:]
-    ends = p[[0, -1]]
-    out[[0, -1]] += (terminate(ends) - ends) / (scene.medium.rho0 * dx ** 2)
+        flux[..., 1:-1, scene.j_sleeve - 1] = 0.0
+    out[..., :-1] += flux / r[:-1]
+    out[..., 1:] -= flux / r[1:]
+    ends = p[..., [0, -1], :]
+    out[..., [0, -1], :] += (terminate(ends) - ends) / (scene.medium.rho0 * dx ** 2)
     return out
 
 
-def _solve_field(scene: SimGrid, f: float) -> tuple[np.ndarray, float]:
-    """Total field p[nx, nr] for a unit plane wave incident from upstream,
-    and the grid wavenumber k of that wave."""
-    medium, dx, nr = scene.medium, scene.dx, scene.nr
-    omega = 2.0 * math.pi * f
+def _solve_fields(scene: SimGrid, freqs: list[float]) -> tuple[np.ndarray, list[float]]:
+    """Total fields p[point, nx, nr] for a unit plane wave incident from
+    upstream at each frequency, and the grid wavenumbers k of that wave."""
+    medium, dx, nr, nt = scene.medium, scene.dx, scene.nr, scene.n_sample_cells
+    omega = 2.0 * math.pi * np.array(freqs)
     k0 = omega / medium.c0
-    k = grid_wavenumber(k0, dx)
-    mu = _termination_factors(scene, k0)
+    k = [grid_wavenumber(x, dx) for x in k0]
+    mu = _termination_factors(scene, k0[:, None])
     v, v_inv = scene.radial_modes, scene.radial_modes_inv
-
-    def terminate(columns: np.ndarray) -> np.ndarray:
-        return ((columns @ v_inv.T) * mu) @ v.T
-
-    # total = incident + scattered beyond the upstream column, and only the
-    # scattered part leaves: p_ghost = inc_ghost + M (p_0 - inc_0); this is its known part
-    inc_end, inc_ghost = (cmath.exp(-1j * k * scene.x_center(i)) for i in (0, -1))
-    drive = (terminate(np.full(nr, inc_end)) - inc_ghost) / (medium.rho0 * dx ** 2)
+    w, w_inv = scene.span_modes, scene.span_modes_inv
 
     # the sample span in its radial modes: mode m has the medium of ring m,
     # chain coupling c between sample columns and g across the sample faces
-    nt = scene.n_sample_cells
     rho, kappa = scene.rho[1], scene.kappa[1]
     c = 1.0 / (rho * dx ** 2)
     g = 2.0 / ((scene.rho[0] + rho) * dx ** 2)
-    diag = np.tile(omega ** 2 / kappa - scene.span_eigenvalues / rho - 2.0 * c, (nt, 1))
-    diag[0] += c - g
-    diag[-1] += c - g
-    # chain[i] = (T^-1 e_0)[i] per mode, T the chain's tridiagonal matrix:
+    diag = np.stack([omega[:, None] ** 2 / kappa - scene.span_eigenvalues / rho - 2.0 * c] * nt, 1)
+    diag[:, 0] += c - g
+    diag[:, -1] += c - g
+    # chain[:, i] = (T^-1 e_0)[i] per mode, T the chain's tridiagonal matrix:
     # ratios x_i / x_(i-1) from the far end back, then their running product
-    steps = np.empty((nt, nr), dtype=complex)
-    ratio = np.zeros(nr, dtype=complex)
+    steps = np.empty_like(diag)
+    ratio = 0.0
     for i in range(nt - 1, 0, -1):
-        ratio = steps[i] = -c / (diag[i] + c * ratio)
-    steps[0] = 1.0 / (diag[0] + c * ratio)
-    chain = np.cumprod(steps, axis=0)
+        ratio = steps[:, i] = -c / (diag[:, i] + c * ratio)
+    steps[:, 0] = 1.0 / (diag[:, 0] + c * ratio)
+    chain = np.cumprod(steps, axis=1)
 
-    # Schur complement onto the air columns next to the span.  Each carries
-    # the air's radial operator and, through the air beyond it, the exact
-    # termination (both diagonal in V); the span adds W diag(g^2 x) W^-1.
-    # T is symmetric and persymmetric, so (T^-1 e_last) = chain reversed.
-    w, w_inv = scene.span_modes, scene.span_modes_inv
-    air = (k0 ** 2 - scene.radial_eigenvalues + (mu - 1.0) / dx ** 2) / medium.rho0
-    end = (v * air) @ v_inv - np.diag(g)
-    near = (w * (g * g * chain[0])) @ w_inv
-    far = (w * (g * g * chain[-1])) @ w_inv
-    # mirror symmetry: the sum and difference of the two columns decouple
-    blocks = np.stack([end - near - far, end - near + far])
-    even, odd = np.linalg.solve(blocks, drive[:, None])[..., 0]
-
-    p = np.empty((scene.nx, nr), dtype=complex)
-    p[0], p[-1] = 0.5 * (even + odd), 0.5 * (even - odd)
-    from_in, from_out = g * (w_inv @ p[0]), g * (w_inv @ p[-1])
-    p[1:-1] = -(chain * from_in + chain[::-1] * from_out) @ w.T
+    # Schur complement onto the air columns beside the span: V diag(air) V^-1
+    # (the air's radial operator and exact termination) minus W diag(h) W^-1
+    # from the span, h = g + g^2 (chain[0] +/- chain[-1]) for the even and odd
+    # parts (T is persymmetric); in x = V u and rows of W^-1, P = W^-1 V:
+    # (P diag(air) - diag(h) P) u = W^-1 drive, as g is constant on W's blocks
+    air = (k0[:, None] ** 2 - scene.radial_eigenvalues + (mu - 1.0) / dx ** 2) / medium.rho0
+    near, far = g * g * chain[:, 0], g * g * chain[:, -1]
+    h = g + np.stack([near + far, near - far], axis=1)
+    span_air, system = scene.span_air_modes, np.empty((2, nr, nr), dtype=complex)
+    drives, p = np.empty((len(freqs), nr), complex), np.empty((len(freqs), scene.nx, nr), complex)
+    for n, k_n in enumerate(k):
+        # total = incident + scattered beyond the upstream column, and only the scattered
+        # part leaves: p_ghost = inc_ghost + M (p_0 - inc_0); this is its known part
+        inc_end, inc_ghost = (cmath.exp(-1j * k_n * scene.x_center(i)) for i in (0, -1))
+        drive = drives[n] = ((((np.full(nr, inc_end) @ v_inv.T) * mu[n]) @ v.T - inc_ghost)
+                             / (medium.rho0 * dx ** 2))
+        np.subtract(span_air * air[n], h[n, :, :, None] * span_air, out=system)
+        even, odd = np.linalg.solve(system, (w_inv @ drive)[:, None])[..., 0] @ v.T
+        p[n, 0], p[n, -1] = 0.5 * (even + odd), 0.5 * (even - odd)
+        from_in, from_out = g * (w_inv @ p[n, 0]), g * (w_inv @ p[n, -1])
+        p[n, 1:-1] = -(chain[n] * from_in + chain[n, ::-1] * from_out) @ w.T
 
     # the residual of the full operator
-    b = np.zeros_like(p)
-    b[0] = drive
-    residual = float(np.linalg.norm(_apply_operator(scene, omega, terminate, p) - b)
-                     / np.linalg.norm(b))
-    if not residual < 1e-9:
-        raise ResolutionError(
-            f"Helmholtz solve did not converge at {f} Hz (relative residual {residual:.2e})"
-        )
+    residual = _apply_operator(scene, omega[:, None, None],
+                               lambda ends: ((ends @ v_inv.T) * mu[:, None]) @ v.T, p)
+    residual[:, 0] -= drives
+    residual = np.linalg.norm(residual, axis=(1, 2)) / np.linalg.norm(drives, axis=1)
+    for f, value in zip(freqs, residual):
+        if not value < 1e-9:
+            raise ResolutionError(
+                f"Helmholtz solve did not converge at {f} Hz (relative residual {value:.2e})")
     return p, k
 
 
-def solve_harmonic(scene: SimGrid, f: float) -> ScatteringData:
-    """Solve one frequency and return (T, R) referenced to the sample faces.
+def solve_sweep(scene: SimGrid, freqs) -> list[ScatteringData]:
+    """Solve each frequency and return its (T, R) referenced to the sample faces.
 
     The end columns' area averages are the scattered field R exp(+i k x)
     upstream (after subtracting the incident wave) and T exp(-i k (x - t))
     downstream, x = 0 at the incidence-side face and k the grid wavenumber.
+    ``SWEEP_BLOCK`` points are solved at a time, fewer if their fields would
+    hold more than ``MAX_CELLS`` cells; a point's (T, R) has the same bits
+    in any sweep.
     """
+    freqs = [float(f) for f in freqs]
     cutoff = J1_FIRST_ROOT * scene.medium.c0 / (2.0 * math.pi * scene.geometry.r2)
-    if f > cutoff:
-        warnings.warn(
-            f"{f} Hz is above the first duct cutoff; the plane-wave "
-            "read-out ignores the propagating higher mode",
-            stacklevel=2,
-        )
-    p, k = _solve_field(scene, f)
-    x_in, x_out = scene.x_center(0), scene.x_center(scene.nx - 1)
-    incident_in = cmath.exp(-1j * k * x_in)
-    reflection = (_area_average(p, scene, 0) - incident_in) * incident_in
-    transmission = _area_average(p, scene, -1) * cmath.exp(1j * k * (x_out - scene.geometry.t))
-    return ScatteringData(f=f, transmission=complex(transmission), reflection=complex(reflection))
+    for f in (f for f in freqs if f > cutoff):
+        warnings.warn(f"{f} Hz is above the first duct cutoff; the plane-wave "
+                      "read-out ignores the propagating higher mode", stacklevel=2)
+    size = max(1, min(SWEEP_BLOCK, MAX_CELLS // (scene.nx * scene.nr)))
+    x_in, x_out = scene.x_center(0), scene.x_center(scene.nx - 1) - scene.geometry.t
+    data = []
+    for start in range(0, len(freqs), size):
+        block = freqs[start:start + size]
+        p, k = _solve_fields(scene, block)
+        averages = np.sum(p[:, [0, -1]] * scene.area_weights, axis=-1) / np.sum(scene.area_weights)
+        for f, k_n, (upstream, downstream) in zip(block, k, averages):
+            incident_in = cmath.exp(-1j * k_n * x_in)
+            data.append(ScatteringData(f, complex(downstream * cmath.exp(1j * k_n * x_out)),
+                                       complex((upstream - incident_in) * incident_in)))
+    return data
 
 
-def _area_average(p: np.ndarray, scene: SimGrid, i: int) -> complex:
-    weights = scene.area_weights
-    return complex(np.sum(p[i, :] * weights) / np.sum(weights))
+def solve_harmonic(scene: SimGrid, f: float) -> ScatteringData:
+    """(T, R) at one frequency: the one-point ``solve_sweep``."""
+    return solve_sweep(scene, [f])[0]
 
 
 def solve_field(scene: SimGrid, f: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Full complex pressure field (x centers, r centers, p[nx, nr])."""
-    p, _ = _solve_field(scene, f)
-    return scene.x_center(np.arange(scene.nx)), scene.area_weights.copy(), p
+    p, _ = _solve_fields(scene, [float(f)])
+    return scene.x_center(np.arange(scene.nx)), scene.area_weights.copy(), p[0]
 
 
 def grid_wavenumber(k0: float, dx: float) -> float:

@@ -32,13 +32,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from tubegap.errors import (
-    DegenerateSampleError,
-    DomainError,
-    IllConditionedSystemError,
-    SingularMeasurementError,
-    TubegapError,
-)
+from tubegap.errors import (DegenerateSampleError, DomainError, IllConditionedSystemError,
+                            SingularMeasurementError, TubegapError)
 from tubegap.modal import (
     DEFAULT_MODE_COUNT,
     coupling_stack,

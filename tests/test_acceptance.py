@@ -36,7 +36,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.special import j0 as scipy_j0, j1 as scipy_j1
 
-from tubegap.fdfd import build_scene, solve_harmonic
+from tubegap.fdfd import build_scene, solve_sweep
 from tubegap.modal import coupling_coefficients, duct_wavenumbers, radial_integral
 from tubegap.retrieval import (
     FieldState,
@@ -73,7 +73,7 @@ def fdfd_roundtrip(geometry, n1_true, z_ratio_true):
     z2 = z2_of(geometry)
     material = MaterialSpec(n1=n1_true + 0j, z1=z_ratio_true * z2 + 0j)
     scene = build_scene(material, geometry, max(SWEEP), medium=MEDIUM)
-    data = [solve_harmonic(scene, f) for f in SWEEP]
+    data = solve_sweep(scene, SWEEP)
     results = retrieve_sweep(data, geometry, MEDIUM)
     clean = [r for r in results if "interpolated" not in r.flags]
     n_errs = [abs(r.n1.real - n1_true) / n1_true for r in clean]
@@ -163,7 +163,7 @@ def test_criterion_4_air_sample():
 
     air = MaterialSpec.air(SAMPLE1, MEDIUM)
     scene = build_scene(air, SAMPLE1, max(freqs), medium=MEDIUM)
-    data = [solve_harmonic(scene, f) for f in freqs]
+    data = solve_sweep(scene, freqs)
     sim = retrieve_sweep(data, SAMPLE1, MEDIUM)
     worst_sim = max(
         max(abs(r.n1 - 1.0), abs(r.z1 * SAMPLE1.s1 / MEDIUM.alpha - 1.0)) for r in sim

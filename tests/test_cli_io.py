@@ -298,6 +298,51 @@ class TestCli:
         assert err.startswith("error:") and str(culprit) in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("argv", [
+        ("forward", "--output="),
+        ("forward", "--method", "fdfd", "--dump-field="),
+        ("retrieve", "--output", ""),
+    ])
+    def test_empty_output_path_refused(self, cfg_path, tmp_path, capsys, monkeypatch, argv):
+        """An empty --output or --dump-field ends in exit 1 before any work,
+        not after the sweep with a folder error for '.'."""
+        def no_sweep(*args, **kwargs):
+            raise AssertionError("the sweep ran before the output path was checked")
+
+        for name in ("forward_averaged_sweep", "build_scene", "retrieve_sweep", "read_tr_csv"):
+            monkeypatch.setattr(f"tubegap.cli.{name}", no_sweep)
+        monkeypatch.chdir(tmp_path)
+        extra = {"forward": ("--output", "tr.csv"), "retrieve": ("--input", "tr.csv")}[argv[0]]
+        code = self.run(argv[0], "--config", str(cfg_path), *extra, *argv[1:])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err == "error: cannot write to an empty path\n"
+        assert captured.out == ""
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["run.cfg"]
+
+    @pytest.mark.parametrize("buffered", [False, True])
+    @pytest.mark.parametrize("argv", [("--help",), ("modes", "--modes", "3")])
+    def test_closed_stdout_ends_quietly(self, cfg_path, buffered, argv):
+        """A reader that closes before the output arrives (``tubegap --help |
+        head -1`` when head wins the race) ends the command with exit 1 and
+        nothing on stderr: no error line and no message at shutdown, whether
+        stdout is written as the command runs or flushed at its end."""
+        if argv[0] == "modes":
+            argv += ("--config", str(cfg_path))
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        src = str(Path(tubegap.__file__).resolve().parents[1])
+        env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+        env["PYTHONPATH"] = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+        if not buffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        try:
+            done = subprocess.run([sys.executable, "-m", "tubegap.cli", *argv], stdout=write_end,
+                                  stderr=subprocess.PIPE, text=True, env=env, timeout=60)
+        finally:
+            os.close(write_end)
+        assert (done.returncode, done.stderr) == (1, "")
+
     @pytest.mark.parametrize("command", ["forward", "retrieve"])
     def test_sidecar_folder_refused_before_the_data_file(self, cfg_path, tmp_path, capsys,
                                                          command):
@@ -608,7 +653,7 @@ class TestTracerSites:
     # benchmark drops them
     RETIRED = {"tubegap.cli.scattering_from_ports", "tubegap.fdfd.spla.splu",
                "tubegap.retrieval.retrieve_point", "tubegap.retrieval.forward_averaged",
-               "tubegap.retrieval.coupling_coefficients"}
+               "tubegap.retrieval.coupling_coefficients", "tubegap.cli.solve_harmonic"}
 
     def test_every_site_resolves(self):
         path = Path(__file__).resolve().parents[1] / "benchmarks" / "tracing.py"
@@ -632,17 +677,18 @@ class TestTracerSites:
         import tubegap.cli as cli_module
         import tubegap.fdfd as fdfd_module
 
-        for name in ("build_scene", "solve_harmonic"):
+        for name in ("build_scene", "solve_sweep"):
             assert getattr(cli_module, name) is getattr(fdfd_module, name)
 
     def test_one_factorization_per_point(self, cfg_path, tmp_path, monkeypatch):
-        """One scene basis, one end-column solve per point: the sample span's
-        radial basis is built once per scene, and each frequency factors
-        one dense system (its even and odd halves in one batched call)."""
+        """One scene basis, one sweep call, one end-column solve per point:
+        the sample span's radial basis is built once per scene, the CLI
+        solves the sweep in one call, and each frequency factors one dense
+        system (its even and odd halves in one batched call)."""
         import tubegap.cli as cli_module
         import tubegap.fdfd as fdfd_module
 
-        calls = {"span_basis": 0, "solve": 0, "solve_harmonic": 0}
+        calls = {"span_basis": 0, "solve": 0, "solve_sweep": 0}
         scenes = []
         build_scene = cli_module.build_scene
 
@@ -660,16 +706,35 @@ class TestTracerSites:
                             counted("span_basis", fdfd_module._span_basis))
         monkeypatch.setattr(fdfd_module.np.linalg, "solve",
                             counted("solve", fdfd_module.np.linalg.solve))
-        monkeypatch.setattr(cli_module, "solve_harmonic",
-                            counted("solve_harmonic", cli_module.solve_harmonic))
+        monkeypatch.setattr(cli_module, "solve_sweep",
+                            counted("solve_sweep", cli_module.solve_sweep))
         monkeypatch.setattr(cli_module, "build_scene", recorded)
         code = main(["forward", "--config", str(cfg_path), "--method", "fdfd",
                      "--set", "oracle.cells_per_wavelength=20",
                      "--output", str(tmp_path / "tr.csv")])
         assert code == 0
-        assert calls == {"span_basis": 1, "solve": 4, "solve_harmonic": 4}
+        assert calls == {"span_basis": 1, "solve": 4, "solve_sweep": 1}
         (scene,) = scenes
         assert scene.nx > 0 and scene.nr > 0 and scene.n_pml == 0
+
+
+def test_fdfd_forward_meets_the_benchmark_gate(tmp_path, monkeypatch):
+    """``forward --method fdfd`` on the benchmark's reference scene (lossless
+    sample 1, n1 = 5, z1/z2 = 15, 45 points from 300 to 2500 Hz, written
+    by the benchmark's own ``fdfd_config``) stays within the benchmark's
+    1e-6 of the recorded reference at every point (1.2e-7 measured)."""
+    bench = Path(__file__).resolve().parents[1] / "benchmarks"
+    monkeypatch.syspath_prepend(str(bench))
+    workloads = importlib.import_module("workloads")
+    cfg = workloads.write_config(tmp_path / "ref.cfg", workloads.fdfd_config(300.0, 45))
+    tr = tmp_path / "tr.csv"
+    assert main(["forward", "--config", str(cfg), "--method", "fdfd", "--output", str(tr)]) == 0
+    reference = workloads.read_reference()
+    data = read_tr_csv(tr)
+    assert [d.f for d in data] == sorted(reference) and len(data) == 45
+    for d in data:
+        t_ref, r_ref = reference[d.f]
+        assert max(abs(d.transmission - t_ref), abs(d.reflection - r_ref)) <= 1e-6, d.f
 
 
 def test_cli_imports_no_sparse_or_dense_scipy_solvers():

@@ -5,6 +5,7 @@ import dataclasses
 import functools
 import math
 import re
+import warnings
 
 import mpmath
 import numpy as np
@@ -21,6 +22,7 @@ from tubegap.fdfd import (
     grid_wavenumber,
     solve_field,
     solve_harmonic,
+    solve_sweep,
 )
 from tubegap.types import DuctGeometry, GapProperties, MaterialSpec
 
@@ -211,6 +213,21 @@ class TestStencil:
         assert np.all(np.diag(changed))
         assert not np.any(changed & ~allowed)
 
+    def test_stacked_fields_apply_one_by_one(self, small_scene):
+        """A stack of fields, each with its own frequency and termination,
+        gives each field's own result, as the sweep's residual check needs."""
+        rng = np.random.default_rng(5)
+        shape = (2, small_scene.nx, small_scene.nr)
+        p = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        omega = 2 * math.pi * np.array([700.0, 1500.0])
+        maps = np.stack([termination_map(small_scene, f) for f in (700.0, 1500.0)])
+        stacked = fdfd_module._apply_operator(small_scene, omega[:, None, None],
+                                              lambda ends: ends @ maps.transpose(0, 2, 1), p)
+        for n in range(2):
+            alone = fdfd_module._apply_operator(small_scene, omega[n],
+                                                lambda ends: ends @ maps[n].T, p[n])
+            assert np.allclose(stacked[n], alone, rtol=1e-14, atol=0)
+
     def test_solve_leaves_stencil_untouched(self, small_scene):
         """Every array the scene holds, the span's basis among them, is
         read-only and identical after solves."""
@@ -235,6 +252,79 @@ class TestStencil:
             default_scene, span_eigenvalues=default_scene.span_eigenvalues * (1 + 1e-3))
         with pytest.raises(ResolutionError, match=r"at 1000\.0 Hz \(relative residual"):
             solve_harmonic(wrong, 1000.0)
+
+
+class TestSweep:
+    """solve_sweep against its points solved alone, bit for bit."""
+
+    @staticmethod
+    def assert_points_alone(scene, freqs):
+        swept = solve_sweep(scene, freqs)
+        assert [sd.f for sd in swept] == list(freqs)
+        for sd, f in zip(swept, freqs):
+            alone = solve_harmonic(scene, f)
+            assert (sd.transmission, sd.reflection) == (alone.transmission, alone.reflection), f
+
+    def test_sample1(self, default_scene):
+        self.assert_points_alone(default_scene, np.linspace(300.0, 2500.0, 45))
+
+    def test_lossy_sample2(self, sample2_geometry, medium):
+        z2 = GapProperties.from_geometry(sample2_geometry, medium).z2
+        material = MaterialSpec(n1=7.0 - 0.8j, z1=(10.0 + 3.0j) * z2)
+        scene = build_scene(material, sample2_geometry, 2500.0, medium=medium)
+        assert scene.nr == 140
+        self.assert_points_alone(scene, np.linspace(300.0, 2500.0, 12))
+
+    def test_empty_duct(self, sample1_geometry, medium):
+        scene = fast_scene(None, sample1_geometry, 2500.0, medium=medium)
+        self.assert_points_alone(scene, np.linspace(300.0, 2500.0, 12))
+
+    def test_longer_than_one_block(self, sample1_geometry, sample1_material, medium):
+        scene = fast_scene(sample1_material, sample1_geometry, 1500.0, medium=medium)
+        self.assert_points_alone(scene, np.linspace(300.0, 1500.0, fdfd_module.SWEEP_BLOCK + 3))
+
+    def test_blocks_fit_the_cell_budget(self, sample1_geometry, sample1_material, medium,
+                                        monkeypatch):
+        """Blocks shrink so that their fields hold at most MAX_CELLS cells."""
+        scene = fast_scene(sample1_material, sample1_geometry, 1500.0, medium=medium)
+        freqs = np.linspace(300.0, 1500.0, 10)
+        expected = solve_sweep(scene, freqs)
+        blocks = []
+        solve_fields = fdfd_module._solve_fields
+
+        def recorded(scene, block):
+            blocks.append(len(block))
+            return solve_fields(scene, block)
+
+        monkeypatch.setattr(fdfd_module, "MAX_CELLS", 3 * scene.nx * scene.nr + 1)
+        monkeypatch.setattr(fdfd_module, "_solve_fields", recorded)
+        assert solve_sweep(scene, freqs) == expected
+        assert blocks == [3, 3, 3, 1]
+
+    def test_wrong_basis_names_first_frequency(self, default_scene):
+        wrong = dataclasses.replace(
+            default_scene, span_eigenvalues=default_scene.span_eigenvalues * (1 + 1e-3))
+        with pytest.raises(ResolutionError, match=r"at 1000\.0 Hz \(relative residual"):
+            solve_sweep(wrong, [1000.0, 1500.0, 2000.0])
+
+    def test_above_cutoff_warns_per_point(self, sample1_geometry, medium):
+        """One warning per point above the 2988 Hz cutoff, as solving the
+        points one by one gives."""
+        scene = fast_scene(None, sample1_geometry, 3500.0, medium=medium)
+        freqs = [2000.0, 3000.0, 3200.0, 3400.0]
+        with warnings.catch_warnings(record=True) as swept:
+            warnings.simplefilter("always")
+            solve_sweep(scene, freqs)
+        with warnings.catch_warnings(record=True) as alone:
+            warnings.simplefilter("always")
+            for f in freqs:
+                solve_harmonic(scene, f)
+        assert [str(w.message) for w in swept] == [str(w.message) for w in alone]
+        assert [str(w.message).split(" Hz")[0] for w in swept] == ["3000.0", "3200.0", "3400.0"]
+        assert {w.category for w in swept} == {UserWarning}
+
+    def test_empty_sweep(self, default_scene):
+        assert solve_sweep(default_scene, []) == []
 
 
 class TestIndependentSolve:
