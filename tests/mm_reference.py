@@ -60,19 +60,25 @@ def _lommel(a: np.ndarray, b: np.ndarray, r: float, w0: np.ndarray, w1: np.ndarr
     return np.where(same, r * r / 2.0 * (ja0 * w0 + ja1 * w1), unequal)
 
 
-def radial_basis(r1: float, r2: float, n_modes: int):
+def radial_basis(r1: float, r2: float, n_modes: int, n_disk: int | None = None,
+                 n_annulus: int | None = None):
     """Radial modes of the scene and their integrals, all in closed form.
 
-    The duct carries n_modes modes, the disk round(n_modes r1 / r2) and the
-    annulus the rest.  Returns the duct, disk and annulus wavenumbers, the
+    The duct carries n_modes modes; the disk and the annulus carry n_disk and
+    n_annulus, by default round(n_modes r1 / r2) and the rest.  One disk mode
+    and one annulus mode (both constants) make the paper's averaged model at
+    n_modes duct modes.  Returns the duct, disk and annulus wavenumbers, the
     projections of the duct modes (rows) on the disk then annulus modes
     (columns), the duct mode norms and the disk then annulus mode norms.
     """
-    n_disk = round(n_modes * r1 / r2)
-    roots = jn_zeros(1, n_modes - 1)
-    kd = np.concatenate([[0.0], roots]) / r2
+    if n_disk is None:
+        n_disk = round(n_modes * r1 / r2)
+    if n_annulus is None:
+        n_annulus = n_modes - n_disk
+    roots = jn_zeros(1, max(n_modes, n_disk) - 1)
+    kd = np.concatenate([[0.0], roots[: n_modes - 1]]) / r2
     kdisk = np.concatenate([[0.0], roots[: n_disk - 1]]) / r1
-    mus = _annulus_modes(r1, r2, n_modes - n_disk)
+    mus = _annulus_modes(r1, r2, n_annulus)
     z_in, z_out = _annulus_functions(mus, r1, r1), _annulus_functions(mus, r2, r1)
     cross = np.hstack([
         _lommel(kd, kdisk, r1, j0(kdisk * r1), j1(kdisk * r1)),
@@ -92,12 +98,14 @@ def _decaying(k2: np.ndarray) -> np.ndarray:
 def solve_bilayer_scene(
     r1: float, r2: float, t: float, rho0: float, c0: float,
     rho_disk: complex, c_disk: complex, f: float, n_modes: int = 56,
+    n_disk: int | None = None, n_annulus: int | None = None,
 ) -> tuple[complex, complex]:
     """Plane-wave (T, R) of the duct + sleeved (disk | annulus) sample,
-    with n_modes duct modes and as many sample modes (``radial_basis``)."""
+    with n_modes duct modes and the disk and annulus modes of ``radial_basis``
+    (by default as many sample modes as duct modes)."""
     om = 2 * math.pi * f
     k0 = om / c0
-    kd, kdisk, mus, cross, duct_norm, norm = radial_basis(r1, r2, n_modes)
+    kd, kdisk, mus, cross, duct_norm, norm = radial_basis(r1, r2, n_modes, n_disk, n_annulus)
     beta = _decaying(k0 * k0 - kd * kd)
     q = _decaying(np.concatenate([(om / c_disk) ** 2 - kdisk ** 2, k0 * k0 - mus ** 2]))
     rho = np.concatenate([np.full(len(kdisk), rho_disk), np.full(len(mus), rho0)])
