@@ -5,8 +5,9 @@ The package has two independent halves:
 * a model-based retrieval pipeline (``tubegap.retrieval`` on top of
   ``tubegap.modal``, which evaluates its Bessel functions with numpy)
   that inverts measured complex transmission/reflection pairs into the
-  sample's effective refractive index and acoustic impedance by solving
-  one 8x8 interface system per frequency, a sweep's in one stacked call;
+  sample's effective refractive index and acoustic impedance; the paper's
+  eight interface equations per frequency split into two mirror-symmetric
+  2x2 systems, solved in closed form over a sweep's points at once;
 * a finite-difference frequency-domain simulator (``tubegap.fdfd``)
   that produces transmission/reflection data for the same scene from
   first principles, used to verify the retrieval end to end.
@@ -45,16 +46,15 @@ from tubegap.retrieval import (
     RetrievalConfig,
     RetrievedProperties,
     TransferMatrix,
-    assemble_system,
     classic_retrieve,
     forward_averaged_sweep,
     impedance_from_fields,
     index_from_fields,
     retrieve_sweep,
-    solve_fields,
     tr_from_transfer_matrix,
     transfer_matrix_from_tr,
 )
-from tubegap.fdfd import SimGrid, build_scene, grid_wavenumber, solve_field, solve_harmonic, solve_sweep
+from tubegap.fdfd import (SimGrid, build_scene, grid_wavenumber, solve_field, solve_harmonic,
+                          solve_sweep, sweep_fields)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

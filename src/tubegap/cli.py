@@ -27,7 +27,7 @@ from tubegap.config import RunConfig, parse_value
 from tubegap.datafiles import (read_tr_csv, write_field_csv, write_results_csv, write_sidecar,
                                write_tr_csv)
 from tubegap.errors import ConfigError, DomainError, TubegapError
-from tubegap.fdfd import build_scene, solve_field, solve_sweep
+from tubegap.fdfd import build_scene, sweep_fields
 from tubegap.modal import duct_wavenumbers, first_cutoff_frequency, refuse_above_cutoff
 from tubegap.retrieval import forward_averaged_sweep, retrieve_sweep
 from tubegap.types import GapProperties
@@ -88,6 +88,8 @@ def cmd_retrieve(args: SimpleNamespace) -> int:
 
 
 def _forward_data(config: RunConfig, method: str):
+    """The forward sweep's (T, R) and, for ``fdfd``, the last frequency's
+    field (x, r, p) from the same solve (None for ``averaged``)."""
     geometry, medium = config.geometry(), config.medium()
     material = config.material()
     freqs = config.sweep_frequencies()
@@ -107,7 +109,10 @@ def _forward_data(config: RunConfig, method: str):
         return data, None
     scene = build_scene(material, geometry, max(freqs), medium=medium,
                         cells_per_wavelength=float(config.values["oracle.cells_per_wavelength"]))
-    return solve_sweep(scene, freqs), scene
+    data, field = [], None
+    for point, field in sweep_fields(scene, freqs):
+        data.append(point)
+    return data, field
 
 
 def cmd_forward(args: SimpleNamespace) -> int:
@@ -115,13 +120,12 @@ def cmd_forward(args: SimpleNamespace) -> int:
         raise ConfigError(f"--dump-field needs --method fdfd, got --method {args.method}")
     _refuse_unwritable(args.output, args.output + ".meta", args.dump_field)
     config = _load_config(args)
-    data, scene = _forward_data(config, args.method)
+    data, field = _forward_data(config, args.method)
     write_tr_csv(args.output, data, comments=[f"forward sweep, method={args.method}"])
     write_sidecar(args.output, config.dump(), {"tool": f"tubegap {__version__}",
                                                "command": f"forward --method {args.method}"})
     if args.dump_field:
-        x, r, p = solve_field(scene, data[-1].f)
-        write_field_csv(args.dump_field, x, r, p)
+        write_field_csv(args.dump_field, *field)
         print(f"dumped pressure field at {data[-1].f} Hz -> {args.dump_field}")
     print(f"wrote {len(data)} frequencies -> {args.output}")
     return 0

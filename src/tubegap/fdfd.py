@@ -54,7 +54,8 @@ coupling is constant on each block of W, each part is the dense system
 (P diag(air) - diag(h) P) u = W^-1 drive, formed in O(nr^2), and its LU
 is the frequency's only O(nr^3) work.  ``solve_sweep`` stacks all
 elementwise work over blocks of frequencies and keeps each point's matrix
-products its own, so a point's (T, R) has the same bits in any sweep.
+products its own, so a point's (T, R) has the same bits in any sweep;
+``sweep_fields`` yields each point's field beside its (T, R).
 Each field is checked against the five-point operator with its
 terminations, built from the media maps alone; a relative residual of
 1e-9 or more raises ``ResolutionError`` naming the first failing frequency.
@@ -71,6 +72,7 @@ from __future__ import annotations
 import cmath
 import math
 import warnings
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -86,7 +88,7 @@ MAX_CELLS = 6_000_000
 # first positive root of J1 (scipy.special.jn_zeros(1, 1)): the first
 # non-planar duct mode cuts on at k r2 = J1_FIRST_ROOT (only the warning below uses it)
 J1_FIRST_ROOT = 3.8317059702075125
-# points solve_sweep solves in one stacked pass
+# points sweep_fields solves in one stacked pass
 SWEEP_BLOCK = 64
 
 
@@ -363,15 +365,17 @@ def _solve_fields(scene: SimGrid, freqs: list[float]) -> tuple[np.ndarray, list[
     return p, k
 
 
-def solve_sweep(scene: SimGrid, freqs) -> list[ScatteringData]:
-    """Solve each frequency and return its (T, R) referenced to the sample faces.
+def sweep_fields(scene: SimGrid, freqs) -> Iterator[tuple[ScatteringData, tuple]]:
+    """Solve each frequency and yield its (T, R), referenced to the sample
+    faces, with its full complex pressure field (x centers, r centers,
+    p[nx, nr]); the field axes are the same two arrays for every point.
 
     The end columns' area averages are the scattered field R exp(+i k x)
     upstream (after subtracting the incident wave) and T exp(-i k (x - t))
     downstream, x = 0 at the incidence-side face and k the grid wavenumber.
     ``SWEEP_BLOCK`` points are solved at a time, fewer if their fields would
-    hold more than ``MAX_CELLS`` cells; a point's (T, R) has the same bits
-    in any sweep.
+    hold more than ``MAX_CELLS`` cells; a point's (T, R) and field have the
+    same bits in any sweep.
     """
     freqs = [float(f) for f in freqs]
     cutoff = J1_FIRST_ROOT * scene.medium.c0 / (2.0 * math.pi * scene.geometry.r2)
@@ -380,16 +384,20 @@ def solve_sweep(scene: SimGrid, freqs) -> list[ScatteringData]:
                       "read-out ignores the propagating higher mode", stacklevel=2)
     size = max(1, min(SWEEP_BLOCK, MAX_CELLS // (scene.nx * scene.nr)))
     x_in, x_out = scene.x_center(0), scene.x_center(scene.nx - 1) - scene.geometry.t
-    data = []
+    x, r = scene.x_center(np.arange(scene.nx)), scene.area_weights.copy()
     for start in range(0, len(freqs), size):
         block = freqs[start:start + size]
         p, k = _solve_fields(scene, block)
         averages = np.sum(p[:, [0, -1]] * scene.area_weights, axis=-1) / np.sum(scene.area_weights)
-        for f, k_n, (upstream, downstream) in zip(block, k, averages):
+        for f, k_n, (upstream, downstream), field in zip(block, k, averages, p):
             incident_in = cmath.exp(-1j * k_n * x_in)
-            data.append(ScatteringData(f, complex(downstream * cmath.exp(1j * k_n * x_out)),
-                                       complex((upstream - incident_in) * incident_in)))
-    return data
+            yield (ScatteringData(f, complex(downstream * cmath.exp(1j * k_n * x_out)),
+                                  complex((upstream - incident_in) * incident_in)), (x, r, field))
+
+
+def solve_sweep(scene: SimGrid, freqs) -> list[ScatteringData]:
+    """(T, R) at each frequency of ``freqs``: the points of ``sweep_fields``."""
+    return [point for point, _ in sweep_fields(scene, freqs)]
 
 
 def solve_harmonic(scene: SimGrid, f: float) -> ScatteringData:
@@ -398,9 +406,10 @@ def solve_harmonic(scene: SimGrid, f: float) -> ScatteringData:
 
 
 def solve_field(scene: SimGrid, f: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Full complex pressure field (x centers, r centers, p[nx, nr])."""
-    p, _ = _solve_fields(scene, [float(f)])
-    return scene.x_center(np.arange(scene.nx)), scene.area_weights.copy(), p[0]
+    """Full complex pressure field (x centers, r centers, p[nx, nr]) of the
+    one-point ``sweep_fields``."""
+    ((_, field),) = sweep_fields(scene, [f])
+    return field
 
 
 def grid_wavenumber(k0: float, dx: float) -> float:

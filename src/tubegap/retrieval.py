@@ -1,21 +1,26 @@
 """Effective-parameter retrieval for a sample narrower than its duct.
 
-Pipeline per frequency sweep:
-
-1. invert each measured transmission/reflection pair into the 2x2 transfer
-   matrix of the composite (sample + gap) layer, using the symmetry
-   (equal diagonal) and reciprocity (unit determinant) constraints;
-2. assemble one 8x8 interface system per point, coupling the patch-averaged
-   pressures and volume velocities on both faces of the sample and gap
-   to the duct radiation loading and to the gap's known layer behaviour;
-   the couplings and interface rows of ``SWEEP_BLOCK`` points at a time
-   are stacked numpy expressions, so a long sweep's memory stays bounded;
-3. solve the whole stack in one call with partial pivoting and read each
-   point's refractive index and acoustic impedance off its sample fields.
-
-The sweep driver adds inverse-cosine branch tracking across frequency and
-interpolation over isolated degenerate points (half-wave resonances of
-the sample, where the closed-form extraction is singular).
+The paper's model couples the patch-averaged pressures p and volume
+velocities u on both faces of the sample disk (patch 1) and the air gap
+(patch 2) through eight linear equations per frequency.  The scene and a
+symmetric reciprocal layer are mirror-symmetric about the sample's
+mid-plane, so these split exactly into a mirror-even and a mirror-odd
+half.  Each half, driven by a unit blocked pressure, couples the upstream
+face's p = (p1, p2) and u = (u1, u2) through the duct radiation rows
+p = 1 + C u (``tubegap.modal.coupling_stack``), the gap row with half
+impedance Zg+ = -i z2 cot(k0 t/2) or Zg- = i z2 tan(k0 t/2), and a sample
+row: the measured (1 - G) P = rho0 c0 (1 + G) V on the area-averaged
+totals, G = R + T or R - T, or in the forward model the known sample's
+Z1+ = -i z1 cot(theta/2) or Z1- = i z1 tan(theta/2), theta = k0 n1 t.
+Rows stay homogeneous (sin(theta/2) p + i z cos(theta/2) u = 0), so no
+pole of tan, cot or 1/(1 - G) is divided through.  Substituting
+p = 1 + C u leaves a 2x2 system per half, solved by Cramer's rule as
+numpy arrays over ``SWEEP_BLOCK`` points at a time.  Then
+T = rho0 c0 (U- - U+) / S2 and R = 1 - rho0 c0 (U+ + U-) / S2 with
+U = u1 + u2, and the retrieval reads z1^2 = Z1+ Z1- and
+tan(theta/2) = -i Z1- / z1 off Z1 = p1 / u1: one arctangent per point.
+The sweep driver tracks theta's branch 2 pi m across frequency and
+interpolates over isolated degenerate points (half-wave resonances).
 
 All operations follow the package sign conventions (see tubegap.modal):
 time dependence exp(+i w t), volume velocities measured toward +x, and
@@ -43,9 +48,9 @@ from tubegap.modal import (
 from tubegap.types import (DuctGeometry, GapProperties, MaterialSpec, MediumProperties,
                            ScatteringData)
 
-# largest condition number of the equilibrated interface system solve_fields accepts
+# largest column-equilibrated condition number of a half system _solve_halves accepts
 MAX_CONDITION = 1e12
-# sweep points whose couplings and interface rows are stacked at once; fixed, so
+# sweep points whose couplings and half systems are stacked at once; fixed, so
 # that a long sweep's temporaries stay the size of one block's
 SWEEP_BLOCK = 64
 
@@ -94,7 +99,14 @@ class FieldState:
 
 @dataclass(frozen=True)
 class RetrievedProperties:
-    """Retrieval output for one frequency point."""
+    """Retrieval output for one frequency point.
+
+    condition_number is the relative condition number of (n1, z1) with
+    respect to the half reflections G+- = R +- T, the larger over y = n1,
+    z1 of sum |dy/dG| |G| / |y| (infinite at degenerate points): roundoff
+    eps in (T, R) moves (n1, z1) by about eps times it.  ``MAX_CONDITION``
+    bounds another number, each half system's own conditioning.
+    """
 
     f: float
     n1: complex
@@ -112,9 +124,9 @@ class RetrievalConfig:
 
     n_modes is the modal truncation of the coupling sums, whose
     convergence bound is the constant ``tubegap.modal.SUM_TOLERANCE``.
-    branch_seed fixes the inverse-cosine branch at the first sweep point;
-    the automatic seed (None) assumes the first point lies on branch 0,
-    which holds whenever f_min < c0 / (2 |n1| t).
+    branch_seed fixes the branch m of the sample's phase at the first
+    sweep point; the automatic seed (None) assumes the first point lies on
+    branch 0, which holds whenever f_min < c0 / (2 |n1| t).
     """
 
     n_modes: int = DEFAULT_MODE_COUNT
@@ -163,148 +175,102 @@ def tr_from_transfer_matrix(matrix: TransferMatrix, medium: MediumProperties) ->
     return 2.0 / denom, (a - b) / denom
 
 
-# the constant entries of the six interface rows; _interface_rows writes the
-# couplings and the gap layer over its zeros
-_INTERFACE_ONES = np.array(
-    [
-        [1, 0, 0, 0, 0, 0, 0, 0],
-        [0, 1, 0, 0, 0, 0, 0, 0],
-        [0, 0, 1, 0, 0, 0, 0, 0],
-        [0, 0, 0, 1, 0, 0, 0, 0],
-        [0, 1, 0, 0, 0, 0, 0, 0],
-        [0, 0, 0, 0, 0, 1, 0, 0],
-    ],
-    dtype=complex,
-)
-_INTERFACE_ONES.setflags(write=False)
+# turns a 2x2 matrix's transposed flip into its adjugate
+_ADJUGATE = np.array([[1.0, -1.0], [-1.0, 1.0]])
 
 
-def _interface_rows(
-    rows: np.ndarray,
-    freqs: list[float],
-    geometry: DuctGeometry,
-    medium: MediumProperties,
-    gap: GapProperties,
-    n_modes: int,
-) -> None:
-    """Write the six interface rows at each of ``freqs`` into ``rows``, an
-    (nf, 6, 8) slice of a stack; the retrieval and the forward model share them.
-
-    Rows 1-4 are the duct radiation conditions on each patch of each face,
-    from one ``coupling_stack`` call (their blocked-pressure drive sits on
-    the callers' right-hand sides); rows 5-6 are the known air-gap layer
-    linking its two faces.  Unknown ordering as in ``FieldState``'s fields.
-    """
-    upstream, _ = coupling_stack(geometry, medium, freqs, n_modes)
-    rows[:] = _INTERFACE_ONES
-    rows[:, 0:2, 4:6] = -upstream
-    rows[:, 2:4, 6:8] = upstream  # minus the downstream coupling
-    for row, f in zip(rows, freqs):
-        # per point in Python: numpy's complex cos and sin may round differently
-        theta2 = 2.0 * math.pi * f / medium.c0 * gap.n2 * geometry.t
-        cos2, sin2 = cmath.cos(theta2), cmath.sin(theta2)
-        row[4, 3] = row[5, 7] = -cos2
-        row[4, 7] = -1j * gap.z2 * sin2
-        row[5, 3] = -1j / gap.z2 * sin2
+def _layer_rows(rows: np.ndarray, z, theta) -> None:
+    """Write into ``rows``, an (nf, 2, 2) view [point, half, (p, u)] of one
+    patch's coefficients, a uniform layer's (impedance z, phase thickness
+    theta) homogeneous half rows: sin(theta/2) p + i z cos(theta/2) u = 0
+    (even) and cos(theta/2) p - i z sin(theta/2) u = 0 (odd)."""
+    half = 0.5 * theta
+    s, c = np.sin(half), np.cos(half)
+    rows[:, 0, 0], rows[:, 0, 1] = s, 1j * z * c
+    rows[:, 1, 0], rows[:, 1, 1] = c, -1j * z * s
 
 
-def _sample_rows(n1: complex, z1: complex, k0: float, t: float) -> list[list[complex]]:
-    """The sample layer's two rows, in ``FieldState``'s field order:
-
-        p1_in = cos(k0 n1 t) p1_out + i z1 sin(k0 n1 t) u1_out
-        u1_in = i/z1 sin(k0 n1 t) p1_out + cos(k0 n1 t) u1_out
-    """
-    theta1 = k0 * n1 * t
-    c1, s1_ = cmath.cos(theta1), cmath.sin(theta1)
-    return [[1.0, 0.0, -c1, 0.0, 0.0, 0.0, -1j * z1 * s1_, 0.0],
-            [0.0, 0.0, -1j / z1 * s1_, 0.0, 1.0, 0.0, -c1, 0.0]]
-
-
-def assemble_system(
-    data: list[ScatteringData],
-    geometry: DuctGeometry,
-    medium: MediumProperties,
-    n_modes: int = DEFAULT_MODE_COUNT,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Build the (nf, 8, 8) stack of interface systems Q and the (nf, 8) Y,
-    ``SWEEP_BLOCK`` points at a time.  The first block with a failing point
-    raises: first for an unusable measurement (in sweep order), then for
-    the couplings (see ``coupling_stack``).
-
-    Unknown ordering: [p1_in, p2_in, p1_out, p2_out, u1_in, u2_in, u1_out,
-    u2_out].  Rows 1-2 encode the point's measured layer matrix acting on
-    the area-weighted total pressure/velocity; rows 3-8 are the shared
-    interface rows (``_interface_rows``) at its frequency, with the
-    blocked-pressure drive 2 on the upstream radiation rows.  Every row
-    follows the package-wide +x velocity / exp(+i w t) convention, under
-    which forward simulation and retrieval are exact inverses.
-    """
-    s1, s2, s3 = geometry.s1, geometry.s2, geometry.s3
+def _half_rows(k0: np.ndarray, geometry: DuctGeometry, medium: MediumProperties) -> np.ndarray:
+    """The (nf, 2, 2, 4) stack [point, half (even, odd), row, coefficient] of
+    each half's rows at the wavenumbers k0, homogeneous in (p1, p2, u1, u2):
+    row 0, the sample's, left zero for the caller, and row 1, the gap's."""
     gap = GapProperties.from_geometry(geometry, medium)
-    q = np.empty((len(data), 8, 8), dtype=complex)
-    for start in range(0, len(data), SWEEP_BLOCK):
-        block = data[start:start + SWEEP_BLOCK]
-        q_block = q[start:start + SWEEP_BLOCK]
-        measured = []
-        for point in block:
-            matrix = transfer_matrix_from_tr(point, medium)
-            # layer matrix acting on the area-averaged totals
-            measured.append([
-                [-s1 / s2, -s3 / s2, matrix.m11 * s1 / s2, matrix.m11 * s3 / s2,
-                 0.0, 0.0, matrix.m12 / s2, matrix.m12 / s2],
-                [0.0, 0.0, matrix.m21 * s1 / s2, matrix.m21 * s3 / s2,
-                 -1.0 / s2, -1.0 / s2, matrix.m22 / s2, matrix.m22 / s2]])
-        q_block[:, :2] = measured
-        _interface_rows(q_block[:, 2:], [point.f for point in block], geometry, medium, gap,
-                        n_modes)
-    y = np.zeros((len(data), 8), dtype=complex)
-    y[:, 2:4] = 2.0
-    return q, y
+    rows = np.zeros((len(k0), 2, 2, 4), dtype=complex)
+    _layer_rows(rows[:, :, 1, 1::2], gap.z2, k0 * (gap.n2 * geometry.t))
+    return rows
 
 
-def solve_fields(q: np.ndarray, y: np.ndarray,
-                 freqs: list[float]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Solve the stack Q w = Y by LU with partial pivoting, in one call, and
-    return the (nf, 8) fields w, in ``FieldState``'s order, with each point's
-    condition number and relative residual.
+def _measured_rows(data: list[ScatteringData], geometry: DuctGeometry,
+                   medium: MediumProperties) -> tuple[np.ndarray, np.ndarray]:
+    """``_half_rows`` with the measured rows (1 - G) P - alpha (1 + G) V = 0,
+    P = (s1 p1 + s3 p2) / S2 and V = (u1 + u2) / S2, and the (nf, 2) half
+    reflections G = R + T (even) and R - T (odd)."""
+    s2 = geometry.s2
+    gamma = np.array([(d.reflection + d.transmission, d.reflection - d.transmission)
+                      for d in data])
+    k0 = (2.0 * math.pi / medium.c0) * np.array([d.f for d in data])
+    rows = _half_rows(k0, geometry, medium)
+    rows[:, :, 0, :2] = (1.0 - gamma)[..., None] * np.array([geometry.s1 / s2, geometry.s3 / s2])
+    rows[:, :, 0, 2:] = ((-medium.alpha / s2) * (1.0 + gamma))[..., None]
+    return rows, gamma
 
-    The raw system mixes pressures (order 1 Pa) with volume velocities
-    (order 1/z2 m^3/s), so its unscaled condition number mostly measures
-    that unit gap.  Columns are therefore equilibrated to unit max-norm
-    before factorizing; the reported condition number is that of the
-    equilibrated system, which is what actually bounds the solution
-    error, and above ``MAX_CONDITION`` raises IllConditionedSystemError, as
-    does a zero or non-finite column.  Each refusal names the frequency of
-    the first point it refuses.  The residual is measured on the raw system.
+
+@np.errstate(all="ignore")
+def _solve_halves(rows: np.ndarray, upstream: np.ndarray,
+                  freqs: list[float]) -> tuple[np.ndarray, ...]:
+    """Solve both mirror halves of every point of a block in one elementwise pass.
+
+    With p = 1 + C u (``upstream`` C), each row a.p + b.u = 0 of ``rows``
+    (``_half_rows``' layout) reads (a C + b) u = -(a1 + a2): a 2x2 system
+    A u = y per half, column-equilibrated to unit max-norm and solved by
+    Cramer's rule.  Returns u [point, half, patch], the response A^-1 [1, 0]
+    and per point the larger over its halves of the equilibrated
+    sigma_max / sigma_min.  Raises IllConditionedSystemError, naming the
+    first failing point, at a zero or non-finite column, a condition number
+    above ``MAX_CONDITION`` or a singular half.
     """
-    col_scale = np.abs(q).max(axis=1)
-    usable = (col_scale > 0) & (col_scale < math.inf)
-    if not usable.all():
-        f = freqs[(~usable.all(axis=1)).argmax()]
-        raise IllConditionedSystemError(
-            f"interface system has a zero or non-finite column at {f} Hz", f)
-    q_eq = q / col_scale[:, None, :]
-    # the 2-norm condition number, as np.linalg.cond gives it, without its overhead;
-    # the largest singular value is positive, so an exactly singular system gives inf
-    singular = np.linalg.svd(q_eq, compute_uv=False)
-    with np.errstate(divide="ignore"):
-        cond = singular[:, 0] / singular[:, -1]
-    within = cond <= MAX_CONDITION
-    if not within.all():
-        i = (~within).argmax()
+    c = upstream[:, None]
+    a = (rows[..., 0, None] * c[:, :, None, 0] + rows[..., 1, None] * c[:, :, None, 1]
+         + rows[..., 2:])
+    size = np.abs(a)
+    scale = np.maximum(size[:, :, 0], size[:, :, 1])[:, :, None]
+    a /= scale
+    det = a[..., 0, 0] * a[..., 1, 1] - a[..., 0, 1] * a[..., 1, 0]
+    # sigma_max / sigma_min = r + sqrt(r^2 - 1) with r = |A|_F^2 / (2 |det A|)
+    ratio = np.square(size / scale).sum(axis=(2, 3)) / (2.0 * np.abs(det))
+    cond = ratio + np.sqrt(np.maximum(ratio * ratio - 1.0, 0.0))
+    cond = np.maximum(cond[:, 0], cond[:, 1])
+    if not cond.max() <= MAX_CONDITION:
+        usable = ((scale > 0) & (scale < math.inf)).all(axis=(1, 2, 3))
+        if not usable.all():
+            f = freqs[(~usable).argmax()]
+            raise IllConditionedSystemError(
+                f"interface system has a zero or non-finite column at {f} Hz", f)
+        i = (~(cond <= MAX_CONDITION)).argmax()
         raise IllConditionedSystemError(
             f"interface system condition number {cond[i]:.3e} exceeds {MAX_CONDITION:.1e} "
             f"at {freqs[i]} Hz", freqs[i])
-    try:
-        w = np.linalg.solve(q_eq, y[..., None])[..., 0] / col_scale
-    except np.linalg.LinAlgError as exc:
-        # the stacked solve does not say which point failed: name the worst conditioned
-        f = freqs[cond.argmax()]
-        raise IllConditionedSystemError(
-            f"interface system is singular at {f} Hz: {exc}", f) from exc
-    r = (q @ w[..., None])[..., 0] - y
-    residual = np.sqrt(np.square(np.abs(r)).sum(axis=1) / np.square(np.abs(y)).sum(axis=1))
-    return w, cond, residual
+    # A^-1 = D^-1 adj(A_eq) / det(A_eq), with D the column scales
+    inverse = (a[..., ::-1, ::-1].swapaxes(2, 3) * _ADJUGATE
+               / (det[..., None, None] * scale.swapaxes(2, 3)))
+    u = -(inverse * (rows[..., 0] + rows[..., 1])[:, :, None]).sum(axis=3)
+    if not np.isfinite(u.sum()):
+        i = (~np.isfinite(u).all(axis=(1, 2))).argmax()
+        raise IllConditionedSystemError(f"interface system is singular at {freqs[i]} Hz", freqs[i])
+    return u, inverse[..., 0], cond
+
+
+def _pressures(rows: np.ndarray, upstream: np.ndarray,
+               u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The pressures p = 1 + C u, laid out as u, and per point the larger
+    over its halves of |r| / |y| over the four unscaled rows: p - C u = 1
+    and the two layer rows a.p + b.u = 0."""
+    c = upstream[:, None]
+    coupled = c[..., 0] * u[..., 0, None] + c[..., 1] * u[..., 1, None]
+    p = 1.0 + coupled
+    layer = (rows * np.concatenate([p, u], axis=2)[:, :, None]).sum(axis=3)
+    r2 = np.square(np.abs(np.concatenate([(p - coupled) - 1.0, layer], axis=2))).sum(axis=2)
+    return p, np.sqrt(0.5 * np.maximum(r2[:, 0], r2[:, 1]))
 
 
 def _positive_real_sqrt(value: complex) -> complex:
@@ -370,6 +336,34 @@ def index_from_fields(
     return (sign * _index_phase(state) + 2.0 * math.pi * branch_m) / (k0 * t)
 
 
+def _point_terms(p: list, u: list, response: list, gamma: list, coupling: list, z1: complex,
+                 x: complex, phase: complex, weights: tuple) -> tuple[bool, bool, float, float]:
+    """One point's degeneracy flags (impedance, phase) and the factors
+    sum |d ln Z1 / dG| |G| and |s| of its condition number; p, u and the
+    responses are [even, odd] lists of [patch 1, patch 2].
+
+    Degenerate: a zero or non-finite z1 or phase, or the tests of
+    ``impedance_from_fields`` and ``_index_phase`` on the faces' fields
+    (u_in = u+ + u-, u_out = u- - u+), with u_in^2 - u_out^2 = 4 u+ u- and
+    p_in u_out + p_out u_in = 2 (p+ u- - p- u+).  Implicitly, du/dG =
+    A^-1 [P + alpha V, 0], d ln Z1 = dp1/p1 - du1/u1, d ln z1 is the halves'
+    mean d ln Z1 and d theta = s (d ln Z1- - d ln Z1+), s = x Z1+ / (Z1+ - Z1-).
+    """
+    (pe, po), (ue, uo) = (p[0][0], p[1][0]), (u[0][0], u[1][0])
+    u_in, u_out = abs(ue + uo), abs(uo - ue)
+    bad_z = (abs(ue * uo) <= 2.5e-7 * max(u_in, u_out) ** 2
+             or not (z1 and cmath.isfinite(z1)))
+    cross = max(abs(pe + po) * u_out, abs(pe - po) * u_in, 1e-300)
+    bad_n = abs(pe * uo - po * ue) <= 5e-13 * cross or not cmath.isfinite(phase)
+    s1, s3, k = weights
+    spread = 0.0
+    for (p1, p2), (u1, u2), (d1, d2), g in zip(p, u, response, gamma):
+        drive = s1 * p1 + s3 * p2 + k * (u1 + u2)
+        spread += abs(((coupling[0] * d1 + coupling[1] * d2) / p1 - d1 / u1) * drive * g)
+    z_even, z_odd = pe / ue, po / uo
+    return bad_z, bad_n, spread, abs(x * z_even / (z_even - z_odd))
+
+
 def retrieve_sweep(
     data: list[ScatteringData],
     geometry: DuctGeometry,
@@ -378,17 +372,13 @@ def retrieve_sweep(
 ) -> list[RetrievedProperties]:
     """Retrieve (n1, z1) over an ordered frequency sweep.
 
-    Branch resolution: the first non-degenerate point is assigned branch
-    ``config.branch_seed`` (0 if None) with the inverse-cosine sign whose
-    n1 best satisfies the sample layer's relation
-    p1_in = cos(k0 n1 t) p1_out + i z1 sin(k0 n1 t) u1_out, with the
-    retrieved z1 (Re z1 >= 0), so a passive negative-index sample keeps
-    Re(n1) < 0; every following point picks the (branch, sign) pair that
-    keeps n1 closest to its predecessor.  Each point takes one inverse
-    cosine, shared by all its candidates.  Points above the first duct
-    cutoff are flagged "above_cutoff"; points where the extraction is
-    degenerate are filled by linear interpolation from their neighbours
-    and marked with an "interpolated" flag.
+    Each point gives z1 (Re z1 >= 0) and the principal phase
+    2 arctan(-i Z1-/z1) of theta = k0 n1 t, whose sign is ``sign_choice``;
+    theta = phase + 2 pi m, with m = ``config.branch_seed`` (0 if None) at
+    the first non-degenerate point and then the m within two of the
+    predecessor's that keeps n1 closest to the predecessor's.  Points above
+    the first duct cutoff are flagged "above_cutoff"; degenerate points are
+    filled by linear interpolation from their neighbours, flagged "interpolated".
     """
     if not data:
         raise DomainError("empty sweep")
@@ -401,46 +391,47 @@ def retrieve_sweep(
         refuse_above_cutoff(freqs, geometry, medium)
     cutoff = first_cutoff_frequency(geometry, medium)
 
+    weights = (geometry.s1 / geometry.s2, geometry.s3 / geometry.s2, medium.alpha / geometry.s2)
     seed_m = config.branch_seed or 0
     results: list[RetrievedProperties] = []
     prev_n1: complex | None = None
     prev_m, prev_sign = seed_m, 1
     missing: list[int] = []
-    q, y = assemble_system(data, geometry, medium, config.n_modes)
-    w, cond, residual = solve_fields(q, y, freqs)
-    for i, point in enumerate(data):
-        state = FieldState(*w[i].tolist())
-        flags = ["above_cutoff"] if point.f > cutoff else []
-        try:
-            z1 = impedance_from_fields(state)
-        except DegenerateFieldsError:
-            z1 = None
-            flags.append("degenerate_impedance")
-        try:
-            theta = _index_phase(state)
-        except DegenerateFieldsError:
-            theta = None
-            flags.append("degenerate_index")
-        if z1 is None or theta is None:
-            # filled in later from the neighbours; keeps the last branch
-            missing.append(i)
-            n1, z1, m, sign = math.nan, math.nan, prev_m, prev_sign
-        else:
-            k0 = 2.0 * math.pi * point.f / medium.c0
-            m_values = (seed_m,) if prev_n1 is None else range(prev_m - 2, prev_m + 3)
-            candidates = [((sign * theta + 2.0 * math.pi * m) / (k0 * geometry.t), m, sign)
-                          for m in m_values for sign in (1, -1)]
-            if prev_n1 is None:
-                # the seed branch's two candidates differ in the sign of sin(k0 n1 t),
-                # which the sample layer's first row fixes given z1 (Re z1 >= 0)
-                n1, m, sign = min(candidates, key=lambda c: abs(
-                    np.array(_sample_rows(c[0], z1, k0, geometry.t)[0]) @ w[i]))
+    for start in range(0, len(data), SWEEP_BLOCK):
+        block = freqs[start:start + SWEEP_BLOCK]
+        upstream, _ = coupling_stack(geometry, medium, block, config.n_modes)
+        with np.errstate(all="ignore"):
+            rows, gamma = _measured_rows(data[start:start + SWEEP_BLOCK], geometry, medium)
+            u, response, _ = _solve_halves(rows, upstream, block)
+            p, residual = _pressures(rows, upstream, u)
+            half_z = p[..., 0] / u[..., 0]
+            z1s = np.sqrt(half_z[:, 0] * half_z[:, 1])
+            x = -1j * half_z[:, 1] / z1s
+            phases = 2.0 * np.arctan(x)
+        for f, z1, x_point, phase, *point, res in zip(
+                block, z1s.tolist(), x.tolist(), phases.tolist(), p.tolist(), u.tolist(),
+                response.tolist(), gamma.tolist(), upstream[:, 0].tolist(), residual.tolist()):
+            bad_z, bad_n, spread, slope = _point_terms(*point, z1, x_point, phase, weights)
+            flags = [name for name, on in (("above_cutoff", f > cutoff),
+                                           ("degenerate_impedance", bad_z),
+                                           ("degenerate_index", bad_n)) if on]
+            if bad_z or bad_n:
+                # filled in later from the neighbours; keeps the last branch
+                missing.append(len(results))
+                n1, z1, m, sign, cond = math.nan, math.nan, prev_m, prev_sign, math.inf
             else:
-                n1, m, sign = min(candidates, key=lambda c: abs(c[0] - prev_n1))
-            prev_n1, prev_m, prev_sign = n1, m, sign
-        results.append(RetrievedProperties(
-            f=point.f, n1=n1, z1=z1, branch_m=m, sign_choice=sign,
-            condition_number=float(cond[i]), residual=float(residual[i]), flags=tuple(flags)))
+                k0t = 2.0 * math.pi * f / medium.c0 * geometry.t
+                m = seed_m
+                if prev_n1 is not None:
+                    nearest = round((prev_n1 * k0t - phase).real / (2.0 * math.pi))
+                    m = min(max(nearest, prev_m - 2), prev_m + 2)
+                theta = phase + 2.0 * math.pi * m
+                n1, sign = theta / k0t, 1 if phase.real >= 0 else -1
+                cond = spread * max(0.5, slope / abs(theta)) if theta else math.inf
+                prev_n1, prev_m, prev_sign = n1, m, sign
+            results.append(RetrievedProperties(
+                f=f, n1=n1, z1=z1, branch_m=m, sign_choice=sign, condition_number=cond,
+                residual=res, flags=tuple(flags)))
 
     _fill_degenerate_points(results, missing)
     return results
@@ -507,43 +498,26 @@ def forward_averaged_sweep(
 ) -> list[ScatteringData]:
     """Scattering data predicted by the averaged interface model over ``freqs``.
 
-    Solves the retrieval's stack of interface systems, but with the sample
-    described by its known (n1, z1) layer behaviour instead of a measured
-    transfer matrix: rows are the shared interface rows (``_interface_rows``:
-    the four duct radiation conditions, with a unit-amplitude blocked-pressure
-    drive upstream, and the gap layer) at each point's frequency, then the
-    sample layer.  Then
-
-        T = alpha * (u1_out + u2_out) / S2
-        R = 1 - alpha * (u1_in + u2_in) / S2
-
-    Feeding the result back through the retrieval reproduces (n1, z1) to
-    solver precision, which the test suite exercises heavily.  A zero or
-    non-finite n1 or z1 raises DomainError, and a sample phase k0 n1 t
+    Solves the retrieval's half systems with the known (n1, z1) layer's rows
+    (``_layer_rows`` at theta = k0 n1 t) in place of the measured ones,
+    ``SWEEP_BLOCK`` points at a time; T = alpha (U- - U+) / S2 and
+    R = 1 - alpha (U+ + U-) / S2 with U = u1 + u2.  Feeding the result back
+    through the retrieval reproduces (n1, z1) to solver precision.  A zero
+    or non-finite n1 or z1 raises DomainError, and a sample phase k0 n1 t
     whose cosine overflows raises IllConditionedSystemError.
     """
     MaterialSpec(n1=n1, z1=z1)
-    gap = GapProperties.from_geometry(geometry, medium)
-    q = np.empty((len(freqs), 8, 8), dtype=complex)
+    scale = medium.alpha / geometry.s2
+    out = []
     for start in range(0, len(freqs), SWEEP_BLOCK):
         block = freqs[start:start + SWEEP_BLOCK]
-        q_block = q[start:start + SWEEP_BLOCK]
-        _interface_rows(q_block[:, :6], block, geometry, medium, gap, n_modes)
-        sample = []
-        for f in block:
-            k0 = 2.0 * math.pi * f / medium.c0
-            try:
-                sample.append(_sample_rows(n1, z1, k0, geometry.t))
-            except OverflowError as exc:
-                raise IllConditionedSystemError(
-                    f"the sample's phase k0*n1*t = {k0 * n1 * geometry.t:.4g} overflows at {f} Hz",
-                    f) from exc
-        q_block[:, 6:] = sample
-    y = np.zeros((len(freqs), 8), dtype=complex)
-    y[:, :2] = 2.0
-    w, _, _ = solve_fields(q, y, freqs)
-    alpha = medium.alpha
-    # Python complex arithmetic per point: numpy's complex division rounds differently
-    return [ScatteringData(f, alpha * (u1_out + u2_out) / geometry.s2,
-                           1.0 - alpha * (u1_in + u2_in) / geometry.s2)
-            for f, (u1_in, u2_in, u1_out, u2_out) in zip(freqs, w[:, 4:].tolist())]
+        upstream, _ = coupling_stack(geometry, medium, block, n_modes)
+        k0 = (2.0 * math.pi / medium.c0) * np.array(block)
+        rows = _half_rows(k0, geometry, medium)
+        with np.errstate(over="ignore", invalid="ignore"):
+            _layer_rows(rows[:, :, 0, 0::2], z1, k0 * (n1 * geometry.t))
+        u, _, _ = _solve_halves(rows, upstream, block)
+        even, odd = u[:, 0, 0] + u[:, 0, 1], u[:, 1, 0] + u[:, 1, 1]
+        out += map(ScatteringData, block, (scale * (odd - even)).tolist(),
+                   (1.0 - scale * (even + odd)).tolist())
+    return out

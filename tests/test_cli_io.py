@@ -19,6 +19,7 @@ from tubegap.datafiles import (
     RESULT_COLUMNS,
     read_results_csv,
     read_tr_csv,
+    write_field_csv,
     write_results_csv,
     write_tr_csv,
 )
@@ -359,17 +360,18 @@ class TestCli:
         assert f"cannot write {sidecar}: it is a folder" in err
         assert not out.exists()
 
-    @pytest.mark.parametrize("case", ["forward_phase", "retrieve_tiny_t", "retrieve_huge_tr"])
+    @pytest.mark.parametrize("case", ["forward_phase", "retrieve_overflowing_sum",
+                                      "retrieve_huge_tr"])
     def test_overflows_are_numerical_errors(self, cfg_path, tmp_path, capsys, case):
-        """Numbers that overflow (a sample phase whose cosine overflows, a
-        layer matrix entry that overflows to inf, squares of 1e300) end in
-        exit 2 and one numerical-error line naming the frequency, not a
-        traceback or a written file."""
+        """Numbers that overflow or swamp the half systems (a sample phase
+        whose cosine overflows, a half reflection R + T that overflows to inf,
+        one of 2e300 beside one of 0) end in exit 2 and one numerical-error
+        line naming the frequency, not a traceback or a written file."""
         tr, out = tmp_path / "tr.csv", tmp_path / "out.csv"
         if case == "forward_phase":
             argv, f = ("forward", "--set", "material.n1_im=-1e5"), 400.0
         else:
-            row = {"retrieve_tiny_t": "1000,1e-307,0,0.5,0",
+            row = {"retrieve_overflowing_sum": "1000,1e308,0,1e308,0",
                    "retrieve_huge_tr": "1000,1e300,0,1e300,0"}[case]
             tr.write_text(f"f_hz,re_t,im_t,re_r,im_r\n{row}\n")
             argv, f = ("retrieve", "--input", str(tr)), 1000.0
@@ -529,6 +531,34 @@ class TestCli:
         assert np.allclose(rings, (np.arange(len(rings)) + 0.5) * dr, rtol=0, atol=1e-15)
         assert len(rings) * dr == pytest.approx(r2, rel=5e-3)
 
+    def test_field_dump_reuses_the_sweeps_solve(self, cfg_path, tmp_path, monkeypatch):
+        """--dump-field takes the last frequency's field from the sweep's own
+        solve: one _solve_fields call for the 4-point sweep, and the dump is
+        byte for byte that of the field solved alone."""
+        import tubegap.cli as cli_module
+        import tubegap.fdfd as fdfd_module
+
+        calls, scenes = [], []
+        solve, build_scene = fdfd_module._solve_fields, cli_module.build_scene
+
+        def counted(scene, freqs):
+            calls.append(list(freqs))
+            return solve(scene, freqs)
+
+        def recorded(*args, **kwargs):
+            scenes.append(build_scene(*args, **kwargs))
+            return scenes[-1]
+
+        monkeypatch.setattr(fdfd_module, "_solve_fields", counted)
+        monkeypatch.setattr(cli_module, "build_scene", recorded)
+        dump, alone = tmp_path / "field.csv", tmp_path / "alone.csv"
+        assert self.run("forward", "--config", str(cfg_path), "--method", "fdfd",
+                        "--set", "oracle.cells_per_wavelength=20",
+                        "--output", str(tmp_path / "tr.csv"), "--dump-field", str(dump)) == 0
+        assert calls == [[400.0, 800.0, 1200.0, 1600.0]]
+        write_field_csv(alone, *fdfd_module.solve_field(scenes[0], 1600.0))
+        assert dump.read_bytes() == alone.read_bytes()
+
     # every command's one-line help and its options' help texts (None where
     # an option's help is not pinned)
     COMMAND_HELP = {
@@ -653,7 +683,8 @@ class TestTracerSites:
     # benchmark drops them
     RETIRED = {"tubegap.cli.scattering_from_ports", "tubegap.fdfd.spla.splu",
                "tubegap.retrieval.retrieve_point", "tubegap.retrieval.forward_averaged",
-               "tubegap.retrieval.coupling_coefficients", "tubegap.cli.solve_harmonic"}
+               "tubegap.retrieval.coupling_coefficients", "tubegap.cli.solve_harmonic",
+               "tubegap.retrieval.assemble_system", "tubegap.retrieval.solve_fields"}
 
     def test_every_site_resolves(self):
         path = Path(__file__).resolve().parents[1] / "benchmarks" / "tracing.py"
@@ -677,7 +708,7 @@ class TestTracerSites:
         import tubegap.cli as cli_module
         import tubegap.fdfd as fdfd_module
 
-        for name in ("build_scene", "solve_sweep"):
+        for name in ("build_scene", "sweep_fields"):
             assert getattr(cli_module, name) is getattr(fdfd_module, name)
 
     def test_one_factorization_per_point(self, cfg_path, tmp_path, monkeypatch):
@@ -688,7 +719,7 @@ class TestTracerSites:
         import tubegap.cli as cli_module
         import tubegap.fdfd as fdfd_module
 
-        calls = {"span_basis": 0, "solve": 0, "solve_sweep": 0}
+        calls = {"span_basis": 0, "solve": 0, "sweep_fields": 0}
         scenes = []
         build_scene = cli_module.build_scene
 
@@ -706,14 +737,14 @@ class TestTracerSites:
                             counted("span_basis", fdfd_module._span_basis))
         monkeypatch.setattr(fdfd_module.np.linalg, "solve",
                             counted("solve", fdfd_module.np.linalg.solve))
-        monkeypatch.setattr(cli_module, "solve_sweep",
-                            counted("solve_sweep", cli_module.solve_sweep))
+        monkeypatch.setattr(cli_module, "sweep_fields",
+                            counted("sweep_fields", cli_module.sweep_fields))
         monkeypatch.setattr(cli_module, "build_scene", recorded)
         code = main(["forward", "--config", str(cfg_path), "--method", "fdfd",
                      "--set", "oracle.cells_per_wavelength=20",
                      "--output", str(tmp_path / "tr.csv")])
         assert code == 0
-        assert calls == {"span_basis": 1, "solve": 4, "solve_sweep": 1}
+        assert calls == {"span_basis": 1, "solve": 4, "sweep_fields": 1}
         (scene,) = scenes
         assert scene.nx > 0 and scene.nr > 0 and scene.n_pml == 0
 

@@ -1,4 +1,4 @@
-"""Transfer-matrix inversion, the 8x8 interface system, and field extraction."""
+"""Transfer-matrix inversion, the mirror-half interface systems, and field extraction."""
 
 import cmath
 import math
@@ -12,17 +12,16 @@ from tubegap.errors import (
     IllConditionedSystemError,
     SingularMeasurementError,
 )
-from tubegap.modal import coupling_coefficients
+from tubegap.modal import coupling_coefficients, coupling_stack
 from tubegap.retrieval import (
     MAX_CONDITION,
     DegenerateFieldsError,
     FieldState,
     TransferMatrix,
-    assemble_system,
     forward_averaged_sweep,
     impedance_from_fields,
     index_from_fields,
-    solve_fields,
+    retrieve_sweep,
     tr_from_transfer_matrix,
     transfer_matrix_from_tr,
 )
@@ -98,96 +97,156 @@ class TestTransferMatrix:
             transfer_matrix_from_tr(ScatteringData(f=100.0, transmission=0.0, reflection=0.5), medium)
 
 
+def measured_halves(data, geometry, medium):
+    """The measured half systems of a sweep as ``retrieve_sweep`` builds them:
+    the rows, the upstream couplings and the frequencies."""
+    freqs = [d.f for d in data]
+    upstream, _ = coupling_stack(geometry, medium, freqs)
+    rows, _ = retrieval_module._measured_rows(data, geometry, medium)
+    return rows, upstream, freqs
+
+
+def face_fields(p, u):
+    """The upstream-driven fields on both faces, in ``FieldState``'s order, from
+    the solved halves (each driven by a unit blocked pressure): their sum on
+    the upstream face, their difference on the downstream one."""
+    return np.concatenate([p[:, 0] + p[:, 1], p[:, 0] - p[:, 1],
+                           u[:, 0] + u[:, 1], u[:, 1] - u[:, 0]], axis=1)
+
+
+def assert_row(terms, rhs):
+    """sum(terms) == rhs to 1e-13 of the largest term."""
+    scale = max(max(abs(term) for term in terms), abs(rhs))
+    assert abs(sum(terms) - rhs) <= 1e-13 * scale, (sum(terms), rhs)
+
+
 class TestAssembleSystem:
+    """The mirror halves of a measured point recombine into fields that
+    satisfy each of the paper's eight interface rows: the measured layer
+    matrix on the area-averaged totals, the four duct radiation rows with a
+    blocked-pressure drive of 2 upstream, and the gap's layer rows."""
+
     @pytest.fixture
     def parts(self, sample1_geometry, medium):
-        """The one-point stack's system and right-hand side, with the coupling
-        its interface rows are built from."""
+        """The one-point halves' rows and fields, the recombined face fields,
+        and the scalar couplings and layer matrix of the same point."""
         coup = coupling_coefficients(sample1_geometry, medium, 1000.0)
         data = ScatteringData(f=1000.0, transmission=0.9 - 0.3j, reflection=0.1 + 0.2j)
-        q, y = assemble_system([data], sample1_geometry, medium)
-        assert q.shape == (1, 8, 8) and y.shape == (1, 8)
-        return q[0], y[0], coup
+        rows, upstream, freqs = measured_halves([data], sample1_geometry, medium)
+        assert rows.shape == (1, 2, 2, 4) and upstream.shape == (1, 2, 2)
+        u, _, _ = retrieval_module._solve_halves(rows, upstream, freqs)
+        p, _ = retrieval_module._pressures(rows, upstream, u)
+        state = FieldState(*face_fields(p, u)[0].tolist())
+        return rows[0], p[0], u[0], state, coup, transfer_matrix_from_tr(data, medium)
 
     def test_rhs_is_blocked_pressure_drive(self, parts):
-        _, y, _ = parts
-        assert np.array_equal(y, np.array([0, 0, 2, 2, 0, 0, 0, 0], dtype=complex))
+        _, p, u, _, coup, _ = parts
+        for half in range(2):
+            for k in range(2):
+                (c1, c2) = coup.upstream[k]
+                assert_row([p[half, k], -c1 * u[half, 0], -c2 * u[half, 1]], 1.0)
 
     def test_disk_radiation_row(self, parts):
-        q, _, coup = parts
+        _, _, _, w, coup, _ = parts
         a_c, b_c = coup.upstream[0]
-        expected = np.array([1, 0, 0, 0, -a_c, -b_c, 0, 0])
-        assert np.allclose(q[2], expected, rtol=0, atol=0)
+        assert_row([w.p1_in, -a_c * w.u1_in, -b_c * w.u2_in], 2.0)
 
     def test_other_radiation_rows(self, parts):
-        q, _, coup = parts
+        _, _, _, w, coup, _ = parts
         c_c, d_c = coup.upstream[1]
         (e_c, f_c), (g_c, h_c) = coup.downstream
-        expected = np.array([
-            [0, 1, 0, 0, -c_c, -d_c, 0, 0],
-            [0, 0, 1, 0, 0, 0, -e_c, -f_c],
-            [0, 0, 0, 1, 0, 0, -g_c, -h_c],
-        ])
-        assert np.allclose(q[3:6], expected, rtol=0, atol=0)
+        assert_row([w.p2_in, -c_c * w.u1_in, -d_c * w.u2_in], 2.0)
+        assert_row([w.p1_out, -e_c * w.u1_out, -f_c * w.u2_out], 0.0)
+        assert_row([w.p2_out, -g_c * w.u1_out, -h_c * w.u2_out], 0.0)
 
     def test_gap_layer_row_consistent_signs(self, parts, sample1_geometry, medium):
-        q, _, _ = parts
+        rows, _, _, w, _, _ = parts
         gap = GapProperties.from_geometry(sample1_geometry, medium)
         k0 = 2 * math.pi * 1000.0 / medium.c0
         theta2 = k0 * gap.n2 * sample1_geometry.t
         cos2, sin2 = cmath.cos(theta2), cmath.sin(theta2)
-        expected = np.array([
-            [0, 1, 0, -cos2, 0, 0, 0, -1j * gap.z2 * sin2],
-            [0, 0, 0, -1j / gap.z2 * sin2, 0, 1, 0, -cos2],
-        ])
-        assert np.allclose(q[6:], expected, rtol=0, atol=0)
+        assert_row([w.p2_in, -cos2 * w.p2_out, -1j * gap.z2 * sin2 * w.u2_out], 0.0)
+        assert_row([w.u2_in, -1j / gap.z2 * sin2 * w.p2_out, -cos2 * w.u2_out], 0.0)
+        # each half's gap row in homogeneous form: no tan or cot divided through
+        half_s, half_c = cmath.sin(theta2 / 2), cmath.cos(theta2 / 2)
+        assert rows[0, 1] == pytest.approx([0, half_s, 0, 1j * gap.z2 * half_c], rel=1e-15)
+        assert rows[1, 1] == pytest.approx([0, half_c, 0, -1j * gap.z2 * half_s], rel=1e-15)
+
+    def test_measured_layer_rows(self, parts, sample1_geometry):
+        _, _, _, w, _, m = parts
+        s1, s2, s3 = sample1_geometry.s1, sample1_geometry.s2, sample1_geometry.s3
+        p_in, p_out = (s1 * w.p1_in + s3 * w.p2_in) / s2, (s1 * w.p1_out + s3 * w.p2_out) / s2
+        v_in, v_out = (w.u1_in + w.u2_in) / s2, (w.u1_out + w.u2_out) / s2
+        assert_row([p_in, -m.m11 * p_out, -m.m12 * v_out], 0.0)
+        assert_row([v_in, -m.m21 * p_out, -m.m22 * v_out], 0.0)
+
+
+def unit_rows(b, nf=1):
+    """Rows whose substituted system, with zero couplings, is A = b in both
+    halves of each of nf points, driven by y = (1, 1)."""
+    rows = np.zeros((nf, 2, 2, 4), dtype=complex)
+    rows[..., 0, 0] = rows[..., 1, 1] = -1.0
+    rows[..., 2:] = b
+    return rows, np.zeros((nf, 2, 2), dtype=complex)
 
 
 class TestSolveFields:
+    """``_solve_halves``: Cramer's rule on each half's column-equilibrated
+    2x2 system, with its condition number; ``_pressures`` on its rows."""
+
     def test_identity_system(self):
-        y = np.array([[0, 0, 2, 2, 0, 0, 0, 0]], dtype=complex)
-        w, cond, residual = solve_fields(np.eye(8, dtype=complex)[None], y, [500.0])
-        assert np.allclose(w, y)
+        rows, upstream = unit_rows(np.eye(2))
+        u, _, cond = retrieval_module._solve_halves(rows, upstream, [500.0])
+        p, residual = retrieval_module._pressures(rows, upstream, u)
+        assert np.array_equal(u, np.ones((1, 2, 2))) and np.array_equal(p, np.ones((1, 2, 2)))
         assert residual[0] < 1e-15
         assert cond[0] == pytest.approx(1.0)
 
     def test_constructed_solution(self):
         rng = np.random.default_rng(3)
-        q = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8)) + 4 * np.eye(8)
-        w_true = rng.normal(size=8) + 1j * rng.normal(size=8)
-        w, _, residual = solve_fields(q[None], (q @ w_true)[None], [500.0])
-        assert np.allclose(w[0], w_true, rtol=1e-12)
+        rows = rng.normal(size=(1, 2, 2, 4)) + 1j * rng.normal(size=(1, 2, 2, 4))
+        upstream = rng.normal(size=(1, 2, 2)) + 1j * rng.normal(size=(1, 2, 2))
+        u, response, _ = retrieval_module._solve_halves(rows, upstream, [500.0])
+        p, residual = retrieval_module._pressures(rows, upstream, u)
+        a = rows[..., :2] @ upstream[:, None] + rows[..., 2:]
+        y = -rows[..., :2].sum(axis=-1)
+        assert np.allclose(u, np.linalg.solve(a, y[..., None])[..., 0], rtol=1e-12)
+        assert np.allclose(response, np.linalg.solve(a, np.array([1.0, 0.0]))[0], rtol=1e-12)
+        assert np.allclose(p, 1.0 + (upstream[:, None] @ u[..., None])[..., 0], rtol=1e-12)
         assert residual[0] < 1e-12
 
     def test_singular_system_rejected(self):
-        q = np.zeros((1, 8, 8), dtype=complex)
-        q[0, :, 0] = 1.0
+        rows, upstream = unit_rows([[0.0, 1.0], [0.0, 2.0]])
         with pytest.raises(IllConditionedSystemError, match="777.0 Hz"):
-            solve_fields(q, np.ones((1, 8), dtype=complex), [777.0])
+            retrieval_module._solve_halves(rows, upstream, [777.0])
 
     def test_condition_gate(self):
         # two almost linearly dependent columns: equilibration cannot help
         rng = np.random.default_rng(9)
-        q = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
-        q[:, 7] = q[:, 6] * (1.0 + 1e-14)
+        b = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+        b[:, 1] = b[:, 0] * (1.0 + 1e-14)
+        rows, upstream = unit_rows(b)
         with pytest.raises(IllConditionedSystemError) as err:
-            solve_fields(q[None], np.ones((1, 8), dtype=complex), [432.1])
+            retrieval_module._solve_halves(rows, upstream, [432.1])
         assert err.value.frequency == 432.1
 
     def test_condition_bound_is_the_module_constant(self, sample1_geometry, medium, monkeypatch):
         """A real sample-1 point passes under MAX_CONDITION and is refused,
         naming its frequency, once the bound drops below its condition."""
         data = [ScatteringData(f=900.0, transmission=0.8 - 0.5j, reflection=0.2 + 0.1j)]
-        _, cond, _ = solve_fields(*assemble_system(data, sample1_geometry, medium), [900.0])
+        halves = measured_halves(data, sample1_geometry, medium)
+        _, _, cond = retrieval_module._solve_halves(*halves)
         assert 1.0 < cond[0] < MAX_CONDITION
         monkeypatch.setattr(retrieval_module, "MAX_CONDITION", cond[0] / 2)
         with pytest.raises(IllConditionedSystemError, match="900.0 Hz") as err:
-            solve_fields(*assemble_system(data, sample1_geometry, medium), [900.0])
+            retrieval_module._solve_halves(*halves)
         assert err.value.frequency == 900.0
+        with pytest.raises(IllConditionedSystemError, match="900.0 Hz"):
+            retrieve_sweep(data, sample1_geometry, medium)
 
 
 class TestStackedRefusals:
-    """A refusal of the stacked solve names the first failing point of its sweep."""
+    """A refusal of a block's half systems names the first failing point."""
 
     FREQS = [500.0, 900.0, 1300.0, 1700.0, 2100.0]
 
@@ -195,46 +254,53 @@ class TestStackedRefusals:
     def stack(self, sample1_geometry, medium, sample1_z2):
         sweep = forward_averaged_sweep(5.0, 15.0 * sample1_z2, sample1_geometry, medium,
                                        self.FREQS)
-        return assemble_system(sweep, sample1_geometry, medium)
+        rows, upstream, _ = measured_halves(sweep, sample1_geometry, medium)
+        return rows, upstream
 
     def test_non_finite_column_names_its_point(self, stack):
-        q, y = stack
-        q[2, 0, 3] = math.inf
+        rows, upstream = stack
+        rows[2, 0, 0, 3] = math.inf
         with pytest.raises(IllConditionedSystemError, match="1300.0 Hz") as err:
-            solve_fields(q, y, self.FREQS)
+            retrieval_module._solve_halves(rows, upstream, self.FREQS)
         assert err.value.frequency == 1300.0
 
     def test_first_point_above_the_bound_is_named(self, stack, monkeypatch):
-        q, y = stack
-        _, cond, _ = solve_fields(q, y, self.FREQS)
+        rows, upstream = stack
+        _, _, cond = retrieval_module._solve_halves(rows, upstream, self.FREQS)
         # the bound sits between two points' condition numbers, with points on either side
         limit = 0.5 * (np.sort(cond)[1] + np.sort(cond)[2])
         first = int(np.flatnonzero(cond > limit)[0])
         assert (cond <= limit).sum() == 2 and (cond[first + 1:] > limit).any()
         monkeypatch.setattr(retrieval_module, "MAX_CONDITION", limit)
         with pytest.raises(IllConditionedSystemError) as err:
-            solve_fields(q, y, self.FREQS)
+            retrieval_module._solve_halves(rows, upstream, self.FREQS)
         assert err.value.frequency == self.FREQS[first]
 
+    @staticmethod
+    def make_singular(rows, upstream):
+        # the fourth point's halves both become A = [[1, 1], [1, 1]], nonzero columns
+        upstream[3] = 0.0
+        rows[3, :, :, 2:] = 1.0
+
     def test_exactly_singular_point_refused_without_warning(self, stack):
-        q, y = stack
-        q[3] = np.eye(8)
-        q[3, :, 7] = q[3, :, 6]
+        rows, upstream = stack
+        self.make_singular(rows, upstream)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(IllConditionedSystemError, match="condition number inf") as err:
-                solve_fields(q, y, self.FREQS)
+                retrieval_module._solve_halves(rows, upstream, self.FREQS)
         assert err.value.frequency == 1700.0
 
     def test_singular_solve_names_its_point(self, stack, monkeypatch):
-        """With the condition bound lifted, the stacked solve's own LinAlgError,
-        which names no point, still ends in a refusal at the singular one."""
-        q, y = stack
-        q[3] = np.eye(8)
-        q[3, :, 7] = q[3, :, 6]
+        """With the condition bound lifted, Cramer's rule meets a zero
+        determinant, and the refusal still names the singular point."""
+        rows, upstream = stack
+        self.make_singular(rows, upstream)
         monkeypatch.setattr(retrieval_module, "MAX_CONDITION", math.inf)
-        with pytest.raises(IllConditionedSystemError, match="singular at 1700.0 Hz") as err:
-            solve_fields(q, y, self.FREQS)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(IllConditionedSystemError, match="singular at 1700.0 Hz") as err:
+                retrieval_module._solve_halves(rows, upstream, self.FREQS)
         assert err.value.frequency == 1700.0
 
 
