@@ -11,6 +11,9 @@ The package has two independent halves:
 * a finite-difference frequency-domain simulator (``tubegap.fdfd``)
   that produces transmission/reflection data for the same scene from
   first principles, used to verify the retrieval end to end.
+
+The top level exports the sweep workflow (``__all__``); the building
+blocks are imported from their own modules.
 """
 
 __version__ = "0.1.0"
@@ -32,29 +35,18 @@ from tubegap.types import (
     MediumProperties,
     ScatteringData,
 )
-from tubegap.modal import (
-    CouplingCoefficients,
-    ModalBasis,
-    coupling_coefficients,
-    duct_wavenumbers,
-    first_cutoff_frequency,
-    radial_integral,
-)
 from tubegap.retrieval import (
-    DegenerateFieldsError,
-    FieldState,
     RetrievalConfig,
     RetrievedProperties,
-    TransferMatrix,
-    classic_retrieve,
     forward_averaged_sweep,
-    impedance_from_fields,
-    index_from_fields,
     retrieve_sweep,
-    tr_from_transfer_matrix,
-    transfer_matrix_from_tr,
 )
-from tubegap.fdfd import (SimGrid, build_scene, grid_wavenumber, solve_field, solve_harmonic,
-                          solve_sweep, sweep_fields)
+from tubegap.fdfd import SimGrid, build_scene, solve_sweep, sweep_fields
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    "ConfigError", "ConvergenceError", "DegenerateSampleError", "DomainError",
+    "IllConditionedSystemError", "ResolutionError", "SingularMeasurementError", "TubegapError",
+    "DuctGeometry", "GapProperties", "MaterialSpec", "MediumProperties", "ScatteringData",
+    "RetrievalConfig", "RetrievedProperties", "forward_averaged_sweep", "retrieve_sweep",
+    "SimGrid", "build_scene", "solve_sweep", "sweep_fields",
+]

@@ -205,7 +205,7 @@ COMMANDS = {
     "retrieve": (cmd_retrieve, "invert a T,R sweep file into n1, z1", {
         **_COMMON, "--input": ("required", "T,R sweep CSV"),
         "--output": ("required", "results CSV to write"),
-        "--branch-seed": ("value", "inverse-cosine branch at the first point"), **_SWEEP}),
+        "--branch-seed": ("value", "branch m of the phase k0 n1 t at the first point"), **_SWEEP}),
     "forward": (cmd_forward, "generate a T,R sweep", {
         **_COMMON, "--method": (("averaged", "fdfd"), "forward model"),
         "--output": ("required", "T,R sweep CSV to write"), **_SWEEP,

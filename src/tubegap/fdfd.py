@@ -340,15 +340,17 @@ def _solve_fields(scene: SimGrid, freqs: list[float]) -> tuple[np.ndarray, list[
     near, far = g * g * chain[:, 0], g * g * chain[:, -1]
     h = g + np.stack([near + far, near - far], axis=1)
     span_air, system = scene.span_air_modes, np.empty((2, nr, nr), dtype=complex)
-    drives, p = np.empty((len(freqs), nr), complex), np.empty((len(freqs), scene.nx, nr), complex)
+    # W^-1 of a constant column of ones, which is V's mode 0 over V[0, 0]
+    span_ones = span_air[:, :1] / v[0, 0]
+    drive, p = np.empty(len(freqs), complex), np.empty((len(freqs), scene.nx, nr), complex)
     for n, k_n in enumerate(k):
         # total = incident + scattered beyond the upstream column, and only the scattered
-        # part leaves: p_ghost = inc_ghost + M (p_0 - inc_0); this is its known part
+        # part leaves: p_ghost = inc_ghost + M (p_0 - inc_0); this is its known part, a
+        # constant column, as the incident plane wave is mode 0 with factor mu_0
         inc_end, inc_ghost = (cmath.exp(-1j * k_n * scene.x_center(i)) for i in (0, -1))
-        drive = drives[n] = ((((np.full(nr, inc_end) @ v_inv.T) * mu[n]) @ v.T - inc_ghost)
-                             / (medium.rho0 * dx ** 2))
+        drive[n] = (inc_end * mu[n, 0] - inc_ghost) / (medium.rho0 * dx ** 2)
         np.subtract(span_air * air[n], h[n, :, :, None] * span_air, out=system)
-        even, odd = np.linalg.solve(system, (w_inv @ drive)[:, None])[..., 0] @ v.T
+        even, odd = np.linalg.solve(system, drive[n] * span_ones)[..., 0] @ v.T
         p[n, 0], p[n, -1] = 0.5 * (even + odd), 0.5 * (even - odd)
         from_in, from_out = g * (w_inv @ p[n, 0]), g * (w_inv @ p[n, -1])
         p[n, 1:-1] = -(chain[n] * from_in + chain[n, ::-1] * from_out) @ w.T
@@ -356,8 +358,8 @@ def _solve_fields(scene: SimGrid, freqs: list[float]) -> tuple[np.ndarray, list[
     # the residual of the full operator
     residual = _apply_operator(scene, omega[:, None, None],
                                lambda ends: ((ends @ v_inv.T) * mu[:, None]) @ v.T, p)
-    residual[:, 0] -= drives
-    residual = np.linalg.norm(residual, axis=(1, 2)) / np.linalg.norm(drives, axis=1)
+    residual[:, 0] -= drive[:, None]
+    residual = np.linalg.norm(residual, axis=(1, 2)) / (np.abs(drive) * math.sqrt(nr))
     for f, value in zip(freqs, residual):
         if not value < 1e-9:
             raise ResolutionError(
@@ -398,18 +400,6 @@ def sweep_fields(scene: SimGrid, freqs) -> Iterator[tuple[ScatteringData, tuple]
 def solve_sweep(scene: SimGrid, freqs) -> list[ScatteringData]:
     """(T, R) at each frequency of ``freqs``: the points of ``sweep_fields``."""
     return [point for point, _ in sweep_fields(scene, freqs)]
-
-
-def solve_harmonic(scene: SimGrid, f: float) -> ScatteringData:
-    """(T, R) at one frequency: the one-point ``solve_sweep``."""
-    return solve_sweep(scene, [f])[0]
-
-
-def solve_field(scene: SimGrid, f: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Full complex pressure field (x centers, r centers, p[nx, nr]) of the
-    one-point ``sweep_fields``."""
-    ((_, field),) = sweep_fields(scene, [f])
-    return field
 
 
 def grid_wavenumber(k0: float, dx: float) -> float:

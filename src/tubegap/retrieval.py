@@ -273,21 +273,14 @@ def _pressures(rows: np.ndarray, upstream: np.ndarray,
     return p, np.sqrt(0.5 * np.maximum(r2[:, 0], r2[:, 1]))
 
 
-def _positive_real_sqrt(value: complex) -> complex:
-    """Square root on the branch with Re >= 0 (Im >= 0 breaking ties)."""
-    root = cmath.sqrt(value)
-    if root.real < 0 or (root.real == 0 and root.imag < 0):
-        root = -root
-    return root
-
-
 def impedance_from_fields(state: FieldState) -> complex:
     """Sample impedance from its patch fields on the two faces.
 
     z1 = sqrt((p_in^2 - p_out^2) / (u_in^2 - u_out^2)), root chosen with
-    Re(z1) >= 0.  The formula is homogeneous of degree zero in the fields
-    and symmetric under swapping the faces.  Raises DegenerateFieldsError
-    at half-wave resonances, where numerator and denominator both vanish.
+    Re(z1) >= 0 (Im >= 0 breaking ties).  The formula is homogeneous of
+    degree zero in the fields and symmetric under swapping the faces.
+    Raises DegenerateFieldsError at half-wave resonances, where numerator
+    and denominator both vanish.
     """
     num = state.p1_in * state.p1_in - state.p1_out * state.p1_out
     den = state.u1_in * state.u1_in - state.u1_out * state.u1_out
@@ -297,26 +290,8 @@ def impedance_from_fields(state: FieldState) -> complex:
             "velocity contrast between the sample faces vanished "
             "(half-wave resonance); impedance is indeterminate here"
         )
-    return _positive_real_sqrt(num / den)
-
-
-def _index_phase(state: FieldState) -> complex:
-    """Principal complex arccos(ratio) with
-    ratio = (p_in u_in + p_out u_out) / (p_in u_out + p_out u_in), the
-    sample's phase thickness k0 n1 t up to its sign and branch.  Raises
-    DegenerateFieldsError where the ratio's denominator vanishes.
-    """
-    num = state.p1_in * state.u1_in + state.p1_out * state.u1_out
-    den = state.p1_in * state.u1_out + state.p1_out * state.u1_in
-    scale = max(
-        abs(state.p1_in) * abs(state.u1_out), abs(state.p1_out) * abs(state.u1_in), 1e-300
-    )
-    if abs(den) <= 1e-12 * scale:
-        raise DegenerateFieldsError(
-            "cross pressure-velocity product between the faces vanished; "
-            "index is indeterminate here"
-        )
-    return cmath.acos(num / den)
+    root = cmath.sqrt(num / den)
+    return -root if root.real < 0 or (root.real == 0 and root.imag < 0) else root
 
 
 def index_from_fields(
@@ -328,12 +303,25 @@ def index_from_fields(
 ) -> complex:
     """Sample refractive index from its patch fields on the two faces.
 
-    n1 = (sign * arccos(ratio) + 2 pi m) / (k0 t) with the ratio and the
-    principal complex inverse cosine of ``_index_phase``.
+    n1 = (sign * arccos(ratio) + 2 pi m) / (k0 t), with the principal
+    complex inverse cosine of
+    ratio = (p_in u_in + p_out u_out) / (p_in u_out + p_out u_in), the
+    sample's phase thickness k0 n1 t up to its sign and branch.  Raises
+    DegenerateFieldsError where the ratio's denominator vanishes.
     """
     if sign not in (1, -1):
         raise DomainError(f"sign must be +1 or -1, got {sign}")
-    return (sign * _index_phase(state) + 2.0 * math.pi * branch_m) / (k0 * t)
+    num = state.p1_in * state.u1_in + state.p1_out * state.u1_out
+    den = state.p1_in * state.u1_out + state.p1_out * state.u1_in
+    scale = max(
+        abs(state.p1_in) * abs(state.u1_out), abs(state.p1_out) * abs(state.u1_in), 1e-300
+    )
+    if abs(den) <= 1e-12 * scale:
+        raise DegenerateFieldsError(
+            "cross pressure-velocity product between the faces vanished; "
+            "index is indeterminate here"
+        )
+    return (sign * cmath.acos(num / den) + 2.0 * math.pi * branch_m) / (k0 * t)
 
 
 def _point_terms(p: list, u: list, response: list, gamma: list, coupling: list, z1: complex,
@@ -343,7 +331,7 @@ def _point_terms(p: list, u: list, response: list, gamma: list, coupling: list, 
     responses are [even, odd] lists of [patch 1, patch 2].
 
     Degenerate: a zero or non-finite z1 or phase, or the tests of
-    ``impedance_from_fields`` and ``_index_phase`` on the faces' fields
+    ``impedance_from_fields`` and ``index_from_fields`` on the faces' fields
     (u_in = u+ + u-, u_out = u- - u+), with u_in^2 - u_out^2 = 4 u+ u- and
     p_in u_out + p_out u_in = 2 (p+ u- - p- u+).  Implicitly, du/dG =
     A^-1 [P + alpha V, 0], d ln Z1 = dp1/p1 - du1/u1, d ln z1 is the halves'
@@ -456,36 +444,6 @@ def _fill_degenerate_points(results: list[RetrievedProperties], missing: list[in
             n1 = lo.n1 + (hi.n1 - lo.n1) * w
             z1 = lo.z1 + (hi.z1 - lo.z1) * w
         results[i] = replace(r, n1=n1, z1=z1, flags=r.flags + ("interpolated",))
-
-
-def classic_retrieve(
-    data: ScatteringData,
-    t: float,
-    medium: MediumProperties,
-    branch_m: int = 0,
-) -> RetrievedProperties:
-    """Single-layer retrieval for a sample that fills the whole duct.
-
-    Standard full-duct inversion: n = (sign * arccos(m11) + 2 pi m)/(k0 t)
-    and z = sqrt(m12 / m21) with Re(z) >= 0; z here is the specific
-    impedance (Pa*s/m) of the layer, since no cross-section partition is
-    involved.  The sign of the inverse cosine is fixed by requiring the
-    reconstructed m12 = i z sin(k0 n t) to match the measured one, which
-    also makes Im(n) >= 0 in lossless evanescent bands.
-    """
-    if not (t > 0 and math.isfinite(t)):
-        raise DomainError(f"thickness must be positive, got {t}")
-    matrix = transfer_matrix_from_tr(data, medium)
-    k0 = 2.0 * math.pi * data.f / medium.c0
-    if matrix.m21 == 0:
-        raise DegenerateFieldsError("m21 vanished; impedance is indeterminate here")
-    z = _positive_real_sqrt(matrix.m12 / matrix.m21)
-    theta = cmath.acos(matrix.m11)
-    best_sign = min((1, -1), key=lambda sign: abs(1j * z * cmath.sin(sign * theta) - matrix.m12))
-    n = (best_sign * theta + 2.0 * math.pi * branch_m) / (k0 * t)
-    return RetrievedProperties(
-        f=data.f, n1=n, z1=z, branch_m=branch_m, sign_choice=best_sign
-    )
 
 
 def forward_averaged_sweep(

@@ -55,9 +55,8 @@ class DuctGeometry:
     def __post_init__(self):
         if not (0 < self.r1 < self.r2):
             raise DomainError(
-                f"need 0 < r1 < r2, got r1={self.r1}, r2={self.r2}; "
-                "a sample that fills the duct is handled by the classic "
-                "full-duct retrieval instead"
+                f"need 0 < r1 < r2, got r1={self.r1}, r2={self.r2}; a sample that fills "
+                "the duct needs the standard single-layer inversion, not this gap model"
             )
         if not (self.t > 0 and math.isfinite(self.t)):
             raise DomainError(f"thickness must be positive, got {self.t}")

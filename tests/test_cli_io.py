@@ -556,7 +556,7 @@ class TestCli:
                         "--set", "oracle.cells_per_wavelength=20",
                         "--output", str(tmp_path / "tr.csv"), "--dump-field", str(dump)) == 0
         assert calls == [[400.0, 800.0, 1200.0, 1600.0]]
-        write_field_csv(alone, *fdfd_module.solve_field(scenes[0], 1600.0))
+        write_field_csv(alone, *next(fdfd_module.sweep_fields(scenes[0], [1600.0]))[1])
         assert dump.read_bytes() == alone.read_bytes()
 
     # every command's one-line help and its options' help texts (None where
@@ -564,7 +564,7 @@ class TestCli:
     COMMAND_HELP = {
         "retrieve": ("invert a T,R sweep file into n1, z1", {
             "--input": "T,R sweep CSV", "--output": "results CSV to write",
-            "--branch-seed": "inverse-cosine branch at the first point",
+            "--branch-seed": "branch m of the phase k0 n1 t at the first point",
             "--modes": "modal truncation", "--allow-above-cutoff": None}),
         "forward": ("generate a T,R sweep", {
             "--method": None, "--output": None, "--modes": None, "--allow-above-cutoff": None,
@@ -803,3 +803,20 @@ def test_cli_and_averaged_roundtrip_load_no_slow_modules(cfg_path):
     done = subprocess.run([sys.executable, "-c", probe, str(cfg_path)], capture_output=True,
                           text=True, env=env, timeout=60, check=True)
     assert done.stdout.splitlines() == ["import", "roundtrip 0"]
+
+
+def test_top_level_exports_the_sweep_workflow():
+    """``tubegap.__all__`` is the README's sweep workflow and every name in it
+    resolves; building blocks are imported from their own modules."""
+    workflow = {
+        "ConfigError", "ConvergenceError", "DegenerateSampleError", "DomainError",
+        "IllConditionedSystemError", "ResolutionError", "SingularMeasurementError",
+        "TubegapError",
+        "DuctGeometry", "GapProperties", "MaterialSpec", "MediumProperties", "ScatteringData",
+        "RetrievalConfig", "RetrievedProperties", "forward_averaged_sweep", "retrieve_sweep",
+        "SimGrid", "build_scene", "solve_sweep", "sweep_fields",
+    }
+    assert len(tubegap.__all__) == len(workflow) and set(tubegap.__all__) == workflow
+    namespace = {}
+    exec("from tubegap import *", namespace)
+    assert workflow <= namespace.keys()

@@ -20,9 +20,8 @@ from tubegap.fdfd import (
     SimGrid,
     build_scene,
     grid_wavenumber,
-    solve_field,
-    solve_harmonic,
     solve_sweep,
+    sweep_fields,
 )
 from tubegap.types import DuctGeometry, GapProperties, MaterialSpec
 
@@ -236,7 +235,7 @@ class TestStencil:
         assert {"rho", "kappa", "span_modes", "area_weights"} <= set(names)
         before = [getattr(small_scene, name).copy() for name in names]
         for f in (700.0, 1500.0):
-            solve_harmonic(small_scene, f)
+            solve_sweep(small_scene, [f])
         for name, old in zip(names, before):
             new = getattr(small_scene, name)
             assert not new.flags.writeable, name
@@ -251,7 +250,7 @@ class TestStencil:
         wrong = dataclasses.replace(
             default_scene, span_eigenvalues=default_scene.span_eigenvalues * (1 + 1e-3))
         with pytest.raises(ResolutionError, match=r"at 1000\.0 Hz \(relative residual"):
-            solve_harmonic(wrong, 1000.0)
+            solve_sweep(wrong, [1000.0])
 
 
 class TestSweep:
@@ -262,7 +261,7 @@ class TestSweep:
         swept = solve_sweep(scene, freqs)
         assert [sd.f for sd in swept] == list(freqs)
         for sd, f in zip(swept, freqs):
-            alone = solve_harmonic(scene, f)
+            alone = solve_sweep(scene, [f])[0]
             assert (sd.transmission, sd.reflection) == (alone.transmission, alone.reflection), f
 
     def test_sample1(self, default_scene):
@@ -318,7 +317,7 @@ class TestSweep:
         with warnings.catch_warnings(record=True) as alone:
             warnings.simplefilter("always")
             for f in freqs:
-                solve_harmonic(scene, f)
+                solve_sweep(scene, [f])
         assert [str(w.message) for w in swept] == [str(w.message) for w in alone]
         assert [str(w.message).split(" Hz")[0] for w in swept] == ["3000.0", "3200.0", "3400.0"]
         assert {w.category for w in swept} == {UserWarning}
@@ -333,7 +332,7 @@ class TestIndependentSolve:
     @staticmethod
     def assert_matches_dense(scene, freqs):
         for f in freqs:
-            _, _, p = solve_field(scene, f)
+            _, _, p = next(sweep_fields(scene, [f]))[1]
             expected = dense_field(scene, f)
             assert np.linalg.norm(p - expected) <= 1e-10 * np.linalg.norm(expected), f
 
@@ -358,7 +357,7 @@ class TestIndependentSolve:
         scene = fast_scene(sample1_material, sample1_geometry, 1500.0, medium=medium)
         assert scene.nx == scene.n_sample_cells + 2
         for f in (300.0, 1500.0):
-            _, _, p = solve_field(scene, f)
+            _, _, p = next(sweep_fields(scene, [f]))[1]
             expected = dense_field(scene, f, pad=3)
             assert np.linalg.norm(p - expected) <= 1e-10 * np.linalg.norm(expected), f
 
@@ -378,7 +377,7 @@ class TestIndependentSolve:
         scene = build_scene(lossless_index15(sample1_geometry, medium), sample1_geometry,
                             2500.0, medium=medium)
         for f in np.linspace(1500.0, 2500.0, 51):
-            sd = solve_harmonic(scene, f)
+            sd = solve_sweep(scene, [f])[0]
             assert abs(abs(sd.transmission) ** 2 + abs(sd.reflection) ** 2 - 1.0) <= 1e-12, f
 
     def test_span_basis_diagonalizes_each_block(self, sample1_geometry, sample1_material, medium):
@@ -424,7 +423,7 @@ class TestEmptyAndAirScenes:
         incident-wave subtraction and the referencing to both faces."""
         scene = fast_scene(None, sample1_geometry, 2500.0, medium=medium)
         for f in (600.0, 1500.0, 2500.0):
-            sd = solve_harmonic(scene, f)
+            sd = solve_sweep(scene, [f])[0]
             k = grid_wavenumber(2 * math.pi * f / medium.c0, scene.dx)
             assert sd.f == f
             assert sd.transmission == pytest.approx(cmath.exp(-1j * k * sample1_geometry.t),
@@ -435,28 +434,23 @@ class TestEmptyAndAirScenes:
         air = MaterialSpec.air(sample1_geometry, medium)
         scene = fast_scene(air, sample1_geometry, 2500.0, medium=medium)
         for f in (600.0, 2500.0):
-            sd = solve_harmonic(scene, f)
+            sd = solve_sweep(scene, [f])[0]
             assert abs(abs(sd.transmission) - 1) < 1e-3
             assert abs(sd.reflection) < 1e-3
-
-    def test_above_cutoff_warns(self, sample1_geometry, medium):
-        scene = fast_scene(None, sample1_geometry, 3500.0, medium=medium)
-        with pytest.warns(UserWarning):
-            solve_harmonic(scene, 3200.0)
 
 
 class TestScenePhysics:
     def test_energy_conservation_lossless(self, sample1_geometry, medium, sample1_material):
         scene = fast_scene(sample1_material, sample1_geometry, 1800.0, medium=medium)
         for f in (700.0, 1800.0):
-            sd = solve_harmonic(scene, f)
+            sd = solve_sweep(scene, [f])[0]
             assert abs(sd.transmission) ** 2 + abs(sd.reflection) ** 2 == pytest.approx(
                 1.0, abs=5e-3
             )
 
     def test_field_dump_shape(self, sample1_geometry, medium):
         scene = fast_scene(None, sample1_geometry, 800.0, medium=medium)
-        x, r, p = solve_field(scene, 800.0)
+        x, r, p = next(sweep_fields(scene, [800.0]))[1]
         assert p.shape == (scene.nx, scene.nr)
         assert len(x) == scene.nx and len(r) == scene.nr
 
@@ -478,7 +472,7 @@ class TestScenePhysics:
         measured with 56 modes split in proportion to the region widths)."""
         f = 1000.0
         scene = build_scene(sample1_material, sample1_geometry, 2500.0, medium=medium)
-        sd = solve_harmonic(scene, f)
+        sd = solve_sweep(scene, [f])[0]
         rho_disk = sample1_material.effective_density(sample1_geometry, medium)
         kappa_disk = sample1_material.effective_bulk_modulus(sample1_geometry, medium)
         c_disk = cmath.sqrt(kappa_disk / rho_disk)
@@ -513,7 +507,7 @@ class TestTerminations:
         assert default_scene.nx == default_scene.n_sample_cells + 2
         for scene in (default_scene, fast_scene(lossy, sample2_geometry, 2500.0, medium=medium)):
             for f in (600.0, 2500.0):
-                _, _, p = solve_field(scene, f)
+                _, _, p = next(sweep_fields(scene, [f]))[1]
                 expected = dense_field(scene, f, pad=3)
                 assert np.linalg.norm(p - expected) <= 1e-10 * np.linalg.norm(expected), f
 
@@ -521,7 +515,7 @@ class TestTerminations:
         """Lossless energy balance at the top of the band, where the first
         evanescent mode decays slowest: the terminations sit one cell from
         the sample faces, so any return of that mode would show here."""
-        sd = solve_harmonic(default_scene, 2500.0)
+        sd = solve_sweep(default_scene, [2500.0])[0]
         assert abs(abs(sd.transmission) ** 2 + abs(sd.reflection) ** 2 - 1.0) <= 1e-12
 
     def test_exact_plane_mode(self, sample2_geometry, medium):
@@ -534,7 +528,7 @@ class TestTerminations:
         assert scene.radial_eigenvalues[0] == 0.0
         assert np.all(scene.radial_modes[:, 0] == scene.radial_modes[0, 0])
         for f in (300.0, 2500.0):
-            sd = solve_harmonic(scene, f)
+            sd = solve_sweep(scene, [f])[0]
             defect = abs(abs(sd.transmission) ** 2 + abs(sd.reflection) ** 2 - 1.0)
             assert defect <= 1e-12, f
 
@@ -547,7 +541,7 @@ class TestTerminations:
         )
         assert fine.dx < 0.55 * default_scene.dx
         for f in (600.0, 1500.0, 2400.0):
-            sd = solve_harmonic(default_scene, f)
-            sd_fine = solve_harmonic(fine, f)
+            sd = solve_sweep(default_scene, [f])[0]
+            sd_fine = solve_sweep(fine, [f])[0]
             assert abs(abs(sd.transmission) - abs(sd_fine.transmission)) <= 1.5e-3, f
             assert abs(abs(sd.reflection) - abs(sd_fine.reflection)) <= 1.5e-3, f

@@ -12,9 +12,9 @@ from tubegap import retrieval as retrieval_module
 from tubegap.errors import ConvergenceError, DomainError
 from tubegap.retrieval import (
     RetrievalConfig,
-    classic_retrieve,
     forward_averaged_sweep,
     retrieve_sweep,
+    transfer_matrix_from_tr,
 )
 from tubegap.types import DuctGeometry, GapProperties, ScatteringData
 from test_retrieval_core import face_fields, measured_halves
@@ -367,33 +367,6 @@ class TestOneStackedSolve:
     independent half systems of each block of points; its one-point case is
     the same path."""
 
-    def test_point_does_not_depend_on_its_sweep(self, sample1_geometry, medium, sample1_z2):
-        n1, z1 = 5.0 - 0.2j, (15.0 - 1.0j) * sample1_z2
-        freqs = list(np.linspace(300.0, 2500.0, 45))
-        sweep = forward_averaged_sweep(n1, z1, sample1_geometry, medium, freqs)
-        singles = [forward_averaged_sweep(n1, z1, sample1_geometry, medium, [f])[0]
-                   for f in freqs]
-        assert sweep == singles
-        results = retrieve_sweep(sweep, sample1_geometry, medium)
-        for r, point in zip(results, sweep):
-            single = retrieve_sweep([point], sample1_geometry, medium)[0]
-            assert (r.z1, r.condition_number) == (single.z1, single.condition_number)
-
-    def test_one_solve_per_sweep(self, sample1_geometry, medium, sample1_z2, monkeypatch):
-        calls, solve = [], retrieval_module._solve_halves
-
-        def counting_solve(rows, upstream, freqs):
-            calls.append(len(freqs))
-            return solve(rows, upstream, freqs)
-
-        monkeypatch.setattr(retrieval_module, "_solve_halves", counting_solve)
-        freqs = list(np.linspace(300.0, 2500.0, 45))
-        sweep = forward_averaged_sweep(5.0, 15.0 * sample1_z2, sample1_geometry, medium, freqs)
-        assert calls == [45]
-        retrieve_sweep(sweep, sample1_geometry, medium)
-        assert calls == [45, 45]
-
-
     def test_no_dense_linear_algebra(self, sample1_geometry, medium, sample1_z2, monkeypatch):
         """The averaged path solves its 2x2 halves in closed form: with numpy's
         dense solvers disabled, a sample-1 forward sweep and its retrieval
@@ -433,39 +406,47 @@ class TestStackedBlocks:
 
     def test_one_coupling_stack_per_block(self, sample1_geometry, medium, sample1_z2,
                                           monkeypatch):
-        couplings, solves = [], []
+        """One coupling stack and one half solve per block, forward and
+        inverse: a 45-point sweep is one block, 150 points are three."""
         stack, solve = retrieval_module.coupling_stack, retrieval_module._solve_halves
+        for points in (np.linspace(300.0, 2500.0, 45).tolist(), self.FREQS):
+            couplings, solves = [], []
 
-        def counting_stack(geometry, medium, freqs, n_modes):
-            couplings.append(len(freqs))
-            return stack(geometry, medium, freqs, n_modes)
+            def counting_stack(geometry, medium, freqs, n_modes):
+                couplings.append(len(freqs))
+                return stack(geometry, medium, freqs, n_modes)
 
-        def counting_solve(rows, upstream, freqs):
-            solves.append(len(freqs))
-            return solve(rows, upstream, freqs)
+            def counting_solve(rows, upstream, freqs):
+                solves.append(len(freqs))
+                return solve(rows, upstream, freqs)
 
-        monkeypatch.setattr(retrieval_module, "coupling_stack", counting_stack)
-        monkeypatch.setattr(retrieval_module, "_solve_halves", counting_solve)
-        blocks = math.ceil(len(self.FREQS) / retrieval_module.SWEEP_BLOCK)
-        sweep = forward_averaged_sweep(5.0, 15.0 * sample1_z2, sample1_geometry, medium,
-                                       self.FREQS)
-        assert len(couplings) == blocks and sum(couplings) == len(self.FREQS)
-        assert max(couplings) <= retrieval_module.SWEEP_BLOCK and solves == couplings
-        retrieve_sweep(sweep, sample1_geometry, medium)
-        assert len(couplings) == 2 * blocks and solves == couplings
+            monkeypatch.setattr(retrieval_module, "coupling_stack", counting_stack)
+            monkeypatch.setattr(retrieval_module, "_solve_halves", counting_solve)
+            blocks = math.ceil(len(points) / retrieval_module.SWEEP_BLOCK)
+            sweep = forward_averaged_sweep(5.0, 15.0 * sample1_z2, sample1_geometry, medium,
+                                           points)
+            assert len(couplings) == blocks and sum(couplings) == len(points)
+            assert max(couplings) <= retrieval_module.SWEEP_BLOCK and solves == couplings
+            retrieve_sweep(sweep, sample1_geometry, medium)
+            assert len(couplings) == 2 * blocks and solves == couplings
 
     def test_convergence_error_names_first_point_above(self, sample1_geometry, medium,
                                                        sample1_z2, monkeypatch):
         """The bound sits between two points' rel_change, so the first point
-        above it lies in the second block."""
+        above it lies in the second block; ``coupling_stack`` itself, the
+        forward sweep and the retrieval all name it."""
         sweep = forward_averaged_sweep(5.0, 15.0 * sample1_z2, sample1_geometry, medium,
                                        self.FREQS)
         _, rel_change = modal.coupling_stack(sample1_geometry, medium, self.FREQS)
+        # rel_change grows with frequency up to about 2000 Hz here
         limit = 0.5 * (rel_change[69] + rel_change[70])
         first = int(np.flatnonzero(rel_change > limit)[0])
         assert retrieval_module.SWEEP_BLOCK <= first < 2 * retrieval_module.SWEEP_BLOCK
+        assert (rel_change[:first] <= limit).all()
         monkeypatch.setattr(modal, "SUM_TOLERANCE", limit)
         match = f"at {self.FREQS[first]} Hz$"
+        with pytest.raises(ConvergenceError, match=match):
+            modal.coupling_stack(sample1_geometry, medium, self.FREQS)
         with pytest.raises(ConvergenceError, match=match):
             forward_averaged_sweep(5.0, 15.0 * sample1_z2, sample1_geometry, medium, self.FREQS)
         with pytest.raises(ConvergenceError, match=match):
@@ -487,62 +468,12 @@ class TestStackedBlocks:
 
 
 class TestClassicRetrieve:
-    def test_air(self, medium):
-        t = 0.01
-        k0 = 2 * math.pi * 700.0 / medium.c0
-        data = ScatteringData(f=700.0, transmission=cmath.exp(-1j * k0 * t), reflection=0.0)
-        r = classic_retrieve(data, t, medium)
-        assert r.n1 == pytest.approx(1.0, abs=1e-10)
-        assert r.z1 == pytest.approx(medium.alpha, rel=1e-10)
-
-    def test_dense_layer_exact(self, medium):
-        """Forward single layer with n = 5, z/alpha = 3, inverted exactly."""
-        n, z_ratio = 5.0, 3.0
-        z = z_ratio * medium.alpha
-        t = 0.004
-        for f in (300.0, 1100.0, 2400.0):
-            k0 = 2 * math.pi * f / medium.c0
-            theta = k0 * n * t
-            m11 = cmath.cos(theta)
-            m12 = 1j * z * cmath.sin(theta)
-            m21 = 1j * cmath.sin(theta) / z
-            alpha = medium.alpha
-            denom = m11 + m12 / alpha + alpha * m21 + m11
-            data = ScatteringData(
-                f=f, transmission=2.0 / denom,
-                reflection=(m11 + m12 / alpha - alpha * m21 - m11) / denom,
-            )
-            r = classic_retrieve(data, t, medium)
-            assert r.n1 == pytest.approx(n, rel=1e-10)
-            assert r.z1 == pytest.approx(z, rel=1e-10)
-
-    def test_evanescent_band_sign(self, medium):
-        """m11 real > 1 (tunnelling): index comes out positive imaginary."""
-        t = 0.01
-        f = 600.0
-        nu = 2.0  # n = i nu
-        k0 = 2 * math.pi * f / medium.c0
-        z = 2.0 * medium.alpha
-        theta = k0 * (1j * nu) * t
-        m11 = cmath.cos(theta)
-        m12 = 1j * z * cmath.sin(theta)
-        m21 = 1j * cmath.sin(theta) / z
-        assert m11.real > 1
-        alpha = medium.alpha
-        denom = m11 + m12 / alpha + alpha * m21 + m11
-        data = ScatteringData(
-            f=f, transmission=2.0 / denom,
-            reflection=(m11 + m12 / alpha - alpha * m21 - m11) / denom,
-        )
-        r = classic_retrieve(data, t, medium)
-        assert r.n1.imag > 0
-        assert r.n1 == pytest.approx(1j * nu, rel=1e-10)
-        assert r.z1.real >= 0
-
     def test_matches_gap_model_when_gap_is_tiny(self, medium, monkeypatch):
         """Nearly full-duct sample (r1/r2 = 0.999): the gap pipeline
-        approaches the classic inversion (through the averaged forward
-        model; the gap formulation is singular at exact equality).
+        approaches the classic full-duct inversion of the layer matrix,
+        n = arccos(m11) / (k0 t) and z = sqrt(m12 / m21) (through the
+        averaged forward model; the gap formulation is singular at exact
+        equality).
 
         The thin annulus makes the modal sums converge slowly, hence the
         raised truncation and relaxed doubling tolerance.
@@ -554,7 +485,10 @@ class TestClassicRetrieve:
         sweep = forward_averaged_sweep(n1, z1, geometry, medium, [900.0], n_modes=1024)
         config = RetrievalConfig(n_modes=1024)
         gap_result = retrieve_sweep(sweep, geometry, medium, config)[0]
-        classic = classic_retrieve(sweep[0], geometry.t, medium)
-        assert classic.n1 == pytest.approx(gap_result.n1, rel=2e-2)
-        # classic returns the specific impedance over the full duct section
-        assert classic.z1 == pytest.approx(gap_result.z1 * geometry.s1, rel=2e-2)
+        matrix = transfer_matrix_from_tr(sweep[0], medium)
+        k0 = 2.0 * math.pi * sweep[0].f / medium.c0
+        assert cmath.acos(matrix.m11) / (k0 * geometry.t) == pytest.approx(gap_result.n1,
+                                                                           rel=2e-2)
+        # the layer matrix gives the specific impedance over the full duct section
+        assert cmath.sqrt(matrix.m12 / matrix.m21) == pytest.approx(
+            gap_result.z1 * geometry.s1, rel=2e-2)
