@@ -56,17 +56,21 @@ def _load_config(args: SimpleNamespace) -> RunConfig:
 
 
 def _refuse_unwritable(*paths: str | None) -> None:
-    """Refuse, before any work, an output path that is empty, is a folder or
-    whose folder does not exist.  Callers list a data file's ``.meta`` sidecar
-    too, so that a sidecar path that is a folder is refused before the
-    data file is written."""
+    """Refuse, before any work, an output path that is empty, is a folder,
+    whose folder does not exist or that an earlier output of the command
+    takes.  Callers list a data file's ``.meta`` sidecar too, so that a
+    sidecar path that is a folder is refused before the data file is written."""
     if "" in paths:
         raise ConfigError("cannot write to an empty path")
+    taken = set()
     for path in (Path(p) for p in paths if p is not None):
         if path.is_dir():
             raise ConfigError(f"cannot write {path}: it is a folder")
         if not path.parent.is_dir():
             raise ConfigError(f"cannot write {path}: its folder does not exist")
+        if (absolute := os.path.abspath(path)) in taken:
+            raise ConfigError(f"cannot write {path}: another output of this command goes there")
+        taken.add(absolute)
 
 
 def cmd_retrieve(args: SimpleNamespace) -> int:

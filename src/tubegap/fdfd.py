@@ -33,13 +33,13 @@ Discretization notes:
   from the terminations, so no absorbing layer is needed, and one air
   column per side is enough (more would only hold the outgoing
   continuation of the field);
-* the upstream end is driven by the discrete plane wave exp(-i k x), k the
-  grid wavenumber.  The area average of a column projects out every
-  non-planar duct mode (they are orthogonal to the constant mode 0), so
-  the averages of the scattered field in the two end columns are the
-  reflected and transmitted plane-wave amplitudes; referencing them to
-  the sample faces with the same k calibrates the air path's numerical
-  dispersion out of (T, R).
+* the upstream end is driven by mode 0 (lambda_0 = 0), the grid's plane
+  wave, which steps by mu_0 = sigma_0^2: a unit wave at the upstream face
+  is 1/sigma_0 in the end column, half a cell outside, and sigma_0^-3 in
+  its ghost.  A column's area average projects out every non-planar duct
+  mode (orthogonal to the constant mode 0), so the end columns' averages
+  of the scattered field, referenced to the sample faces by the same
+  sigma_0, are R and T with the air path's numerical dispersion removed.
 
 Solution method.  The same separation holds inside the sample span: the
 sleeve decouples the disk from the annulus and both media are uniform
@@ -69,7 +69,6 @@ exp(-i k x) travels toward +x.
 
 from __future__ import annotations
 
-import cmath
 import math
 import warnings
 from collections.abc import Iterator
@@ -85,9 +84,6 @@ DEFAULT_CELLS_PER_WAVELENGTH = 33.0
 MIN_CELLS_PER_WAVELENGTH = 20
 # cell count, or dense nr x nr array size, above which build_scene refuses (ResolutionError)
 MAX_CELLS = 6_000_000
-# first positive root of J1 (scipy.special.jn_zeros(1, 1)): the first
-# non-planar duct mode cuts on at k r2 = J1_FIRST_ROOT (only the warning below uses it)
-J1_FIRST_ROOT = 3.8317059702075125
 # points sweep_fields solves in one stacked pass
 SWEEP_BLOCK = 64
 
@@ -102,6 +98,7 @@ class SimGrid:
 
     geometry: DuctGeometry
     medium: MediumProperties
+    f_max: float              # the highest frequency the grid is sized for
     dx: float
     dr: float
     nx: int
@@ -262,23 +259,24 @@ def build_scene(
     for array in fields.values():
         array.setflags(write=False)
     return SimGrid(
-        geometry=geometry, medium=medium, dx=dx, dr=dr, nx=nx, nr=nr,
+        geometry=geometry, medium=medium, f_max=f_max, dx=dx, dr=dr, nx=nx, nr=nr,
         n_sample_cells=nt, j_sleeve=sleeve, **fields,
     )
 
 
 def _termination_factors(scene: SimGrid, k0: float | np.ndarray) -> np.ndarray:
-    """Column-to-column factors mu_n of an outgoing field in uniform air (a row
-    per frequency for a column of k0): the termination map is M = V diag(mu) V^-1.
+    """Half-step factors sigma_n of an outgoing field in uniform air (a row
+    per frequency for a column of k0): mode n steps from one column to the
+    next by mu_n = sigma_n^2, and the termination map is M = V diag(mu) V^-1.
 
-    mu_n = exp(-2i asin(dx sqrt(q_n) / 2)) with q_n = k0^2 - lambda_n solves
-    mu + 1/mu = 2 - dx^2 q_n; the branch sqrt(q) = -i sqrt(-q) for q < 0
-    makes the evanescent modes decay (0 < mu < 1), and the propagating ones
-    get |mu| = 1 with the outgoing phase.
+    sigma_n = exp(-i asin(dx sqrt(q_n) / 2)) with q_n = k0^2 - lambda_n, so
+    mu solves mu + 1/mu = 2 - dx^2 q_n; the branch sqrt(q) = -i sqrt(-q) for
+    q < 0 makes the evanescent modes decay (0 < mu < 1), and the propagating
+    ones get |mu| = 1 with the outgoing phase.
     """
     q = k0 ** 2 - scene.radial_eigenvalues
     root = np.where(q >= 0.0, np.sqrt(np.abs(q)), -1j * np.sqrt(np.abs(q)))
-    return np.exp(-2j * np.arcsin(0.5 * scene.dx * root))
+    return np.exp(-1j * np.arcsin(0.5 * scene.dx * root))
 
 
 def _apply_operator(scene: SimGrid, omega, terminate, p: np.ndarray) -> np.ndarray:
@@ -303,14 +301,14 @@ def _apply_operator(scene: SimGrid, omega, terminate, p: np.ndarray) -> np.ndarr
     return out
 
 
-def _solve_fields(scene: SimGrid, freqs: list[float]) -> tuple[np.ndarray, list[float]]:
-    """Total fields p[point, nx, nr] for a unit plane wave incident from
-    upstream at each frequency, and the grid wavenumbers k of that wave."""
+def _solve_fields(scene: SimGrid, freqs: list[float]) -> tuple[np.ndarray, np.ndarray]:
+    """Total fields p[point, nx, nr] for a unit plane wave incident on the
+    upstream face at each frequency, and that wave's half-step factor sigma_0."""
     medium, dx, nr, nt = scene.medium, scene.dx, scene.nr, scene.n_sample_cells
     omega = 2.0 * math.pi * np.array(freqs)
     k0 = omega / medium.c0
-    k = [grid_wavenumber(x, dx) for x in k0]
-    mu = _termination_factors(scene, k0[:, None])
+    sigma = _termination_factors(scene, k0[:, None])
+    mu = sigma * sigma
     v, v_inv = scene.radial_modes, scene.radial_modes_inv
     w, w_inv = scene.span_modes, scene.span_modes_inv
 
@@ -342,13 +340,14 @@ def _solve_fields(scene: SimGrid, freqs: list[float]) -> tuple[np.ndarray, list[
     span_air, system = scene.span_air_modes, np.empty((2, nr, nr), dtype=complex)
     # W^-1 of a constant column of ones, which is V's mode 0 over V[0, 0]
     span_ones = span_air[:, :1] / v[0, 0]
-    drive, p = np.empty(len(freqs), complex), np.empty((len(freqs), scene.nx, nr), complex)
-    for n, k_n in enumerate(k):
-        # total = incident + scattered beyond the upstream column, and only the scattered
-        # part leaves: p_ghost = inc_ghost + M (p_0 - inc_0); this is its known part, a
-        # constant column, as the incident plane wave is mode 0 with factor mu_0
-        inc_end, inc_ghost = (cmath.exp(-1j * k_n * scene.x_center(i)) for i in (0, -1))
-        drive[n] = (inc_end * mu[n, 0] - inc_ghost) / (medium.rho0 * dx ** 2)
+    # total = incident + scattered beyond the upstream column, and only the scattered
+    # part leaves: p_ghost = inc_ghost + M (p_0 - inc_0); this is its known part, a
+    # constant column, as the incident wave is mode 0 at 1/sigma_0 in the end column
+    # and sigma_0^-3 in its ghost, and M maps it to 1/sigma_0 * mu_0 = sigma_0
+    sigma_0 = sigma[:, 0]
+    drive = (sigma_0 - sigma_0 ** -3) / (medium.rho0 * dx ** 2)
+    p = np.empty((len(freqs), scene.nx, nr), complex)
+    for n in range(len(freqs)):
         np.subtract(span_air * air[n], h[n, :, :, None] * span_air, out=system)
         even, odd = np.linalg.solve(system, drive[n] * span_ones)[..., 0] @ v.T
         p[n, 0], p[n, -1] = 0.5 * (even + odd), 0.5 * (even - odd)
@@ -364,7 +363,7 @@ def _solve_fields(scene: SimGrid, freqs: list[float]) -> tuple[np.ndarray, list[
         if not value < 1e-9:
             raise ResolutionError(
                 f"Helmholtz solve did not converge at {f} Hz (relative residual {value:.2e})")
-    return p, k
+    return p, sigma_0
 
 
 def sweep_fields(scene: SimGrid, freqs) -> Iterator[tuple[ScatteringData, tuple]]:
@@ -372,44 +371,38 @@ def sweep_fields(scene: SimGrid, freqs) -> Iterator[tuple[ScatteringData, tuple]
     faces, with its full complex pressure field (x centers, r centers,
     p[nx, nr]); the field axes are the same two arrays for every point.
 
-    The end columns' area averages are the scattered field R exp(+i k x)
-    upstream (after subtracting the incident wave) and T exp(-i k (x - t))
-    downstream, x = 0 at the incidence-side face and k the grid wavenumber.
+    The end columns sit half a cell outside the sample faces: their area
+    averages are 1/sigma_0 + R sigma_0 upstream and T sigma_0 downstream.
     ``SWEEP_BLOCK`` points are solved at a time, fewer if their fields would
     hold more than ``MAX_CELLS`` cells; a point's (T, R) and field have the
-    same bits in any sweep.
+    same bits in any sweep.  Before any solve, a frequency that is not
+    positive and finite raises ``DomainError``, and one above the scene's
+    ``f_max`` ``ResolutionError``; each one where the scene's mode 1
+    propagates warns.
     """
     freqs = [float(f) for f in freqs]
-    cutoff = J1_FIRST_ROOT * scene.medium.c0 / (2.0 * math.pi * scene.geometry.r2)
-    for f in (f for f in freqs if f > cutoff):
-        warnings.warn(f"{f} Hz is above the first duct cutoff; the plane-wave "
-                      "read-out ignores the propagating higher mode", stacklevel=2)
+    for f in freqs:
+        if not (f > 0 and math.isfinite(f)):
+            raise DomainError(f"frequency must be positive, got {f}")
+        if f > scene.f_max:
+            raise ResolutionError(f"{f} Hz is above the {scene.f_max} Hz the scene was built for")
+    for f in freqs:
+        k0 = 2.0 * math.pi * f / scene.medium.c0
+        if k0 * k0 > scene.radial_eigenvalues[1]:
+            warnings.warn(f"{f} Hz is above the first duct cutoff; the plane-wave "
+                          "read-out ignores the propagating higher mode", stacklevel=2)
     size = max(1, min(SWEEP_BLOCK, MAX_CELLS // (scene.nx * scene.nr)))
-    x_in, x_out = scene.x_center(0), scene.x_center(scene.nx - 1) - scene.geometry.t
     x, r = scene.x_center(np.arange(scene.nx)), scene.area_weights.copy()
     for start in range(0, len(freqs), size):
         block = freqs[start:start + size]
-        p, k = _solve_fields(scene, block)
+        p, sigma_0 = _solve_fields(scene, block)
         averages = np.sum(p[:, [0, -1]] * scene.area_weights, axis=-1) / np.sum(scene.area_weights)
-        for f, k_n, (upstream, downstream), field in zip(block, k, averages, p):
-            incident_in = cmath.exp(-1j * k_n * x_in)
-            yield (ScatteringData(f, complex(downstream * cmath.exp(1j * k_n * x_out)),
-                                  complex((upstream - incident_in) * incident_in)), (x, r, field))
+        for f, s, (upstream, downstream), field in zip(block, sigma_0, averages, p):
+            point = ScatteringData(f, complex(downstream / s), complex((upstream - 1 / s) / s))
+            yield point, (x, r, field)
 
 
 def solve_sweep(scene: SimGrid, freqs) -> list[ScatteringData]:
     """(T, R) at each frequency of ``freqs``: the points of ``sweep_fields``."""
     return [point for point, _ in sweep_fields(scene, freqs)]
 
-
-def grid_wavenumber(k0: float, dx: float) -> float:
-    """Plane-wave wavenumber actually propagated by the second-order grid.
-
-    Solves the discrete dispersion relation 2(cos(k dx) - 1)/dx^2 = -k0^2
-    as k = 2 asin(k0 dx / 2) / dx, which keeps full precision at small
-    k0 dx; equals k0 + k0 (k0 dx)^2 / 24 + ...
-    """
-    half = 0.5 * k0 * dx
-    if half > 1.0:
-        raise ResolutionError(f"grid step {dx} cannot propagate waves at k0={k0}")
-    return 2.0 * math.asin(half) / dx

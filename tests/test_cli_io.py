@@ -1,6 +1,8 @@
 """File formats, determinism, CLI subcommands and exit codes."""
 
+import ast
 import importlib
+import importlib.metadata
 import importlib.util
 import math
 import os
@@ -258,12 +260,14 @@ class TestCli:
 
     @pytest.mark.parametrize("case", ["input_folder", "input_binary", "config_folder",
                                       "config_binary", "output_folder", "output_missing_parent",
-                                      "dump_folder", "retrieve_output_folder"])
+                                      "dump_folder", "dump_is_output", "dump_is_sidecar",
+                                      "retrieve_output_folder"])
     def test_unreadable_paths_are_validation_errors(self, cfg_path, tmp_path, capsys, case,
                                                     monkeypatch):
-        """A folder or a binary file where a text file belongs, or an output
-        whose folder does not exist, ends in exit 1 and one error line naming
-        it, not a traceback; an output is refused before any sweep runs."""
+        """A folder or a binary file where a text file belongs, an output
+        whose folder does not exist, or a field dump onto the sweep or its
+        sidecar, ends in exit 1 and one error line naming it, not a
+        traceback; an output is refused before any sweep runs or file is written."""
         def no_sweep(*args, **kwargs):
             raise AssertionError("the sweep ran before the output path was checked")
 
@@ -290,6 +294,10 @@ class TestCli:
                                        "--output", str(nowhere)), nowhere),
             "dump_folder": (("forward", "--config", str(cfg_path), "--method", "fdfd",
                              "--output", out, "--dump-field", str(folder)), folder),
+            "dump_is_output": (("forward", "--config", str(cfg_path), "--method", "fdfd",
+                                "--output", out, "--dump-field", out), out),
+            "dump_is_sidecar": (("forward", "--config", str(cfg_path), "--method", "fdfd",
+                                 "--output", out, "--dump-field", out + ".meta"), out + ".meta"),
             "retrieve_output_folder": (("retrieve", "--config", str(cfg_path), "--input", str(tr),
                                         "--output", str(folder)), folder),
         }[case]
@@ -298,6 +306,7 @@ class TestCli:
         assert code == 1
         assert err.startswith("error:") and str(culprit) in err
         assert "Traceback" not in err
+        assert sorted(tmp_path.iterdir()) == sorted([binary, cfg_path, folder, tr])
 
     @pytest.mark.parametrize("argv", [
         ("forward", "--output="),
@@ -820,3 +829,32 @@ def test_top_level_exports_the_sweep_workflow():
     namespace = {}
     exec("from tubegap import *", namespace)
     assert workflow <= namespace.keys()
+
+
+def test_every_third_party_import_is_declared():
+    """Each module imported under src/ and tests/ is the standard library's,
+    the package's or a test helper's, or its distribution is listed in
+    pyproject.toml's dependencies or its test extra (read as text, as
+    tomllib needs Python 3.11)."""
+    root = Path(__file__).resolve().parents[1]
+    pyproject = (root / "pyproject.toml").read_text()
+    declared = set()
+    for key in ("dependencies", "test"):
+        block = re.search(rf"^{key} = \[(.*?)\]", pyproject, re.M | re.S).group(1)
+        declared |= {name.lower().replace("_", "-") for name in re.findall(r'"([\w.-]+)', block)}
+    local = {"tubegap"} | {path.stem for path in (root / "tests").glob("*.py")}
+    distributions = importlib.metadata.packages_distributions()
+    undeclared = set()
+    for path in [*(root / "src").rglob("*.py"), *(root / "tests").glob("*.py")]:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            for top in {name.split(".")[0] for name in names} - sys.stdlib_module_names - local:
+                if not {d.lower().replace("_", "-")
+                        for d in distributions.get(top, [top])} & declared:
+                    undeclared.add(f"{top} ({path.relative_to(root)})")
+    assert not undeclared, sorted(undeclared)

@@ -10,7 +10,6 @@ import warnings
 import mpmath
 import numpy as np
 import pytest
-from scipy.special import jn_zeros
 
 import tubegap.fdfd as fdfd_module
 from mm_reference import solve_bilayer_scene
@@ -19,7 +18,6 @@ from tubegap.fdfd import (
     MIN_CELLS_PER_WAVELENGTH,
     SimGrid,
     build_scene,
-    grid_wavenumber,
     solve_sweep,
     sweep_fields,
 )
@@ -27,6 +25,12 @@ from tubegap.types import DuctGeometry, GapProperties, MaterialSpec
 
 # the coarsest scene build_scene accepts, for checks that need no accuracy
 fast_scene = functools.partial(build_scene, cells_per_wavelength=MIN_CELLS_PER_WAVELENGTH)
+
+
+def grid_wavenumber(k0, dx):
+    """The wavenumber of the second-order grid's plane wave, the root of
+    2 (cos(k dx) - 1) / dx^2 = -k0^2, computed here independently of the simulator."""
+    return 2.0 * math.asin(0.5 * k0 * dx) / dx
 
 
 @pytest.fixture(scope="module")
@@ -142,8 +146,8 @@ def dense_operator(scene, f, pad=0):
 
 def termination_map(scene, f):
     """M = V diag(mu) V^-1, the ghost column of an outgoing field."""
-    mu = fdfd_module._termination_factors(scene, 2 * math.pi * f / scene.medium.c0)
-    return (scene.radial_modes * mu) @ scene.radial_modes_inv
+    sigma = fdfd_module._termination_factors(scene, 2 * math.pi * f / scene.medium.c0)
+    return (scene.radial_modes * sigma ** 2) @ scene.radial_modes_inv
 
 
 def dense_field(scene, f, pad=0):
@@ -242,17 +246,6 @@ class TestStencil:
             assert old.tobytes() == new.tobytes(), name
 
 
-    def test_residual_check_refuses_a_wrong_basis(self, default_scene):
-        """The check builds its operator from the media maps, not from the
-        modal data the solve uses, so a span basis with eigenvalues 0.1% off
-        fails it (relative residual 3.5e-5 on sample 1 at 1 kHz) and the
-        refusal names the frequency."""
-        wrong = dataclasses.replace(
-            default_scene, span_eigenvalues=default_scene.span_eigenvalues * (1 + 1e-3))
-        with pytest.raises(ResolutionError, match=r"at 1000\.0 Hz \(relative residual"):
-            solve_sweep(wrong, [1000.0])
-
-
 class TestSweep:
     """solve_sweep against its points solved alone, bit for bit."""
 
@@ -301,14 +294,18 @@ class TestSweep:
         assert blocks == [3, 3, 3, 1]
 
     def test_wrong_basis_names_first_frequency(self, default_scene):
+        """The residual check builds its operator from the media maps, not
+        from the modal data the solve uses, so a span basis with eigenvalues
+        0.1% off fails it (relative residual 3.5e-5 on sample 1 at 1 kHz),
+        and the refusal names the sweep's first frequency."""
         wrong = dataclasses.replace(
             default_scene, span_eigenvalues=default_scene.span_eigenvalues * (1 + 1e-3))
         with pytest.raises(ResolutionError, match=r"at 1000\.0 Hz \(relative residual"):
             solve_sweep(wrong, [1000.0, 1500.0, 2000.0])
 
     def test_above_cutoff_warns_per_point(self, sample1_geometry, medium):
-        """One warning per point above the 2988 Hz cutoff, as solving the
-        points one by one gives."""
+        """One warning per point above the scene's own first cutoff (2951 Hz
+        on this 7-ring scene), as solving the points one by one gives."""
         scene = fast_scene(None, sample1_geometry, 3500.0, medium=medium)
         freqs = [2000.0, 3000.0, 3200.0, 3400.0]
         with warnings.catch_warnings(record=True) as swept:
@@ -321,6 +318,49 @@ class TestSweep:
         assert [str(w.message) for w in swept] == [str(w.message) for w in alone]
         assert [str(w.message).split(" Hz")[0] for w in swept] == ["3000.0", "3200.0", "3400.0"]
         assert {w.category for w in swept} == {UserWarning}
+
+    @pytest.mark.parametrize("geometry", ["sample1_geometry", "sample2_geometry"])
+    def test_warning_starts_at_the_scenes_first_cutoff(self, geometry, medium, request):
+        """The warning starts where the scene's own mode 1 propagates,
+        k0^2 > lambda_1, which is where the terminations let it propagate:
+        2951 Hz on the sample-1 duct's 7 rings and 2989.8 Hz on the sample-2
+        duct's 48, either side of the continuum's 2988.2 Hz."""
+        scene = fast_scene(None, request.getfixturevalue(geometry), 3500.0, medium=medium)
+        cutoff = math.sqrt(scene.radial_eigenvalues[1]) * medium.c0 / (2 * math.pi)
+        assert abs(cutoff - 2988.2) > 1.0
+        below, above = cutoff * (1 - 1e-9), cutoff * (1 + 1e-9)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            solve_sweep(scene, [below, above])
+        assert [str(w.message).split(" Hz")[0] for w in caught] == [str(above)]
+        for f, propagating in ((below, False), (above, True)):
+            sigma = fdfd_module._termination_factors(scene, 2 * math.pi * f / medium.c0)
+            assert (abs(abs(sigma[1]) - 1.0) < 1e-12) == propagating, f
+
+    def test_refuses_frequencies_above_f_max(self, sample1_geometry, sample1_material, medium,
+                                             monkeypatch):
+        """A scene built for 500 Hz refuses 2500 Hz before any solve, naming
+        both frequencies, and solves f_max itself."""
+        scene = build_scene(sample1_material, sample1_geometry, 500.0, medium=medium)
+        assert scene.f_max == 500.0
+        calls = []
+        solve_fields = fdfd_module._solve_fields
+        monkeypatch.setattr(fdfd_module, "_solve_fields",
+                            lambda *args: calls.append(args) or solve_fields(*args))
+        with pytest.raises(ResolutionError, match=r"2500\.0 Hz .* 500\.0 Hz"):
+            solve_sweep(scene, [400.0, 500.0, 2500.0])
+        assert calls == []
+        assert [sd.f for sd in solve_sweep(scene, [400.0, 500.0])] == [400.0, 500.0]
+
+    @pytest.mark.parametrize("f", [0.0, float("nan"), float("inf"), -5.0])
+    def test_refuses_non_positive_frequencies(self, sample1_geometry, medium, monkeypatch, f):
+        """Zero, NaN, infinity and negative frequencies raise DomainError
+        before any solve."""
+        air = MaterialSpec.air(sample1_geometry, medium)
+        scene = build_scene(air, sample1_geometry, 2500.0, medium=medium)
+        monkeypatch.setattr(fdfd_module, "_solve_fields", None)
+        with pytest.raises(DomainError, match=f"frequency must be positive, got {f}$"):
+            solve_sweep(scene, [500.0, f])
 
     def test_empty_sweep(self, default_scene):
         assert solve_sweep(default_scene, []) == []
@@ -392,27 +432,21 @@ class TestIndependentSolve:
             column = w[block, block][:, 0]
             assert np.all(column == column[0])
 
-    def test_j1_first_root(self):
-        assert fdfd_module.J1_FIRST_ROOT == jn_zeros(1, 1)[0]
-
 
 class TestDecomposition:
-    def test_grid_wavenumber_expansion(self):
-        k0, dx = 20.0, 0.001
-        expected = k0 * (1 + (k0 * dx) ** 2 / 24)
-        assert grid_wavenumber(k0, dx) == pytest.approx(expected, rel=1e-6)
-        with pytest.raises(ResolutionError):
-            grid_wavenumber(k0, 2.01 / k0)
-
-    def test_grid_wavenumber_precision(self, default_scene, medium):
-        """Against 30-digit mpmath on the default sample-1 grid step; the
-        acos(1 - (k0 dx)^2 / 2) form lost 2.4e-13 relative at 300 Hz."""
+    def test_plane_wave_factor_precision(self, default_scene, medium):
+        """sigma_0 = exp(-i k dx / 2), the half-step factor of the grid's plane
+        wave, against 30-digit mpmath on the default sample-1 grid step: the
+        factor and the wavenumber k its phase carries, both to 1e-14 relative
+        (an acos(1 - (k0 dx)^2 / 2) form of k lost 2.4e-13 at 300 Hz)."""
         dx = default_scene.dx
         with mpmath.workdps(30):
             for f in (300.0, 2500.0):
                 k0 = 2 * math.pi * f / medium.c0
-                exact = 2 * mpmath.asin(mpmath.mpf(k0) * mpmath.mpf(dx) / 2) / mpmath.mpf(dx)
-                assert abs(grid_wavenumber(k0, dx) - exact) / exact <= 1e-14, f
+                sigma_0 = fdfd_module._termination_factors(default_scene, k0)[0]
+                half_phase = mpmath.asin(mpmath.mpf(k0) * mpmath.mpf(dx) / 2)
+                assert abs(sigma_0 - mpmath.exp(-1j * half_phase)) <= 1e-14, f
+                assert abs(-cmath.phase(sigma_0) / half_phase - 1) <= 1e-14, f
 
 
 class TestEmptyAndAirScenes:
