@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 import os
 import sys
+import warnings
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -114,8 +115,17 @@ def _forward_data(config: RunConfig, method: str):
     scene = build_scene(material, geometry, max(freqs), medium=medium,
                         cells_per_wavelength=float(config.values["oracle.cells_per_wavelength"]))
     data, field = [], None
-    for point, field in sweep_fields(scene, freqs):
-        data.append(point)
+    # the scene's own mode 1 may propagate below the continuum's cutoff
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always" if settings.allow_above_cutoff else "error", UserWarning)
+        try:
+            for point, field in sweep_fields(scene, freqs):
+                data.append(point)
+        except UserWarning as exc:
+            raise DomainError(f"on the simulator's grid, {exc}; set allow_above_cutoff "
+                              "(--allow-above-cutoff) to proceed anyway") from None
+    for caught_warning in caught:
+        print(f"warning: {caught_warning.message}", file=sys.stderr)
     return data, field
 
 

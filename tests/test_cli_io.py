@@ -1,6 +1,7 @@
 """File formats, determinism, CLI subcommands and exit codes."""
 
 import ast
+import collections
 import importlib
 import importlib.metadata
 import importlib.util
@@ -27,7 +28,8 @@ from tubegap.datafiles import (
 )
 from tubegap.errors import ConfigError
 from tubegap.retrieval import RetrievedProperties
-from tubegap.types import ScatteringData
+from tubegap.types import GapProperties, MaterialSpec, ScatteringData
+from test_acceptance import MEDIUM, SAMPLE1, SAMPLE2
 
 SAMPLE1_CFG = """\
 geometry.r1 = 0.040
@@ -57,8 +59,10 @@ class TestConfig:
         assert len(config.sweep_frequencies()) == 4
 
     def test_overrides_win(self, cfg_path):
-        config = RunConfig.from_file(cfg_path, overrides={"sweep.count": "2"})
+        config = RunConfig.from_file(cfg_path, overrides={"sweep.count": "2",
+                                                          "retrieve.allow_above_cutoff": "Off"})
         assert len(config.sweep_frequencies()) == 2
+        assert config.retrieval().allow_above_cutoff is False
 
     def test_unknown_key_rejected(self, tmp_path):
         bad = tmp_path / "bad.cfg"
@@ -87,6 +91,32 @@ class TestConfig:
         path.write_text(f"{key} = 1000\n")
         with pytest.raises(ConfigError, match="unknown key"):
             RunConfig.from_file(path)
+
+    @pytest.mark.parametrize("text, message", [
+        ("geometry.r1 0.04\n", "bad.cfg:1: expected 'key = value', got 'geometry.r1 0.04'"),
+        ("geometry.r2 = 0.07\ngeometry.t = 0.005\n", "missing required config key 'geometry.r1'"),
+    ])
+    def test_malformed_or_incomplete_file_rejected(self, tmp_path, text, message):
+        path = tmp_path / "bad.cfg"
+        path.write_text(text)
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            RunConfig.from_file(path).geometry()
+
+    def test_shipped_configs(self):
+        """configs/sample1.cfg and sample2.cfg are the acceptance samples
+        (n1 = 5, z1/z2 = 15 and n1 = 7, z1/z2 = 10), and configs/air.cfg's
+        material is MaterialSpec.air to 1e-15."""
+        configs = Path(__file__).resolve().parents[1] / "configs"
+        for name, geometry, n1, z_ratio in (("sample1", SAMPLE1, 5.0, 15.0),
+                                            ("sample2", SAMPLE2, 7.0, 10.0)):
+            config = RunConfig.from_file(configs / f"{name}.cfg")
+            z2 = GapProperties.from_geometry(geometry, MEDIUM).z2
+            assert (config.geometry(), config.medium()) == (geometry, MEDIUM)
+            assert config.material() == MaterialSpec(n1=n1, z1=z_ratio * z2)
+        config = RunConfig.from_file(configs / "air.cfg")
+        air, material = MaterialSpec.air(config.geometry(), config.medium()), config.material()
+        assert material.n1 == air.n1
+        assert abs(material.z1 - air.z1) <= 1e-15 * abs(air.z1)
 
     def test_material_needs_impedance(self, tmp_path):
         path = tmp_path / "m.cfg"
@@ -229,14 +259,22 @@ class TestCli:
         ("roundtrip", "--method", "both", "--set", "roundtrip.tolerance=-1e-9"),
         ("modes", "--freq", "0"),
         ("modes", "--freq", "-5"),
+        ("forward", "--method", "averaged", "--set", "sweep.count"),
+        ("forward", "--method", "averaged", "--set", "sweep.cnt=3"),
+        ("forward", "--method", "averaged", "--set", "retrieve.allow_above_cutoff=maybe"),
+        ("forward", "--method", "averaged", "--set", "sweep.count=0"),
+        ("forward", "--method", "averaged", "--set", "sweep.start=1600"),
+        ("forward", "--method", "averaged", "--set", "medium.c0=-1"),
     ])
     def test_bad_numbers_are_validation_errors(self, cfg_path, tmp_path, capsys, argv):
         """Non-finite or malformed values, a zero sample index or impedance,
         a resolution below the minimum, a material key that would be
         ignored (z1_im without z1_re, or z1_re beside z1_over_z2), a
-        negative round-trip tolerance and a mode-table frequency that is not
-        positive end in exit 1 and one error line, not a traceback, a usage
-        error (exit 2), a silent PASS or a written file."""
+        negative round-trip tolerance, a mode-table frequency that is not
+        positive, an override without '=' or of an unknown key, a boolean
+        that is neither true nor false, an empty or backward sweep and a
+        negative sound speed end in exit 1 and one error line, not a
+        traceback, a usage error (exit 2), a silent PASS or a written file."""
         extra = ["--output", str(tmp_path / "x.csv")] if argv[0] == "forward" else []
         code = self.run(*argv, "--config", str(cfg_path), *extra)
         captured = capsys.readouterr()
@@ -488,6 +526,29 @@ class TestCli:
                         "--output", str(out)) == 1
         assert capsys.readouterr().err == forward_err
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["forward", "roundtrip"])
+    def test_fdfd_refuses_the_scenes_cutoff_like_the_continuums(self, tmp_path, capsys,
+                                                                command):
+        """The 7-ring scene of configs/air.cfg lets mode 1 propagate from
+        2951 Hz, below the continuum's 2988.2 Hz: a sweep from 2960 Hz is
+        refused before any solve, naming that frequency and the flag, and
+        with the flag each simulator warning is one warning line."""
+        cfg = Path(__file__).resolve().parents[1] / "configs" / "air.cfg"
+        tr = tmp_path / "tr.csv"
+        argv = [command, "--config", str(cfg), "--method", "fdfd", "--set", "sweep.start=2960",
+                "--set", "sweep.stop=2980", "--set", "sweep.count=3"]
+        argv += ["--output", str(tr)] if command == "forward" else []
+        assert self.run(*argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and not tr.exists()
+        assert captured.err.startswith(
+            "error: on the simulator's grid, 2960.0 Hz is above the first duct cutoff")
+        assert captured.err.count("\n") == 1 and "--allow-above-cutoff" in captured.err
+        assert self.run(*argv, "--allow-above-cutoff") == 0
+        warned = capsys.readouterr().err.splitlines()
+        assert [line.split(" Hz is above")[0] for line in warned] == [
+            "warning: 2960.0", "warning: 2970.0", "warning: 2980.0"]
 
     def test_branch_seed_flag(self, cfg_path, tmp_path, capsys):
         """A one-point sweep is retrieved on the seed given, and the warning
@@ -777,20 +838,6 @@ def test_fdfd_forward_meets_the_benchmark_gate(tmp_path, monkeypatch):
         assert max(abs(d.transmission - t_ref), abs(d.reflection - r_ref)) <= 1e-6, d.f
 
 
-def test_cli_imports_no_sparse_or_dense_scipy_solvers():
-    """The CLI's import closure leaves out scipy.sparse and scipy.linalg."""
-    import tubegap
-
-    src = str(Path(tubegap.__file__).resolve().parents[1])
-    probe = ("import sys, tubegap.cli; "
-             "print('\\n'.join(m for m in sys.modules "
-             "if m.startswith(('scipy.sparse', 'scipy.linalg'))))")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
-                          env=env, timeout=60, check=True)
-    assert done.stdout.split() == []
-
-
 def test_cli_and_averaged_roundtrip_load_no_slow_modules(cfg_path):
     """Neither importing the CLI nor a default one-point averaged round trip
     loads any scipy module: the Bessel functions are the package's own, and
@@ -829,6 +876,35 @@ def test_top_level_exports_the_sweep_workflow():
     namespace = {}
     exec("from tubegap import *", namespace)
     assert workflow <= namespace.keys()
+
+
+def test_every_package_definition_is_used():
+    """Each top-level function and class under src/tubegap is referred to
+    by other package code, is in ``tubegap.__all__``, or is imported from
+    the package by the acceptance suite or the benchmark: one that only
+    other tests reach is dead code (names are read with ast, not strings)."""
+    root = Path(__file__).resolve().parents[1]
+
+    def names(node):
+        return collections.Counter(n.id if isinstance(n, ast.Name) else n.attr
+                                   for n in ast.walk(node)
+                                   if isinstance(n, (ast.Name, ast.Attribute)))
+
+    used = set(tubegap.__all__)
+    for path in [root / "tests" / "test_acceptance.py", *(root / "benchmarks").glob("*.py")]:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("tubegap"):
+                used |= {alias.name for alias in node.names}
+    referred, definitions = collections.Counter(), []
+    for path in sorted((root / "src").rglob("*.py")):
+        for statement in ast.parse(path.read_text(), str(path)).body:
+            referred.update(names(statement))
+            if isinstance(statement, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                # a recursive call is no use from elsewhere
+                definitions.append((path.stem, statement.name, names(statement)[statement.name]))
+    unused = [f"{module}.{name}" for module, name, own in definitions
+              if referred[name] == own and name not in used]
+    assert not unused, unused
 
 
 def test_every_third_party_import_is_declared():

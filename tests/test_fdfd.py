@@ -87,6 +87,11 @@ class TestBuildScene:
         with pytest.raises(DomainError, match="cells_per_wavelength"):
             build_scene(None, sample1_geometry, 1000.0, medium=medium, cells_per_wavelength=ppw)
 
+    @pytest.mark.parametrize("f_max", [0.0, -2500.0, math.nan, math.inf])
+    def test_f_max_must_be_positive_and_finite(self, sample1_geometry, medium, f_max):
+        with pytest.raises(DomainError, match=f"f_max must be positive, got {f_max}$"):
+            build_scene(None, sample1_geometry, f_max, medium=medium)
+
     def test_mirror_symmetric_instruments(self, sample1_geometry, medium, sample1_material):
         """The two read-out columns mirror each other about x = t/2."""
         scene = fast_scene(sample1_material, sample1_geometry, 1500.0, medium=medium)

@@ -26,30 +26,12 @@ def roundtrip(n1, z1, geometry, medium, freqs, config=RetrievalConfig()):
 
 
 class TestAveragedRoundTrip:
-    def test_air_sample(self, sample1_geometry, medium):
-        z_air = medium.alpha / sample1_geometry.s1
-        freqs = [300.0, 900.0, 1700.0, 2500.0]
-        for r in roundtrip(1.0, z_air, sample1_geometry, medium, freqs):
-            assert r.n1 == pytest.approx(1.0, abs=1e-6)
-            assert r.z1 * sample1_geometry.s1 / medium.alpha == pytest.approx(1.0, abs=1e-6)
-
     def test_sample1_parameters(self, sample1_geometry, medium, sample1_z2):
         freqs = list(np.linspace(300.0, 2500.0, 9))
         for r in roundtrip(5.0, 15.0 * sample1_z2, sample1_geometry, medium, freqs):
             assert r.n1 == pytest.approx(5.0, rel=1e-10)
             assert r.z1 / sample1_z2 == pytest.approx(15.0, rel=1e-10)
             assert r.residual < 1e-10
-
-    def test_random_lossy_draws(self, sample1_geometry, medium, sample1_z2):
-        """Inversion reproduces random lossy parameters to 1e-8."""
-        rng = np.random.default_rng(2024)
-        for _ in range(25):
-            n1 = rng.uniform(1.0, 10.0) * (1.0 - 1j * rng.uniform(0.0, 0.2))
-            z1 = rng.uniform(0.5, 20.0) * sample1_z2
-            f = float(rng.uniform(300.0, 2800.0))
-            r = roundtrip(n1, z1, sample1_geometry, medium, [f])[0]
-            assert abs(r.n1 - n1) / abs(n1) < 1e-8
-            assert abs(r.z1 - z1) / abs(z1) < 1e-8
 
     @pytest.mark.parametrize("n1", [-5.0 - 0.1j, -5.0, -3.0 - 1.0j, -9.0])
     def test_negative_index(self, n1, sample1_geometry, medium, sample1_z2):
@@ -214,7 +196,8 @@ class TestForwardAveraged:
 
 class TestBranchTracking:
     def test_fold_crossing(self, medium):
-        """Sample thick enough that arccos folds inside the sweep."""
+        """Sample thick enough that the tracker moves from branch 0 to
+        branch 1 inside the sweep."""
         geometry = DuctGeometry(r1=0.04, r2=0.07, t=0.05)
         z2 = GapProperties.from_geometry(geometry, medium).z2.real
         freqs = list(np.linspace(300.0, 2500.0, 61))
