@@ -3,14 +3,18 @@
 The package has two independent halves:
 
 * a model-based retrieval pipeline (``tubegap.retrieval`` on top of
-  ``tubegap.modal``, which evaluates its Bessel functions with numpy)
-  that inverts measured complex transmission/reflection pairs into the
-  sample's effective refractive index and acoustic impedance; the paper's
-  eight interface equations per frequency split into two mirror-symmetric
-  2x2 systems, solved in closed form over a sweep's points at once;
+  ``tubegap.modal``, with its own Bessel functions) that inverts measured
+  complex transmission/reflection pairs into the sample's effective
+  refractive index and acoustic impedance; the paper's eight interface
+  equations per frequency split into two mirror-symmetric 2x2 systems,
+  solved in closed form, one point at a time, in plain Python;
 * a finite-difference frequency-domain simulator (``tubegap.fdfd``)
   that produces transmission/reflection data for the same scene from
   first principles, used to verify the retrieval end to end.
+
+Only the simulator uses numpy, and it imports numpy inside its
+functions: importing the package, or the command line, loads no numpy,
+and neither do the averaged model and the retrieval.
 
 The top level exports the sweep workflow (``__all__``); the building
 blocks are imported from their own modules.

@@ -25,8 +25,6 @@ import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
-import numpy as np
-
 from tubegap.datafiles import read_text
 from tubegap.errors import ConfigError
 from tubegap.fdfd import DEFAULT_CELLS_PER_WAVELENGTH
@@ -159,7 +157,9 @@ class RunConfig:
             raise ConfigError(f"bad sweep: start={start} stop={stop} count={count}")
         if count == 1:
             return [start]
-        return [float(f) for f in np.linspace(start, stop, count)]
+        # numpy.linspace's points, bit for bit: start + i * step, then stop itself
+        step = (stop - start) / (count - 1)
+        return [start + i * step for i in range(count - 1)] + [stop]
 
     def dump(self) -> str:
         """Canonical text form (sorted keys), used for the run sidecar."""

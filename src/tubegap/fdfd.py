@@ -62,6 +62,9 @@ terminations, built from the media maps alone; a relative residual of
 
 Usage: ``scene = build_scene(material, geometry, f_max, medium)`` once per
 sweep, then ``solve_sweep(scene, freqs)`` returns (T, R) at each frequency.
+The module is the package's only numpy user and imports numpy inside its
+functions, so importing it (and the command line) costs no numpy import;
+building a scene does.
 
 Time convention matches the rest of the package: exp(+i w t), so
 exp(-i k x) travels toward +x.
@@ -73,11 +76,13 @@ import math
 import warnings
 from collections.abc import Iterator
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from tubegap.errors import DomainError, ResolutionError
 from tubegap.types import DuctGeometry, MaterialSpec, MediumProperties, ScatteringData
+
+if TYPE_CHECKING:
+    import numpy as np
 
 # ~33 cells per local wavelength aims at a few-per-mille scattering accuracy
 DEFAULT_CELLS_PER_WAVELENGTH = 33.0
@@ -165,6 +170,8 @@ def _radial_basis(first: int, last: int, dr: float) -> tuple[np.ndarray, np.ndar
     on sample 2.
     Returns (lambda, V, V^-1).
     """
+    import numpy as np
+
     r = (np.arange(first, last) + 0.5) * dr
     r_face = np.arange(first + 1, last) * dr
     root_r = np.sqrt(r)
@@ -187,6 +194,8 @@ def _span_basis(nr: int, j_sleeve: int, dr: float) -> tuple[np.ndarray, np.ndarr
     splits the rings into the disk and the annulus, each with its own
     basis (one block of all rings without a sleeve).  Dividing lambda by a
     block's density gives the eigenvalues of its radial operator."""
+    import numpy as np
+
     lam = np.empty(nr)
     modes, modes_inv = np.zeros((nr, nr)), np.zeros((nr, nr))
     for first, last in ((0, j_sleeve), (j_sleeve, nr)):
@@ -213,6 +222,8 @@ def build_scene(
     index exceeds 1) by ``cells_per_wavelength`` cells; fewer than
     ``MIN_CELLS_PER_WAVELENGTH`` raise ``DomainError``.
     """
+    import numpy as np
+
     if not (f_max > 0 and math.isfinite(f_max)):
         raise DomainError(f"f_max must be positive, got {f_max}")
     ppw = cells_per_wavelength
@@ -274,6 +285,8 @@ def _termination_factors(scene: SimGrid, k0: float | np.ndarray) -> np.ndarray:
     q < 0 makes the evanescent modes decay (0 < mu < 1), and the propagating
     ones get |mu| = 1 with the outgoing phase.
     """
+    import numpy as np
+
     q = k0 ** 2 - scene.radial_eigenvalues
     root = np.where(q >= 0.0, np.sqrt(np.abs(q)), -1j * np.sqrt(np.abs(q)))
     return np.exp(-1j * np.arcsin(0.5 * scene.dx * root))
@@ -285,6 +298,8 @@ def _apply_operator(scene: SimGrid, omega, terminate, p: np.ndarray) -> np.ndarr
     series transmissibility, and the sleeve face carries none over the
     sample columns.  ``terminate`` maps the end columns p[..., [0, -1], :]
     to their ghost columns' scattered parts, p_ghost = M p_end."""
+    import numpy as np
+
     rho, dx, dr, r = scene.rho, scene.dx, scene.dr, scene.area_weights
     out = omega ** 2 / scene.kappa * p
     flux = 2.0 / ((rho[:-1] + rho[1:]) * dx ** 2) * np.diff(p, axis=-2)
@@ -304,6 +319,8 @@ def _apply_operator(scene: SimGrid, omega, terminate, p: np.ndarray) -> np.ndarr
 def _solve_fields(scene: SimGrid, freqs: list[float]) -> tuple[np.ndarray, np.ndarray]:
     """Total fields p[point, nx, nr] for a unit plane wave incident on the
     upstream face at each frequency, and that wave's half-step factor sigma_0."""
+    import numpy as np
+
     medium, dx, nr, nt = scene.medium, scene.dx, scene.nr, scene.n_sample_cells
     omega = 2.0 * math.pi * np.array(freqs)
     k0 = omega / medium.c0
@@ -380,6 +397,8 @@ def sweep_fields(scene: SimGrid, freqs) -> Iterator[tuple[ScatteringData, tuple]
     ``f_max`` ``ResolutionError``; each one where the scene's mode 1
     propagates warns.
     """
+    import numpy as np
+
     freqs = [float(f) for f in freqs]
     for f in freqs:
         if not (f > 0 and math.isfinite(f)):

@@ -23,10 +23,13 @@ Sign and branch conventions (fixed package-wide):
   finite-difference oracle in tubegap.fdfd independently confirms this
   choice via the round-trip tests.
 
-J0 and J1 are evaluated here with numpy alone (``bessel_j0``,
-``bessel_j1``): importing ``scipy.special`` would cost the command line
-about 0.3 s per process, more than its whole computation.  The first 127
-roots of J1 are a constant, equal bit for bit to
+Everything here is plain Python on floats and complex numbers, one
+frequency at a time, so the averaged path never imports numpy: only a
+process that runs the simulator pays that import (about 90 ms on a
+2-core machine).  J0 and J1 are the package's own (``bessel_j0``,
+``bessel_j1``); importing ``scipy.special`` would cost the command line
+about 0.3 s per process.
+The first 127 roots of J1 are a constant, equal bit for bit to
 ``scipy.special.jn_zeros(1, 127)``; that covers twice the default
 truncation, and only larger ones import scipy and call ``jn_zeros``, once
 per truncation.  The wall values J0(x_n) depend on the truncation alone
@@ -34,22 +37,30 @@ and are cached with it, and the patch integrals are cached per pair of
 radii and truncation, so a fresh geometry costs one J1 evaluation over
 ``n_modes - 1`` arguments and a sweep over one geometry costs no more.
 
-``coupling_stack`` sums the couplings of many frequencies as one numpy
-expression; ``coupling_coefficients`` is its one-frequency call.  Each
-frequency's sums take the same operations in the same order as a loop over
-the modes, so a point's couplings are the same bits whatever sweep it is in.
+``upstream_coupling`` sums one frequency's couplings.  Past the plane
+wave, the ring's patch integral of each mode is minus the disk's, so the
+four coefficients share one modal sum, real below the first cutoff,
+where all but its first terms come from power series summed once per
+geometry; a point's couplings depend on nothing but that point.  The
+array-returning helpers the acceptance suite reads (``ModalBasis.k``,
+``coupling_coefficients``) import numpy when called.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
-
-import numpy as np
+from math import sqrt
+from operator import mul, truediv
+from typing import TYPE_CHECKING
 
 from tubegap.errors import ConvergenceError, DomainError
 from tubegap.types import DuctGeometry, MediumProperties
+
+if TYPE_CHECKING:
+    import numpy as np
 
 DEFAULT_MODE_COUNT = 64
 # largest relative movement of a coupling coefficient when the truncation is
@@ -68,21 +79,22 @@ PATCH_CACHE_SIZE = 32
 # converges exponentially (Trefethen & Weideman, SIAM Rev. 56(3), 2014): 16
 # nodes are the 64-node rule on the full period, whose aliasing error is of
 # the size of J_63(25) = 5e-20.  From _HANKEL_FROM on, Hankel's expansion
-# (DLMF 10.17.3) to _HANKEL_TERMS powers of 1/x, whose first omitted term,
-# sqrt(2/(pi x)) a_18(nu) / x^18, is below 1e-17 there.  Both agree with
-# mpmath to a few 1e-16 absolute, and with scipy.special to 1.3e-15, which
-# is scipy's own error near x = 257.
+# (DLMF 10.17.3) to at most _HANKEL_TERMS powers of 1/x, and at each x to the
+# fewest whose first omitted term, sqrt(2/(pi x)) a_m(nu) / x^m, is below
+# 1e-17 (all 18 near x = 25, 8 from x = 123).  Both agree with mpmath to a
+# few 1e-16 absolute, and with scipy.special to 1.3e-15, which is scipy's
+# own error near x = 257.
 _HANKEL_FROM = 25.0
 _HANKEL_TERMS = 18
 _QUADRATURE_NODES = 16
-_SIN_NODES = np.sin((np.arange(_QUADRATURE_NODES) + 0.5) * (0.5 * math.pi / _QUADRATURE_NODES))
-_QUADRATURE = ((np.cos, np.full(_QUADRATURE_NODES, 1.0 / _QUADRATURE_NODES)),
-               (np.sin, _SIN_NODES / _QUADRATURE_NODES))
+_SIN_NODES = tuple(math.sin((j + 0.5) * (0.5 * math.pi / _QUADRATURE_NODES))
+                   for j in range(_QUADRATURE_NODES))
+_J1_WEIGHTS = tuple(s / _QUADRATURE_NODES for s in _SIN_NODES)
 
 
-def _hankel_coefficients(nu: int) -> np.ndarray:
-    """The (_HANKEL_TERMS, 2) matrix C with, for large x,
-    J_nu(x) = sqrt(1/x) (A cos x + B sin x),  [A, B] = [1, 1/x, 1/x^2, ...] @ C.
+def _hankel_coefficients(nu: int) -> list[tuple[float, float]]:
+    """The _HANKEL_TERMS pairs C_j with, for large x,
+    J_nu(x) = sqrt(1/x) (A cos x + B sin x),  (A, B) = sum_j C_j / x^j.
 
     Hankel's P and Q series (DLMF 10.17.3, coefficients a_j(nu) from DLMF
     10.17.1) times sqrt(2/pi), with the phase (2 nu + 1) pi / 4 folded in,
@@ -91,63 +103,75 @@ def _hankel_coefficients(nu: int) -> np.ndarray:
     phase = (2 * nu + 1) * math.pi / 4
     scale = math.sqrt(2.0 / math.pi)
     cos_p, sin_p = scale * math.cos(phase), scale * math.sin(phase)
-    coefficients = np.empty((_HANKEL_TERMS, 2))
+    coefficients = []
     a = 1.0
     for j in range(_HANKEL_TERMS):
         if j:
             a *= (4 * nu * nu - (2 * j - 1) ** 2) / (8 * j)
         signed = -a if j % 4 >= 2 else a  # (-1)^(j // 2) a_j
-        coefficients[j] = ((signed * cos_p, signed * sin_p) if j % 2 == 0
-                           else (signed * sin_p, -signed * cos_p))
-    coefficients.setflags(write=False)
+        coefficients.append((signed * cos_p, signed * sin_p) if j % 2 == 0
+                            else (signed * sin_p, -signed * cos_p))
     return coefficients
 
 
-_HANKEL = (_hankel_coefficients(0), _hankel_coefficients(1))
-_HANKEL_POWERS = np.arange(_HANKEL_TERMS)
+def _hankel_reach() -> list[float]:
+    """For m = _HANKEL_TERMS, _HANKEL_TERMS - 1, ..., 1, the x from which
+    the first m terms suffice: sqrt(2/(pi x)) |a_m(1)| / x^m = 1e-17 there.
+    |a_m(1)| > |a_m(0)|, so J0 needs no more terms than J1."""
+    a, reach = 1.0, []
+    for m in range(1, _HANKEL_TERMS + 1):
+        a *= abs(4 - (2 * m - 1) ** 2) / (8 * m)
+        reach.append((a * math.sqrt(2.0 / math.pi) / 1e-17) ** (1.0 / (m + 0.5)))
+    return reach[::-1]
 
 
-def _bessel(nu: int, x):
-    """J_nu(x) for nu = 0 or 1 at finite real x of any shape and order;
-    a scalar or 0-d input gives a numpy scalar."""
-    x = np.asarray(x, dtype=float)
-    ax = np.abs(x)
-    out = np.empty_like(ax)
-    near = ax < _HANKEL_FROM
-    trig, weights = _QUADRATURE[nu]
-    out[near] = trig(np.multiply.outer(ax[near], _SIN_NODES)) @ weights
-    far = ~near
-    xf = ax[far]
-    inverse = 1.0 / xf
-    ab = np.power.outer(inverse, _HANKEL_POWERS) @ _HANKEL[nu]
-    out[far] = np.sqrt(inverse) * (ab[:, 0] * np.cos(xf) + ab[:, 1] * np.sin(xf))
-    if nu:
-        out *= np.sign(x)  # J1 is odd
-    return out[()]
+# per nu, the Horner tuples of the first m terms, highest power first, by m
+_HANKEL = tuple(tuple(tuple(reversed(c[:m])) for m in range(_HANKEL_TERMS + 1))
+                for c in (_hankel_coefficients(0), _hankel_coefficients(1)))
+_HANKEL_REACH = _hankel_reach()
 
 
-def bessel_j0(x):
-    """Bessel function J0, elementwise (see ``_bessel``)."""
-    return _bessel(0, x)
+def _bessel(nu: int, x: float) -> float:
+    """J_nu(x) for nu = 0 or 1 at a finite real x."""
+    ax = abs(x)
+    if ax < _HANKEL_FROM:
+        if nu:
+            value = sum([math.sin(ax * s) * w for s, w in zip(_SIN_NODES, _J1_WEIGHTS)])
+        else:
+            value = sum([math.cos(ax * s) for s in _SIN_NODES]) / _QUADRATURE_NODES
+    else:
+        inverse = 1.0 / ax
+        a = b = 0.0
+        terms = _HANKEL_TERMS + 1 - bisect_right(_HANKEL_REACH, ax)
+        for c_a, c_b in _HANKEL[nu][terms]:  # Horner's rule in 1/x
+            a = a * inverse + c_a
+            b = b * inverse + c_b
+        value = math.sqrt(inverse) * (a * math.cos(ax) + b * math.sin(ax))
+    return -value if nu and x < 0 else value  # J1 is odd
 
 
-def bessel_j1(x):
-    """Bessel function J1, elementwise (see ``_bessel``)."""
-    return _bessel(1, x)
+def bessel_j0(x) -> list[float]:
+    """Bessel function J0 at each float of the iterable ``x``."""
+    return [_bessel(0, v) for v in x]
 
 
-def jn_zeros(n: int, nt: int) -> np.ndarray:
-    """``scipy.special.jn_zeros``, imported on first use: only truncations
-    beyond the root table search for roots."""
+def bessel_j1(x) -> list[float]:
+    """Bessel function J1 at each float of the iterable ``x``."""
+    return [_bessel(1, v) for v in x]
+
+
+def jn_zeros(n: int, nt: int) -> tuple[float, ...]:
+    """``scipy.special.jn_zeros`` as a tuple, imported on first use: only
+    truncations beyond the root table search for roots."""
     from scipy.special import jn_zeros as search
 
-    return search(n, nt)
+    return tuple(search(n, nt).tolist())
 
 
 # jn_zeros(1, 127), copied bit for bit: the default truncation and its
 # doubling after a ConvergenceError need no root search, which took 2-4 ms
 # per process on a 2-core machine
-_J1_ROOT_TABLE = np.array([
+_J1_ROOT_TABLE = (
     3.8317059702075125, 7.015586669815619, 10.173468135062722, 13.323691936314223,
     16.470630050877634, 19.615858510468243, 22.760084380592772, 25.903672087618382,
     29.046828534916855, 32.189679910974405, 35.33230755008386, 38.474766234771614,
@@ -180,31 +204,26 @@ _J1_ROOT_TABLE = np.array([
     368.3507205851957, 371.4923218480648, 374.6339229665437, 377.77552394423464,
     380.91712478462097, 384.05872549107215, 387.2003260668482, 390.3419265151044,
     393.483526838895, 396.62512704117756, 399.7667271248168,
-])
-_J1_ROOT_TABLE.setflags(write=False)
+)
 
 
 @lru_cache(maxsize=PATCH_CACHE_SIZE)
-def _j1_roots(n_modes: int) -> np.ndarray:
-    """0 followed by the first ``n_modes - 1`` positive roots of J1 (read-only).
+def _j1_roots(n_modes: int) -> tuple[float, ...]:
+    """0 followed by the first ``n_modes - 1`` positive roots of J1.
 
     Truncations beyond the table search their roots with ``jn_zeros``,
     once per truncation.
     """
     count = n_modes - 1
     positive = _J1_ROOT_TABLE[:count] if count <= len(_J1_ROOT_TABLE) else jn_zeros(1, count)
-    roots = np.concatenate(([0.0], positive))
-    roots.setflags(write=False)
-    return roots
+    return (0.0, *positive)
 
 
 @lru_cache(maxsize=PATCH_CACHE_SIZE)
-def _wall_values(n_modes: int) -> np.ndarray:
-    """J0 at ``_j1_roots(n_modes)`` (read-only): the eigenmode normalization
-    at the wall, the same for every duct radius."""
-    wall = bessel_j0(_j1_roots(n_modes))
-    wall.setflags(write=False)
-    return wall
+def _wall_values(n_modes: int) -> tuple[float, ...]:
+    """J0 at ``_j1_roots(n_modes)``: the eigenmode normalization at the
+    wall, the same for every duct radius."""
+    return tuple(bessel_j0(_j1_roots(n_modes)))
 
 
 @dataclass(frozen=True)
@@ -212,36 +231,40 @@ class ModalBasis:
     """Radial eigenmode set of a rigid duct, truncated to ``n_modes``.
 
     Attributes:
-        k: radial wavenumbers k_n = x_n / r2 (1/m), k[0] == 0
+        wavenumbers: radial wavenumbers k_n = x_n / r2 (1/m), k_0 == 0
     """
 
-    k: np.ndarray
+    wavenumbers: tuple[float, ...]
 
     @property
     def n_modes(self) -> int:
-        return len(self.k)
+        return len(self.wavenumbers)
 
-    def axial_wavenumbers(self, f: float | list[float], medium: MediumProperties) -> np.ndarray:
-        """Per-mode axial wavenumbers beta_n at frequency f, or one row of
-        them per frequency of an array f.
+    @property
+    def k(self) -> np.ndarray:
+        """``wavenumbers`` as a numpy array (imports numpy)."""
+        import numpy as np
+
+        return np.array(self.wavenumbers)
+
+    def axial_wavenumbers(self, f: float, medium: MediumProperties) -> list[complex]:
+        """Per-mode axial wavenumbers beta_n at frequency f.
 
         Real positive for propagating modes, -i*positive for evanescent
         ones (see module docstring for the branch rule).  A frequency on a
-        mode's cutoff, where beta_n = 0, raises DomainError naming the
-        first such frequency and its mode.
+        mode's cutoff, where beta_n = 0, raises DomainError naming it and
+        the mode.
         """
-        freqs = np.asarray(f, dtype=float)
-        k0 = (2.0 * math.pi * freqs / medium.c0)[..., None]
-        diff = (k0 - self.k) * (k0 + self.k)
-        size = np.abs(diff)
-        on_cutoff = size < 1e-24 * k0 * k0
-        if on_cutoff.any():
-            *point, mode = np.argwhere(on_cutoff)[0]
-            raise DomainError(
-                f"frequency {freqs[tuple(point)]} Hz sits exactly on the cutoff of duct mode {mode}"
-            )
-        root = np.sqrt(size)
-        return np.where(diff > 0, root, -1j * root)
+        k0 = 2.0 * math.pi * f / medium.c0
+        out = []
+        for mode, k in enumerate(self.wavenumbers):
+            diff = (k0 - k) * (k0 + k)
+            if abs(diff) < 1e-24 * k0 * k0:
+                raise DomainError(
+                    f"frequency {f} Hz sits exactly on the cutoff of duct mode {mode}")
+            root = math.sqrt(abs(diff))
+            out.append(complex(root) if diff > 0 else -1j * root)
+        return out
 
 
 def duct_wavenumbers(geometry: DuctGeometry, n_modes: int) -> ModalBasis:
@@ -252,7 +275,7 @@ def duct_wavenumbers(geometry: DuctGeometry, n_modes: int) -> ModalBasis:
     """
     if not isinstance(n_modes, int) or isinstance(n_modes, bool) or n_modes < 1:
         raise DomainError(f"mode count must be a positive integer, got {n_modes!r}")
-    return ModalBasis(k=_j1_roots(n_modes) / geometry.r2)
+    return ModalBasis(wavenumbers=tuple(x / geometry.r2 for x in _j1_roots(n_modes)))
 
 
 def first_cutoff_frequency(geometry: DuctGeometry, medium: MediumProperties) -> float:
@@ -286,35 +309,66 @@ def radial_integral(k: float, a: float, b: float) -> float:
         raise DomainError(f"radial wavenumber must be finite, got {k}")
     if k == 0.0:
         return 0.5 * (b * b - a * a)
-    return (b * bessel_j1(k * b) - a * bessel_j1(k * a)) / k
+    j_a, j_b = bessel_j1([k * a, k * b])
+    return (b * j_b - a * j_a) / k
+
+
+# Below the first duct cutoff, k0 < k_1, the modes past the first
+# _DIRECT_MODES enter the coupling sum through a power series in k0^2:
+#     q_n / sqrt(k_n^2 - k0^2) = sum_j a_j (q_n / k_n) (k0 / k_n)^(2 j),
+# a_j = binomial(2 j, j) / 4^j, whose ratio (k0 / k_n)^2 stays below
+# (x_1 / x_8)^2 = 0.0219 there; _SERIES_TERMS powers leave a remainder
+# below 5e-18 of those modes' sum.  Their sums over the modes are fixed per
+# geometry, so a frequency costs _DIRECT_MODES terms and two short
+# polynomials instead of n_modes - 1 terms.
+_DIRECT_MODES = 7
+_SERIES_TERMS = 10
+
+
+def _series(squares: tuple[float, ...], k: tuple[float, ...]) -> list[float]:
+    """The coefficients, highest power of k0^2 first, of the power series of
+    sum_n squares_n / sqrt(k_n^2 - k0^2) over the modes given."""
+    terms = list(map(truediv, squares, k))
+    ratios = [1.0 / (kn * kn) for kn in k]
+    coefficients, a = [], 1.0
+    for j in range(_SERIES_TERMS):
+        coefficients.append(a * sum(terms))
+        terms = list(map(mul, terms, ratios))
+        a *= (2 * j + 1) / (2 * j + 2)
+    return coefficients[::-1]
 
 
 @lru_cache(maxsize=PATCH_CACHE_SIZE, typed=True)
-def _patch_integrals(r1: float, r2: float, n_modes: int) -> tuple[ModalBasis, np.ndarray]:
-    """Basis plus the per-mode products of the patch integrals.
+def _patch_integrals(r1: float, r2: float, n_modes: int) -> tuple[ModalBasis, tuple, tuple]:
+    """Basis, then for each mode n >= 1 the squared integral of the
+    normalized eigenmode n over the disk, then the pairs of coefficients of
+    two power series (``_series``): of the modes from _DIRECT_MODES + 1 up
+    to n_modes/2, and of those past n_modes/2; () where n_modes/2 leaves no
+    mode to the first.
 
-    ``products[i, j, n]`` is the product of the integrals of the
-    normalized eigenmode n over patches i and j (0 the disk, 1 the ring).
-    They depend only on the two radii and the truncation, not on the
-    thickness, so a sweep computes them once.  The returned arrays are
-    shared between callers and therefore read-only.
+    The ring's integral of such a mode is minus the disk's, so the square
+    is also the ring's and minus the product of the two.  They depend only
+    on the two radii and the truncation, not on the thickness, so a sweep
+    computes them once.
     """
     # the basis reads only r2; any thickness builds the same one
     basis = duct_wavenumbers(DuctGeometry(r1=r1, r2=r2, t=1.0), n_modes)
-    wall = _wall_values(n_modes)
-    # radial_integral's closed form over all modes, mode 0 (k = 0) apart, over
-    # the wall values.  The ring's outer term r2 J1(k_n r2) is left out: k_n r2
-    # are the roots of J1, so it is roundoff (|J1(x_n)| of a few 1e-15)
-    k = basis.k[1:]
-    patch = np.empty((2, n_modes))
-    patch[:, 0] = 0.5 * r1 * r1, 0.5 * (r2 * r2 - r1 * r1)
-    np.divide(r1 * bessel_j1(k * r1), k, out=patch[0, 1:])
-    np.negative(patch[0, 1:], out=patch[1, 1:])
-    patch /= wall
-    products = patch[:, None, :] * patch[None, :, :]
-    for array in (basis.k, products):
-        array.setflags(write=False)
-    return basis, products
+    k, wall = basis.wavenumbers[1:], _wall_values(n_modes)[1:]
+    # radial_integral's closed form over the wall values.  The ring's outer
+    # term r2 J1(k_n r2) is left out: k_n r2 are the roots of J1, so it is
+    # roundoff (|J1(x_n)| of a few 1e-15)
+    disk = [r1 * j / kn / w for j, kn, w in zip(bessel_j1([kn * r1 for kn in k]), k, wall)]
+    squares = tuple(d * d for d in disk)
+    half = _head_size(n_modes)
+    series = () if half <= _DIRECT_MODES else tuple(zip(
+        _series(squares[_DIRECT_MODES:half], k[_DIRECT_MODES:half]),
+        _series(squares[half:], k[half:])))
+    return basis, squares, series
+
+
+def _head_size(n_modes: int) -> int:
+    """How many modes past the plane wave the truncation at n_modes/2 keeps."""
+    return max(n_modes // 2 - 1, 0)
 
 
 @dataclass(frozen=True)
@@ -339,66 +393,82 @@ class CouplingCoefficients:
     rel_change: float
 
 
-def coupling_stack(
+def upstream_coupling(
     geometry: DuctGeometry,
     medium: MediumProperties,
-    freqs: list[float],
+    f: float,
     n_modes: int = DEFAULT_MODE_COUNT,
-) -> tuple[np.ndarray, np.ndarray]:
-    """The upstream coupling matrices at each frequency of ``freqs``, as an
-    (nf, 2, 2) array, with each one's ``rel_change`` as an (nf,) array; the
-    downstream matrices are their negatives (see ``CouplingCoefficients``).
+) -> tuple[tuple[tuple[complex, complex], tuple[complex, complex]], float]:
+    """The upstream coupling matrix at frequency f, as nested (row, column)
+    tuples, and its ``rel_change``; the downstream matrix is its negative
+    (see ``CouplingCoefficients``).
 
     Each coefficient is a modal sum of (prefactor) * (source-patch radial
     integral) * (receiver-patch radial integral) / (-i pi r2^2 beta_n);
-    the radial integrals use the closed form of ``radial_integral``.  Every
-    frequency's sums take the same terms in the same order whatever the
-    other frequencies, so a point's couplings do not depend on its sweep.
-    The temporaries hold nf * 4 * n_modes complex terms: pass a long sweep
-    in blocks.
+    the radial integrals use the closed form of ``radial_integral``.  The
+    plane wave gives every entry the same term, and past it the ring's
+    integral is minus the disk's, so the entries share one sum over modes
+    n >= 1 of the disk's squared integral over beta_n, taken in two parts
+    (up to n_modes/2 and beyond) whose second is the truncation change.
 
-    Raises DomainError at the first frequency that is not positive and
-    finite, or that sits on a mode's cutoff, and ConvergenceError at the
-    first one where doubling the truncation from n_modes/2 to n_modes
-    still moves any coefficient by more than ``SUM_TOLERANCE`` (relative).
-    The modal tail decays like n^-3, so the partial sums converge
-    quadratically in the truncation; the tolerance is chosen accordingly.
+    Raises DomainError if f is not positive and finite or sits on a mode's
+    cutoff, and ConvergenceError if doubling the truncation from n_modes/2
+    to n_modes still moves any coefficient by more than ``SUM_TOLERANCE``
+    (relative).  The modal tail decays like n^-3, so the partial sums
+    converge quadratically in the truncation; the tolerance is chosen
+    accordingly.
     """
-    for f in freqs:
-        if not (f > 0 and math.isfinite(f)):
-            raise DomainError(f"frequency must be positive, got {f}")
+    if not (f > 0 and math.isfinite(f)):
+        raise DomainError(f"frequency must be positive, got {f}")
     r1, r2 = geometry.r1, geometry.r2
-    basis, products = _patch_integrals(r1, r2, n_modes)
-    beta = basis.axial_wavenumbers(freqs, medium)
-    green = 1.0 / (-1j * math.pi * r2 * r2 * beta)
+    basis, squares, series = _patch_integrals(r1, r2, n_modes)
+    k = basis.wavenumbers
+    k0 = 2.0 * math.pi * f / medium.c0
+    # modes 0 .. propagating - 1 propagate; only the two on either side of
+    # k0 can sit on a cutoff, where the basis refuses the frequency
+    propagating = bisect_left(k, k0)
+    for kn in k[propagating - 1:propagating + 1]:
+        if abs((k0 - kn) * (k0 + kn)) < 1e-24 * k0 * k0:
+            basis.axial_wavenumbers(f, medium)
+    # squares_n / beta_n times i: -squares_n / |beta_n| for an evanescent
+    # mode, i squares_n / beta_n for a propagating one; the sum up to
+    # n_modes/2 and the rest, whose size is the truncation's change
+    if propagating == 1 and series:
+        # below the first cutoff every mode past the plane wave is evanescent
+        k0_squared, far, tail = k0 * k0, 0.0, 0.0
+        for c_far, c_tail in series:  # Horner's rule in k0^2
+            far = far * k0_squared + c_far
+            tail = tail * k0_squared + c_tail
+        change = -tail
+        total = change - far - sum([q / sqrt((kn - k0) * (kn + k0)) for q, kn in
+                                    zip(squares[:_DIRECT_MODES], k[1:_DIRECT_MODES + 1])])
+    else:
+        terms = [-q / sqrt((kn - k0) * (kn + k0)) if kn > k0
+                 else 1j * q / sqrt((k0 - kn) * (k0 + kn)) for q, kn in zip(squares, k[1:])]
+        half = _head_size(n_modes)
+        change = sum(terms[half:])
+        total = sum(terms[:half]) + change
 
     ring_sq = r2 * r2 - r1 * r1
-    pre = []
-    for f in freqs:
-        # the prefactors stay Python complex scalars: numpy's complex-by-real
-        # division rounds differently from Python's
-        scale = 4j * medium.rho0 * (2.0 * math.pi * f)
-        cross = scale / (r1 * r1 * ring_sq)
-        pre.append([[scale / r1 ** 4, cross], [cross, scale / ring_sq ** 2]])
-    # a cumulative sum adds the modes one after another, as a loop would
-    # (sum and einsum add them pairwise, which rounds differently); in place,
-    # so a block holds one array of terms
-    running = np.array(pre)[..., None] * products
-    running *= green[:, None, None, :]
-    np.cumsum(running, axis=-1, out=running)
-
-    half = n_modes // 2 if n_modes > 1 else 1
-    upstream = running[..., -1]
-    upstream_half = running[..., half - 1]
-    rel_change = (np.abs(upstream - upstream_half) / np.abs(upstream)).reshape(-1, 4).max(axis=1)
-    # fmax passes over a NaN, as a comparison point by point would
-    if n_modes > 1 and np.fmax.reduce(rel_change) > SUM_TOLERANCE:
-        i = (rel_change > SUM_TOLERANCE).argmax()
+    w_disk, w_cross, w_ring = 1.0 / r1 ** 4, 1.0 / (r1 * r1 * ring_sq), 1.0 / ring_sq ** 2
+    plane = 0.25j / k0
+    disk, cross, ring = plane + w_disk * total, plane - w_cross * total, plane + w_ring * total
+    moved = abs(change)
+    try:
+        rel_change = max(w_disk * moved / abs(disk), w_cross * moved / abs(cross),
+                         w_ring * moved / abs(ring))
+    except ZeroDivisionError:  # a zero coefficient has no relative change
+        rel_change = math.nan
+    if n_modes > 1 and rel_change > SUM_TOLERANCE:
         raise ConvergenceError(
-            f"modal sum moved by {rel_change[i]:.3e} (> {SUM_TOLERANCE:.1e}) when "
-            f"doubling the truncation to {n_modes} modes at {freqs[i]} Hz"
+            f"modal sum moved by {rel_change:.3e} (> {SUM_TOLERANCE:.1e}) when "
+            f"doubling the truncation to {n_modes} modes at {f} Hz"
         )
-    return upstream, rel_change
+    # 4i rho0 omega / (pi r2^2): the prefactor with the -i pi r2^2 beta_n of
+    # the Green's function folded into the terms
+    scale = 4j * medium.rho0 * (2.0 * math.pi * f) / (math.pi * r2 * r2)
+    disk, cross, ring = scale * disk, scale * cross, scale * ring
+    return ((disk, cross), (cross, ring)), rel_change
 
 
 def coupling_coefficients(
@@ -407,10 +477,11 @@ def coupling_coefficients(
     f: float,
     n_modes: int = DEFAULT_MODE_COUNT,
 ) -> CouplingCoefficients:
-    """The eight patch-coupling coefficients at one frequency: the one-point
-    case of ``coupling_stack``, with its refusals."""
-    upstream, rel_change = coupling_stack(geometry, medium, [f], n_modes)
-    return CouplingCoefficients(
-        frequency=f, upstream=upstream[0], downstream=-upstream[0],
-        rel_change=float(rel_change[0]),
-    )
+    """The eight patch-coupling coefficients at one frequency as numpy
+    arrays (imports numpy): ``upstream_coupling`` with its refusals."""
+    import numpy as np
+
+    upstream, rel_change = upstream_coupling(geometry, medium, f, n_modes)
+    upstream = np.array(upstream)
+    return CouplingCoefficients(frequency=f, upstream=upstream, downstream=-upstream,
+                                rel_change=rel_change)

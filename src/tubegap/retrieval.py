@@ -7,15 +7,16 @@ symmetric reciprocal layer are mirror-symmetric about the sample's
 mid-plane, so these split exactly into a mirror-even and a mirror-odd
 half.  Each half, driven by a unit blocked pressure, couples the upstream
 face's p = (p1, p2) and u = (u1, u2) through the duct radiation rows
-p = 1 + C u (``tubegap.modal.coupling_stack``), the gap row with half
+p = 1 + C u (``tubegap.modal.upstream_coupling``), the gap row with half
 impedance Zg+ = -i z2 cot(k0 t/2) or Zg- = i z2 tan(k0 t/2), and a sample
 row: the measured (1 - G) P = rho0 c0 (1 + G) V on the area-averaged
 totals, G = R + T or R - T, or in the forward model the known sample's
 Z1+ = -i z1 cot(theta/2) or Z1- = i z1 tan(theta/2), theta = k0 n1 t.
 Rows stay homogeneous (sin(theta/2) p + i z cos(theta/2) u = 0), so no
 pole of tan, cot or 1/(1 - G) is divided through.  Substituting
-p = 1 + C u leaves a 2x2 system per half, solved by Cramer's rule as
-numpy arrays over ``SWEEP_BLOCK`` points at a time.  Then
+p = 1 + C u leaves a 2x2 system per half, solved by Cramer's rule in
+plain Python, one point at a time: a point's results do not depend on
+its sweep, and the averaged path imports no numpy.  Then
 T = rho0 c0 (U- - U+) / S2 and R = 1 - rho0 c0 (U+ + U-) / S2 with
 U = u1 + u2, and the retrieval reads z1^2 = Z1+ Z1- and
 tan(theta/2) = -i Z1- / z1 off Z1 = p1 / u1: one arctangent per point.
@@ -35,24 +36,20 @@ import cmath
 import math
 from dataclasses import dataclass, replace
 
-import numpy as np
-
 from tubegap.errors import (DegenerateSampleError, DomainError, IllConditionedSystemError,
                             SingularMeasurementError, TubegapError)
 from tubegap.modal import (
     DEFAULT_MODE_COUNT,
-    coupling_stack,
     first_cutoff_frequency,
     refuse_above_cutoff,
+    upstream_coupling,
 )
 from tubegap.types import (DuctGeometry, GapProperties, MaterialSpec, MediumProperties,
                            ScatteringData)
 
 # largest column-equilibrated condition number of a half system _solve_halves accepts
 MAX_CONDITION = 1e12
-# sweep points whose couplings and half systems are stacked at once; fixed, so
-# that a long sweep's temporaries stay the size of one block's
-SWEEP_BLOCK = 64
+_NAN = complex(math.nan, math.nan)
 
 
 class DegenerateFieldsError(TubegapError):
@@ -175,102 +172,113 @@ def tr_from_transfer_matrix(matrix: TransferMatrix, medium: MediumProperties) ->
     return 2.0 / denom, (a - b) / denom
 
 
-# turns a 2x2 matrix's transposed flip into its adjugate
-_ADJUGATE = np.array([[1.0, -1.0], [-1.0, 1.0]])
-
-
-def _layer_rows(rows: np.ndarray, z, theta) -> None:
-    """Write into ``rows``, an (nf, 2, 2) view [point, half, (p, u)] of one
-    patch's coefficients, a uniform layer's (impedance z, phase thickness
-    theta) homogeneous half rows: sin(theta/2) p + i z cos(theta/2) u = 0
-    (even) and cos(theta/2) p - i z sin(theta/2) u = 0 (odd)."""
+def _layer_rows(z, theta) -> tuple[tuple[complex, complex], tuple[complex, complex]]:
+    """A uniform layer's (impedance z, phase thickness theta) homogeneous
+    half rows as (p, u) coefficients: sin(theta/2) p + i z cos(theta/2) u = 0
+    (even) and cos(theta/2) p - i z sin(theta/2) u = 0 (odd).  A phase whose
+    sine overflows gives infinite rows, which ``_solve_halves`` refuses."""
     half = 0.5 * theta
-    s, c = np.sin(half), np.cos(half)
-    rows[:, 0, 0], rows[:, 0, 1] = s, 1j * z * c
-    rows[:, 1, 0], rows[:, 1, 1] = c, -1j * z * s
+    try:
+        s, c = cmath.sin(half), cmath.cos(half)
+    except OverflowError:
+        s = c = complex(math.inf, math.inf)
+    return (s, 1j * z * c), (c, -1j * z * s)
 
 
-def _half_rows(k0: np.ndarray, geometry: DuctGeometry, medium: MediumProperties) -> np.ndarray:
-    """The (nf, 2, 2, 4) stack [point, half (even, odd), row, coefficient] of
-    each half's rows at the wavenumbers k0, homogeneous in (p1, p2, u1, u2):
-    row 0, the sample's, left zero for the caller, and row 1, the gap's."""
-    gap = GapProperties.from_geometry(geometry, medium)
-    rows = np.zeros((len(k0), 2, 2, 4), dtype=complex)
-    _layer_rows(rows[:, :, 1, 1::2], gap.z2, k0 * (gap.n2 * geometry.t))
-    return rows
+def _half_rows(sample, k0: float, gap: GapProperties, t: float) -> tuple:
+    """Each half's (even, odd) two rows, homogeneous in (p1, p2, u1, u2):
+    the sample's, one 4-tuple per half in ``sample``, and the gap's at the
+    wavenumber k0."""
+    (even_p, even_u), (odd_p, odd_u) = _layer_rows(gap.z2, k0 * (gap.n2 * t))
+    even, odd = sample
+    return (even, (0.0, even_p, 0.0, even_u)), (odd, (0.0, odd_p, 0.0, odd_u))
 
 
-def _measured_rows(data: list[ScatteringData], geometry: DuctGeometry,
-                   medium: MediumProperties) -> tuple[np.ndarray, np.ndarray]:
+def _measured_rows(data: ScatteringData, geometry: DuctGeometry, medium: MediumProperties,
+                   gap: GapProperties, weights: tuple) -> tuple[tuple, tuple[complex, complex]]:
     """``_half_rows`` with the measured rows (1 - G) P - alpha (1 + G) V = 0,
-    P = (s1 p1 + s3 p2) / S2 and V = (u1 + u2) / S2, and the (nf, 2) half
-    reflections G = R + T (even) and R - T (odd)."""
-    s2 = geometry.s2
-    gamma = np.array([(d.reflection + d.transmission, d.reflection - d.transmission)
-                      for d in data])
-    k0 = (2.0 * math.pi / medium.c0) * np.array([d.f for d in data])
-    rows = _half_rows(k0, geometry, medium)
-    rows[:, :, 0, :2] = (1.0 - gamma)[..., None] * np.array([geometry.s1 / s2, geometry.s3 / s2])
-    rows[:, :, 0, 2:] = ((-medium.alpha / s2) * (1.0 + gamma))[..., None]
-    return rows, gamma
+    P = (s1 p1 + s3 p2) / S2 and V = (u1 + u2) / S2, and the half
+    reflections G = R + T (even) and R - T (odd); ``weights`` are
+    (s1, s3, alpha) / S2."""
+    disk, ring, volume = weights
+    g_even = data.reflection + data.transmission
+    g_odd = data.reflection - data.transmission
+    v_even, v_odd = -volume * (1.0 + g_even), -volume * (1.0 + g_odd)
+    sample = (((1.0 - g_even) * disk, (1.0 - g_even) * ring, v_even, v_even),
+              ((1.0 - g_odd) * disk, (1.0 - g_odd) * ring, v_odd, v_odd))
+    k0 = (2.0 * math.pi / medium.c0) * data.f
+    return _half_rows(sample, k0, gap, geometry.t), (g_even, g_odd)
 
 
-@np.errstate(all="ignore")
-def _solve_halves(rows: np.ndarray, upstream: np.ndarray,
-                  freqs: list[float]) -> tuple[np.ndarray, ...]:
-    """Solve both mirror halves of every point of a block in one elementwise pass.
+def _solve_halves(rows, upstream, f: float) -> tuple[tuple, tuple, float]:
+    """Solve both mirror halves of the point at frequency f.
 
     With p = 1 + C u (``upstream`` C), each row a.p + b.u = 0 of ``rows``
     (``_half_rows``' layout) reads (a C + b) u = -(a1 + a2): a 2x2 system
     A u = y per half, column-equilibrated to unit max-norm and solved by
-    Cramer's rule.  Returns u [point, half, patch], the response A^-1 [1, 0]
-    and per point the larger over its halves of the equilibrated
-    sigma_max / sigma_min.  Raises IllConditionedSystemError, naming the
-    first failing point, at a zero or non-finite column, a condition number
-    above ``MAX_CONDITION`` or a singular half.
+    Cramer's rule.  Returns u [half][patch], the responses A^-1 [1, 0] in
+    the same layout and the larger over the halves of the equilibrated
+    sigma_max / sigma_min.  Raises IllConditionedSystemError naming f at a
+    zero or non-finite column, a condition number above ``MAX_CONDITION``
+    or a singular half.
     """
-    c = upstream[:, None]
-    a = (rows[..., 0, None] * c[:, :, None, 0] + rows[..., 1, None] * c[:, :, None, 1]
-         + rows[..., 2:])
-    size = np.abs(a)
-    scale = np.maximum(size[:, :, 0], size[:, :, 1])[:, :, None]
-    a /= scale
-    det = a[..., 0, 0] * a[..., 1, 1] - a[..., 0, 1] * a[..., 1, 0]
-    # sigma_max / sigma_min = r + sqrt(r^2 - 1) with r = |A|_F^2 / (2 |det A|)
-    ratio = np.square(size / scale).sum(axis=(2, 3)) / (2.0 * np.abs(det))
-    cond = ratio + np.sqrt(np.maximum(ratio * ratio - 1.0, 0.0))
-    cond = np.maximum(cond[:, 0], cond[:, 1])
-    if not cond.max() <= MAX_CONDITION:
-        usable = ((scale > 0) & (scale < math.inf)).all(axis=(1, 2, 3))
-        if not usable.all():
-            f = freqs[(~usable).argmax()]
+    (c00, c01), (c10, c11) = upstream
+    u, response, cond = [], [], 0.0
+    for (p1, p2, v1, v2), (q1, q2, w1, w2) in rows:
+        a00, a01 = p1 * c00 + p2 * c10 + v1, p1 * c01 + p2 * c11 + v2
+        a10, a11 = q1 * c00 + q2 * c10 + w1, q1 * c01 + q2 * c11 + w2
+        try:
+            h00, h01, h10, h11 = abs(a00), abs(a01), abs(a10), abs(a11)
+        except OverflowError:  # a magnitude beyond the float range
+            h00 = h01 = h10 = h11 = math.inf
+        # the column scales; every entry must be finite and no column zero
+        s0 = h00 if h00 > h10 else h10
+        s1 = h01 if h01 > h11 else h11
+        if not (s0 > 0.0 and s1 > 0.0 and math.isfinite(h00 + h01 + h10 + h11)):
             raise IllConditionedSystemError(
                 f"interface system has a zero or non-finite column at {f} Hz", f)
-        i = (~(cond <= MAX_CONDITION)).argmax()
+        a00, a01, a10, a11 = a00 / s0, a01 / s1, a10 / s0, a11 / s1
+        det = a00 * a11 - a01 * a10
+        if not det:
+            cond = math.inf
+            u.append((math.nan, math.nan))
+            continue
+        # sigma_max / sigma_min = r + sqrt(r^2 - 1) with r = |A|_F^2 / (2 |det A|)
+        h00, h01, h10, h11 = h00 / s0, h01 / s1, h10 / s0, h11 / s1
+        ratio = (h00 * h00 + h01 * h01 + h10 * h10 + h11 * h11) / (2.0 * abs(det))
+        cond = max(cond, ratio + math.sqrt(max(ratio * ratio - 1.0, 0.0)))
+        # A^-1 = D^-1 adj(A_eq) / det(A_eq), with D the column scales
+        inverse = 1.0 / det
+        i00, i01 = a11 * inverse / s0, -a01 * inverse / s0
+        i10, i11 = -a10 * inverse / s1, a00 * inverse / s1
+        y0, y1 = p1 + p2, q1 + q2
+        u.append((-(i00 * y0 + i01 * y1), -(i10 * y0 + i11 * y1)))
+        response.append((i00, i10))
+    if not cond <= MAX_CONDITION:
         raise IllConditionedSystemError(
-            f"interface system condition number {cond[i]:.3e} exceeds {MAX_CONDITION:.1e} "
-            f"at {freqs[i]} Hz", freqs[i])
-    # A^-1 = D^-1 adj(A_eq) / det(A_eq), with D the column scales
-    inverse = (a[..., ::-1, ::-1].swapaxes(2, 3) * _ADJUGATE
-               / (det[..., None, None] * scale.swapaxes(2, 3)))
-    u = -(inverse * (rows[..., 0] + rows[..., 1])[:, :, None]).sum(axis=3)
-    if not np.isfinite(u.sum()):
-        i = (~np.isfinite(u).all(axis=(1, 2))).argmax()
-        raise IllConditionedSystemError(f"interface system is singular at {freqs[i]} Hz", freqs[i])
-    return u, inverse[..., 0], cond
+            f"interface system condition number {cond:.3e} exceeds {MAX_CONDITION:.1e} "
+            f"at {f} Hz", f)
+    (u0, u1), (u2, u3) = u
+    if not cmath.isfinite(u0 + u1 + u2 + u3):
+        raise IllConditionedSystemError(f"interface system is singular at {f} Hz", f)
+    return tuple(u), tuple(response), cond
 
 
-def _pressures(rows: np.ndarray, upstream: np.ndarray,
-               u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The pressures p = 1 + C u, laid out as u, and per point the larger
-    over its halves of |r| / |y| over the four unscaled rows: p - C u = 1
-    and the two layer rows a.p + b.u = 0."""
-    c = upstream[:, None]
-    coupled = c[..., 0] * u[..., 0, None] + c[..., 1] * u[..., 1, None]
-    p = 1.0 + coupled
-    layer = (rows * np.concatenate([p, u], axis=2)[:, :, None]).sum(axis=3)
-    r2 = np.square(np.abs(np.concatenate([(p - coupled) - 1.0, layer], axis=2))).sum(axis=2)
-    return p, np.sqrt(0.5 * np.maximum(r2[:, 0], r2[:, 1]))
+def _pressures(rows, upstream, u) -> tuple[tuple, float]:
+    """The pressures p = 1 + C u, laid out as u, and the larger over the
+    halves of |r| / |y| over the four unscaled rows: p - C u = 1 and the two
+    layer rows a.p + b.u = 0."""
+    (c00, c01), (c10, c11) = upstream
+    p, worst = [], 0.0
+    for ((a1, a2, b1, b2), (e1, e2, g1, g2)), (u1, u2) in zip(rows, u):
+        coupled1, coupled2 = c00 * u1 + c01 * u2, c10 * u1 + c11 * u2
+        p1, p2 = 1.0 + coupled1, 1.0 + coupled2
+        m1, m2 = abs((p1 - coupled1) - 1.0), abs((p2 - coupled2) - 1.0)
+        m3 = abs(a1 * p1 + a2 * p2 + b1 * u1 + b2 * u2)
+        m4 = abs(e1 * p1 + e2 * p2 + g1 * u1 + g2 * u2)
+        worst = max(worst, m1 * m1 + m2 * m2 + m3 * m3 + m4 * m4)
+        p.append((p1, p2))
+    return tuple(p), math.sqrt(0.5 * worst)
 
 
 def impedance_from_fields(state: FieldState) -> complex:
@@ -324,11 +332,12 @@ def index_from_fields(
     return (sign * cmath.acos(num / den) + 2.0 * math.pi * branch_m) / (k0 * t)
 
 
-def _point_terms(p: list, u: list, response: list, gamma: list, coupling: list, z1: complex,
-                 x: complex, phase: complex, weights: tuple) -> tuple[bool, bool, float, float]:
-    """One point's degeneracy flags (impedance, phase) and the factors
-    sum |d ln Z1 / dG| |G| and |s| of its condition number; p, u and the
-    responses are [even, odd] lists of [patch 1, patch 2].
+def _point_terms(p, u, response, gamma, coupling, weights: tuple) -> tuple:
+    """One point's z1 = sqrt(Z1+ Z1-), principal phase 2 arctan(x) with
+    x = -i Z1- / z1, degeneracy flags (impedance, phase), and the factors
+    sum |d ln Z1 / dG| |G| and |s| of its condition number (infinite at a
+    degenerate point); p, u and the responses are [even, odd] pairs of
+    [patch 1, patch 2], ``coupling`` the first row of the upstream couplings.
 
     Degenerate: a zero or non-finite z1 or phase, or the tests of
     ``impedance_from_fields`` and ``index_from_fields`` on the faces' fields
@@ -337,19 +346,35 @@ def _point_terms(p: list, u: list, response: list, gamma: list, coupling: list, 
     A^-1 [P + alpha V, 0], d ln Z1 = dp1/p1 - du1/u1, d ln z1 is the halves'
     mean d ln Z1 and d theta = s (d ln Z1- - d ln Z1+), s = x Z1+ / (Z1+ - Z1-).
     """
-    (pe, po), (ue, uo) = (p[0][0], p[1][0]), (u[0][0], u[1][0])
+    (pe, pe2), (po, po2) = p
+    (ue, ue2), (uo, uo2) = u
+    try:
+        z_even, z_odd = pe / ue, po / uo
+        z1 = cmath.sqrt(z_even * z_odd)
+        x = -1j * z_odd / z1
+    except ZeroDivisionError:  # a zero velocity or z1: degenerate
+        z_even = z_odd = z1 = x = _NAN
+    try:
+        phase = 2.0 * cmath.atan(x)
+    except ValueError:  # x = +-i, the poles of arctan
+        phase = _NAN
     u_in, u_out = abs(ue + uo), abs(uo - ue)
     bad_z = (abs(ue * uo) <= 2.5e-7 * max(u_in, u_out) ** 2
              or not (z1 and cmath.isfinite(z1)))
     cross = max(abs(pe + po) * u_out, abs(pe - po) * u_in, 1e-300)
     bad_n = abs(pe * uo - po * ue) <= 5e-13 * cross or not cmath.isfinite(phase)
+    if bad_z or bad_n:
+        return z1, phase, bad_z, bad_n, math.inf, math.inf
     s1, s3, k = weights
-    spread = 0.0
-    for (p1, p2), (u1, u2), (d1, d2), g in zip(p, u, response, gamma):
-        drive = s1 * p1 + s3 * p2 + k * (u1 + u2)
-        spread += abs(((coupling[0] * d1 + coupling[1] * d2) / p1 - d1 / u1) * drive * g)
-    z_even, z_odd = pe / ue, po / uo
-    return bad_z, bad_n, spread, abs(x * z_even / (z_even - z_odd))
+    c1, c2 = coupling
+    (de, de2), (do, do2) = response
+    g_even, g_odd = gamma
+    spread = (abs(((c1 * de + c2 * de2) / pe - de / ue) * (s1 * pe + s3 * pe2 + k * (ue + ue2))
+                  * g_even)
+              + abs(((c1 * do + c2 * do2) / po - do / uo) * (s1 * po + s3 * po2 + k * (uo + uo2))
+                    * g_odd))
+    difference = z_even - z_odd
+    return z1, phase, False, False, spread, abs(x * z_even / difference) if difference else math.inf
 
 
 def retrieve_sweep(
@@ -380,46 +405,38 @@ def retrieve_sweep(
     cutoff = first_cutoff_frequency(geometry, medium)
 
     weights = (geometry.s1 / geometry.s2, geometry.s3 / geometry.s2, medium.alpha / geometry.s2)
+    gap = GapProperties.from_geometry(geometry, medium)
     seed_m = config.branch_seed or 0
     results: list[RetrievedProperties] = []
     prev_n1: complex | None = None
     prev_m, prev_sign = seed_m, 1
     missing: list[int] = []
-    for start in range(0, len(data), SWEEP_BLOCK):
-        block = freqs[start:start + SWEEP_BLOCK]
-        upstream, _ = coupling_stack(geometry, medium, block, config.n_modes)
-        with np.errstate(all="ignore"):
-            rows, gamma = _measured_rows(data[start:start + SWEEP_BLOCK], geometry, medium)
-            u, response, _ = _solve_halves(rows, upstream, block)
-            p, residual = _pressures(rows, upstream, u)
-            half_z = p[..., 0] / u[..., 0]
-            z1s = np.sqrt(half_z[:, 0] * half_z[:, 1])
-            x = -1j * half_z[:, 1] / z1s
-            phases = 2.0 * np.arctan(x)
-        for f, z1, x_point, phase, *point, res in zip(
-                block, z1s.tolist(), x.tolist(), phases.tolist(), p.tolist(), u.tolist(),
-                response.tolist(), gamma.tolist(), upstream[:, 0].tolist(), residual.tolist()):
-            bad_z, bad_n, spread, slope = _point_terms(*point, z1, x_point, phase, weights)
-            flags = [name for name, on in (("above_cutoff", f > cutoff),
-                                           ("degenerate_impedance", bad_z),
-                                           ("degenerate_index", bad_n)) if on]
-            if bad_z or bad_n:
-                # filled in later from the neighbours; keeps the last branch
-                missing.append(len(results))
-                n1, z1, m, sign, cond = math.nan, math.nan, prev_m, prev_sign, math.inf
-            else:
-                k0t = 2.0 * math.pi * f / medium.c0 * geometry.t
-                m = seed_m
-                if prev_n1 is not None:
-                    nearest = round((prev_n1 * k0t - phase).real / (2.0 * math.pi))
-                    m = min(max(nearest, prev_m - 2), prev_m + 2)
-                theta = phase + 2.0 * math.pi * m
-                n1, sign = theta / k0t, 1 if phase.real >= 0 else -1
-                cond = spread * max(0.5, slope / abs(theta)) if theta else math.inf
-                prev_n1, prev_m, prev_sign = n1, m, sign
-            results.append(RetrievedProperties(
-                f=f, n1=n1, z1=z1, branch_m=m, sign_choice=sign, condition_number=cond,
-                residual=res, flags=tuple(flags)))
+    for point in data:
+        f = point.f
+        upstream, _ = upstream_coupling(geometry, medium, f, config.n_modes)
+        rows, gamma = _measured_rows(point, geometry, medium, gap, weights)
+        u, response, _ = _solve_halves(rows, upstream, f)
+        p, residual = _pressures(rows, upstream, u)
+        z1, phase, bad_z, bad_n, spread, slope = _point_terms(p, u, response, gamma,
+                                                              upstream[0], weights)
+        flags = ("above_cutoff",) if f > cutoff else ()
+        if bad_z or bad_n:
+            flags += ("degenerate_impedance",) if bad_z else ()
+            flags += ("degenerate_index",) if bad_n else ()
+            # filled in later from the neighbours; keeps the last branch
+            missing.append(len(results))
+            n1, z1, m, sign, cond = math.nan, math.nan, prev_m, prev_sign, math.inf
+        else:
+            k0t = 2.0 * math.pi * f / medium.c0 * geometry.t
+            m = seed_m
+            if prev_n1 is not None:
+                nearest = round((prev_n1 * k0t - phase).real / (2.0 * math.pi))
+                m = min(max(nearest, prev_m - 2), prev_m + 2)
+            theta = phase + 2.0 * math.pi * m
+            n1, sign = theta / k0t, 1 if phase.real >= 0 else -1
+            cond = spread * max(0.5, slope / abs(theta)) if theta else math.inf
+            prev_n1, prev_m, prev_sign = n1, m, sign
+        results.append(RetrievedProperties(f, n1, z1, m, sign, cond, residual, flags))
 
     _fill_degenerate_points(results, missing)
     return results
@@ -457,25 +474,23 @@ def forward_averaged_sweep(
     """Scattering data predicted by the averaged interface model over ``freqs``.
 
     Solves the retrieval's half systems with the known (n1, z1) layer's rows
-    (``_layer_rows`` at theta = k0 n1 t) in place of the measured ones,
-    ``SWEEP_BLOCK`` points at a time; T = alpha (U- - U+) / S2 and
-    R = 1 - alpha (U+ + U-) / S2 with U = u1 + u2.  Feeding the result back
-    through the retrieval reproduces (n1, z1) to solver precision.  A zero
-    or non-finite n1 or z1 raises DomainError, and a sample phase k0 n1 t
-    whose cosine overflows raises IllConditionedSystemError.
+    (``_layer_rows`` at theta = k0 n1 t) in place of the measured ones, one
+    point at a time; T = alpha (U- - U+) / S2 and R = 1 - alpha (U+ + U-) / S2
+    with U = u1 + u2.  Feeding the result back through the retrieval
+    reproduces (n1, z1) to solver precision.  A zero or non-finite n1 or z1
+    raises DomainError, and a sample phase k0 n1 t whose cosine overflows
+    raises IllConditionedSystemError.
     """
     MaterialSpec(n1=n1, z1=z1)
     scale = medium.alpha / geometry.s2
+    gap, t = GapProperties.from_geometry(geometry, medium), geometry.t
     out = []
-    for start in range(0, len(freqs), SWEEP_BLOCK):
-        block = freqs[start:start + SWEEP_BLOCK]
-        upstream, _ = coupling_stack(geometry, medium, block, n_modes)
-        k0 = (2.0 * math.pi / medium.c0) * np.array(block)
-        rows = _half_rows(k0, geometry, medium)
-        with np.errstate(over="ignore", invalid="ignore"):
-            _layer_rows(rows[:, :, 0, 0::2], z1, k0 * (n1 * geometry.t))
-        u, _, _ = _solve_halves(rows, upstream, block)
-        even, odd = u[:, 0, 0] + u[:, 0, 1], u[:, 1, 0] + u[:, 1, 1]
-        out += map(ScatteringData, block, (scale * (odd - even)).tolist(),
-                   (1.0 - scale * (even + odd)).tolist())
+    for f in freqs:
+        upstream, _ = upstream_coupling(geometry, medium, f, n_modes)
+        k0 = (2.0 * math.pi / medium.c0) * f
+        (even_p, even_u), (odd_p, odd_u) = _layer_rows(z1, k0 * (n1 * t))
+        rows = _half_rows(((even_p, 0.0, even_u, 0.0), (odd_p, 0.0, odd_u, 0.0)), k0, gap, t)
+        u, _, _ = _solve_halves(rows, upstream, f)
+        even, odd = u[0][0] + u[0][1], u[1][0] + u[1][1]
+        out.append(ScatteringData(f, scale * (odd - even), 1.0 - scale * (even + odd)))
     return out

@@ -550,6 +550,19 @@ class TestCli:
         assert [line.split(" Hz is above")[0] for line in warned] == [
             "warning: 2960.0", "warning: 2970.0", "warning: 2980.0"]
 
+    def test_roundtrip_both_refuses_before_it_prints(self, capsys):
+        """``roundtrip --method both`` runs the fdfd half's refusal (the air
+        sample's scene cutoff at 2951 Hz) before the averaged half prints its
+        table: one error line and nothing on stdout."""
+        cfg = Path(__file__).resolve().parents[1] / "configs" / "air.cfg"
+        code = self.run("roundtrip", "--method", "both", "--config", str(cfg),
+                        "--set", "sweep.start=2960", "--set", "sweep.stop=2980",
+                        "--set", "sweep.count=3")
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert [line for line in captured.err.splitlines() if line.startswith("error:")] == [
+            captured.err.rstrip("\n")]
+
     def test_branch_seed_flag(self, cfg_path, tmp_path, capsys):
         """A one-point sweep is retrieved on the seed given, and the warning
         names that seed."""
@@ -805,8 +818,7 @@ class TestTracerSites:
 
         monkeypatch.setattr(fdfd_module, "_span_basis",
                             counted("span_basis", fdfd_module._span_basis))
-        monkeypatch.setattr(fdfd_module.np.linalg, "solve",
-                            counted("solve", fdfd_module.np.linalg.solve))
+        monkeypatch.setattr(np.linalg, "solve", counted("solve", np.linalg.solve))
         monkeypatch.setattr(cli_module, "sweep_fields",
                             counted("sweep_fields", cli_module.sweep_fields))
         monkeypatch.setattr(cli_module, "build_scene", recorded)
@@ -840,16 +852,16 @@ def test_fdfd_forward_meets_the_benchmark_gate(tmp_path, monkeypatch):
 
 def test_cli_and_averaged_roundtrip_load_no_slow_modules(cfg_path):
     """Neither importing the CLI nor a default one-point averaged round trip
-    loads any scipy module: the Bessel functions are the package's own, and
-    scipy is imported only to search J1 roots beyond the 127-root table.
-    The CLI parses its arguments from its own command table, so argparse
-    and gettext stay out too, and its medians need neither statistics nor
-    numpy.ma, which np.median imports on its first call."""
+    loads numpy or any scipy module: the averaged path is plain Python with
+    its own Bessel functions, and scipy is imported only to search J1 roots
+    beyond the 127-root table.  The CLI parses its arguments from its own
+    command table, so argparse and gettext stay out too, and its medians
+    need no statistics module."""
     src = str(Path(tubegap.__file__).resolve().parents[1])
     probe = ("import contextlib, io, sys, tubegap.cli\n"
              "def slow_modules():\n"
-             "    return sorted(m for m in sys.modules if m.startswith('scipy')\n"
-             "                  or m in ('argparse', 'gettext', 'statistics', 'numpy.ma'))\n"
+             "    return sorted(m for m in sys.modules if m.startswith(('scipy', 'numpy'))\n"
+             "                  or m in ('argparse', 'gettext', 'statistics'))\n"
              "print('import', *slow_modules())\n"
              "with contextlib.redirect_stdout(io.StringIO()):\n"
              "    code = tubegap.cli.main(['roundtrip', '--config', sys.argv[1], "
@@ -859,6 +871,41 @@ def test_cli_and_averaged_roundtrip_load_no_slow_modules(cfg_path):
     done = subprocess.run([sys.executable, "-c", probe, str(cfg_path)], capture_output=True,
                           text=True, env=env, timeout=60, check=True)
     assert done.stdout.splitlines() == ["import", "roundtrip 0"]
+
+
+def test_simulator_loads_numpy_only_to_build_a_scene(cfg_path):
+    """``import tubegap.fdfd`` loads no numpy, and ``build_scene`` does."""
+    src = str(Path(tubegap.__file__).resolve().parents[1])
+    probe = ("import sys, tubegap.fdfd\n"
+             "from tubegap.types import DuctGeometry\n"
+             "print('import', 'numpy' in sys.modules)\n"
+             "tubegap.fdfd.build_scene(None, DuctGeometry(r1=0.04, r2=0.07, t=0.0052), 2500.0)\n"
+             "print('build_scene', 'numpy' in sys.modules)\n")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env=env, timeout=60, check=True)
+    assert done.stdout.splitlines() == ["import False", "build_scene True"]
+
+
+def test_sweep_frequencies_are_linspace_bit_for_bit(tmp_path, monkeypatch):
+    """``RunConfig.sweep_frequencies`` gives ``numpy.linspace``'s points, bit
+    for bit, on the shipped configs, the 300-2500 Hz 45-point grid and every
+    6-point grid of the benchmark's simulator workload."""
+    root = Path(__file__).resolve().parents[1]
+    monkeypatch.syspath_prepend(str(root / "benchmarks"))
+    workloads = importlib.import_module("workloads")
+    configs = [RunConfig.from_file(path) for path in sorted((root / "configs").glob("*.cfg"))]
+    assert len(configs) == 3
+    grids = [(300.0, 2500.0, 45)] + [(start, 2500.0, 6) for start in workloads.fdfd_starts(6)]
+    assert len(grids) > 2
+    for start, stop, count in grids:
+        configs.append(RunConfig.from_file(None, overrides={
+            "sweep.start": repr(start), "sweep.stop": repr(stop), "sweep.count": str(count)}))
+    for config in configs:
+        values = config.values
+        expected = np.linspace(values["sweep.start"], values["sweep.stop"],
+                               values["sweep.count"])
+        assert np.array(config.sweep_frequencies()).tobytes() == expected.tobytes()
 
 
 def test_top_level_exports_the_sweep_workflow():

@@ -12,7 +12,7 @@ from tubegap.errors import (
     IllConditionedSystemError,
     SingularMeasurementError,
 )
-from tubegap.modal import coupling_coefficients, coupling_stack
+from tubegap.modal import coupling_coefficients, upstream_coupling
 from tubegap.retrieval import (
     MAX_CONDITION,
     DegenerateFieldsError,
@@ -97,21 +97,24 @@ class TestTransferMatrix:
             transfer_matrix_from_tr(ScatteringData(f=100.0, transmission=0.0, reflection=0.5), medium)
 
 
-def measured_halves(data, geometry, medium):
-    """The measured half systems of a sweep as ``retrieve_sweep`` builds them:
-    the rows, the upstream couplings and the frequencies."""
-    freqs = [d.f for d in data]
-    upstream, _ = coupling_stack(geometry, medium, freqs)
-    rows, _ = retrieval_module._measured_rows(data, geometry, medium)
-    return rows, upstream, freqs
+def measured_halves(point, geometry, medium):
+    """The measured half systems of one sweep point as ``retrieve_sweep``
+    builds them: the rows, the upstream couplings and the frequency."""
+    upstream, _ = upstream_coupling(geometry, medium, point.f)
+    weights = (geometry.s1 / geometry.s2, geometry.s3 / geometry.s2, medium.alpha / geometry.s2)
+    rows, _ = retrieval_module._measured_rows(
+        point, geometry, medium, GapProperties.from_geometry(geometry, medium), weights)
+    return rows, upstream, point.f
 
 
 def face_fields(p, u):
     """The upstream-driven fields on both faces, in ``FieldState``'s order, from
     the solved halves (each driven by a unit blocked pressure): their sum on
     the upstream face, their difference on the downstream one."""
-    return np.concatenate([p[:, 0] + p[:, 1], p[:, 0] - p[:, 1],
-                           u[:, 0] + u[:, 1], u[:, 1] - u[:, 0]], axis=1)
+    (pe1, pe2), (po1, po2) = p
+    (ue1, ue2), (uo1, uo2) = u
+    return [pe1 + po1, pe2 + po2, pe1 - po1, pe2 - po2,
+            ue1 + uo1, ue2 + uo2, uo1 - ue1, uo2 - ue2]
 
 
 def assert_row(terms, rhs):
@@ -132,19 +135,19 @@ class TestAssembleSystem:
         and the scalar couplings and layer matrix of the same point."""
         coup = coupling_coefficients(sample1_geometry, medium, 1000.0)
         data = ScatteringData(f=1000.0, transmission=0.9 - 0.3j, reflection=0.1 + 0.2j)
-        rows, upstream, freqs = measured_halves([data], sample1_geometry, medium)
-        assert rows.shape == (1, 2, 2, 4) and upstream.shape == (1, 2, 2)
-        u, _, _ = retrieval_module._solve_halves(rows, upstream, freqs)
+        rows, upstream, f = measured_halves(data, sample1_geometry, medium)
+        assert np.shape(rows) == (2, 2, 4) and np.shape(upstream) == (2, 2)
+        u, _, _ = retrieval_module._solve_halves(rows, upstream, f)
         p, _ = retrieval_module._pressures(rows, upstream, u)
-        state = FieldState(*face_fields(p, u)[0].tolist())
-        return rows[0], p[0], u[0], state, coup, transfer_matrix_from_tr(data, medium)
+        state = FieldState(*face_fields(p, u))
+        return rows, p, u, state, coup, transfer_matrix_from_tr(data, medium)
 
     def test_rhs_is_blocked_pressure_drive(self, parts):
         _, p, u, _, coup, _ = parts
         for half in range(2):
             for k in range(2):
                 (c1, c2) = coup.upstream[k]
-                assert_row([p[half, k], -c1 * u[half, 0], -c2 * u[half, 1]], 1.0)
+                assert_row([p[half][k], -c1 * u[half][0], -c2 * u[half][1]], 1.0)
 
     def test_disk_radiation_row(self, parts):
         _, _, _, w, coup, _ = parts
@@ -169,8 +172,8 @@ class TestAssembleSystem:
         assert_row([w.u2_in, -1j / gap.z2 * sin2 * w.p2_out, -cos2 * w.u2_out], 0.0)
         # each half's gap row in homogeneous form: no tan or cot divided through
         half_s, half_c = cmath.sin(theta2 / 2), cmath.cos(theta2 / 2)
-        assert rows[0, 1] == pytest.approx([0, half_s, 0, 1j * gap.z2 * half_c], rel=1e-15)
-        assert rows[1, 1] == pytest.approx([0, half_c, 0, -1j * gap.z2 * half_s], rel=1e-15)
+        assert rows[0][1] == pytest.approx([0, half_s, 0, 1j * gap.z2 * half_c], rel=1e-15)
+        assert rows[1][1] == pytest.approx([0, half_c, 0, -1j * gap.z2 * half_s], rel=1e-15)
 
     def test_measured_layer_rows(self, parts, sample1_geometry):
         _, _, _, w, _, m = parts
@@ -181,13 +184,12 @@ class TestAssembleSystem:
         assert_row([v_in, -m.m21 * p_out, -m.m22 * v_out], 0.0)
 
 
-def unit_rows(b, nf=1):
+def unit_rows(b):
     """Rows whose substituted system, with zero couplings, is A = b in both
-    halves of each of nf points, driven by y = (1, 1)."""
-    rows = np.zeros((nf, 2, 2, 4), dtype=complex)
-    rows[..., 0, 0] = rows[..., 1, 1] = -1.0
-    rows[..., 2:] = b
-    return rows, np.zeros((nf, 2, 2), dtype=complex)
+    halves, driven by y = (1, 1)."""
+    (b00, b01), (b10, b11) = b
+    rows = [[[-1.0, 0.0, b00, b01], [0.0, -1.0, b10, b11]] for _ in range(2)]
+    return rows, [[0j, 0j], [0j, 0j]]
 
 
 class TestSolveFields:
@@ -195,49 +197,49 @@ class TestSolveFields:
     2x2 system, with its condition number; ``_pressures`` on its rows."""
 
     def test_identity_system(self):
-        rows, upstream = unit_rows(np.eye(2))
-        u, _, cond = retrieval_module._solve_halves(rows, upstream, [500.0])
+        rows, upstream = unit_rows([[1.0, 0.0], [0.0, 1.0]])
+        u, _, cond = retrieval_module._solve_halves(rows, upstream, 500.0)
         p, residual = retrieval_module._pressures(rows, upstream, u)
-        assert np.array_equal(u, np.ones((1, 2, 2))) and np.array_equal(p, np.ones((1, 2, 2)))
-        assert residual[0] < 1e-15
-        assert cond[0] == pytest.approx(1.0)
+        assert u == ((1, 1), (1, 1)) and p == ((1, 1), (1, 1))
+        assert residual < 1e-15
+        assert cond == pytest.approx(1.0)
 
     def test_constructed_solution(self):
         rng = np.random.default_rng(3)
-        rows = rng.normal(size=(1, 2, 2, 4)) + 1j * rng.normal(size=(1, 2, 2, 4))
-        upstream = rng.normal(size=(1, 2, 2)) + 1j * rng.normal(size=(1, 2, 2))
-        u, response, _ = retrieval_module._solve_halves(rows, upstream, [500.0])
-        p, residual = retrieval_module._pressures(rows, upstream, u)
-        a = rows[..., :2] @ upstream[:, None] + rows[..., 2:]
+        rows = rng.normal(size=(2, 2, 4)) + 1j * rng.normal(size=(2, 2, 4))
+        upstream = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+        u, response, _ = retrieval_module._solve_halves(rows.tolist(), upstream.tolist(), 500.0)
+        p, residual = retrieval_module._pressures(rows.tolist(), upstream.tolist(), u)
+        a = rows[..., :2] @ upstream + rows[..., 2:]
         y = -rows[..., :2].sum(axis=-1)
         assert np.allclose(u, np.linalg.solve(a, y[..., None])[..., 0], rtol=1e-12)
-        assert np.allclose(response, np.linalg.solve(a, np.array([1.0, 0.0]))[0], rtol=1e-12)
-        assert np.allclose(p, 1.0 + (upstream[:, None] @ u[..., None])[..., 0], rtol=1e-12)
-        assert residual[0] < 1e-12
+        assert np.allclose(response, np.linalg.solve(a, np.array([1.0, 0.0])), rtol=1e-12)
+        assert np.allclose(p, 1.0 + (upstream @ np.array(u)[..., None])[..., 0], rtol=1e-12)
+        assert residual < 1e-12
 
     def test_singular_system_rejected(self):
         rows, upstream = unit_rows([[0.0, 1.0], [0.0, 2.0]])
         with pytest.raises(IllConditionedSystemError, match="777.0 Hz"):
-            retrieval_module._solve_halves(rows, upstream, [777.0])
+            retrieval_module._solve_halves(rows, upstream, 777.0)
 
     def test_condition_gate(self):
         # two almost linearly dependent columns: equilibration cannot help
         rng = np.random.default_rng(9)
         b = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
         b[:, 1] = b[:, 0] * (1.0 + 1e-14)
-        rows, upstream = unit_rows(b)
+        rows, upstream = unit_rows(b.tolist())
         with pytest.raises(IllConditionedSystemError) as err:
-            retrieval_module._solve_halves(rows, upstream, [432.1])
+            retrieval_module._solve_halves(rows, upstream, 432.1)
         assert err.value.frequency == 432.1
 
     def test_condition_bound_is_the_module_constant(self, sample1_geometry, medium, monkeypatch):
         """A real sample-1 point passes under MAX_CONDITION and is refused,
         naming its frequency, once the bound drops below its condition."""
         data = [ScatteringData(f=900.0, transmission=0.8 - 0.5j, reflection=0.2 + 0.1j)]
-        halves = measured_halves(data, sample1_geometry, medium)
+        halves = measured_halves(data[0], sample1_geometry, medium)
         _, _, cond = retrieval_module._solve_halves(*halves)
-        assert 1.0 < cond[0] < MAX_CONDITION
-        monkeypatch.setattr(retrieval_module, "MAX_CONDITION", cond[0] / 2)
+        assert 1.0 < cond < MAX_CONDITION
+        monkeypatch.setattr(retrieval_module, "MAX_CONDITION", cond / 2)
         with pytest.raises(IllConditionedSystemError, match="900.0 Hz") as err:
             retrieval_module._solve_halves(*halves)
         assert err.value.frequency == 900.0
@@ -245,62 +247,69 @@ class TestSolveFields:
             retrieve_sweep(data, sample1_geometry, medium)
 
 
+def solve_in_order(points):
+    """``_solve_halves`` on each (rows, upstream, f) in turn, as a sweep does."""
+    return [retrieval_module._solve_halves(*point) for point in points]
+
+
 class TestStackedRefusals:
-    """A refusal of a block's half systems names the first failing point."""
+    """A refusal of a sweep's half systems names the first failing point."""
 
     FREQS = [500.0, 900.0, 1300.0, 1700.0, 2100.0]
 
     @pytest.fixture
     def stack(self, sample1_geometry, medium, sample1_z2):
+        """Each point's (rows, upstream, f), with the rows and the couplings
+        as nested lists a test can change."""
         sweep = forward_averaged_sweep(5.0, 15.0 * sample1_z2, sample1_geometry, medium,
                                        self.FREQS)
-        rows, upstream, _ = measured_halves(sweep, sample1_geometry, medium)
-        return rows, upstream
+        return [(np.array(rows).tolist(), np.array(upstream).tolist(), f)
+                for rows, upstream, f in (measured_halves(d, sample1_geometry, medium)
+                                          for d in sweep)]
 
     def test_non_finite_column_names_its_point(self, stack):
-        rows, upstream = stack
-        rows[2, 0, 0, 3] = math.inf
+        stack[2][0][0][0][3] = math.inf
         with pytest.raises(IllConditionedSystemError, match="1300.0 Hz") as err:
-            retrieval_module._solve_halves(rows, upstream, self.FREQS)
+            solve_in_order(stack)
         assert err.value.frequency == 1300.0
 
     def test_first_point_above_the_bound_is_named(self, stack, monkeypatch):
-        rows, upstream = stack
-        _, _, cond = retrieval_module._solve_halves(rows, upstream, self.FREQS)
+        cond = np.array([c for _, _, c in solve_in_order(stack)])
         # the bound sits between two points' condition numbers, with points on either side
         limit = 0.5 * (np.sort(cond)[1] + np.sort(cond)[2])
         first = int(np.flatnonzero(cond > limit)[0])
         assert (cond <= limit).sum() == 2 and (cond[first + 1:] > limit).any()
         monkeypatch.setattr(retrieval_module, "MAX_CONDITION", limit)
         with pytest.raises(IllConditionedSystemError) as err:
-            retrieval_module._solve_halves(rows, upstream, self.FREQS)
+            solve_in_order(stack)
         assert err.value.frequency == self.FREQS[first]
 
     @staticmethod
-    def make_singular(rows, upstream):
+    def make_singular(stack):
         # the fourth point's halves both become A = [[1, 1], [1, 1]], nonzero columns
-        upstream[3] = 0.0
-        rows[3, :, :, 2:] = 1.0
+        rows, upstream, _ = stack[3]
+        upstream[:] = [[0j, 0j], [0j, 0j]]
+        for half in rows:
+            for row in half:
+                row[2:] = [1.0, 1.0]
 
     def test_exactly_singular_point_refused_without_warning(self, stack):
-        rows, upstream = stack
-        self.make_singular(rows, upstream)
+        self.make_singular(stack)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(IllConditionedSystemError, match="condition number inf") as err:
-                retrieval_module._solve_halves(rows, upstream, self.FREQS)
+                solve_in_order(stack)
         assert err.value.frequency == 1700.0
 
     def test_singular_solve_names_its_point(self, stack, monkeypatch):
         """With the condition bound lifted, Cramer's rule meets a zero
         determinant, and the refusal still names the singular point."""
-        rows, upstream = stack
-        self.make_singular(rows, upstream)
+        self.make_singular(stack)
         monkeypatch.setattr(retrieval_module, "MAX_CONDITION", math.inf)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(IllConditionedSystemError, match="singular at 1700.0 Hz") as err:
-                retrieval_module._solve_halves(rows, upstream, self.FREQS)
+                solve_in_order(stack)
         assert err.value.frequency == 1700.0
 
 

@@ -152,11 +152,10 @@ class TestConditionNumber:
         assert worst.f == pytest.approx(6391.4, abs=0.05)
         assert abs(worst.n1 - n1) > 1e-8 * abs(n1)
         assert worst.condition_number >= 1e11
-        point = [d for d in forward_averaged_sweep(n1, z1, geometry, medium, freqs)
-                 if d.f == worst.f]
-        _, _, own = retrieval_module._solve_halves(
-            *measured_halves(point, geometry, medium))
-        assert own[0] < 1e6
+        (point,) = [d for d in forward_averaged_sweep(n1, z1, geometry, medium, freqs)
+                    if d.f == worst.f]
+        _, _, own = retrieval_module._solve_halves(*measured_halves(point, geometry, medium))
+        assert own < 1e6
 
 
 class TestForwardAveraged:
@@ -226,24 +225,24 @@ class TestBranchTracking:
 
     def test_one_arctangent_per_point(self, sample1_geometry, medium, sample1_z2, monkeypatch):
         """Every branch candidate of a point shares that point's one
-        arctangent, seed and continuity points alike, taken for the whole
-        sweep in one array call; no inverse cosine is taken."""
+        arctangent, seed and continuity points alike; no inverse cosine is
+        taken."""
         freqs = list(np.linspace(300.0, 2500.0, 45))
         sweep = forward_averaged_sweep(5.0, 15.0 * sample1_z2, sample1_geometry, medium, freqs)
-        calls, arctan = [], np.arctan
+        calls, arctan = [], cmath.atan
 
         def counting_arctan(x):
-            calls.append(np.size(x))
+            calls.append(x)
             return arctan(x)
 
         def no_acos(x):
             raise AssertionError("inverse cosine taken")
 
-        monkeypatch.setattr(np, "arctan", counting_arctan)
+        monkeypatch.setattr(retrieval_module.cmath, "atan", counting_arctan)
         monkeypatch.setattr(retrieval_module.cmath, "acos", no_acos)
         results = retrieve_sweep(sweep, sample1_geometry, medium)
         assert len(results) == 45
-        assert calls == [45]
+        assert len(calls) == 45
 
 
 class TestDegenerateHandling:
@@ -284,12 +283,13 @@ class TestDegenerateHandling:
         freqs = [800.0, 1000.0, 1400.0]
         sweep = forward_averaged_sweep(5.0 - 0.2j, (15.0 - 1.0j) * sample1_z2,
                                        sample1_geometry, medium, freqs)
-        upstream, _ = modal.coupling_stack(sample1_geometry, medium, [1000.0])
-        k0 = np.array([2.0 * math.pi * 1000.0 / medium.c0])
-        rows = retrieval_module._half_rows(k0, sample1_geometry, medium)
-        rows[:, :, 0, 0], rows[:, :, 0, 2] = 1.0, -15.0 * sample1_z2 * (1.0 - 0.1j)  # p1 = Z u1
-        u, _, _ = retrieval_module._solve_halves(rows, upstream, [1000.0])
-        even, odd = u[0].sum(axis=1).tolist()
+        upstream, _ = modal.upstream_coupling(sample1_geometry, medium, 1000.0)
+        k0 = 2.0 * math.pi * 1000.0 / medium.c0
+        sample = [(1.0, 0.0, -15.0 * sample1_z2 * (1.0 - 0.1j), 0.0)] * 2  # p1 = Z u1
+        gap = GapProperties.from_geometry(sample1_geometry, medium)
+        rows = retrieval_module._half_rows(sample, k0, gap, sample1_geometry.t)
+        u, _, _ = retrieval_module._solve_halves(rows, upstream, 1000.0)
+        even, odd = sum(u[0]), sum(u[1])
         scale = medium.alpha / sample1_geometry.s2
         sweep[1] = ScatteringData(1000.0, scale * (odd - even), 1.0 - scale * (even + odd))
         lo, mid, hi = retrieve_sweep(sweep, sample1_geometry, medium)
@@ -323,11 +323,11 @@ class TestDegenerateHandling:
         """Lossless solve: power entering region B equals power leaving it."""
         freqs = [700.0, 2100.0]
         sweep = forward_averaged_sweep(5.0, 15.0 * sample1_z2, sample1_geometry, medium, freqs)
-        rows, upstream, _ = halves = measured_halves(sweep, sample1_geometry, medium)
-        u, _, _ = retrieval_module._solve_halves(*halves)
-        p, _ = retrieval_module._pressures(rows, upstream, u)
-        w = face_fields(p, u)
-        for p1_in, p2_in, p1_out, p2_out, u1_in, u2_in, u1_out, u2_out in w.tolist():
+        for point in sweep:
+            rows, upstream, _ = halves = measured_halves(point, sample1_geometry, medium)
+            u, _, _ = retrieval_module._solve_halves(*halves)
+            p, _ = retrieval_module._pressures(rows, upstream, u)
+            p1_in, p2_in, p1_out, p2_out, u1_in, u2_in, u1_out, u2_out = face_fields(p, u)
             flux_in = (p1_in * u1_in.conjugate() + p2_in * u2_in.conjugate()).real
             flux_out = (p1_out * u1_out.conjugate() + p2_out * u2_out.conjugate()).real
             assert flux_in == pytest.approx(flux_out, rel=1e-6)
@@ -346,9 +346,8 @@ class TestDegenerateHandling:
 
 
 class TestOneStackedSolve:
-    """A sweep, forward or inverse, is one elementwise pass over the
-    independent half systems of each block of points; its one-point case is
-    the same path."""
+    """A sweep, forward or inverse, solves each point's independent half
+    systems in closed form; its one-point case is the same path."""
 
     def test_no_dense_linear_algebra(self, sample1_geometry, medium, sample1_z2, monkeypatch):
         """The averaged path solves its 2x2 halves in closed form: with numpy's
@@ -366,8 +365,8 @@ class TestOneStackedSolve:
 
 
 class TestStackedBlocks:
-    """A sweep's couplings and half systems are stacked in blocks of
-    ``SWEEP_BLOCK`` points; 150 points put two block boundaries inside it."""
+    """A 150-point sweep: every point's couplings, half systems and results
+    are that point's own."""
 
     FREQS = np.linspace(300.0, 2500.0, 150).tolist()
 
@@ -387,49 +386,47 @@ class TestStackedBlocks:
         assert [(r.branch_m, r.sign_choice, r.flags) for r in results] == [
             (r.branch_m, r.sign_choice, r.flags) for r in single_results]
 
-    def test_one_coupling_stack_per_block(self, sample1_geometry, medium, sample1_z2,
-                                          monkeypatch):
-        """One coupling stack and one half solve per block, forward and
-        inverse: a 45-point sweep is one block, 150 points are three."""
-        stack, solve = retrieval_module.coupling_stack, retrieval_module._solve_halves
-        for points in (np.linspace(300.0, 2500.0, 45).tolist(), self.FREQS):
-            couplings, solves = [], []
+    def test_one_coupling_per_point(self, sample1_geometry, medium, sample1_z2, monkeypatch):
+        """One coupling sum and one half solve per point, forward and
+        inverse, in the sweep's order."""
+        coupling, solve = retrieval_module.upstream_coupling, retrieval_module._solve_halves
+        couplings, solves = [], []
 
-            def counting_stack(geometry, medium, freqs, n_modes):
-                couplings.append(len(freqs))
-                return stack(geometry, medium, freqs, n_modes)
+        def counting_coupling(geometry, medium, f, n_modes):
+            couplings.append(f)
+            return coupling(geometry, medium, f, n_modes)
 
-            def counting_solve(rows, upstream, freqs):
-                solves.append(len(freqs))
-                return solve(rows, upstream, freqs)
+        def counting_solve(rows, upstream, f):
+            solves.append(f)
+            return solve(rows, upstream, f)
 
-            monkeypatch.setattr(retrieval_module, "coupling_stack", counting_stack)
-            monkeypatch.setattr(retrieval_module, "_solve_halves", counting_solve)
-            blocks = math.ceil(len(points) / retrieval_module.SWEEP_BLOCK)
-            sweep = forward_averaged_sweep(5.0, 15.0 * sample1_z2, sample1_geometry, medium,
-                                           points)
-            assert len(couplings) == blocks and sum(couplings) == len(points)
-            assert max(couplings) <= retrieval_module.SWEEP_BLOCK and solves == couplings
-            retrieve_sweep(sweep, sample1_geometry, medium)
-            assert len(couplings) == 2 * blocks and solves == couplings
+        monkeypatch.setattr(retrieval_module, "upstream_coupling", counting_coupling)
+        monkeypatch.setattr(retrieval_module, "_solve_halves", counting_solve)
+        sweep = forward_averaged_sweep(5.0, 15.0 * sample1_z2, sample1_geometry, medium,
+                                       self.FREQS)
+        assert couplings == solves == self.FREQS
+        retrieve_sweep(sweep, sample1_geometry, medium)
+        assert couplings == solves == 2 * self.FREQS
 
     def test_convergence_error_names_first_point_above(self, sample1_geometry, medium,
                                                        sample1_z2, monkeypatch):
         """The bound sits between two points' rel_change, so the first point
-        above it lies in the second block; ``coupling_stack`` itself, the
+        above it lies inside the sweep; the couplings themselves, the
         forward sweep and the retrieval all name it."""
         sweep = forward_averaged_sweep(5.0, 15.0 * sample1_z2, sample1_geometry, medium,
                                        self.FREQS)
-        _, rel_change = modal.coupling_stack(sample1_geometry, medium, self.FREQS)
+        rel_change = np.array([modal.upstream_coupling(sample1_geometry, medium, f)[1]
+                               for f in self.FREQS])
         # rel_change grows with frequency up to about 2000 Hz here
         limit = 0.5 * (rel_change[69] + rel_change[70])
         first = int(np.flatnonzero(rel_change > limit)[0])
-        assert retrieval_module.SWEEP_BLOCK <= first < 2 * retrieval_module.SWEEP_BLOCK
+        assert first == 70
         assert (rel_change[:first] <= limit).all()
         monkeypatch.setattr(modal, "SUM_TOLERANCE", limit)
         match = f"at {self.FREQS[first]} Hz$"
         with pytest.raises(ConvergenceError, match=match):
-            modal.coupling_stack(sample1_geometry, medium, self.FREQS)
+            for f in self.FREQS:
+                modal.upstream_coupling(sample1_geometry, medium, f)
         with pytest.raises(ConvergenceError, match=match):
             forward_averaged_sweep(5.0, 15.0 * sample1_z2, sample1_geometry, medium, self.FREQS)
         with pytest.raises(ConvergenceError, match=match):
