@@ -40,7 +40,7 @@ radii and truncation, so a fresh geometry costs one J1 evaluation over
 ``upstream_coupling`` sums one frequency's couplings.  Past the plane
 wave, the ring's patch integral of each mode is minus the disk's, so the
 four coefficients share one modal sum, real below the first cutoff,
-where all but its first terms come from power series summed once per
+where the part past n_modes/2 comes from a power series summed once per
 geometry; a point's couplings depend on nothing but that point.  The
 array-returning helpers the acceptance suite reads (``ModalBasis.k``,
 ``coupling_coefficients``) import numpy when called.
@@ -313,38 +313,40 @@ def radial_integral(k: float, a: float, b: float) -> float:
     return (b * j_b - a * j_a) / k
 
 
-# Below the first duct cutoff, k0 < k_1, the modes past the first
-# _DIRECT_MODES enter the coupling sum through a power series in k0^2:
+# Below the first duct cutoff, k0 < k_1, the modes past n_modes/2, whose sum
+# is the truncation's change, enter the coupling sum through a power series
+# in k0^2,
 #     q_n / sqrt(k_n^2 - k0^2) = sum_j a_j (q_n / k_n) (k0 / k_n)^(2 j),
 # a_j = binomial(2 j, j) / 4^j, whose ratio (k0 / k_n)^2 stays below
-# (x_1 / x_8)^2 = 0.0219 there; _SERIES_TERMS powers leave a remainder
-# below 5e-18 of those modes' sum.  Their sums over the modes are fixed per
-# geometry, so a frequency costs _DIRECT_MODES terms and two short
-# polynomials instead of n_modes - 1 terms.
-_DIRECT_MODES = 7
-_SERIES_TERMS = 10
+# r = (x_1 / x_m)^2 there, m the first of those modes; the r^J < 1e-17 of
+# ``_series`` leaves a remainder below 1e-17 of their sum.  The sums over the
+# modes are fixed per geometry, so a frequency costs a short polynomial
+# (6 powers at 64 modes) in place of n_modes/2 terms.
 
 
-def _series(squares: tuple[float, ...], k: tuple[float, ...]) -> list[float]:
+def _series(squares: tuple[float, ...], k: tuple[float, ...], ratio: float) -> tuple[float, ...]:
     """The coefficients, highest power of k0^2 first, of the power series of
-    sum_n squares_n / sqrt(k_n^2 - k0^2) over the modes given."""
+    sum_n squares_n / sqrt(k_n^2 - k0^2) over the modes given, to the
+    fewest powers J with ratio^J < 1e-17, or () if J is not fewer than the
+    modes."""
+    count = math.ceil(math.log(1e-17) / math.log(ratio))
+    if count >= len(k):
+        return ()
     terms = list(map(truediv, squares, k))
     ratios = [1.0 / (kn * kn) for kn in k]
     coefficients, a = [], 1.0
-    for j in range(_SERIES_TERMS):
+    for j in range(count):
         coefficients.append(a * sum(terms))
         terms = list(map(mul, terms, ratios))
         a *= (2 * j + 1) / (2 * j + 2)
-    return coefficients[::-1]
+    return tuple(coefficients[::-1])
 
 
 @lru_cache(maxsize=PATCH_CACHE_SIZE, typed=True)
 def _patch_integrals(r1: float, r2: float, n_modes: int) -> tuple[ModalBasis, tuple, tuple]:
     """Basis, then for each mode n >= 1 the squared integral of the
-    normalized eigenmode n over the disk, then the pairs of coefficients of
-    two power series (``_series``): of the modes from _DIRECT_MODES + 1 up
-    to n_modes/2, and of those past n_modes/2; () where n_modes/2 leaves no
-    mode to the first.
+    normalized eigenmode n over the disk, then the power series
+    (``_series``) of the modes past n_modes/2.
 
     The ring's integral of such a mode is minus the disk's, so the square
     is also the ring's and minus the product of the two.  They depend only
@@ -360,9 +362,7 @@ def _patch_integrals(r1: float, r2: float, n_modes: int) -> tuple[ModalBasis, tu
     disk = [r1 * j / kn / w for j, kn, w in zip(bessel_j1([kn * r1 for kn in k]), k, wall)]
     squares = tuple(d * d for d in disk)
     half = _head_size(n_modes)
-    series = () if half <= _DIRECT_MODES else tuple(zip(
-        _series(squares[_DIRECT_MODES:half], k[_DIRECT_MODES:half]),
-        _series(squares[half:], k[half:])))
+    series = _series(squares[half:], k[half:], (k[0] / k[half]) ** 2) if half else ()
     return basis, squares, series
 
 
@@ -433,19 +433,18 @@ def upstream_coupling(
     # squares_n / beta_n times i: -squares_n / |beta_n| for an evanescent
     # mode, i squares_n / beta_n for a propagating one; the sum up to
     # n_modes/2 and the rest, whose size is the truncation's change
+    half = _head_size(n_modes)
     if propagating == 1 and series:
         # below the first cutoff every mode past the plane wave is evanescent
-        k0_squared, far, tail = k0 * k0, 0.0, 0.0
-        for c_far, c_tail in series:  # Horner's rule in k0^2
-            far = far * k0_squared + c_far
-            tail = tail * k0_squared + c_tail
+        k0_squared, tail = k0 * k0, 0.0
+        for c in series:  # Horner's rule in k0^2
+            tail = tail * k0_squared + c
         change = -tail
-        total = change - far - sum([q / sqrt((kn - k0) * (kn + k0)) for q, kn in
-                                    zip(squares[:_DIRECT_MODES], k[1:_DIRECT_MODES + 1])])
+        total = change - sum([q / sqrt((kn - k0) * (kn + k0))
+                              for q, kn in zip(squares[:half], k[1:half + 1])])
     else:
         terms = [-q / sqrt((kn - k0) * (kn + k0)) if kn > k0
                  else 1j * q / sqrt((k0 - kn) * (k0 + kn)) for q, kn in zip(squares, k[1:])]
-        half = _head_size(n_modes)
         change = sum(terms[half:])
         total = sum(terms[:half]) + change
 
