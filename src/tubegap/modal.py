@@ -39,9 +39,8 @@ radii and truncation, so a fresh geometry costs one J1 evaluation over
 
 ``upstream_coupling`` sums one frequency's couplings.  Past the plane
 wave, the ring's patch integral of each mode is minus the disk's, so the
-four coefficients share one modal sum, real below the first cutoff,
-where the part past n_modes/2 comes from a power series summed once per
-geometry; a point's couplings depend on nothing but that point.  The
+four coefficients share one modal sum, real below the first cutoff; a
+point's couplings depend on nothing but that point.  The
 array-returning helpers the acceptance suite reads (``ModalBasis.k``,
 ``coupling_coefficients``) import numpy when called.
 """
@@ -49,11 +48,10 @@ array-returning helpers the acceptance suite reads (``ModalBasis.k``,
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
 from math import sqrt
-from operator import mul, truediv
 from typing import TYPE_CHECKING
 
 from tubegap.errors import ConvergenceError, DomainError
@@ -79,11 +77,10 @@ PATCH_CACHE_SIZE = 32
 # converges exponentially (Trefethen & Weideman, SIAM Rev. 56(3), 2014): 16
 # nodes are the 64-node rule on the full period, whose aliasing error is of
 # the size of J_63(25) = 5e-20.  From _HANKEL_FROM on, Hankel's expansion
-# (DLMF 10.17.3) to at most _HANKEL_TERMS powers of 1/x, and at each x to the
-# fewest whose first omitted term, sqrt(2/(pi x)) a_m(nu) / x^m, is below
-# 1e-17 (all 18 near x = 25, 8 from x = 123).  Both agree with mpmath to a
-# few 1e-16 absolute, and with scipy.special to 1.3e-15, which is scipy's
-# own error near x = 257.
+# (DLMF 10.17.3) to _HANKEL_TERMS powers of 1/x, whose first omitted term,
+# sqrt(2/(pi x)) a_18(nu) / x^18, is below 1e-17 there.  Both agree with
+# mpmath to a few 1e-16 absolute, and with scipy.special to 1.3e-15, which
+# is scipy's own error near x = 257.
 _HANKEL_FROM = 25.0
 _HANKEL_TERMS = 18
 _QUADRATURE_NODES = 16
@@ -114,21 +111,8 @@ def _hankel_coefficients(nu: int) -> list[tuple[float, float]]:
     return coefficients
 
 
-def _hankel_reach() -> list[float]:
-    """For m = _HANKEL_TERMS, _HANKEL_TERMS - 1, ..., 1, the x from which
-    the first m terms suffice: sqrt(2/(pi x)) |a_m(1)| / x^m = 1e-17 there.
-    |a_m(1)| > |a_m(0)|, so J0 needs no more terms than J1."""
-    a, reach = 1.0, []
-    for m in range(1, _HANKEL_TERMS + 1):
-        a *= abs(4 - (2 * m - 1) ** 2) / (8 * m)
-        reach.append((a * math.sqrt(2.0 / math.pi) / 1e-17) ** (1.0 / (m + 0.5)))
-    return reach[::-1]
-
-
-# per nu, the Horner tuples of the first m terms, highest power first, by m
-_HANKEL = tuple(tuple(tuple(reversed(c[:m])) for m in range(_HANKEL_TERMS + 1))
-                for c in (_hankel_coefficients(0), _hankel_coefficients(1)))
-_HANKEL_REACH = _hankel_reach()
+# per nu, the coefficient pairs highest power first, for Horner's rule
+_HANKEL = (tuple(reversed(_hankel_coefficients(0))), tuple(reversed(_hankel_coefficients(1))))
 
 
 def _bessel(nu: int, x: float) -> float:
@@ -142,8 +126,7 @@ def _bessel(nu: int, x: float) -> float:
     else:
         inverse = 1.0 / ax
         a = b = 0.0
-        terms = _HANKEL_TERMS + 1 - bisect_right(_HANKEL_REACH, ax)
-        for c_a, c_b in _HANKEL[nu][terms]:  # Horner's rule in 1/x
+        for c_a, c_b in _HANKEL[nu]:  # Horner's rule in 1/x
             a = a * inverse + c_a
             b = b * inverse + c_b
         value = math.sqrt(inverse) * (a * math.cos(ax) + b * math.sin(ax))
@@ -313,40 +296,10 @@ def radial_integral(k: float, a: float, b: float) -> float:
     return (b * j_b - a * j_a) / k
 
 
-# Below the first duct cutoff, k0 < k_1, the modes past n_modes/2, whose sum
-# is the truncation's change, enter the coupling sum through a power series
-# in k0^2,
-#     q_n / sqrt(k_n^2 - k0^2) = sum_j a_j (q_n / k_n) (k0 / k_n)^(2 j),
-# a_j = binomial(2 j, j) / 4^j, whose ratio (k0 / k_n)^2 stays below
-# r = (x_1 / x_m)^2 there, m the first of those modes; the r^J < 1e-17 of
-# ``_series`` leaves a remainder below 1e-17 of their sum.  The sums over the
-# modes are fixed per geometry, so a frequency costs a short polynomial
-# (6 powers at 64 modes) in place of n_modes/2 terms.
-
-
-def _series(squares: tuple[float, ...], k: tuple[float, ...], ratio: float) -> tuple[float, ...]:
-    """The coefficients, highest power of k0^2 first, of the power series of
-    sum_n squares_n / sqrt(k_n^2 - k0^2) over the modes given, to the
-    fewest powers J with ratio^J < 1e-17, or () if J is not fewer than the
-    modes."""
-    count = math.ceil(math.log(1e-17) / math.log(ratio))
-    if count >= len(k):
-        return ()
-    terms = list(map(truediv, squares, k))
-    ratios = [1.0 / (kn * kn) for kn in k]
-    coefficients, a = [], 1.0
-    for j in range(count):
-        coefficients.append(a * sum(terms))
-        terms = list(map(mul, terms, ratios))
-        a *= (2 * j + 1) / (2 * j + 2)
-    return tuple(coefficients[::-1])
-
-
 @lru_cache(maxsize=PATCH_CACHE_SIZE, typed=True)
-def _patch_integrals(r1: float, r2: float, n_modes: int) -> tuple[ModalBasis, tuple, tuple]:
+def _patch_integrals(r1: float, r2: float, n_modes: int) -> tuple[ModalBasis, tuple]:
     """Basis, then for each mode n >= 1 the squared integral of the
-    normalized eigenmode n over the disk, then the power series
-    (``_series``) of the modes past n_modes/2.
+    normalized eigenmode n over the disk.
 
     The ring's integral of such a mode is minus the disk's, so the square
     is also the ring's and minus the product of the two.  They depend only
@@ -360,15 +313,7 @@ def _patch_integrals(r1: float, r2: float, n_modes: int) -> tuple[ModalBasis, tu
     # term r2 J1(k_n r2) is left out: k_n r2 are the roots of J1, so it is
     # roundoff (|J1(x_n)| of a few 1e-15)
     disk = [r1 * j / kn / w for j, kn, w in zip(bessel_j1([kn * r1 for kn in k]), k, wall)]
-    squares = tuple(d * d for d in disk)
-    half = _head_size(n_modes)
-    series = _series(squares[half:], k[half:], (k[0] / k[half]) ** 2) if half else ()
-    return basis, squares, series
-
-
-def _head_size(n_modes: int) -> int:
-    """How many modes past the plane wave the truncation at n_modes/2 keeps."""
-    return max(n_modes // 2 - 1, 0)
+    return basis, tuple(d * d for d in disk)
 
 
 @dataclass(frozen=True)
@@ -421,7 +366,7 @@ def upstream_coupling(
     if not (f > 0 and math.isfinite(f)):
         raise DomainError(f"frequency must be positive, got {f}")
     r1, r2 = geometry.r1, geometry.r2
-    basis, squares, series = _patch_integrals(r1, r2, n_modes)
+    basis, squares = _patch_integrals(r1, r2, n_modes)
     k = basis.wavenumbers
     k0 = 2.0 * math.pi * f / medium.c0
     # modes 0 .. propagating - 1 propagate; only the two on either side of
@@ -433,20 +378,11 @@ def upstream_coupling(
     # squares_n / beta_n times i: -squares_n / |beta_n| for an evanescent
     # mode, i squares_n / beta_n for a propagating one; the sum up to
     # n_modes/2 and the rest, whose size is the truncation's change
-    half = _head_size(n_modes)
-    if propagating == 1 and series:
-        # below the first cutoff every mode past the plane wave is evanescent
-        k0_squared, tail = k0 * k0, 0.0
-        for c in series:  # Horner's rule in k0^2
-            tail = tail * k0_squared + c
-        change = -tail
-        total = change - sum([q / sqrt((kn - k0) * (kn + k0))
-                              for q, kn in zip(squares[:half], k[1:half + 1])])
-    else:
-        terms = [-q / sqrt((kn - k0) * (kn + k0)) if kn > k0
-                 else 1j * q / sqrt((k0 - kn) * (k0 + kn)) for q, kn in zip(squares, k[1:])]
-        change = sum(terms[half:])
-        total = sum(terms[:half]) + change
+    terms = [-q / sqrt((kn - k0) * (kn + k0)) if kn > k0
+             else 1j * q / sqrt((k0 - kn) * (k0 + kn)) for q, kn in zip(squares, k[1:])]
+    half = max(n_modes // 2 - 1, 0)  # the modes past the plane wave n_modes/2 keeps
+    change = sum(terms[half:])
+    total = sum(terms[:half]) + change
 
     ring_sq = r2 * r2 - r1 * r1
     w_disk, w_cross, w_ring = 1.0 / r1 ** 4, 1.0 / (r1 * r1 * ring_sq), 1.0 / ring_sq ** 2

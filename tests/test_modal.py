@@ -212,10 +212,10 @@ class TestCouplingCoefficients:
         with pytest.raises(DomainError):
             coupling_coefficients(sample1_geometry, medium, -5.0)
 
-    # sample 1 at the default truncation and at the smallest one summed in
-    # part by power series, and r1/r2 = 0.9 at 128 modes; 2950 Hz lies just
-    # below the first duct cutoff (2988.2 Hz), where the series converge
-    # slowest, and 4 and 6 kHz above the first and the second cutoff
+    # sample 1 at the default truncation and at 22 modes, and r1/r2 = 0.9 at
+    # 128 modes; 2950 Hz lies just below the first duct cutoff (2988.2 Hz),
+    # where the evanescent terms decay slowest, and 4 and 6 kHz above the
+    # first and the second cutoff
     @pytest.mark.parametrize("r1, n_modes", [(0.040, 64), (0.040, 22), (0.063, 128)])
     @pytest.mark.parametrize("f", [300.0, 1300.0, 2500.0, 2950.0, 4000.0, 6000.0])
     def test_matches_mpmath_modal_sums(self, medium, monkeypatch, r1, n_modes, f):
