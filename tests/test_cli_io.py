@@ -565,17 +565,18 @@ class TestCli:
 
     def test_branch_seed_flag(self, cfg_path, tmp_path, capsys):
         """A one-point sweep is retrieved on the seed given, and the warning
-        names that seed."""
+        names that seed; a negative seed is a value, not an option."""
         tr = tmp_path / "tr.csv"
         out = tmp_path / "props.csv"
         assert self.run("forward", "--config", str(cfg_path), "--set", "sweep.count=1",
                         "--output", str(tr)) == 0
-        capsys.readouterr()
-        assert self.run("retrieve", "--config", str(cfg_path), "--input", str(tr),
-                        "--output", str(out), "--branch-seed", "1") == 0
-        row = read_results_csv(out)[0]
-        assert row["branch_m"] == 1
-        assert "using seed m=1" in capsys.readouterr().err
+        for seed in (1, -1):
+            capsys.readouterr()
+            assert self.run("retrieve", "--config", str(cfg_path), "--input", str(tr),
+                            "--output", str(out), "--branch-seed", str(seed)) == 0
+            row = read_results_csv(out)[0]
+            assert row["branch_m"] == seed
+            assert f"using seed m={seed}" in capsys.readouterr().err
 
     def test_field_dump_needs_fdfd(self, cfg_path, tmp_path, capsys):
         tr, dump = tmp_path / "tr.csv", tmp_path / "field.csv"
@@ -699,16 +700,6 @@ class TestCli:
         assert self.run("forward", "--conf", str(cfg_path), "--out", str(tr2),
                         "--meth=averaged", "--allow") == 0
         assert tr1.read_bytes() == tr2.read_bytes()
-
-    def test_negative_value(self, cfg_path, tmp_path, capsys):
-        tr, out = tmp_path / "tr.csv", tmp_path / "props.csv"
-        assert self.run("forward", "--config", str(cfg_path), "--set", "sweep.count=1",
-                        "--output", str(tr)) == 0
-        capsys.readouterr()
-        assert self.run("retrieve", "--config", str(cfg_path), "--input", str(tr),
-                        "--output", str(out), "--branch-seed", "-1") == 0
-        assert "using seed m=-1" in capsys.readouterr().err
-        assert read_results_csv(out)[0]["branch_m"] == -1
 
     def test_repeated_options(self, cfg_path, tmp_path, capsys):
         """``--set`` applies in order, so the later of two equal keys wins;
@@ -851,26 +842,27 @@ def test_fdfd_forward_meets_the_benchmark_gate(tmp_path, monkeypatch):
 
 
 def test_cli_and_averaged_roundtrip_load_no_slow_modules(cfg_path):
-    """Neither importing the CLI nor a default one-point averaged round trip
-    loads numpy or any scipy module: the averaged path is plain Python with
-    its own Bessel functions, and scipy is imported only to search J1 roots
-    beyond the 127-root table.  The CLI parses its arguments from its own
-    command table, so argparse and gettext stay out too, and its medians
-    need no statistics module."""
+    """Neither importing the CLI nor a one-point averaged round trip, at the
+    default truncation or at 200 modes, loads numpy or any scipy module: the
+    averaged path is plain Python with its own Bessel functions, and it
+    searches the J1 roots past the 127-root table itself.  The CLI parses
+    its arguments from its own command table, so argparse and gettext stay
+    out too, and its medians need no statistics module."""
     src = str(Path(tubegap.__file__).resolve().parents[1])
     probe = ("import contextlib, io, sys, tubegap.cli\n"
              "def slow_modules():\n"
              "    return sorted(m for m in sys.modules if m.startswith(('scipy', 'numpy'))\n"
              "                  or m in ('argparse', 'gettext', 'statistics'))\n"
              "print('import', *slow_modules())\n"
-             "with contextlib.redirect_stdout(io.StringIO()):\n"
-             "    code = tubegap.cli.main(['roundtrip', '--config', sys.argv[1], "
-             "'--method', 'averaged', '--set', 'sweep.count=1'])\n"
-             "print('roundtrip', code, *slow_modules())\n")
+             "for modes in ([], ['--modes', '200']):\n"
+             "    with contextlib.redirect_stdout(io.StringIO()):\n"
+             "        code = tubegap.cli.main(['roundtrip', '--config', sys.argv[1], "
+             "'--method', 'averaged', '--set', 'sweep.count=1', *modes])\n"
+             "    print('roundtrip', *modes, code, *slow_modules())\n")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     done = subprocess.run([sys.executable, "-c", probe, str(cfg_path)], capture_output=True,
                           text=True, env=env, timeout=60, check=True)
-    assert done.stdout.splitlines() == ["import", "roundtrip 0"]
+    assert done.stdout.splitlines() == ["import", "roundtrip 0", "roundtrip --modes 200 0"]
 
 
 def test_simulator_loads_numpy_only_to_build_a_scene(cfg_path):
@@ -955,29 +947,48 @@ def test_every_package_definition_is_used():
 
 
 def test_every_third_party_import_is_declared():
-    """Each module imported under src/ and tests/ is the standard library's,
-    the package's or a test helper's, or its distribution is listed in
-    pyproject.toml's dependencies or its test extra (read as text, as
-    tomllib needs Python 3.11)."""
+    """Three rules on pyproject.toml (read as text, as tomllib needs Python
+    3.11): each third-party module imported under src/ is a distribution in
+    ``dependencies``; each of those is imported under src/; and each
+    imported under tests/ is in ``dependencies`` or the test extra.  So
+    neither a runtime import of a test-only distribution nor a dependency
+    that the package no longer imports passes."""
     root = Path(__file__).resolve().parents[1]
     pyproject = (root / "pyproject.toml").read_text()
-    declared = set()
-    for key in ("dependencies", "test"):
+
+    def normalized(names):
+        return {name.lower().replace("_", "-") for name in names}
+
+    def declared(key):
         block = re.search(rf"^{key} = \[(.*?)\]", pyproject, re.M | re.S).group(1)
-        declared |= {name.lower().replace("_", "-") for name in re.findall(r'"([\w.-]+)', block)}
+        return normalized(re.findall(r'"([\w.-]+)', block))
+
     local = {"tubegap"} | {path.stem for path in (root / "tests").glob("*.py")}
     distributions = importlib.metadata.packages_distributions()
-    undeclared = set()
-    for path in [*(root / "src").rglob("*.py"), *(root / "tests").glob("*.py")]:
-        for node in ast.walk(ast.parse(path.read_text(), str(path))):
-            if isinstance(node, ast.Import):
-                names = [alias.name for alias in node.names]
-            elif isinstance(node, ast.ImportFrom) and node.level == 0:
-                names = [node.module]
-            else:
-                continue
-            for top in {name.split(".")[0] for name in names} - sys.stdlib_module_names - local:
-                if not {d.lower().replace("_", "-")
-                        for d in distributions.get(top, [top])} & declared:
-                    undeclared.add(f"{top} ({path.relative_to(root)})")
-    assert not undeclared, sorted(undeclared)
+
+    def imported(paths):
+        """Each third-party module imported by ``paths``, with the
+        distributions that provide it and the first file that imports it."""
+        found = {}
+        for path in paths:
+            for node in ast.walk(ast.parse(path.read_text(), str(path))):
+                if isinstance(node, ast.Import):
+                    names = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                    names = [node.module]
+                else:
+                    continue
+                for top in {name.split(".")[0] for name in names} - sys.stdlib_module_names - local:
+                    found.setdefault(top, (normalized(distributions.get(top, [top])),
+                                           path.relative_to(root)))
+        return found
+
+    def undeclared(found, allowed):
+        return sorted(f"{top} ({path})" for top, (provided, path) in found.items()
+                      if not provided & allowed)
+
+    runtime, test_extra = declared("dependencies"), declared("test")
+    package = imported(sorted((root / "src").rglob("*.py")))
+    assert not undeclared(package, runtime)
+    assert not runtime - set().union(*(provided for provided, _ in package.values()))
+    assert not undeclared(imported(sorted((root / "tests").glob("*.py"))), runtime | test_extra)

@@ -33,6 +33,25 @@ def mp_j1_roots(count):
         return tuple(mpmath.besseljzero(1, n) for n in range(1, count + 1))
 
 
+@lru_cache(maxsize=None)
+def mp_j1_roots_past_table(last):
+    """Roots 128 to ``last`` of mpmath's J1 at 30 digits: one Newton step
+    from McMahon's expansion to its 1/a^7 term, which starts within 1e-22
+    of each root.  Checked against ``mpmath.besseljzero`` at both ends
+    only: it takes about 10 ms a root, some 10 s for all of them."""
+    with mpmath.workdps(REFERENCE_DPS):
+        roots = []
+        for m in range(128, last + 1):
+            b = 1 / (8 * (m + mpmath.mpf(1) / 4) * mpmath.pi)
+            x = 1 / (8 * b) - 3 * b + 12 * b ** 3 - mpmath.mpf(113184) / 15 * b ** 5 \
+                + mpmath.mpf(374632128) / 105 * b ** 7
+            j1 = mpmath.besselj(1, x)
+            roots.append(x - j1 / (mpmath.besselj(0, x) - j1 / x))
+        for m in (128, last):
+            assert abs(roots[m - 128] - mpmath.besseljzero(1, m)) < mpmath.mpf(10) ** -25
+        return tuple(roots)
+
+
 def mp_coupling_upstream(geometry, medium, f, n_modes):
     """Truncated modal sums of the upstream coupling matrix, in mpmath only.
 
@@ -71,34 +90,6 @@ class TestWavenumbers:
     def test_first_cutoff(self, sample1_geometry, medium):
         assert first_cutoff_frequency(sample1_geometry, medium) == pytest.approx(2988.0, abs=1.0)
 
-    def test_axial_branch(self, sample1_geometry, medium):
-        basis = duct_wavenumbers(sample1_geometry, 4)
-        beta = basis.axial_wavenumbers(1000.0, medium)
-        assert beta[0].imag == 0.0 and beta[0].real > 0
-        # evanescent modes sit on the -i branch (decaying, mass-like loading)
-        assert all(b.real == 0.0 and b.imag < 0.0 for b in beta[1:])
-
-    def test_frequency_rows(self, sample1_geometry, medium):
-        """Each frequency, below the first duct cutoff to above the second,
-        gives one wavenumber per mode with the bits of the branch rule taken
-        over the whole basis as a numpy expression."""
-        basis = duct_wavenumbers(sample1_geometry, 64)
-        for f in (300.0, 1000.0, 2900.0, 6000.0):
-            k0 = 2.0 * math.pi * f / medium.c0
-            diff = (k0 - basis.k) * (k0 + basis.k)
-            root = np.sqrt(np.abs(diff))
-            expected = np.where(diff > 0, root, -1j * root)
-            row = basis.axial_wavenumbers(f, medium)
-            assert len(row) == 64
-            assert np.array(row).tobytes() == expected.tobytes(), f
-
-    def test_cutoff_refused_with_frequency_and_mode(self, sample1_geometry, medium):
-        basis = duct_wavenumbers(sample1_geometry, 4)
-        on_cutoff = float(basis.k[1] * medium.c0 / (2.0 * math.pi))
-        assert 2.0 * math.pi * on_cutoff / medium.c0 == basis.k[1]
-        with pytest.raises(DomainError, match=f"{on_cutoff} Hz .* duct mode 1$"):
-            basis.axial_wavenumbers(on_cutoff, medium)
-
     def test_roots_match_mpmath(self, sample1_geometry):
         """k_n r2 are the J1 roots to 1e-13 relative over a 128-mode basis."""
         basis = duct_wavenumbers(sample1_geometry, 128)
@@ -109,34 +100,44 @@ class TestWavenumbers:
 
 
 class TestJ1Roots:
-    """The root table behind the duct eigenmodes: the plane wave (x_0 = 0)
+    """The roots behind the duct eigenmodes: the plane wave (x_0 = 0)
     followed by the positive roots of J1, a constant copy of ``jn_zeros`` up
-    to 127 roots and ``jn_zeros`` itself beyond; and the mode-count
-    validation in front of it."""
+    to 127 roots and a search from McMahon's expansion beyond; and the
+    mode-count validation in front of them."""
 
     def test_table_is_jn_zeros(self):
-        """The constant table and the jn_zeros fallback beyond it equal
-        jn_zeros bit for bit, for every truncation up to 200 modes."""
-        for n in range(1, 201):
+        """The constant table equals jn_zeros bit for bit, for every
+        truncation it serves (up to 128 modes)."""
+        for n in range(1, 129):
             positive = jn_zeros(1, n - 1) if n > 1 else np.zeros(0)
             expected = np.concatenate(([0.0], positive))
             assert np.array(_j1_roots(n)).tobytes() == expected.tobytes(), n
 
+    def test_searched_roots_within_an_ulp_of_mpmath(self):
+        """Every root past the table, 128 to 1100, is within 1 ulp of the
+        root of mpmath's J1 at 30 digits."""
+        roots = _j1_roots(1101)[128:]
+        reference = mp_j1_roots_past_table(1100)
+        assert len(roots) == len(reference) == 973
+        for m, (x, ref) in enumerate(zip(roots, reference), 128):
+            assert abs(mpmath.mpf(x) - ref) <= math.ulp(x), m
+
     def test_roots_searched_once_per_truncation(self, medium, monkeypatch):
-        """Two fresh geometries at 200 modes, past the constant table, share
-        one ``jn_zeros`` search."""
+        """Two fresh geometries at 200 modes share one search, for the 72
+        roots past the constant table."""
         calls = []
+        search = modal._search_j1_roots
 
-        def counting_jn_zeros(n, nt):
-            calls.append(nt)
-            return jn_zeros(n, nt)
+        def counting_search(first, last):
+            calls.append((first, last))
+            return search(first, last)
 
-        monkeypatch.setattr(modal, "jn_zeros", counting_jn_zeros)
+        monkeypatch.setattr(modal, "_search_j1_roots", counting_search)
         _j1_roots.cache_clear()
         for r2 in (0.0731, 0.0737):
             geometry = DuctGeometry(r1=0.031, r2=r2, t=0.0052)
             coupling_coefficients(geometry, medium, 700.0, n_modes=200)
-        assert calls == [199]
+        assert calls == [(128, 199)]
 
     @pytest.mark.parametrize("bad", [0, -3, 2.5])
     def test_count_validation(self, bad):
