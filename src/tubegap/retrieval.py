@@ -388,8 +388,8 @@ def retrieve_sweep(
     Each point gives z1 (Re z1 >= 0) and the principal phase
     2 arctan(-i Z1-/z1) of theta = k0 n1 t, whose sign is ``sign_choice``;
     theta = phase + 2 pi m, with m = ``config.branch_seed`` (0 if None) at
-    the first non-degenerate point and then the m within two of the
-    predecessor's that keeps n1 closest to the predecessor's.  Points above
+    the first non-degenerate point and then the m that keeps n1 closest to
+    the predecessor's, however many branches the step crosses.  Points above
     the first duct cutoff are flagged "above_cutoff"; degenerate points are
     filled by linear interpolation from their neighbours, flagged "interpolated".
     """
@@ -430,8 +430,7 @@ def retrieve_sweep(
             k0t = 2.0 * math.pi * f / medium.c0 * geometry.t
             m = seed_m
             if prev_n1 is not None:
-                nearest = round((prev_n1 * k0t - phase).real / (2.0 * math.pi))
-                m = min(max(nearest, prev_m - 2), prev_m + 2)
+                m = round((prev_n1 * k0t - phase).real / (2.0 * math.pi))
             theta = phase + 2.0 * math.pi * m
             n1, sign = theta / k0t, 1 if phase.real >= 0 else -1
             cond = spread * max(0.5, slope / abs(theta)) if theta else math.inf

@@ -8,6 +8,7 @@ import importlib.util
 import math
 import os
 import re
+import statistics
 import subprocess
 import sys
 from pathlib import Path
@@ -233,6 +234,12 @@ class TestCli:
                         "--tolerance", "1e-6") == 0
         out = capsys.readouterr().out
         assert "PASS" in out
+        # each printed median is the median of the four printed per-point errors
+        rows = [line.split() for line in out.splitlines()[2:6]]
+        for column, name in ((3, "n1"), (4, "z1/z2")):
+            median = re.search(rf"{re.escape(name)}: median (\S+),", out).group(1)
+            errors = [float(row[column]) for row in rows]
+            assert float(median) == pytest.approx(statistics.median(errors), rel=1e-2, abs=0)
 
     def test_roundtrip_over_tolerance_fails(self, cfg_path, capsys):
         code = self.run("roundtrip", "--config", str(cfg_path), "--method", "averaged",
@@ -288,7 +295,9 @@ class TestCli:
                         "--freq", "5000") == 0
         out = capsys.readouterr().out
         assert "2988" in out          # first cutoff
-        assert "propagating" in out   # 5000 Hz is above mode-1 cutoff
+        # 5000 Hz lies between the cutoffs of modes 1 (2988 Hz) and 2 (5471 Hz)
+        states = [line.split()[-1] for line in out.splitlines()[2:5]]
+        assert states == ["propagating", "propagating", "evanescent"]
 
     def test_missing_input_is_validation_error(self, cfg_path, tmp_path, capsys):
         code = self.run("retrieve", "--config", str(cfg_path),
@@ -842,27 +851,31 @@ def test_fdfd_forward_meets_the_benchmark_gate(tmp_path, monkeypatch):
 
 
 def test_cli_and_averaged_roundtrip_load_no_slow_modules(cfg_path):
-    """Neither importing the CLI nor a one-point averaged round trip, at the
-    default truncation or at 200 modes, loads numpy or any scipy module: the
-    averaged path is plain Python with its own Bessel functions, and it
-    searches the J1 roots past the 127-root table itself.  The CLI parses
-    its arguments from its own command table, so argparse and gettext stay
-    out too, and its medians need no statistics module."""
+    """Neither importing the CLI nor an averaged round trip to 1e-10, of one
+    point at the default truncation or at 200 modes or of sample 1's
+    45-point sweep, loads numpy or any scipy module: the averaged path is
+    plain Python with its own Bessel functions, and it searches the J1
+    roots past the 127-root table itself.  The CLI parses its arguments
+    from its own command table, so argparse and gettext stay out too, and
+    its medians need no statistics module."""
     src = str(Path(tubegap.__file__).resolve().parents[1])
     probe = ("import contextlib, io, sys, tubegap.cli\n"
              "def slow_modules():\n"
              "    return sorted(m for m in sys.modules if m.startswith(('scipy', 'numpy'))\n"
              "                  or m in ('argparse', 'gettext', 'statistics'))\n"
              "print('import', *slow_modules())\n"
-             "for modes in ([], ['--modes', '200']):\n"
+             "for extra in (['sweep.count=1'], ['sweep.count=1', '--modes', '200'],\n"
+             "              ['sweep.start=300', '--set', 'sweep.stop=2500',\n"
+             "               '--set', 'sweep.count=45']):\n"
              "    with contextlib.redirect_stdout(io.StringIO()):\n"
              "        code = tubegap.cli.main(['roundtrip', '--config', sys.argv[1], "
-             "'--method', 'averaged', '--set', 'sweep.count=1', *modes])\n"
-             "    print('roundtrip', *modes, code, *slow_modules())\n")
+             "'--method', 'averaged', '--tolerance', '1e-10', '--set', *extra])\n"
+             "    print('roundtrip', extra[-1], code, *slow_modules())\n")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     done = subprocess.run([sys.executable, "-c", probe, str(cfg_path)], capture_output=True,
                           text=True, env=env, timeout=60, check=True)
-    assert done.stdout.splitlines() == ["import", "roundtrip 0", "roundtrip --modes 200 0"]
+    assert done.stdout.splitlines() == ["import", "roundtrip sweep.count=1 0", "roundtrip 200 0",
+                                        "roundtrip sweep.count=45 0"]
 
 
 def test_simulator_loads_numpy_only_to_build_a_scene(cfg_path):

@@ -206,11 +206,11 @@ class TestCouplingCoefficients:
 
     def test_convergence_tolerance_enforced(self, sample1_geometry, medium, monkeypatch):
         monkeypatch.setattr(modal, "SUM_TOLERANCE", 1e-9)
-        with pytest.raises(ConvergenceError):
+        with pytest.raises(ConvergenceError, match="at 1000.0 Hz$"):
             coupling_coefficients(sample1_geometry, medium, 1000.0, n_modes=64)
 
     def test_frequency_validation(self, sample1_geometry, medium):
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="got -5.0$"):
             coupling_coefficients(sample1_geometry, medium, -5.0)
 
     # sample 1 at the default truncation and at 22 modes, and r1/r2 = 0.9 at

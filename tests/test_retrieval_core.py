@@ -18,7 +18,6 @@ from tubegap.retrieval import (
     DegenerateFieldsError,
     FieldState,
     TransferMatrix,
-    forward_averaged_sweep,
     impedance_from_fields,
     index_from_fields,
     retrieve_sweep,
@@ -208,7 +207,7 @@ class TestSolveFields:
         rng = np.random.default_rng(3)
         rows = rng.normal(size=(2, 2, 4)) + 1j * rng.normal(size=(2, 2, 4))
         upstream = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-        u, response, _ = retrieval_module._solve_halves(rows.tolist(), upstream.tolist(), 500.0)
+        u, response, cond = retrieval_module._solve_halves(rows.tolist(), upstream.tolist(), 500.0)
         p, residual = retrieval_module._pressures(rows.tolist(), upstream.tolist(), u)
         a = rows[..., :2] @ upstream + rows[..., 2:]
         y = -rows[..., :2].sum(axis=-1)
@@ -216,11 +215,42 @@ class TestSolveFields:
         assert np.allclose(response, np.linalg.solve(a, np.array([1.0, 0.0])), rtol=1e-12)
         assert np.allclose(p, 1.0 + (upstream @ np.array(u)[..., None])[..., 0], rtol=1e-12)
         assert residual < 1e-12
+        # the condition number is numpy's of the column-equilibrated halves
+        equilibrated = a / np.abs(a).max(axis=-2, keepdims=True)
+        assert cond == pytest.approx(np.linalg.cond(equilibrated).max(), rel=1e-12)
+        # a perturbed u leaves the layer rows' residual A du in the pressures' residual
+        du = 1e-6 * (rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
+        _, residual = retrieval_module._pressures(rows.tolist(), upstream.tolist(),
+                                                  (np.array(u) + du).tolist())
+        expected = np.sqrt(0.5 * (np.abs(a @ du[..., None]) ** 2).sum(axis=(-2, -1)).max())
+        assert residual == pytest.approx(expected, rel=1e-6, abs=0)
 
     def test_singular_system_rejected(self):
         rows, upstream = unit_rows([[0.0, 1.0], [0.0, 2.0]])
         with pytest.raises(IllConditionedSystemError, match="777.0 Hz"):
             retrieval_module._solve_halves(rows, upstream, 777.0)
+
+    def test_singular_half_refused_without_warning(self, monkeypatch):
+        """Nonzero columns with a zero determinant: refused on the infinite
+        condition number and, with the bound lifted, as singular; either way
+        naming f, and with no floating-point warning."""
+        rows, upstream = unit_rows([[1.0, 1.0], [1.0, 1.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(IllConditionedSystemError,
+                               match="condition number inf .* 1700.0 Hz"):
+                retrieval_module._solve_halves(rows, upstream, 1700.0)
+            monkeypatch.setattr(retrieval_module, "MAX_CONDITION", math.inf)
+            with pytest.raises(IllConditionedSystemError, match="singular at 1700.0 Hz") as err:
+                retrieval_module._solve_halves(rows, upstream, 1700.0)
+        assert err.value.frequency == 1700.0
+
+    def test_non_finite_column_refused(self):
+        rows, upstream = unit_rows([[math.inf, 0.0], [0.0, 1.0]])
+        with pytest.raises(IllConditionedSystemError,
+                           match="non-finite column at 1300.0 Hz") as err:
+            retrieval_module._solve_halves(rows, upstream, 1300.0)
+        assert err.value.frequency == 1300.0
 
     def test_condition_gate(self):
         # two almost linearly dependent columns: equilibration cannot help
@@ -245,72 +275,6 @@ class TestSolveFields:
         assert err.value.frequency == 900.0
         with pytest.raises(IllConditionedSystemError, match="900.0 Hz"):
             retrieve_sweep(data, sample1_geometry, medium)
-
-
-def solve_in_order(points):
-    """``_solve_halves`` on each (rows, upstream, f) in turn, as a sweep does."""
-    return [retrieval_module._solve_halves(*point) for point in points]
-
-
-class TestStackedRefusals:
-    """A refusal of a sweep's half systems names the first failing point."""
-
-    FREQS = [500.0, 900.0, 1300.0, 1700.0, 2100.0]
-
-    @pytest.fixture
-    def stack(self, sample1_geometry, medium, sample1_z2):
-        """Each point's (rows, upstream, f), with the rows and the couplings
-        as nested lists a test can change."""
-        sweep = forward_averaged_sweep(5.0, 15.0 * sample1_z2, sample1_geometry, medium,
-                                       self.FREQS)
-        return [(np.array(rows).tolist(), np.array(upstream).tolist(), f)
-                for rows, upstream, f in (measured_halves(d, sample1_geometry, medium)
-                                          for d in sweep)]
-
-    def test_non_finite_column_names_its_point(self, stack):
-        stack[2][0][0][0][3] = math.inf
-        with pytest.raises(IllConditionedSystemError, match="1300.0 Hz") as err:
-            solve_in_order(stack)
-        assert err.value.frequency == 1300.0
-
-    def test_first_point_above_the_bound_is_named(self, stack, monkeypatch):
-        cond = np.array([c for _, _, c in solve_in_order(stack)])
-        # the bound sits between two points' condition numbers, with points on either side
-        limit = 0.5 * (np.sort(cond)[1] + np.sort(cond)[2])
-        first = int(np.flatnonzero(cond > limit)[0])
-        assert (cond <= limit).sum() == 2 and (cond[first + 1:] > limit).any()
-        monkeypatch.setattr(retrieval_module, "MAX_CONDITION", limit)
-        with pytest.raises(IllConditionedSystemError) as err:
-            solve_in_order(stack)
-        assert err.value.frequency == self.FREQS[first]
-
-    @staticmethod
-    def make_singular(stack):
-        # the fourth point's halves both become A = [[1, 1], [1, 1]], nonzero columns
-        rows, upstream, _ = stack[3]
-        upstream[:] = [[0j, 0j], [0j, 0j]]
-        for half in rows:
-            for row in half:
-                row[2:] = [1.0, 1.0]
-
-    def test_exactly_singular_point_refused_without_warning(self, stack):
-        self.make_singular(stack)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(IllConditionedSystemError, match="condition number inf") as err:
-                solve_in_order(stack)
-        assert err.value.frequency == 1700.0
-
-    def test_singular_solve_names_its_point(self, stack, monkeypatch):
-        """With the condition bound lifted, Cramer's rule meets a zero
-        determinant, and the refusal still names the singular point."""
-        self.make_singular(stack)
-        monkeypatch.setattr(retrieval_module, "MAX_CONDITION", math.inf)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(IllConditionedSystemError, match="singular at 1700.0 Hz") as err:
-                solve_in_order(stack)
-        assert err.value.frequency == 1700.0
 
 
 def layer_fields(n1, z1, k0, t, p_out=1.0 + 0j, u_out=0.0 + 0j):
@@ -392,6 +356,40 @@ class TestExtraction:
         state = layer_fields(3.0, 2.0, k0=0.5, t=1.0)
         z = impedance_from_fields(state)
         assert z.real >= 0
+
+    @pytest.mark.parametrize("helper", ["impedance", "index"])
+    @pytest.mark.parametrize("factor", [0.9, 1.1])
+    def test_point_terms_degenerate_where_the_helpers_raise(self, helper, factor):
+        """Half fields at ``factor`` times a helper's degeneracy bound: the
+        sweep's ``_point_terms`` flags the impedance or the index exactly
+        where ``impedance_from_fields`` or ``index_from_fields`` raises on
+        the same faces' fields, and only inside the bound."""
+        pe, po, ue = 0.7 - 0.2j, 0.3 + 0.4j, 1.0 + 0j
+        if helper == "impedance":
+            # u- = i s: |u+ u-| / max(|u_in|, |u_out|)^2 = s / (1 + s^2) = factor 1e-6 / 4
+            target = factor * 2.5e-7
+            uo = 2j * target / (1.0 + math.sqrt(1.0 - 4.0 * target * target))
+        else:
+            # p- = p+ u- (1 + d) / u+: |p+ u- - p- u+| = factor 1e-12 / 2 of the cross scale
+            uo = 0.5 + 0.3j
+            cross = max(abs(pe + pe * uo) * abs(uo - ue), abs(pe - pe * uo) * abs(ue + uo))
+            po = pe * uo * (1.0 + factor * 5e-13 * cross / abs(pe * uo) * (0.6 + 0.8j))
+        p, u = ((pe, 0j), (po, 0j)), ((ue, 0j), (uo, 0j))
+        _, _, bad_z, bad_n, _, _ = retrieval_module._point_terms(
+            p, u, ((0j, 0j), (0j, 0j)), (0.1, 0.2), (1.0, 1.0), (1.0, 1.0, 1.0))
+        state = FieldState(*face_fields(p, u))
+
+        def raises(extract, *args):
+            try:
+                extract(state, *args)
+            except DegenerateFieldsError:
+                return True
+            return False
+
+        assert bad_z == raises(impedance_from_fields)
+        assert bad_n == raises(index_from_fields, 1.0, 1.0)
+        inside = factor < 1.0
+        assert (bad_z, bad_n) == (inside and helper == "impedance", inside and helper == "index")
 
     def test_energy_conservation_through_lossless_layer(self):
         """Power flux is identical on the two faces of a lossless layer."""

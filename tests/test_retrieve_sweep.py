@@ -90,8 +90,7 @@ class TestRoundTripProperty:
         n1, z1 = n1_re * (1.0 - 1j * n1_loss), z1_ratio * z2 * (1.0 - 1j * z1_loss)
         cutoff = modal.first_cutoff_frequency(geometry, medium)
         # Re(n1) k0 t < pi at the first point, so the automatic seed (branch 0)
-        # holds; the top of the sweep at most 5 times higher keeps every
-        # step within the tracker's two branches
+        # holds; each later point takes the branch nearest its predecessor's n1
         f_lo = start * min(medium.c0 / (2.0 * n1_re * t), 0.9 * cutoff)
         f_hi = min(f_lo * (1.0 + 4.0 * span), 0.95 * cutoff)
         freqs = np.linspace(f_lo, f_hi, points).tolist() if points > 1 else [f_lo]
@@ -213,6 +212,17 @@ class TestBranchTracking:
         for prev, cur in zip(results, results[1:]):
             k0 = 2 * math.pi * cur.f / medium.c0
             assert abs(cur.n1 - prev.n1) < math.pi / (k0 * geometry.t) / 2
+
+    def test_step_across_several_branches(self, medium):
+        """Two points whose phases lie three branches apart: the second takes
+        the branch nearest the first point's n1, however far it is."""
+        geometry = DuctGeometry(r1=0.04, r2=0.07, t=0.05)
+        z2 = GapProperties.from_geometry(geometry, medium).z2.real
+        first, second = roundtrip(8.0, 8.0 * z2, geometry, medium, [300.0, 2700.0])
+        assert (first.branch_m, second.branch_m) == (0, 3)
+        for r in (first, second):
+            assert abs(r.n1 - 8.0) <= 1e-8 * 8.0
+            assert abs(r.z1 - 8.0 * z2) <= 1e-8 * 8.0 * z2
 
     def test_branch_seed_override(self, sample1_geometry, medium, sample1_z2):
         sweep = forward_averaged_sweep(5.0, 15.0 * sample1_z2, sample1_geometry, medium, [800.0])
@@ -343,25 +353,6 @@ class TestDegenerateHandling:
         )
         assert "above_cutoff" not in results[0].flags
         assert "above_cutoff" in results[1].flags
-
-
-class TestOneStackedSolve:
-    """A sweep, forward or inverse, solves each point's independent half
-    systems in closed form; its one-point case is the same path."""
-
-    def test_no_dense_linear_algebra(self, sample1_geometry, medium, sample1_z2, monkeypatch):
-        """The averaged path solves its 2x2 halves in closed form: with numpy's
-        dense solvers disabled, a sample-1 forward sweep and its retrieval
-        still run, so their cold-process cost cannot come back unseen."""
-        def disabled(*args, **kwargs):
-            raise AssertionError("numpy.linalg called on the averaged path")
-
-        for name in ("solve", "svd", "inv"):
-            monkeypatch.setattr(np.linalg, name, disabled)
-        freqs = list(np.linspace(300.0, 2500.0, 45))
-        sweep = forward_averaged_sweep(5.0, 15.0 * sample1_z2, sample1_geometry, medium, freqs)
-        results = retrieve_sweep(sweep, sample1_geometry, medium)
-        assert max(abs(r.n1 - 5.0) for r in results) < 1e-10
 
 
 class TestStackedBlocks:
