@@ -18,6 +18,7 @@ from tubegap.retrieval import (
     DegenerateFieldsError,
     FieldState,
     TransferMatrix,
+    forward_averaged_sweep,
     impedance_from_fields,
     index_from_fields,
     retrieve_sweep,
@@ -275,6 +276,55 @@ class TestSolveFields:
         assert err.value.frequency == 900.0
         with pytest.raises(IllConditionedSystemError, match="900.0 Hz"):
             retrieve_sweep(data, sample1_geometry, medium)
+
+
+def solve_in_order(points):
+    """``_solve_halves`` on each (rows, upstream, f) in turn, as a sweep does."""
+    return [retrieval_module._solve_halves(*point) for point in points]
+
+
+class TestStackedRefusals:
+    """A refusal of a sweep's half systems names the first failing point."""
+
+    FREQS = [500.0, 900.0, 1300.0, 1700.0, 2100.0]
+
+    @pytest.fixture
+    def stack(self, sample1_geometry, medium, sample1_z2):
+        """Each point's (rows, upstream, f), with the rows and the couplings
+        as nested lists a test can change."""
+        sweep = forward_averaged_sweep(5.0, 15.0 * sample1_z2, sample1_geometry, medium,
+                                       self.FREQS)
+        return [(np.array(rows).tolist(), np.array(upstream).tolist(), f)
+                for rows, upstream, f in (measured_halves(d, sample1_geometry, medium)
+                                          for d in sweep)]
+
+    @staticmethod
+    def make_singular(stack):
+        # the fourth point's halves both become A = [[1, 1], [1, 1]], nonzero columns
+        rows, upstream, _ = stack[3]
+        upstream[:] = [[0j, 0j], [0j, 0j]]
+        for half in rows:
+            for row in half:
+                row[2:] = [1.0, 1.0]
+
+    def test_exactly_singular_point_refused_without_warning(self, stack):
+        self.make_singular(stack)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(IllConditionedSystemError, match="condition number inf") as err:
+                solve_in_order(stack)
+        assert err.value.frequency == 1700.0
+
+    def test_singular_solve_names_its_point(self, stack, monkeypatch):
+        """With the condition bound lifted, Cramer's rule meets a zero
+        determinant, and the refusal still names the singular point."""
+        self.make_singular(stack)
+        monkeypatch.setattr(retrieval_module, "MAX_CONDITION", math.inf)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(IllConditionedSystemError, match="singular at 1700.0 Hz") as err:
+                solve_in_order(stack)
+        assert err.value.frequency == 1700.0
 
 
 def layer_fields(n1, z1, k0, t, p_out=1.0 + 0j, u_out=0.0 + 0j):
