@@ -14,7 +14,10 @@ The package has two independent halves:
 
 Only the simulator uses numpy, and it imports numpy inside its
 functions: importing the package, or the command line, loads no numpy,
-and neither do the averaged model and the retrieval.
+and neither do the averaged model and the retrieval.  The records are
+namedtuples, so no ``dataclasses`` (nor ``inspect``) loads either:
+``import tubegap.cli`` took about 20 ms without a bytecode cache on a
+2-core host.
 
 The top level exports the sweep workflow (``__all__``); the building
 blocks are imported from their own modules.

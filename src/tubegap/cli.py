@@ -26,6 +26,7 @@ from tubegap.config import RunConfig, parse_value
 from tubegap.datafiles import (read_tr_csv, write_field_csv, write_results_csv, write_sidecar,
                                write_tr_csv)
 from tubegap.errors import ConfigError, DomainError, TubegapError
+# kept at module level: imported in _forward_data, its ~3 ms compile would run inside the command
 from tubegap.fdfd import build_scene, sweep_fields
 from tubegap.modal import duct_wavenumbers, first_cutoff_frequency, refuse_above_cutoff
 from tubegap.retrieval import forward_averaged_sweep, retrieve_sweep

@@ -22,7 +22,6 @@ the modules that own them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from pathlib import Path
 
 from tubegap.datafiles import read_text
@@ -82,11 +81,12 @@ def parse_value(name: str, raw: str, kind: type) -> bool | int | float:
         raise ConfigError(f"cannot parse {name} = {raw!r} as {expected}") from exc
 
 
-@dataclass
 class RunConfig:
-    """Resolved configuration for one CLI run."""
+    """Resolved configuration for one CLI run: ``values`` maps each set key
+    to its parsed value."""
 
-    values: dict[str, object] = field(default_factory=dict)
+    def __init__(self, values: dict[str, object]) -> None:
+        self.values = values
 
     @classmethod
     def from_file(cls, path: str | Path | None, overrides: dict[str, str] | None = None) -> "RunConfig":

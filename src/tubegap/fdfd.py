@@ -74,8 +74,8 @@ from __future__ import annotations
 
 import math
 import warnings
+from collections import namedtuple
 from collections.abc import Iterator
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from tubegap.errors import DomainError, ResolutionError
@@ -93,34 +93,35 @@ MAX_CELLS = 6_000_000
 SWEEP_BLOCK = 64
 
 
-@dataclass(frozen=True)
-class SimGrid:
+class SimGrid(namedtuple("SimGrid", (
+        "geometry medium f_max dx dr nx nr n_sample_cells j_sleeve rho kappa radial_eigenvalues "
+        "radial_modes radial_modes_inv span_eigenvalues span_modes span_modes_inv "
+        "span_air_modes area_weights"))):
     """Frozen simulation scene: grid, media maps, radial modes of the
     terminations and of the sample span.  All arrays are read-only.
 
     Column 0 and column nx - 1 are uniform air; columns 1..n_sample_cells
-    hold the sample, whose upstream face is x = 0."""
+    hold the sample, whose upstream face is x = 0.
 
-    geometry: DuctGeometry
-    medium: MediumProperties
-    f_max: float              # the highest frequency the grid is sized for
-    dx: float
-    dr: float
-    nx: int
-    nr: int
-    n_sample_cells: int
-    j_sleeve: int             # radial face index blocked over the sample span (0 = no sleeve)
-    rho: np.ndarray           # (nx, nr) complex cell densities
-    kappa: np.ndarray         # (nx, nr) complex cell bulk moduli
-    radial_eigenvalues: np.ndarray   # (nr,) lambda_n of the uniform-air radial operator, lambda_0 = 0
-    radial_modes: np.ndarray         # (nr, nr) V, mode n in column n; column 0 is constant
-    radial_modes_inv: np.ndarray     # (nr, nr) V^-1
-    span_eigenvalues: np.ndarray     # (nr,) lambda_m of the sample columns' radial operator times rho
-    span_modes: np.ndarray           # (nr, nr) W, block-diagonal: mode m lies in the block
-                                     # (disk or annulus) of ring m
-    span_modes_inv: np.ndarray       # (nr, nr) W^-1
-    span_air_modes: np.ndarray       # (nr, nr) P = W^-1 V, the air's radial modes in W (real)
-    area_weights: np.ndarray         # (nr,) ring-centre radii, the weights of a column's area average
+    Attributes:
+        f_max: the highest frequency the grid is sized for
+        dx, dr, nx, nr: cell sizes and counts along x and r
+        j_sleeve: radial face index blocked over the sample span (0 = no sleeve)
+        rho, kappa: (nx, nr) complex cell densities and bulk moduli
+        radial_eigenvalues: (nr,) lambda_n of the uniform-air radial
+            operator, lambda_0 = 0
+        radial_modes, radial_modes_inv: (nr, nr) V, mode n in column n
+            (column 0 is constant), and V^-1
+        span_eigenvalues: (nr,) lambda_m of the sample columns' radial
+            operator times rho
+        span_modes, span_modes_inv: (nr, nr) W, block-diagonal: mode m
+            lies in the block (disk or annulus) of ring m; and W^-1
+        span_air_modes: (nr, nr) P = W^-1 V, the air's radial modes in W (real)
+        area_weights: (nr,) ring-centre radii, the weights of a column's
+            area average
+    """
+
+    __slots__ = ()
 
     @property
     def n_pml(self) -> int:

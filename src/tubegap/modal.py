@@ -50,7 +50,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 from math import sqrt
 from typing import TYPE_CHECKING
@@ -223,15 +223,14 @@ def _wall_values(n_modes: int) -> tuple[float, ...]:
     return tuple(bessel_j0(_j1_roots(n_modes)))
 
 
-@dataclass(frozen=True)
-class ModalBasis:
+class ModalBasis(namedtuple("ModalBasis", "wavenumbers")):
     """Radial eigenmode set of a rigid duct, truncated to ``n_modes``.
 
     Attributes:
         wavenumbers: radial wavenumbers k_n = x_n / r2 (1/m), k_0 == 0
     """
 
-    wavenumbers: tuple[float, ...]
+    __slots__ = ()
 
     @property
     def n_modes(self) -> int:
@@ -311,8 +310,8 @@ def _patch_integrals(r1: float, r2: float, n_modes: int) -> tuple[ModalBasis, tu
     return basis, tuple(d * d for d in disk)
 
 
-@dataclass(frozen=True)
-class CouplingCoefficients:
+class CouplingCoefficients(namedtuple("CouplingCoefficients",
+                                      "frequency upstream downstream rel_change")):
     """Radiation coupling of the (sample, gap) patches to the duct sides.
 
     ``upstream[i, j]`` is the averaged pressure on patch i at the upstream
@@ -327,10 +326,7 @@ class CouplingCoefficients:
     entry when the modal truncation is doubled from n_modes/2 to n_modes.
     """
 
-    frequency: float
-    upstream: np.ndarray
-    downstream: np.ndarray
-    rel_change: float
+    __slots__ = ()
 
 
 def upstream_coupling(

@@ -34,7 +34,8 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, replace
+import operator
+from collections import namedtuple
 
 from tubegap.errors import (DegenerateSampleError, DomainError, IllConditionedSystemError,
                             SingularMeasurementError, TubegapError)
@@ -56,8 +57,7 @@ class DegenerateFieldsError(TubegapError):
     """The field combination needed by an extraction formula vanished."""
 
 
-@dataclass(frozen=True)
-class TransferMatrix:
+class TransferMatrix(namedtuple("TransferMatrix", "m11 m12 m21 m22")):
     """2x2 layer matrix mapping (pressure, velocity) at x=0 to those at x=t.
 
     m11 and m22 are dimensionless, m12 is a specific impedance (Pa*s/m),
@@ -66,17 +66,13 @@ class TransferMatrix:
     determinant.
     """
 
-    m11: complex
-    m12: complex
-    m21: complex
-    m22: complex
+    __slots__ = ()
 
     def determinant(self) -> complex:
         return self.m11 * self.m22 - self.m12 * self.m21
 
 
-@dataclass(frozen=True)
-class FieldState:
+class FieldState(namedtuple("FieldState", "p1_in p2_in p1_out p2_out u1_in u2_in u1_out u2_out")):
     """Patch-averaged interface pressures and volume velocities.
 
     Suffix ``_in`` refers to the upstream face (x = 0), ``_out`` to the
@@ -84,19 +80,16 @@ class FieldState:
     gap.  Velocities are volume velocities (m^3/s) measured toward +x.
     """
 
-    p1_in: complex
-    p2_in: complex
-    p1_out: complex
-    p2_out: complex
-    u1_in: complex
-    u2_in: complex
-    u1_out: complex
-    u2_out: complex
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class RetrievedProperties:
-    """Retrieval output for one frequency point.
+class RetrievedProperties(namedtuple(
+        "RetrievedProperties",
+        "f n1 z1 branch_m sign_choice condition_number residual flags",
+        defaults=(math.nan, math.nan, ()))):
+    """Retrieval output for one frequency point: frequency f (Hz), n1, z1,
+    the branch m and sign (+-1) of theta = k0 n1 t, then condition_number,
+    residual and flags (a tuple of strings).
 
     condition_number is the relative condition number of (n1, z1) with
     respect to the half reflections G+- = R +- T, the larger over y = n1,
@@ -105,30 +98,29 @@ class RetrievedProperties:
     bounds another number, each half system's own conditioning.
     """
 
-    f: float
-    n1: complex
-    z1: complex
-    branch_m: int
-    sign_choice: int
-    condition_number: float = math.nan
-    residual: float = math.nan
-    flags: tuple[str, ...] = ()
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class RetrievalConfig:
+class RetrievalConfig(namedtuple("RetrievalConfig", "n_modes branch_seed allow_above_cutoff")):
     """Knobs for the sweep driver.
 
     n_modes is the modal truncation of the coupling sums, whose
     convergence bound is the constant ``tubegap.modal.SUM_TOLERANCE``.
     branch_seed fixes the branch m of the sample's phase at the first
     sweep point; the automatic seed (None) assumes the first point lies on
-    branch 0, which holds whenever f_min < c0 / (2 |n1| t).
+    branch 0, which holds whenever f_min < c0 / (2 |n1| t).  A seed must
+    be an integer (any type ``operator.index`` takes, but not a bool).
     """
 
-    n_modes: int = DEFAULT_MODE_COUNT
-    branch_seed: int | None = None
-    allow_above_cutoff: bool = False
+    __slots__ = ()
+
+    def __new__(cls, n_modes: int = DEFAULT_MODE_COUNT, branch_seed: int | None = None,
+                allow_above_cutoff: bool = False):
+        if branch_seed is not None:
+            if isinstance(branch_seed, bool) or not hasattr(branch_seed, "__index__"):
+                raise DomainError(f"branch seed must be an integer, got {branch_seed!r}")
+            branch_seed = operator.index(branch_seed)
+        return super().__new__(cls, n_modes, branch_seed, allow_above_cutoff)
 
 
 def transfer_matrix_from_tr(data: ScatteringData, medium: MediumProperties) -> TransferMatrix:
@@ -459,7 +451,7 @@ def _fill_degenerate_points(results: list[RetrievedProperties], missing: list[in
             w = (r.f - lo.f) / (hi.f - lo.f)
             n1 = lo.n1 + (hi.n1 - lo.n1) * w
             z1 = lo.z1 + (hi.z1 - lo.z1) * w
-        results[i] = replace(r, n1=n1, z1=z1, flags=r.flags + ("interpolated",))
+        results[i] = r._replace(n1=n1, z1=z1, flags=r.flags + ("interpolated",))
 
 
 def forward_averaged_sweep(

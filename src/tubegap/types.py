@@ -3,19 +3,23 @@
 These are the only types shared between the model-based retrieval pipeline
 and the finite-difference forward solver, which keeps the two sides
 independent of each other's mathematics.
+
+The package's records, here and in the other modules, are immutable
+``collections.namedtuple`` subclasses; the validated ones check their
+values in ``__new__``, which ``_make`` and ``_replace`` skip, so those
+two never build a validated record.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from tubegap.errors import DomainError
 
 
-@dataclass(frozen=True)
-class MediumProperties:
+class MediumProperties(namedtuple("MediumProperties", "rho0 c0", defaults=(1.21, 343.0))):
     """Background fluid in the duct.
 
     Attributes:
@@ -23,14 +27,15 @@ class MediumProperties:
         c0: sound speed (m/s)
     """
 
-    rho0: float = 1.21
-    c0: float = 343.0
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if not (self.rho0 > 0 and math.isfinite(self.rho0)):
             raise DomainError(f"density must be positive, got {self.rho0}")
         if not (self.c0 > 0 and math.isfinite(self.c0)):
             raise DomainError(f"sound speed must be positive, got {self.c0}")
+        return self
 
     @property
     def alpha(self) -> float:
@@ -38,8 +43,7 @@ class MediumProperties:
         return self.rho0 * self.c0
 
 
-@dataclass(frozen=True)
-class DuctGeometry:
+class DuctGeometry(namedtuple("DuctGeometry", "r1 r2 t")):
     """Cylindrical duct with a coaxial sample disk and annular air gap.
 
     Attributes:
@@ -48,11 +52,12 @@ class DuctGeometry:
         t: sample thickness (m)
     """
 
-    r1: float
-    r2: float
-    t: float
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        if not math.isfinite(self.r2):
+            raise DomainError(f"duct radius must be finite, got {self.r2}")
         if not (0 < self.r1 < self.r2):
             raise DomainError(
                 f"need 0 < r1 < r2, got r1={self.r1}, r2={self.r2}; a sample that fills "
@@ -60,6 +65,7 @@ class DuctGeometry:
             )
         if not (self.t > 0 and math.isfinite(self.t)):
             raise DomainError(f"thickness must be positive, got {self.t}")
+        return self
 
     @property
     def s1(self) -> float:
@@ -77,8 +83,7 @@ class DuctGeometry:
         return math.pi * (self.r2 ** 2 - self.r1 ** 2)
 
 
-@dataclass(frozen=True)
-class GapProperties:
+class GapProperties(namedtuple("GapProperties", "n2 z2")):
     """Effective parameters of the annular air gap next to the sample.
 
     The gap behaves as air, so its refractive index is 1 and its acoustic
@@ -86,16 +91,14 @@ class GapProperties:
     gap area.
     """
 
-    n2: complex
-    z2: complex
+    __slots__ = ()
 
     @classmethod
     def from_geometry(cls, geometry: DuctGeometry, medium: MediumProperties) -> "GapProperties":
         return cls(n2=1.0 + 0.0j, z2=medium.alpha / geometry.s3 + 0.0j)
 
 
-@dataclass(frozen=True)
-class MaterialSpec:
+class MaterialSpec(namedtuple("MaterialSpec", "n1 z1")):
     """Effective description of the sample disk.
 
     n1 is the refractive index relative to the background fluid; z1 is the
@@ -103,13 +106,14 @@ class MaterialSpec:
     includes the sample cross-section.
     """
 
-    n1: complex
-    z1: complex
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         for name, value in (("refractive index", self.n1), ("impedance", self.z1)):
             if value == 0 or not cmath.isfinite(value):
                 raise DomainError(f"sample {name} must be finite and nonzero, got {value}")
+        return self
 
     def effective_density(self, geometry: DuctGeometry, medium: MediumProperties) -> complex:
         """Equivalent fluid density realizing (n1, z1) over the sample area."""
@@ -125,8 +129,7 @@ class MaterialSpec:
         return cls(n1=1.0 + 0.0j, z1=medium.alpha / geometry.s1 + 0.0j)
 
 
-@dataclass(frozen=True)
-class ScatteringData:
+class ScatteringData(namedtuple("ScatteringData", "f transmission reflection")):
     """One measured or simulated frequency point.
 
     Attributes:
@@ -137,13 +140,13 @@ class ScatteringData:
         reflection: complex reflection coefficient at the upstream face
     """
 
-    f: float
-    transmission: complex
-    reflection: complex
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if not (self.f > 0 and math.isfinite(self.f)):
             raise DomainError(f"frequency must be positive, got {self.f}")
         for name, value in (("transmission", self.transmission), ("reflection", self.reflection)):
             if not (math.isfinite(value.real) and math.isfinite(value.imag)):
                 raise DomainError(f"{name} coefficient must be finite, got {value}")
+        return self

@@ -857,12 +857,14 @@ def test_cli_and_averaged_roundtrip_load_no_slow_modules(cfg_path):
     plain Python with its own Bessel functions, and it searches the J1
     roots past the 127-root table itself.  The CLI parses its arguments
     from its own command table, so argparse and gettext stay out too, and
-    its medians need no statistics module."""
+    its medians need no statistics module.  The package's records are
+    namedtuples, so dataclasses and inspect stay out as well."""
     src = str(Path(tubegap.__file__).resolve().parents[1])
     probe = ("import contextlib, io, sys, tubegap.cli\n"
              "def slow_modules():\n"
              "    return sorted(m for m in sys.modules if m.startswith(('scipy', 'numpy'))\n"
-             "                  or m in ('argparse', 'gettext', 'statistics'))\n"
+             "                  or m in ('argparse', 'gettext', 'statistics', 'dataclasses',\n"
+             "                           'inspect'))\n"
              "print('import', *slow_modules())\n"
              "for extra in (['sweep.count=1'], ['sweep.count=1', '--modes', '200'],\n"
              "              ['sweep.start=300', '--set', 'sweep.stop=2500',\n"

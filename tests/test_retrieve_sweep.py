@@ -233,6 +233,23 @@ class TestBranchTracking:
         assert seeded.branch_m == 1
         assert seeded.n1 == pytest.approx(5.0 + 2 * math.pi / k0t, rel=1e-9)
 
+    @pytest.mark.parametrize("seed", [0.5, 1.0, True])
+    def test_branch_seed_must_be_an_integer(self, seed):
+        """A float or a bool seed is refused, not taken as a branch number."""
+        with pytest.raises(DomainError, match="branch seed must be an integer"):
+            RetrievalConfig(branch_seed=seed)
+
+    def test_integral_branch_seed_types_accepted(self, sample1_geometry, medium, sample1_z2):
+        """Any integer type seeds as the int it converts to."""
+        sweep = forward_averaged_sweep(5.0 - 0.1j, 15.0 * sample1_z2, sample1_geometry, medium,
+                                       [500.0, 600.0])
+        config = RetrievalConfig(branch_seed=np.int64(1))
+        assert type(config.branch_seed) is int
+        seeded = retrieve_sweep(sweep, sample1_geometry, medium, config)
+        assert seeded == retrieve_sweep(sweep, sample1_geometry, medium,
+                                        RetrievalConfig(branch_seed=1))
+        assert [type(r.branch_m) for r in seeded] == [int, int]
+
     def test_one_arctangent_per_point(self, sample1_geometry, medium, sample1_z2, monkeypatch):
         """Every branch candidate of a point shares that point's one
         arctangent, seed and continuity points alike; no inverse cosine is
