@@ -53,6 +53,7 @@ from bisect import bisect_left
 from collections import namedtuple
 from functools import lru_cache
 from math import sqrt
+from operator import mul, neg
 from typing import TYPE_CHECKING
 
 from tubegap.errors import ConvergenceError, DomainError
@@ -291,14 +292,16 @@ def radial_integral(k: float, a: float, b: float) -> float:
 
 
 @lru_cache(maxsize=PATCH_CACHE_SIZE, typed=True)
-def _patch_integrals(r1: float, r2: float, n_modes: int) -> tuple[ModalBasis, tuple]:
-    """Basis, then for each mode n >= 1 the squared integral of the
-    normalized eigenmode n over the disk.
+def _patch_integrals(r1: float, r2: float, n_modes: int) -> tuple:
+    """What a frequency's couplings need of two radii and a truncation: the
+    basis, then for each mode n >= 1 the squared integral of the normalized
+    eigenmode n over the disk, the same negated, and the patch weights
+    1/r1^4, 1/(r1^2 (r2^2 - r1^2)) and 1/(r2^2 - r1^2)^2.
 
-    The ring's integral of such a mode is minus the disk's, so the square
-    is also the ring's and minus the product of the two.  They depend only
-    on the two radii and the truncation, not on the thickness, so a sweep
-    computes them once.
+    The ring's integral of a mode past the plane wave is minus the disk's,
+    so the square is also the ring's and its negative the product of the
+    two.  None of it depends on the thickness or the frequency, so a sweep
+    computes it once.
     """
     # the basis reads only r2; any thickness builds the same one
     basis = duct_wavenumbers(DuctGeometry(r1=r1, r2=r2, t=1.0), n_modes)
@@ -307,7 +310,10 @@ def _patch_integrals(r1: float, r2: float, n_modes: int) -> tuple[ModalBasis, tu
     # term r2 J1(k_n r2) is left out: k_n r2 are the roots of J1, so it is
     # roundoff (|J1(x_n)| of a few 1e-15)
     disk = [r1 * j / kn / w for j, kn, w in zip(bessel_j1([kn * r1 for kn in k]), k, wall)]
-    return basis, tuple(d * d for d in disk)
+    squares = tuple(map(mul, disk, disk))
+    ring_sq = r2 * r2 - r1 * r1
+    return (basis, squares, tuple(map(neg, squares)),
+            1.0 / r1 ** 4, 1.0 / (r1 * r1 * ring_sq), 1.0 / ring_sq ** 2)
 
 
 class CouplingCoefficients(namedtuple("CouplingCoefficients",
@@ -356,8 +362,8 @@ def upstream_coupling(
     """
     if not (f > 0 and math.isfinite(f)):
         raise DomainError(f"frequency must be positive, got {f}")
-    r1, r2 = geometry.r1, geometry.r2
-    basis, squares = _patch_integrals(r1, r2, n_modes)
+    r2 = geometry.r2
+    basis, squares, negated, w_disk, w_cross, w_ring = _patch_integrals(geometry.r1, r2, n_modes)
     k = basis.wavenumbers
     k0 = 2.0 * math.pi * f / medium.c0
     # modes 0 .. propagating - 1 propagate; only the two on either side of
@@ -367,17 +373,17 @@ def upstream_coupling(
         if abs((k0 - kn) * (k0 + kn)) < 1e-24 * k0 * k0:
             raise DomainError(
                 f"frequency {f} Hz sits exactly on the cutoff of duct mode {mode}")
-    # squares_n / beta_n times i: -squares_n / |beta_n| for an evanescent
-    # mode, i squares_n / beta_n for a propagating one; the sum up to
+    # squares_n / beta_n times i: i squares_n / beta_n for a propagating
+    # mode, -squares_n / |beta_n| for an evanescent one; the sum up to
     # n_modes/2 and the rest, whose size is the truncation's change
-    terms = [-q / sqrt((kn - k0) * (kn + k0)) if kn > k0
-             else 1j * q / sqrt((k0 - kn) * (k0 + kn)) for q, kn in zip(squares, k[1:])]
+    terms = [1j * q / sqrt((k0 - kn) * (k0 + kn))
+             for q, kn in zip(squares[:propagating - 1], k[1:propagating])]
+    terms += [q / sqrt((kn - k0) * (kn + k0))
+              for q, kn in zip(negated[propagating - 1:], k[propagating:])]
     half = max(n_modes // 2 - 1, 0)  # the modes past the plane wave n_modes/2 keeps
     change = sum(terms[half:])
     total = sum(terms[:half]) + change
 
-    ring_sq = r2 * r2 - r1 * r1
-    w_disk, w_cross, w_ring = 1.0 / r1 ** 4, 1.0 / (r1 * r1 * ring_sq), 1.0 / ring_sq ** 2
     plane = 0.25j / k0
     disk, cross, ring = plane + w_disk * total, plane - w_cross * total, plane + w_ring * total
     moved = abs(change)

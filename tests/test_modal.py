@@ -52,6 +52,38 @@ def mp_j1_roots_past_table(last):
         return tuple(roots)
 
 
+def bits(upstream, rel_change):
+    """The bits of an upstream coupling matrix and its ``rel_change``."""
+    return [float.hex(v) for row in upstream for z in row for v in (z.real, z.imag)] + \
+        [float.hex(rel_change)]
+
+
+def per_point_upstream(geometry, medium, f, n_modes):
+    """``upstream_coupling`` as one comprehension over the modes with a
+    per-term branch on k_n > k0 and the patch weights computed per call,
+    from the same squared patch integrals; valid off the cutoffs, with no
+    convergence check."""
+    r1, r2 = geometry.r1, geometry.r2
+    basis, squares = _patch_integrals(r1, r2, n_modes)[:2]
+    k = basis.wavenumbers
+    k0 = 2.0 * math.pi * f / medium.c0
+    terms = [-q / math.sqrt((kn - k0) * (kn + k0)) if kn > k0
+             else 1j * q / math.sqrt((k0 - kn) * (k0 + kn)) for q, kn in zip(squares, k[1:])]
+    half = max(n_modes // 2 - 1, 0)
+    change = sum(terms[half:])
+    total = sum(terms[:half]) + change
+    ring_sq = r2 * r2 - r1 * r1
+    w_disk, w_cross, w_ring = 1.0 / r1 ** 4, 1.0 / (r1 * r1 * ring_sq), 1.0 / ring_sq ** 2
+    plane = 0.25j / k0
+    disk, cross, ring = plane + w_disk * total, plane - w_cross * total, plane + w_ring * total
+    moved = abs(change)
+    rel_change = max(w_disk * moved / abs(disk), w_cross * moved / abs(cross),
+                     w_ring * moved / abs(ring))
+    scale = 4j * medium.rho0 * (2.0 * math.pi * f) / (math.pi * r2 * r2)
+    disk, cross, ring = scale * disk, scale * cross, scale * ring
+    return ((disk, cross), (cross, ring)), rel_change
+
+
 def mp_coupling_upstream(geometry, medium, f, n_modes):
     """Truncated modal sums of the upstream coupling matrix, in mpmath only.
 
@@ -250,6 +282,27 @@ class TestCouplingCoefficients:
         for t in (0.005, 0.008):
             coupling_coefficients(DuctGeometry(r1=0.04, r2=0.07, t=t), medium, 900.0)
         assert _patch_integrals.cache_info().misses == 1
+
+
+class TestCouplingIdentity:
+    """The per-geometry record's precomputed weights and negated squares,
+    and the split of the modal sum at the last propagating mode, give the
+    couplings of the per-point expression bit for bit."""
+
+    @pytest.mark.parametrize("n_modes", [2, 64, 200])
+    def test_equals_per_point_expression(self, medium, monkeypatch, n_modes):
+        """Below the first duct cutoff, between the first two and above the
+        second, for three radius ratios; 200 modes is past the root table."""
+        monkeypatch.setattr(modal, "SUM_TOLERANCE", math.inf)
+        for r1 in (0.021, 0.040, 0.066):
+            geometry = DuctGeometry(r1=r1, r2=0.070, t=0.0052)
+            cutoffs = [x * medium.c0 / (2.0 * math.pi * geometry.r2) for x in _j1_roots(3)[1:]]
+            freqs = [50.0, 1234.5, 0.999 * cutoffs[0], 1.001 * cutoffs[0],
+                     0.5 * (cutoffs[0] + cutoffs[1]), 0.999 * cutoffs[1], 1.001 * cutoffs[1],
+                     9000.0, 25000.0]
+            for f in freqs:
+                assert bits(*upstream_coupling(geometry, medium, f, n_modes)) == \
+                    bits(*per_point_upstream(geometry, medium, f, n_modes)), (r1, f)
 
 
 class TestCouplingStack:
