@@ -29,19 +29,27 @@ process that runs the simulator pays that import (about 90 ms on a
 2-core machine).  J0 and J1 are the package's own (``bessel_j0``,
 ``bessel_j1``); importing ``scipy.special`` would cost the command line
 about 0.3 s per process, so no module of the package imports scipy.
+Each call is one loop over its arguments that gives each the cheapest of
+nine kernels for its band of x (see ``_kernels``): J1 at the 63 arguments
+of a 64-mode geometry took 44-54 us and J0 at the 63 duct roots 41 us on
+a 2-core machine, against 80-93 us and 76 us with one 16-node midpoint
+rule and one 18-term Hankel expansion for all x.
 The first 127 roots of J1 are a constant, equal bit for bit to
 ``scipy.special.jn_zeros(1, 127)``; that covers twice the default
 truncation, and only larger ones search the roots past it, once per
 truncation, from McMahon's expansion and one Newton step.  The wall
-values J0(x_n) depend on the truncation alone and are cached with it, and
-the patch integrals are cached per pair of radii and truncation, so a
-fresh geometry costs one J1 evaluation over ``n_modes - 1`` arguments and
-a sweep over one geometry costs no more.
+values J0(x_n) depend on the truncation alone and are cached with it.
+What a frequency's couplings need of a geometry (the basis, the squared
+patch integrals, their negatives and the three patch weights) is one
+record cached per pair of radii and truncation, so a fresh geometry costs
+one J1 evaluation over ``n_modes - 1`` arguments and a sweep over one
+geometry costs no more.
 
 ``upstream_coupling`` sums one frequency's couplings.  Past the plane
 wave, the ring's patch integral of each mode is minus the disk's, so the
-four coefficients share one modal sum, real below the first cutoff; a
-point's couplings depend on nothing but that point.  The
+four coefficients share one modal sum, real below the first cutoff: the
+propagating modes and the evanescent ones, each in one pass with no
+per-mode branch.  A point's couplings depend on nothing but that point.  The
 array-returning helpers the acceptance suite reads (``ModalBasis.k``,
 ``coupling_coefficients``) import numpy when called.
 """
@@ -49,7 +57,7 @@ array-returning helpers the acceptance suite reads (``ModalBasis.k``,
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from collections import namedtuple
 from functools import lru_cache
 from math import sqrt
@@ -71,78 +79,91 @@ SUM_TOLERANCE = 1e-3
 # randomized draws) keep a bounded memory footprint
 PATCH_CACHE_SIZE = 32
 
-# J0 and J1 below _HANKEL_FROM: Bessel's integral (DLMF 10.9.2) folded onto
-# a quarter period,
+# J0 and J1 by the cheapest of nine kernels, one per band of |x|.  Below
+# _HANKEL_FROM: Bessel's integral (DLMF 10.9.2) folded onto a quarter period,
 #     J0(x) = (2/pi) int_0^{pi/2} cos(x sin tau) dtau,
 #     J1(x) = (2/pi) int_0^{pi/2} sin(x sin tau) sin tau dtau,
 # by the midpoint rule.  The integrands are smooth and periodic, so the rule
-# converges exponentially (Trefethen & Weideman, SIAM Rev. 56(3), 2014): 16
-# nodes are the 64-node rule on the full period, whose aliasing error is of
-# the size of J_63(25) = 5e-20.  From _HANKEL_FROM on, Hankel's expansion
-# (DLMF 10.17.3) to _HANKEL_TERMS powers of 1/x, whose first omitted term,
-# sqrt(2/(pi x)) a_18(nu) / x^18, is below 1e-17 there.  Both agree with
-# mpmath to a few 1e-16 absolute, and with scipy.special to 1.3e-15, which
-# is scipy's own error near x = 257.
-_HANKEL_FROM = 25.0
-_HANKEL_TERMS = 18
-_QUADRATURE_NODES = 16
-_SIN_NODES = tuple(math.sin((j + 0.5) * (0.5 * math.pi / _QUADRATURE_NODES))
-                   for j in range(_QUADRATURE_NODES))
-_J1_WEIGHTS = tuple(s / _QUADRATURE_NODES for s in _SIN_NODES)
+# converges exponentially (Trefethen & Weideman, SIAM Rev. 56(3), 2014): N
+# nodes are the 4N-node rule on the full period, whose aliasing error is of
+# the size of J_4N(x); each band has the fewest N for which |J_4N| is below
+# 1e-17 at its end.  From _HANKEL_FROM on: Hankel's expansion (DLMF
+# 10.17.3), its P and Q series as Horner chains in 1/x^2; each band keeps
+# the fewest T = 2m terms whose first omitted term, sqrt(2/(pi x)) a_T(nu) /
+# x^T, is below 1e-17 at its start.  Against mpmath the midpoint bands
+# read at most 4.6e-16 absolute and the Hankel bands 5.6e-17 (6000 points
+# below x = 300 and both sides of every switch); against scipy.special,
+# 1.3e-15, which is scipy's own error near x = 257.
+_HANKEL_FROM = 20.0
+# |x| below _BAND_EDGES[0] is band 0, from _BAND_EDGES[i - 1] on band i; per
+# band, N for the midpoint rule below _HANKEL_FROM, T for Hankel's from it
+_BAND_EDGES = (12.0, 17.0, _HANKEL_FROM, 25.0, 35.0, 50.0, 80.0, 130.0)
+_BAND_SIZES = (10, 12, 14, 24, 18, 14, 12, 10, 8)
 
 
-def _hankel_coefficients(nu: int) -> list[tuple[float, float]]:
-    """The _HANKEL_TERMS pairs C_j with, for large x,
-    J_nu(x) = sqrt(1/x) (A cos x + B sin x),  (A, B) = sum_j C_j / x^j.
+def _kernels(nu: int):
+    """Yield the constant pairs of J_nu's kernel on each band.
 
-    Hankel's P and Q series (DLMF 10.17.3, coefficients a_j(nu) from DLMF
-    10.17.1) times sqrt(2/pi), with the phase (2 nu + 1) pi / 4 folded in,
-    so that cos and sin take x itself, not x minus a rounded phase.
+    Below _HANKEL_FROM, the N pairs (sin tau_j, w_j), with
+    J_nu(x) = sum_j f(x sin tau_j) w_j / N and, for nu = 0, f = cos and
+    w_j = 1, for nu = 1, f = sin and w_j = sin tau_j.  From it on, the T/2
+    pairs (p_k, q_k), highest power first, with
+    J_nu(x) = sqrt(1/x) ((P + Q) f(x) + (-1)^nu (P - Q) g(x)) and
+    (f, g) = (cos, sin) for nu = 0, (sin, cos) for nu = 1, where
+    P = sum_k p_k / x^2k and Q = sum_k q_k / x^(2k+1) are Hankel's P and Q
+    (coefficients a_j(nu) from DLMF 10.17.1) over sqrt(pi), the phase
+    (2 nu + 1) pi / 4 folded in: p_k = (-1)^k a_2k, q_k = (-1)^k a_2k+1.
     """
-    phase = (2 * nu + 1) * math.pi / 4
-    scale = math.sqrt(2.0 / math.pi)
-    cos_p, sin_p = scale * math.cos(phase), scale * math.sin(phase)
-    coefficients = []
-    a = 1.0
-    for j in range(_HANKEL_TERMS):
-        if j:
-            a *= (4 * nu * nu - (2 * j - 1) ** 2) / (8 * j)
-        signed = -a if j % 4 >= 2 else a  # (-1)^(j // 2) a_j
-        coefficients.append((signed * cos_p, signed * sin_p) if j % 2 == 0
-                            else (signed * sin_p, -signed * cos_p))
-    return coefficients
+    for start, count in zip((0.0,) + _BAND_EDGES, _BAND_SIZES):
+        if start < _HANKEL_FROM:
+            sines = [math.sin((j + 0.5) * (0.5 * math.pi / count)) for j in range(count)]
+            yield tuple(zip(sines, sines if nu else [1.0] * count))
+            continue
+        a, signed = 1.0 / math.sqrt(math.pi), []
+        for j in range(count):
+            signed.append(-a if j % 4 >= 2 else a)  # (-1)^(j // 2) a_j / sqrt(pi)
+            a *= (4 * nu * nu - (2 * j + 1) ** 2) / (8 * j + 8)
+        yield tuple(zip(signed[-2::-2], signed[::-2]))
 
 
-# per nu, the coefficient pairs highest power first, for Horner's rule
-_HANKEL = (tuple(reversed(_hankel_coefficients(0))), tuple(reversed(_hankel_coefficients(1))))
+# per nu: the kernels, f, g and (-1)^nu
+_KERNELS = ((tuple(_kernels(0)), math.cos, math.sin, 1.0),
+            (tuple(_kernels(1)), math.sin, math.cos, -1.0))
 
 
-def _bessel(nu: int, x: float) -> float:
-    """J_nu(x) for nu = 0 or 1 at a finite real x."""
-    ax = abs(x)
-    if ax < _HANKEL_FROM:
-        if nu:
-            value = sum([math.sin(ax * s) * w for s, w in zip(_SIN_NODES, _J1_WEIGHTS)])
+def _bessel(nu: int, x) -> list:
+    """J_nu at each finite real of the iterable ``x``, for nu = 0 or 1."""
+    kernels, f, g, sign = _KERNELS[nu]
+    values = []
+    for v in x:
+        ax = abs(v)
+        kernel = kernels[bisect_right(_BAND_EDGES, ax)]
+        if ax < _HANKEL_FROM:
+            value = 0.0
+            for s, w in kernel:
+                value += f(ax * s) * w
+            value /= len(kernel)
         else:
-            value = sum([math.cos(ax * s) for s in _SIN_NODES]) / _QUADRATURE_NODES
-    else:
-        inverse = 1.0 / ax
-        a = b = 0.0
-        for c_a, c_b in _HANKEL[nu]:  # Horner's rule in 1/x
-            a = a * inverse + c_a
-            b = b * inverse + c_b
-        value = math.sqrt(inverse) * (a * math.cos(ax) + b * math.sin(ax))
-    return -value if nu and x < 0 else value  # J1 is odd
+            inverse = 1.0 / ax
+            y = inverse * inverse
+            p = q = 0.0
+            for c_p, c_q in kernel:  # Horner's rule in 1/x^2
+                p = p * y + c_p
+                q = q * y + c_q
+            q *= inverse
+            value = sqrt(inverse) * ((p + q) * f(ax) + sign * (p - q) * g(ax))
+        values.append(-value if nu and v < 0 else value)  # J1 is odd
+    return values
 
 
 def bessel_j0(x) -> list[float]:
     """Bessel function J0 at each float of the iterable ``x``."""
-    return [_bessel(0, v) for v in x]
+    return _bessel(0, x)
 
 
 def bessel_j1(x) -> list[float]:
     """Bessel function J1 at each float of the iterable ``x``."""
-    return [_bessel(1, v) for v in x]
+    return _bessel(1, x)
 
 
 # scipy.special.jn_zeros(1, 127), copied bit for bit: the default truncation
@@ -212,8 +233,8 @@ def _search_j1_roots(first: int, last: int) -> tuple[float, ...]:
     for m in range(first, last + 1):
         a = (m + 0.25) * math.pi
         x = a - 3.0 / (8.0 * a)
-        j1 = _bessel(1, x)
-        roots.append(x - j1 / (_bessel(0, x) - j1 / x))
+        j1 = _bessel(1, [x])[0]
+        roots.append(x - j1 / (_bessel(0, [x])[0] - j1 / x))
     return tuple(roots)
 
 

@@ -54,6 +54,50 @@ class TestAccuracy:
             assert np.max(np.abs(np.array(ours(x)) - ref)) <= 1e-15, nu
 
 
+class TestBands:
+    """Each switch point of the kernel, on both sides, and each band's node
+    or term count against its own rule, so that an edit of the band tables
+    cannot loosen the accuracy silently."""
+
+    @pytest.mark.parametrize("start", modal._BAND_EDGES)
+    def test_against_mpmath_at_each_switch(self, start):
+        x = [start, math.nextafter(start, 0.0)]
+        for nu, ours in ((0, bessel_j0), (1, bessel_j1)):
+            with mpmath.workdps(30):
+                ref = np.array([float(mpmath.besselj(nu, mpmath.mpf(v))) for v in x])
+            assert np.max(np.abs(np.array(ours(x)) - ref)) <= 1e-15, nu
+
+    def test_midpoint_node_counts(self):
+        """Below x = 20 each band has the fewest nodes N whose aliasing term
+        |J_4N(x)| is below 1e-17 at the band's end."""
+        ends = [end for end in modal._BAND_EDGES if end <= modal._HANKEL_FROM]
+        assert ends[-1] == modal._HANKEL_FROM
+        with mpmath.workdps(30):
+            for end, nodes in zip(ends, modal._BAND_SIZES):
+                assert abs(mpmath.besselj(4 * nodes, end)) < 1e-17, end
+                assert abs(mpmath.besselj(4 * nodes - 4, end)) >= 1e-17, end
+
+    def test_hankel_term_counts(self):
+        """From x = 20 on each band keeps the fewest even number of terms T
+        whose first omitted term, sqrt(2/(pi x)) |a_T(nu)| / x^T, is below
+        1e-17 at the band's start for both orders."""
+
+        def omitted(terms, x):
+            with mpmath.workdps(30):
+                x = mpmath.mpf(x)
+                return max(abs(mpmath.fprod((4 * nu * nu - (2 * j - 1) ** 2) / (8 * mpmath.mpf(j))
+                                            for j in range(1, terms + 1)))
+                           * mpmath.sqrt(2 / (mpmath.pi * x)) / x ** terms for nu in (0, 1))
+
+        starts = (0.0,) + modal._BAND_EDGES
+        bands = [(start, terms) for start, terms in zip(starts, modal._BAND_SIZES)
+                 if start >= modal._HANKEL_FROM]
+        assert bands[0][0] == modal._HANKEL_FROM and len(bands) == 6
+        for start, terms in bands:
+            assert terms % 2 == 0 and omitted(terms, start) < 1e-17, start
+            assert omitted(terms - 2, start) >= 1e-17, start
+
+
 class TestShapes:
     @pytest.mark.parametrize("fn", [bessel_j0, bessel_j1])
     def test_scalar_and_0d_inputs_give_scalars(self, fn):
