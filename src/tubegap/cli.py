@@ -14,17 +14,18 @@ or a usage error (a ``usage:`` line, then an ``error:`` line, and no work).
 
 from __future__ import annotations
 
+import errno
 import math
 import os
+import stat
 import sys
 import warnings
-from pathlib import Path
 from types import SimpleNamespace
 
 from tubegap import __version__
 from tubegap.config import RunConfig, parse_value
-from tubegap.datafiles import (read_tr_csv, write_field_csv, write_results_csv, write_sidecar,
-                               write_tr_csv)
+from tubegap.datafiles import (file_name, read_tr_csv, write_field_csv, write_results_csv,
+                               write_sidecar, write_tr_csv)
 from tubegap.errors import ConfigError, DomainError, TubegapError
 # kept at module level: imported in _forward_data, its ~3 ms compile would run inside the command
 from tubegap.fdfd import build_scene, sweep_fields
@@ -55,6 +56,19 @@ def _load_config(args: SimpleNamespace) -> RunConfig:
     return RunConfig.from_file(args.config, overrides=_overrides(args))
 
 
+def _is_dir(name: str) -> bool:
+    """``pathlib.Path(name).is_dir()``: False where the name or a folder on
+    it is missing, loops or is not a folder, any other ``OSError`` raised."""
+    try:
+        return stat.S_ISDIR(os.stat(name).st_mode)
+    except OSError as exc:
+        if exc.errno not in (errno.ENOENT, errno.ENOTDIR, errno.EBADF, errno.ELOOP):
+            raise
+        return False
+    except ValueError:  # an embedded null byte
+        return False
+
+
 def _refuse_unwritable(*paths: str | None) -> None:
     """Refuse, before any work, an output path that is empty, is a folder,
     whose folder does not exist or that an earlier output of the command
@@ -63,10 +77,10 @@ def _refuse_unwritable(*paths: str | None) -> None:
     if "" in paths:
         raise ConfigError("cannot write to an empty path")
     taken = set()
-    for path in (Path(p) for p in paths if p is not None):
-        if path.is_dir():
+    for path in (file_name(p) for p in paths if p is not None):
+        if _is_dir(path):
             raise ConfigError(f"cannot write {path}: it is a folder")
-        if not path.parent.is_dir():
+        if not _is_dir(os.path.dirname(path) or "."):
             raise ConfigError(f"cannot write {path}: its folder does not exist")
         if (absolute := os.path.abspath(path)) in taken:
             raise ConfigError(f"cannot write {path}: another output of this command goes there")

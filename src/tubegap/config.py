@@ -22,7 +22,6 @@ the modules that own them.
 from __future__ import annotations
 
 import math
-from pathlib import Path
 
 from tubegap.datafiles import read_text
 from tubegap.errors import ConfigError
@@ -30,6 +29,10 @@ from tubegap.fdfd import DEFAULT_CELLS_PER_WAVELENGTH
 from tubegap.modal import DEFAULT_MODE_COUNT
 from tubegap.retrieval import RetrievalConfig
 from tubegap.types import DuctGeometry, GapProperties, MaterialSpec, MediumProperties
+
+TYPE_CHECKING = False  # typing.TYPE_CHECKING without importing typing
+if TYPE_CHECKING:
+    from pathlib import Path
 
 # every key: (type, default, or None where the key has no default)
 _KEYS: dict[str, tuple[type, object]] = {

@@ -11,16 +11,36 @@ reader, which reports each defect as ``path:line: reason``.
 
 from __future__ import annotations
 
-from pathlib import Path
+import os
 
 from tubegap.errors import ConfigError, TubegapError
 from tubegap.retrieval import RetrievedProperties
 from tubegap.types import ScatteringData
 
+TYPE_CHECKING = False  # typing.TYPE_CHECKING without importing typing
+if TYPE_CHECKING:
+    from pathlib import Path
+
 TR_COLUMNS = ["f_hz", "re_t", "im_t", "re_r", "im_r"]
 RESULT_COLUMNS = ["f_hz", "re_n1", "im_n1", "re_z1", "im_z1", "z1_over_z2_mag", "branch_m", "sign",
                   "condition_number", "flags"]
 FIELD_COLUMNS = ["x_m", "r_m", "re_p", "im_p"]
+
+
+def file_name(path: str | Path) -> str:
+    """The name ``pathlib.Path(path)`` would open, without importing
+    pathlib: repeated slashes and ``.`` components dropped (two leading
+    slashes kept, as POSIX allows), ``.`` for an empty path."""
+    name = os.fspath(path)
+    body = name.lstrip("/")
+    lead = len(name) - len(body)
+    root = "//" if lead == 2 else "/" if lead else ""
+    return root + "/".join(part for part in body.split("/") if part not in ("", ".")) or "."
+
+
+def _write_text(path: str | Path, text: str) -> None:
+    with open(file_name(path), "w") as out:
+        out.write(text)
 
 
 def _write_table(path: str | Path, columns: list[str], rows, comments=()) -> None:
@@ -30,13 +50,14 @@ def _write_table(path: str | Path, columns: list[str], rows, comments=()) -> Non
     lines.append(",".join(columns))
     for row in rows:
         lines.append(",".join(c if isinstance(c, str) else format(float(c), ".17g") for c in row))
-    Path(path).write_text("\n".join(lines) + "\n")
+    _write_text(path, "\n".join(lines) + "\n")
 
 
 def read_text(path: str | Path) -> str:
     """The text of a file; undecodable bytes raise a ``ConfigError`` naming it."""
     try:
-        return Path(path).read_text()
+        with open(file_name(path)) as source:
+            return source.read()
     except UnicodeDecodeError as exc:
         raise ConfigError(f"{path}: not a text file ({exc})") from exc
 
@@ -132,7 +153,7 @@ def write_sidecar(path: str | Path, config_dump: str, extra: dict[str, str] = ()
         lines.append(f"{key} = {value}")
     lines.append("# resolved configuration")
     lines.append(config_dump.rstrip("\n"))
-    Path(str(path) + ".meta").write_text("\n".join(lines) + "\n")
+    _write_text(str(path) + ".meta", "\n".join(lines) + "\n")
 
 
 def write_field_csv(path: str | Path, x, r, p) -> None:

@@ -76,11 +76,11 @@ import math
 import warnings
 from collections import namedtuple
 from collections.abc import Iterator
-from typing import TYPE_CHECKING
 
 from tubegap.errors import DomainError, ResolutionError
 from tubegap.types import DuctGeometry, MaterialSpec, MediumProperties, ScatteringData
 
+TYPE_CHECKING = False  # typing.TYPE_CHECKING without importing typing
 if TYPE_CHECKING:
     import numpy as np
 

@@ -62,11 +62,11 @@ from collections import namedtuple
 from functools import lru_cache
 from math import sqrt
 from operator import mul, neg
-from typing import TYPE_CHECKING
 
 from tubegap.errors import ConvergenceError, DomainError
 from tubegap.types import DuctGeometry, MediumProperties
 
+TYPE_CHECKING = False  # typing.TYPE_CHECKING without importing typing
 if TYPE_CHECKING:
     import numpy as np
 

@@ -2,6 +2,7 @@
 
 import ast
 import collections
+import errno
 import importlib
 import importlib.metadata
 import importlib.util
@@ -21,6 +22,7 @@ from tubegap.cli import main
 from tubegap.config import RunConfig
 from tubegap.datafiles import (
     RESULT_COLUMNS,
+    file_name,
     read_results_csv,
     read_tr_csv,
     write_field_csv,
@@ -415,6 +417,34 @@ class TestCli:
         assert code == 1
         assert f"cannot write {sidecar}: it is a folder" in err
         assert not out.exists()
+
+    def test_files_named_as_pathlib_names_them(self, cfg_path, tmp_path, capsys):
+        """``datafiles.file_name`` gives ``str(pathlib.Path(name))``, and
+        names with repeated slashes or ``.`` components write, refuse and
+        report the files that pathlib names them, as when the CLI opened
+        files through pathlib."""
+        for name in ("", ".", "/", "//", "///", "a//b/./c/", "//a/../b", "./x", "a/.", "..",
+                     "x\\y/ z", "/./", str(tmp_path) + "/"):
+            assert file_name(name) == str(Path(name)), name
+        assert file_name(tmp_path) == str(tmp_path)
+        run = ("forward", "--config", str(cfg_path), "--set", "sweep.count=2")
+        assert self.run(*run, "--output", f"{tmp_path}//./tr.csv") == 0
+        assert read_tr_csv(tmp_path / "tr.csv") and (tmp_path / "tr.csv.meta").is_file()
+        assert self.run(*run, "--output", f"{tmp_path}/./missing//tr.csv") == 1
+        assert capsys.readouterr().err == (
+            f"error: cannot write {tmp_path}/missing/tr.csv: its folder does not exist\n")
+        assert self.run("retrieve", "--config", f"{tmp_path}//none.cfg", "--input", "x.csv",
+                        "--output", str(tmp_path / "out.csv")) == 1
+        assert capsys.readouterr().err == (
+            f"error: [Errno 2] No such file or directory: '{tmp_path}/none.cfg'\n")
+        # a folder name too long to look up is an error, not a missing folder
+        long = f"{tmp_path}/{'a' * 300}/tr.csv"
+        assert self.run(*run, "--output", long) == 1
+        assert capsys.readouterr().err == (f"error: [Errno {errno.ENAMETOOLONG}] "
+                                           f"{os.strerror(errno.ENAMETOOLONG)}: '{long}'\n")
+        data = [ScatteringData(f=500.0, transmission=0.9 + 0j, reflection=0.1 + 0j)]
+        write_tr_csv(f"{tmp_path}/t.csv/", data)
+        assert read_tr_csv(f"{tmp_path}/./t.csv/") == read_tr_csv(tmp_path / "t.csv") == data
 
     @pytest.mark.parametrize("case", ["forward_phase", "retrieve_overflowing_sum",
                                       "retrieve_huge_tr"])
@@ -878,6 +908,31 @@ def test_cli_and_averaged_roundtrip_load_no_slow_modules(cfg_path):
                           text=True, env=env, timeout=60, check=True)
     assert done.stdout.splitlines() == ["import", "roundtrip sweep.count=1 0", "roundtrip 200 0",
                                         "roundtrip sweep.count=45 0"]
+
+
+def test_cli_without_site_loads_no_typing_or_pathlib(cfg_path, tmp_path):
+    """Under ``python -S``, where ``site`` preloads nothing, neither importing
+    the CLI nor an averaged forward and retrieve, which read the config and
+    the sweep and write both files and their sidecars, loads ``typing``,
+    ``pathlib`` or ``re``: the modules guard their annotation-only imports
+    with a plain ``TYPE_CHECKING = False`` and open files by name."""
+    src = str(Path(tubegap.__file__).resolve().parents[1])
+    tr, out = tmp_path / "tr.csv", tmp_path / "out.csv"
+    probe = ("import contextlib, io, sys, tubegap.cli\n"
+             "def loaded():\n"
+             "    return sorted(m for m in ('typing', 'pathlib', 're') if m in sys.modules)\n"
+             "print('import', *loaded())\n"
+             "cfg, tr, out = sys.argv[1:]\n"
+             "for argv in (['forward', '--method', 'averaged', '--output', tr],\n"
+             "             ['retrieve', '--input', tr, '--output', out]):\n"
+             "    with contextlib.redirect_stdout(io.StringIO()):\n"
+             "        code = tubegap.cli.main([*argv, '--config', cfg, '--set', 'sweep.count=3'])\n"
+             "    print(argv[0], code, *loaded())\n")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run([sys.executable, "-S", "-c", probe, str(cfg_path), str(tr), str(out)],
+                          capture_output=True, text=True, env=env, timeout=60, check=True)
+    assert done.stdout.splitlines() == ["import", "forward 0", "retrieve 0"]
+    assert len(read_results_csv(out)) == 3 and Path(str(out) + ".meta").is_file()
 
 
 def test_simulator_loads_numpy_only_to_build_a_scene(cfg_path):
