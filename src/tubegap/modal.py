@@ -114,16 +114,16 @@ def _kernels(nu: int):
     (coefficients a_j(nu) from DLMF 10.17.1) over sqrt(pi), the phase
     (2 nu + 1) pi / 4 folded in: p_k = (-1)^k a_2k, q_k = (-1)^k a_2k+1.
     """
+    a, signed = 1.0 / math.sqrt(math.pi), []
+    for j in range(max(_BAND_SIZES)):
+        signed.append(-a if j % 4 >= 2 else a)  # (-1)^(j // 2) a_j / sqrt(pi)
+        a *= (4 * nu * nu - (2 * j + 1) ** 2) / (8 * j + 8)
     for start, count in zip((0.0,) + _BAND_EDGES, _BAND_SIZES):
         if start < _HANKEL_FROM:
             sines = [math.sin((j + 0.5) * (0.5 * math.pi / count)) for j in range(count)]
             yield tuple(zip(sines, sines if nu else [1.0] * count))
-            continue
-        a, signed = 1.0 / math.sqrt(math.pi), []
-        for j in range(count):
-            signed.append(-a if j % 4 >= 2 else a)  # (-1)^(j // 2) a_j / sqrt(pi)
-            a *= (4 * nu * nu - (2 * j + 1) ** 2) / (8 * j + 8)
-        yield tuple(zip(signed[-2::-2], signed[::-2]))
+        else:
+            yield tuple(zip(signed[count - 2::-2], signed[count - 1::-2]))
 
 
 # per nu: the kernels, f, g and (-1)^nu
