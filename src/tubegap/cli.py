@@ -69,26 +69,28 @@ def _is_dir(name: str) -> bool:
         return False
 
 
-def _refuse_unwritable(*paths: str | None) -> None:
+def _refuse_unwritable(inputs: tuple[str | None, ...], *paths: str | None) -> None:
     """Refuse, before any work, an output path that is empty, is a folder,
-    whose folder does not exist or that an earlier output of the command
-    takes.  Callers list a data file's ``.meta`` sidecar too, so that a
-    sidecar path that is a folder is refused before the data file is written."""
+    whose folder does not exist, that names one of the command's ``inputs``
+    or that an earlier output of the command takes.  Callers list a data
+    file's ``.meta`` sidecar too, so that a sidecar path that is a folder or
+    an input is refused before the data file is written."""
     if "" in paths:
         raise ConfigError("cannot write to an empty path")
-    taken = set()
+    taken = {os.path.abspath(file_name(p)): "it is an input of this command"
+             for p in inputs if p is not None}
     for path in (file_name(p) for p in paths if p is not None):
         if _is_dir(path):
             raise ConfigError(f"cannot write {path}: it is a folder")
         if not _is_dir(os.path.dirname(path) or "."):
             raise ConfigError(f"cannot write {path}: its folder does not exist")
         if (absolute := os.path.abspath(path)) in taken:
-            raise ConfigError(f"cannot write {path}: another output of this command goes there")
-        taken.add(absolute)
+            raise ConfigError(f"cannot write {path}: {taken[absolute]}")
+        taken[absolute] = "another output of this command goes there"
 
 
 def cmd_retrieve(args: SimpleNamespace) -> int:
-    _refuse_unwritable(args.output, args.output + ".meta")
+    _refuse_unwritable((args.config, args.input), args.output, args.output + ".meta")
     config = _load_config(args)
     data = read_tr_csv(args.input)
     geometry, medium = config.geometry(), config.medium()
@@ -145,7 +147,7 @@ def _forward_data(config: RunConfig, method: str):
 def cmd_forward(args: SimpleNamespace) -> int:
     if args.dump_field and args.method != "fdfd":
         raise ConfigError(f"--dump-field needs --method fdfd, got --method {args.method}")
-    _refuse_unwritable(args.output, args.output + ".meta", args.dump_field)
+    _refuse_unwritable((args.config,), args.output, args.output + ".meta", args.dump_field)
     config = _load_config(args)
     data, field = _forward_data(config, args.method)
     write_tr_csv(args.output, data, comments=[f"forward sweep, method={args.method}"])
