@@ -19,10 +19,7 @@ namedtuples, so no ``dataclasses`` (nor ``inspect``) loads either, and no
 module imports ``typing`` or ``pathlib``: annotation-only imports sit
 behind a plain ``TYPE_CHECKING = False`` and files are opened by name.
 ``import tubegap.cli`` took 26-30 ms without a bytecode cache on a 2-core
-host whose ``site`` already loads both modules.  Under ``python -S``,
-which preloads nothing, dropping them cut it by 10-14 ms (38 to 28 ms
-and 62 to 48 ms in two runs of alternating fresh processes, at two
-speeds of the host).
+host whose ``site`` already loads both modules.
 
 The top level exports the sweep workflow (``__all__``); the building
 blocks are imported from their own modules.

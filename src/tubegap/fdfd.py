@@ -94,7 +94,7 @@ SWEEP_BLOCK = 64
 
 
 class SimGrid(namedtuple("SimGrid", (
-        "geometry medium f_max dx dr nx nr n_sample_cells j_sleeve rho kappa radial_eigenvalues "
+        "medium f_max dx dr nx nr n_sample_cells j_sleeve rho kappa radial_eigenvalues "
         "radial_modes radial_modes_inv span_eigenvalues span_modes span_modes_inv "
         "span_air_modes area_weights"))):
     """Frozen simulation scene: grid, media maps, radial modes of the
@@ -271,7 +271,7 @@ def build_scene(
     for array in fields.values():
         array.setflags(write=False)
     return SimGrid(
-        geometry=geometry, medium=medium, f_max=f_max, dx=dx, dr=dr, nx=nx, nr=nr,
+        medium=medium, f_max=f_max, dx=dx, dr=dr, nx=nx, nr=nr,
         n_sample_cells=nt, j_sleeve=sleeve, **fields,
     )
 

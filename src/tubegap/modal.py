@@ -32,8 +32,7 @@ about 0.3 s per process, so no module of the package imports scipy.
 Each call is one loop over its arguments that gives each the cheapest of
 nine kernels for its band of x (see ``_kernels``): J1 at the 63 arguments
 of a 64-mode geometry took 44-54 us and J0 at the 63 duct roots 41 us on
-a 2-core machine, against 80-93 us and 76 us with one 16-node midpoint
-rule and one 18-term Hankel expansion for all x.
+a 2-core machine.
 The first 127 roots of J1 are a constant, equal bit for bit to
 ``scipy.special.jn_zeros(1, 127)``; that covers twice the default
 truncation, and only larger ones search the roots past it, once per
