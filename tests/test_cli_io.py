@@ -9,6 +9,7 @@ import importlib.util
 import math
 import os
 import re
+import shlex
 import statistics
 import subprocess
 import sys
@@ -44,6 +45,7 @@ sweep.start = 400
 sweep.stop = 1600
 sweep.count = 4
 """
+SAMPLE1_Z2 = GapProperties.from_geometry(SAMPLE1, MEDIUM).z2
 
 
 @pytest.fixture
@@ -209,18 +211,28 @@ class TestCli:
         except SystemExit as exc:
             return exc.code
 
-    def test_forward_then_retrieve(self, cfg_path, tmp_path, capsys):
+    @pytest.mark.parametrize("material, z1", [
+        ("material.z1_over_z2 = 15\n", 15.0 * SAMPLE1_Z2),
+        ("material.z1_re = 600000.0\nmaterial.z1_im = -40000.0\n", complex(6.0e5, -4.0e4)),
+    ], ids=["z1_over_z2", "z1_re_im"])
+    def test_forward_then_retrieve(self, tmp_path, material, z1):
+        """A forward then retrieve recovers n1 and z1, set as z1/z2 or as a
+        complex z1 by material.z1_re and material.z1_im, and writes a sidecar."""
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(SAMPLE1_CFG.replace("material.z1_over_z2 = 15\n", material))
+        assert RunConfig.from_file(cfg).material().z1 == z1
         tr = tmp_path / "tr.csv"
         out = tmp_path / "props.csv"
-        assert self.run("forward", "--config", str(cfg_path), "--method", "averaged",
+        assert self.run("forward", "--config", str(cfg), "--method", "averaged",
                         "--output", str(tr)) == 0
-        assert self.run("retrieve", "--config", str(cfg_path), "--input", str(tr),
+        assert self.run("retrieve", "--config", str(cfg), "--input", str(tr),
                         "--output", str(out)) == 0
         rows = read_results_csv(out)
         assert len(rows) == 4
         for row in rows:
             assert row["n1"].real == pytest.approx(5.0, rel=1e-6)
-            assert row["z1_over_z2_mag"] == pytest.approx(15.0, rel=1e-6)
+            assert row["z1_over_z2_mag"] == pytest.approx(abs(z1 / SAMPLE1_Z2), rel=1e-6)
+            assert abs(row["z1"] - z1) / abs(z1) < 1e-8
         # the sidecar exists and is timestamp-free deterministic text
         assert (tmp_path / "props.csv.meta").exists()
 
@@ -231,23 +243,18 @@ class TestCli:
         assert tr1.read_bytes() == tr2.read_bytes()
         assert (tmp_path / "a.csv.meta").read_bytes() == (tmp_path / "b.csv.meta").read_bytes()
 
-    def test_roundtrip_command_averaged(self, cfg_path, capsys):
+    @pytest.mark.parametrize("tolerance, code, verdict", [("1e-6", 0, "PASS"), ("1e-30", 2, "FAIL")])
+    def test_roundtrip_command_averaged(self, cfg_path, capsys, tolerance, code, verdict):
         assert self.run("roundtrip", "--config", str(cfg_path), "--method", "averaged",
-                        "--tolerance", "1e-6") == 0
+                        "--tolerance", tolerance) == code
         out = capsys.readouterr().out
-        assert "PASS" in out
+        assert verdict in out
         # each printed median is the median of the four printed per-point errors
         rows = [line.split() for line in out.splitlines()[2:6]]
         for column, name in ((3, "n1"), (4, "z1/z2")):
             median = re.search(rf"{re.escape(name)}: median (\S+),", out).group(1)
             errors = [float(row[column]) for row in rows]
             assert float(median) == pytest.approx(statistics.median(errors), rel=1e-2, abs=0)
-
-    def test_roundtrip_over_tolerance_fails(self, cfg_path, capsys):
-        code = self.run("roundtrip", "--config", str(cfg_path), "--method", "averaged",
-                        "--tolerance", "1e-30")
-        assert code == 2
-        assert "FAIL" in capsys.readouterr().out
 
     @pytest.mark.parametrize("argv", [
         ("forward", "--method", "fdfd", "--set", "oracle.cells_per_wavelength=nan"),
@@ -301,83 +308,89 @@ class TestCli:
         states = [line.split()[-1] for line in out.splitlines()[2:5]]
         assert states == ["propagating", "propagating", "evanescent"]
 
-    def test_missing_input_is_validation_error(self, cfg_path, tmp_path, capsys):
-        code = self.run("retrieve", "--config", str(cfg_path),
-                        "--input", str(tmp_path / "nope.csv"),
-                        "--output", str(tmp_path / "out.csv"))
-        assert code == 1
+    # each case's command line, run with --config run.cfg unless it names a
+    # config, and the one error line it must end in
+    NOT_TEXT = ("binary.csv: not a text file ('utf-8' codec can't decode byte 0xff in "
+                "position 0: invalid start byte)")
+    EMPTY = "cannot write to an empty path"
+    REFUSALS = {
+        "input_folder": ("retrieve --input folder --output out.csv",
+                         "[Errno 21] Is a directory: 'folder'"),
+        "input_binary": ("retrieve --input binary.csv --output out.csv", NOT_TEXT),
+        "input_missing": ("retrieve --input nope.csv --output out.csv",
+                          "[Errno 2] No such file or directory: 'nope.csv'"),
+        "input_empty": ("retrieve --input empty.csv --output out.csv", "empty.csv: no data rows"),
+        "input_out_of_order": ("retrieve --input twice.csv --output out.csv",
+                               "sweep frequencies must be strictly increasing: point 1 "
+                               "(counting from 0) is 500.0 Hz, after 500.0 Hz"),
+        "config_folder": ("forward --config folder --output out.csv",
+                          "[Errno 21] Is a directory: 'folder'"),
+        "config_binary": ("forward --config binary.csv --output out.csv", NOT_TEXT),
+        "output_folder": ("forward --output folder", "cannot write folder: it is a folder"),
+        "output_missing_parent": ("forward --output nowhere/out.csv",
+                                  "cannot write nowhere/out.csv: its folder does not exist"),
+        "output_empty": ("forward --output=", EMPTY),
+        # the unreadable input shows that the output is checked first
+        "retrieve_output_empty": ("retrieve --input binary.csv --output ''", EMPTY),
+        "dump_empty": ("forward --method fdfd --output out.csv --dump-field=", EMPTY),
+        "dump_needs_fdfd": ("forward --method averaged --output out.csv --dump-field field.csv",
+                            "--dump-field needs --method fdfd, got --method averaged"),
+        "dump_folder": ("forward --method fdfd --output out.csv --dump-field folder",
+                        "cannot write folder: it is a folder"),
+        "dump_is_output": ("forward --method fdfd --output out.csv --dump-field out.csv",
+                           "cannot write out.csv: another output of this command goes there"),
+        "dump_is_sidecar": ("forward --method fdfd --output out.csv --dump-field out.csv.meta",
+                            "cannot write out.csv.meta: another output of this command goes there"),
+        "sidecar_folder": ("forward --output held.csv", "cannot write held.csv.meta: it is a folder"),
+        "retrieve_sidecar_folder": ("retrieve --input tr.csv --output held.csv",
+                                    "cannot write held.csv.meta: it is a folder"),
+        "retrieve_output_folder": ("retrieve --input tr.csv --output folder",
+                                   "cannot write folder: it is a folder"),
+        "output_is_input": ("retrieve --input tr.csv --output tr.csv",
+                            "cannot write tr.csv: it is an input of this command"),
+        "output_is_config": ("forward --output run.cfg",
+                             "cannot write run.cfg: it is an input of this command"),
+        "sidecar_is_config": ("forward --config sweep.csv.meta --output sweep.csv",
+                              "cannot write sweep.csv.meta: it is an input of this command"),
+        "dump_is_config": ("forward --method fdfd --output out.csv --dump-field run.cfg",
+                           "cannot write run.cfg: it is an input of this command"),
+    }
 
-    @pytest.mark.parametrize("case", ["input_folder", "input_binary", "config_folder",
-                                      "config_binary", "output_folder", "output_missing_parent",
-                                      "dump_folder", "dump_is_output", "dump_is_sidecar",
-                                      "retrieve_output_folder"])
+    @pytest.mark.parametrize("case", REFUSALS)
     def test_unreadable_paths_are_validation_errors(self, cfg_path, tmp_path, capsys, case,
                                                     monkeypatch):
-        """A folder or a binary file where a text file belongs, an output
-        whose folder does not exist, or a field dump onto the sweep or its
-        sidecar, ends in exit 1 and one error line naming it, not a
-        traceback; an output is refused before any sweep runs or file is written."""
+        """A folder, a binary or a missing file, or a sweep with no rows or
+        out of order, where an input belongs; an output that is empty, is a
+        folder, whose folder does not exist, that another output takes or
+        that is an input; or a field dump without the simulator: each ends in
+        exit 1 and one error line naming it, not a traceback, before any
+        sweep runs, and leaves every file as it was."""
         def no_sweep(*args, **kwargs):
-            raise AssertionError("the sweep ran before the output path was checked")
+            raise AssertionError("the sweep ran before the paths were checked")
 
-        monkeypatch.setattr("tubegap.cli.forward_averaged_sweep", no_sweep)
+        monkeypatch.setattr("tubegap.retrieval.upstream_coupling", no_sweep)
         monkeypatch.setattr("tubegap.cli.build_scene", no_sweep)
-        monkeypatch.setattr("tubegap.cli.retrieve_sweep", no_sweep)
-        folder, binary = tmp_path / "folder", tmp_path / "binary.csv"
-        folder.mkdir()
-        binary.write_bytes(b"\xff\xfe\x00\x80" * 8)
-        out = str(tmp_path / "out.csv")
-        tr = tmp_path / "tr.csv"
-        write_tr_csv(tr, [ScatteringData(f=500.0, transmission=0.9 + 0j, reflection=0.1 + 0j)])
-        nowhere = tmp_path / "nowhere" / "out.csv"
-        argv, culprit = {
-            "input_folder": (("retrieve", "--config", str(cfg_path), "--input", str(folder),
-                              "--output", out), folder),
-            "input_binary": (("retrieve", "--config", str(cfg_path), "--input", str(binary),
-                              "--output", out), binary),
-            "config_folder": (("forward", "--config", str(folder), "--output", out), folder),
-            "config_binary": (("forward", "--config", str(binary), "--output", out), binary),
-            "output_folder": (("forward", "--config", str(cfg_path), "--output", str(folder)),
-                              folder),
-            "output_missing_parent": (("forward", "--config", str(cfg_path),
-                                       "--output", str(nowhere)), nowhere),
-            "dump_folder": (("forward", "--config", str(cfg_path), "--method", "fdfd",
-                             "--output", out, "--dump-field", str(folder)), folder),
-            "dump_is_output": (("forward", "--config", str(cfg_path), "--method", "fdfd",
-                                "--output", out, "--dump-field", out), out),
-            "dump_is_sidecar": (("forward", "--config", str(cfg_path), "--method", "fdfd",
-                                 "--output", out, "--dump-field", out + ".meta"), out + ".meta"),
-            "retrieve_output_folder": (("retrieve", "--config", str(cfg_path), "--input", str(tr),
-                                        "--output", str(folder)), folder),
-        }[case]
-        code = self.run(*argv)
-        err = capsys.readouterr().err
-        assert code == 1
-        assert err.startswith("error:") and str(culprit) in err
-        assert "Traceback" not in err
-        assert sorted(tmp_path.iterdir()) == sorted([binary, cfg_path, folder, tr])
-
-    @pytest.mark.parametrize("argv", [
-        ("forward", "--output="),
-        ("forward", "--method", "fdfd", "--dump-field="),
-        ("retrieve", "--output", ""),
-    ])
-    def test_empty_output_path_refused(self, cfg_path, tmp_path, capsys, monkeypatch, argv):
-        """An empty --output or --dump-field ends in exit 1 before any work,
-        not after the sweep with a folder error for '.'."""
-        def no_sweep(*args, **kwargs):
-            raise AssertionError("the sweep ran before the output path was checked")
-
-        for name in ("forward_averaged_sweep", "build_scene", "retrieve_sweep", "read_tr_csv"):
-            monkeypatch.setattr(f"tubegap.cli.{name}", no_sweep)
         monkeypatch.chdir(tmp_path)
-        extra = {"forward": ("--output", "tr.csv"), "retrieve": ("--input", "tr.csv")}[argv[0]]
-        code = self.run(argv[0], "--config", str(cfg_path), *extra, *argv[1:])
+        point = ScatteringData(f=500.0, transmission=0.9 + 0j, reflection=0.1 + 0j)
+        write_tr_csv("tr.csv", [point])
+        write_tr_csv("twice.csv", [point, point])
+        Path("empty.csv").write_text("f_hz,re_t,im_t,re_r,im_r\n")
+        Path("binary.csv").write_bytes(b"\xff\xfe\x00\x80" * 8)
+        Path("sweep.csv.meta").write_text(SAMPLE1_CFG)
+        Path("folder").mkdir()
+        Path("held.csv.meta").mkdir()
+        files = lambda: {p: p.is_file() and p.read_bytes() for p in tmp_path.rglob("*")}
+        before = files()
+        command, message = self.REFUSALS[case]
+        argv = shlex.split(command)
+        if "--config" not in argv:
+            argv[1:1] = ["--config", "run.cfg"]
+        code = self.run(*argv)
         captured = capsys.readouterr()
         assert code == 1
-        assert captured.err == "error: cannot write to an empty path\n"
+        assert captured.err == f"error: {message}\n"
         assert captured.out == ""
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["run.cfg"]
+        assert files() == before
 
     @pytest.mark.parametrize("buffered", [False, True])
     @pytest.mark.parametrize("argv", [("--help",), ("modes", "--modes", "3")])
@@ -401,22 +414,6 @@ class TestCli:
         finally:
             os.close(write_end)
         assert (done.returncode, done.stderr) == (1, "")
-
-    @pytest.mark.parametrize("command", ["forward", "retrieve"])
-    def test_sidecar_folder_refused_before_the_data_file(self, cfg_path, tmp_path, capsys,
-                                                         command):
-        """A folder where the ``.meta`` sidecar belongs ends in exit 1 naming
-        it, and no data file is left on disk without its sidecar."""
-        tr, out = tmp_path / "tr.csv", tmp_path / "out.csv"
-        write_tr_csv(tr, [ScatteringData(f=500.0, transmission=0.9 + 0j, reflection=0.1 + 0j)])
-        sidecar = tmp_path / "out.csv.meta"
-        sidecar.mkdir()
-        inputs = ("--input", str(tr)) if command == "retrieve" else ()
-        code = self.run(command, "--config", str(cfg_path), *inputs, "--output", str(out))
-        err = capsys.readouterr().err
-        assert code == 1
-        assert f"cannot write {sidecar}: it is a folder" in err
-        assert not out.exists()
 
     def test_files_named_as_pathlib_names_them(self, cfg_path, tmp_path, capsys):
         """``datafiles.file_name`` gives ``str(pathlib.Path(name))``, and
@@ -469,31 +466,6 @@ class TestCli:
         assert "Traceback" not in err
         assert not out.exists()
 
-    def test_complex_impedance_round_trip(self, tmp_path):
-        """material.z1_re and material.z1_im set a complex z1, which a
-        forward then retrieve recovers."""
-        z1 = complex(6.0e5, -4.0e4)
-        cfg = tmp_path / "z1.cfg"
-        cfg.write_text(SAMPLE1_CFG.replace(
-            "material.z1_over_z2 = 15\n", f"material.z1_re = {z1.real}\nmaterial.z1_im = {z1.imag}\n"))
-        assert RunConfig.from_file(cfg).material().z1 == z1
-        tr, out = tmp_path / "tr.csv", tmp_path / "props.csv"
-        assert self.run("forward", "--config", str(cfg), "--output", str(tr)) == 0
-        assert self.run("retrieve", "--config", str(cfg), "--input", str(tr),
-                        "--output", str(out)) == 0
-        rows = read_results_csv(out)
-        assert len(rows) == 4
-        for row in rows:
-            assert abs(row["z1"] - z1) / abs(z1) < 1e-8
-
-    def test_empty_input_reports_no_data(self, cfg_path, tmp_path, capsys):
-        empty = tmp_path / "empty.csv"
-        empty.write_text("f_hz,re_t,im_t,re_r,im_r\n")
-        code = self.run("retrieve", "--config", str(cfg_path), "--input", str(empty),
-                        "--output", str(tmp_path / "out.csv"))
-        assert code == 1
-        assert "no data rows" in capsys.readouterr().err
-
     def test_single_frequency_warns_about_branch(self, cfg_path, tmp_path, capsys):
         tr = tmp_path / "one.csv"
         k0t = 2 * math.pi * 500.0 / 343.0 * 0.0052
@@ -504,18 +476,6 @@ class TestCli:
                         "--output", str(tmp_path / "out.csv"))
         assert code == 0
         assert "unwrapping is undetermined" in capsys.readouterr().err
-
-    def test_retrieve_names_out_of_order_point(self, cfg_path, tmp_path, capsys):
-        tr = tmp_path / "twice.csv"
-        point = ScatteringData(f=500.0, transmission=0.9 + 0j, reflection=0.1 + 0j)
-        write_tr_csv(tr, [point, point])
-        code = self.run("retrieve", "--config", str(cfg_path), "--input", str(tr),
-                        "--output", str(tmp_path / "out.csv"))
-        assert code == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: sweep frequencies must be strictly increasing")
-        assert "point 1 (counting from 0) is 500.0 Hz, after 500.0 Hz" in err
-        assert not (tmp_path / "out.csv").exists()
 
     def test_forward_warns_past_branch_zero(self, cfg_path, tmp_path, capsys):
         """n1 = 200 on sample 1 puts 400 Hz at k0 |Re(n1)| t = 7.62 > pi; the
@@ -543,22 +503,15 @@ class TestCli:
         assert err.startswith(warning)
         assert "--branch-seed -1 (--set branch.seed=-1)" in err
 
-    def test_forward_above_cutoff_refuses(self, cfg_path, tmp_path, capsys):
-        """The sweep 400, 1400, 2400, 3400 Hz crosses the 2988 Hz cutoff;
-        the refusal names 3400 Hz and the override flag."""
-        code = self.run("forward", "--config", str(cfg_path),
-                        "--set", "sweep.stop=3400", "--output", str(tmp_path / "x.csv"))
-        assert code == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: sweep reaches 3400.0 Hz, above the first duct cutoff")
-        assert "--allow-above-cutoff" in err
-        assert not (tmp_path / "x.csv").exists()
-
     def test_retrieve_above_cutoff_refuses_like_forward(self, cfg_path, tmp_path, capsys):
         tr, out = tmp_path / "tr.csv", tmp_path / "props.csv"
         above = ("--config", str(cfg_path), "--set", "sweep.stop=3400")
         assert self.run("forward", *above, "--output", str(tmp_path / "x.csv")) == 1
         forward_err = capsys.readouterr().err
+        # the sweep 400, 1400, 2400, 3400 Hz crosses the 2988 Hz cutoff
+        assert forward_err.startswith("error: sweep reaches 3400.0 Hz, above the first duct cutoff")
+        assert "--allow-above-cutoff" in forward_err
+        assert not (tmp_path / "x.csv").exists()
         assert self.run("forward", *above, "--output", str(tr), "--allow-above-cutoff") == 0
         capsys.readouterr()
         assert self.run("retrieve", "--config", str(cfg_path), "--input", str(tr),
@@ -616,14 +569,6 @@ class TestCli:
             row = read_results_csv(out)[0]
             assert row["branch_m"] == seed
             assert f"using seed m={seed}" in capsys.readouterr().err
-
-    def test_field_dump_needs_fdfd(self, cfg_path, tmp_path, capsys):
-        tr, dump = tmp_path / "tr.csv", tmp_path / "field.csv"
-        code = self.run("forward", "--config", str(cfg_path), "--method", "averaged",
-                        "--output", str(tr), "--dump-field", str(dump))
-        assert code == 1
-        assert "--dump-field" in capsys.readouterr().err
-        assert not tr.exists() and not dump.exists()
 
     def test_fdfd_forward_with_field_dump(self, cfg_path, tmp_path):
         tr = tmp_path / "tr_sim.csv"

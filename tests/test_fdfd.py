@@ -34,10 +34,14 @@ def grid_wavenumber(k0, dx):
 
 @pytest.fixture(scope="module")
 def sample1_material(sample1_geometry, medium):
-    from tubegap.types import GapProperties
-
     z2 = GapProperties.from_geometry(sample1_geometry, medium).z2
     return MaterialSpec(n1=5.0 + 0j, z1=15.0 * z2)
+
+
+@pytest.fixture(scope="module")
+def lossy_sample2_material(sample2_geometry, medium):
+    z2 = GapProperties.from_geometry(sample2_geometry, medium).z2
+    return MaterialSpec(n1=7.0 - 0.8j, z1=(10.0 + 3.0j) * z2)
 
 
 @pytest.fixture(scope="module")
@@ -80,16 +84,18 @@ class TestBuildScene:
         with pytest.raises(ResolutionError, match="504 cells and 3136"):
             build_scene(sample1_material, sample1_geometry, 2500.0, medium=medium)
 
-    @pytest.mark.parametrize("ppw", [MIN_CELLS_PER_WAVELENGTH - 1, -5.0, math.nan, math.inf])
-    def test_resolution_below_minimum_rejected(self, sample1_geometry, medium, ppw):
-        """Too coarse or non-finite resolutions are refused, not silently raised."""
-        with pytest.raises(DomainError, match="cells_per_wavelength"):
-            build_scene(None, sample1_geometry, 1000.0, medium=medium, cells_per_wavelength=ppw)
-
-    @pytest.mark.parametrize("f_max", [0.0, -2500.0, math.nan, math.inf])
-    def test_f_max_must_be_positive_and_finite(self, sample1_geometry, medium, f_max):
-        with pytest.raises(DomainError, match=f"f_max must be positive, got {f_max}$"):
-            build_scene(None, sample1_geometry, f_max, medium=medium)
+    @pytest.mark.parametrize("f_max, ppw, message", [
+        *(pytest.param(1000.0, ppw, "cells_per_wavelength", id=str(ppw))
+          for ppw in (MIN_CELLS_PER_WAVELENGTH - 1, -5.0, math.nan, math.inf)),
+        *(pytest.param(f_max, fdfd_module.DEFAULT_CELLS_PER_WAVELENGTH,
+                       f"f_max must be positive, got {f_max}$", id=f"f_max={f_max}")
+          for f_max in (0.0, -2500.0, math.nan, math.inf))])
+    def test_resolution_below_minimum_rejected(self, sample1_geometry, medium, f_max, ppw,
+                                               message):
+        """Too coarse or non-finite resolutions are refused, not silently
+        raised, and so is an f_max that is not positive and finite."""
+        with pytest.raises(DomainError, match=message):
+            build_scene(None, sample1_geometry, f_max, medium=medium, cells_per_wavelength=ppw)
 
     def test_mirror_symmetric_instruments(self, sample1_geometry, medium, sample1_material):
         """The two read-out columns mirror each other about x = t/2."""
@@ -253,31 +259,22 @@ class TestStencil:
 class TestSweep:
     """solve_sweep against its points solved alone, bit for bit."""
 
-    @staticmethod
-    def assert_points_alone(scene, freqs):
+    @pytest.mark.parametrize("material, geometry, build, f_max, points, nr", [
+        ("sample1_material", "sample1_geometry", build_scene, 2500.0, 45, 56),
+        ("lossy_sample2_material", "sample2_geometry", build_scene, 2500.0, 12, 140),
+        (None, "sample1_geometry", fast_scene, 2500.0, 12, 7),
+        ("sample1_material", "sample1_geometry", fast_scene, 1500.0, fdfd_module.SWEEP_BLOCK + 3, 7),
+    ], ids=["sample1", "lossy_sample2", "empty_duct", "longer_than_one_block"])
+    def test_points_alone(self, request, medium, material, geometry, build, f_max, points, nr):
+        scene = build(material and request.getfixturevalue(material),
+                      request.getfixturevalue(geometry), f_max, medium=medium)
+        assert scene.nr == nr
+        freqs = np.linspace(300.0, f_max, points)
         swept = solve_sweep(scene, freqs)
         assert [sd.f for sd in swept] == list(freqs)
         for sd, f in zip(swept, freqs):
             alone = solve_sweep(scene, [f])[0]
             assert (sd.transmission, sd.reflection) == (alone.transmission, alone.reflection), f
-
-    def test_sample1(self, default_scene):
-        self.assert_points_alone(default_scene, np.linspace(300.0, 2500.0, 45))
-
-    def test_lossy_sample2(self, sample2_geometry, medium):
-        z2 = GapProperties.from_geometry(sample2_geometry, medium).z2
-        material = MaterialSpec(n1=7.0 - 0.8j, z1=(10.0 + 3.0j) * z2)
-        scene = build_scene(material, sample2_geometry, 2500.0, medium=medium)
-        assert scene.nr == 140
-        self.assert_points_alone(scene, np.linspace(300.0, 2500.0, 12))
-
-    def test_empty_duct(self, sample1_geometry, medium):
-        scene = fast_scene(None, sample1_geometry, 2500.0, medium=medium)
-        self.assert_points_alone(scene, np.linspace(300.0, 2500.0, 12))
-
-    def test_longer_than_one_block(self, sample1_geometry, sample1_material, medium):
-        scene = fast_scene(sample1_material, sample1_geometry, 1500.0, medium=medium)
-        self.assert_points_alone(scene, np.linspace(300.0, 1500.0, fdfd_module.SWEEP_BLOCK + 3))
 
     def test_blocks_fit_the_cell_budget(self, sample1_geometry, sample1_material, medium,
                                         monkeypatch):
@@ -380,19 +377,15 @@ class TestIndependentSolve:
             expected = dense_field(scene, f)
             assert np.linalg.norm(p - expected) <= 1e-10 * np.linalg.norm(expected), f
 
-    def test_empty_duct(self, sample1_geometry, medium):
-        scene = fast_scene(None, sample1_geometry, 1500.0, medium=medium)
-        self.assert_matches_dense(scene, (300.0, 1500.0))
-
-    def test_sample1(self, sample1_geometry, sample1_material, medium):
-        scene = fast_scene(sample1_material, sample1_geometry, 2500.0, medium=medium)
-        self.assert_matches_dense(scene, (300.0, 1300.0, 2500.0))
-
-    def test_lossy_sample2(self, sample2_geometry, medium):
-        z2 = GapProperties.from_geometry(sample2_geometry, medium).z2
-        material = MaterialSpec(n1=7.0 - 0.8j, z1=(10.0 + 3.0j) * z2)
-        scene = fast_scene(material, sample2_geometry, 1500.0, medium=medium)
-        self.assert_matches_dense(scene, (400.0, 1500.0))
+    @pytest.mark.parametrize("material, geometry, f_max, freqs", [
+        (None, "sample1_geometry", 1500.0, (300.0, 1500.0)),
+        ("sample1_material", "sample1_geometry", 2500.0, (300.0, 1300.0, 2500.0)),
+        ("lossy_sample2_material", "sample2_geometry", 1500.0, (400.0, 1500.0)),
+    ], ids=["empty_duct", "sample1", "lossy_sample2"])
+    def test_matches_dense(self, request, medium, material, geometry, f_max, freqs):
+        scene = fast_scene(material and request.getfixturevalue(material),
+                           request.getfixturevalue(geometry), f_max, medium=medium)
+        self.assert_matches_dense(scene, freqs)
 
     def test_four_air_columns(self, sample1_geometry, sample1_material, medium):
         """The field outside the sample is the outgoing continuation: with

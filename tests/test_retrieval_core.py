@@ -18,7 +18,6 @@ from tubegap.retrieval import (
     DegenerateFieldsError,
     FieldState,
     TransferMatrix,
-    forward_averaged_sweep,
     impedance_from_fields,
     index_from_fields,
     retrieve_sweep,
@@ -38,20 +37,18 @@ def random_tr(rng):
 
 
 class TestTransferMatrix:
-    def test_transparent_sample(self, medium):
-        m = transfer_matrix_from_tr(ScatteringData(f=500.0, transmission=1.0, reflection=0.0), medium)
-        assert m.m11 == pytest.approx(1.0)
-        assert m.m22 == pytest.approx(1.0)
-        assert abs(m.m12) < 1e-14 and abs(m.m21) < 1e-14
-
-    def test_pure_phase_layer(self, medium):
-        theta = 0.7
+    @pytest.mark.parametrize("theta, tol", [(0.0, 0.0), (0.7, 1e-12)])
+    def test_pure_phase_layer(self, medium, theta, tol):
+        """T = exp(-i theta), R = 0 is the layer matrix of an air slab of phase
+        theta, to ``tol`` (times alpha for m12, over alpha for m21); theta = 0,
+        a transparent sample, is the identity exactly."""
         data = ScatteringData(f=500.0, transmission=cmath.exp(-1j * theta), reflection=0.0)
         m = transfer_matrix_from_tr(data, medium)
         alpha = medium.alpha
-        assert m.m11 == pytest.approx(math.cos(theta), abs=1e-12)
-        assert m.m12 == pytest.approx(1j * alpha * math.sin(theta), abs=1e-12 * alpha)
-        assert m.m21 == pytest.approx(1j * math.sin(theta) / alpha, abs=1e-12 / alpha)
+        assert m.m11 == pytest.approx(math.cos(theta), abs=tol)
+        assert m.m22 == pytest.approx(math.cos(theta), abs=tol)
+        assert m.m12 == pytest.approx(1j * alpha * math.sin(theta), abs=tol * alpha)
+        assert m.m21 == pytest.approx(1j * math.sin(theta) / alpha, abs=tol / alpha)
 
     def test_round_trip_and_constraints(self, medium):
         """100 random pairs: inversion satisfies the layer constraints and
@@ -67,13 +64,10 @@ class TestTransferMatrix:
             assert t2 == pytest.approx(t, abs=1e-12)
             assert r2 == pytest.approx(r, abs=1e-12)
 
-    def test_matrix_to_tr_identity(self, medium):
-        m = TransferMatrix(m11=1.0, m12=0.0, m21=0.0, m22=1.0)
-        t, r = tr_from_transfer_matrix(m, medium)
-        assert t == pytest.approx(1.0) and abs(r) < 1e-15
-
-    def test_air_slab_is_transparent(self, medium):
-        k0t = 0.31
+    @pytest.mark.parametrize("k0t", [0.0, 0.31])
+    def test_air_slab_is_transparent(self, medium, k0t):
+        """An air slab's layer matrix, the identity at k0 t = 0, gives
+        T = exp(-i k0 t) and R = 0."""
         alpha = medium.alpha
         m = TransferMatrix(
             m11=math.cos(k0t), m12=1j * alpha * math.sin(k0t),
@@ -81,7 +75,7 @@ class TestTransferMatrix:
         )
         t, r = tr_from_transfer_matrix(m, medium)
         assert abs(t) == pytest.approx(1.0, abs=1e-12)
-        assert abs(r) < 1e-14
+        assert abs(r) < 1e-15
         assert t == pytest.approx(cmath.exp(-1j * k0t), abs=1e-12)
 
     def test_quarter_wave_layer(self, medium):
@@ -278,55 +272,6 @@ class TestSolveFields:
             retrieve_sweep(data, sample1_geometry, medium)
 
 
-def solve_in_order(points):
-    """``_solve_halves`` on each (rows, upstream, f) in turn, as a sweep does."""
-    return [retrieval_module._solve_halves(*point) for point in points]
-
-
-class TestStackedRefusals:
-    """A refusal of a sweep's half systems names the first failing point."""
-
-    FREQS = [500.0, 900.0, 1300.0, 1700.0, 2100.0]
-
-    @pytest.fixture
-    def stack(self, sample1_geometry, medium, sample1_z2):
-        """Each point's (rows, upstream, f), with the rows and the couplings
-        as nested lists a test can change."""
-        sweep = forward_averaged_sweep(5.0, 15.0 * sample1_z2, sample1_geometry, medium,
-                                       self.FREQS)
-        return [(np.array(rows).tolist(), np.array(upstream).tolist(), f)
-                for rows, upstream, f in (measured_halves(d, sample1_geometry, medium)
-                                          for d in sweep)]
-
-    @staticmethod
-    def make_singular(stack):
-        # the fourth point's halves both become A = [[1, 1], [1, 1]], nonzero columns
-        rows, upstream, _ = stack[3]
-        upstream[:] = [[0j, 0j], [0j, 0j]]
-        for half in rows:
-            for row in half:
-                row[2:] = [1.0, 1.0]
-
-    def test_exactly_singular_point_refused_without_warning(self, stack):
-        self.make_singular(stack)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(IllConditionedSystemError, match="condition number inf") as err:
-                solve_in_order(stack)
-        assert err.value.frequency == 1700.0
-
-    def test_singular_solve_names_its_point(self, stack, monkeypatch):
-        """With the condition bound lifted, Cramer's rule meets a zero
-        determinant, and the refusal still names the singular point."""
-        self.make_singular(stack)
-        monkeypatch.setattr(retrieval_module, "MAX_CONDITION", math.inf)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(IllConditionedSystemError, match="singular at 1700.0 Hz") as err:
-                solve_in_order(stack)
-        assert err.value.frequency == 1700.0
-
-
 def layer_fields(n1, z1, k0, t, p_out=1.0 + 0j, u_out=0.0 + 0j):
     """Exact single-layer fields for the extraction-formula tests."""
     theta = k0 * n1 * t
@@ -340,15 +285,16 @@ def layer_fields(n1, z1, k0, t, p_out=1.0 + 0j, u_out=0.0 + 0j):
 
 class TestExtraction:
     def test_impedance_single_layer_construction(self):
-        # z = 2 with total phase 1.5 across the layer
+        """z = 2 and n = 3 with total phase 1.5 across the layer: the helpers
+        give both back, and branch 1 adds 2 pi / (k0 t) to n."""
         state = layer_fields(3.0, 2.0, k0=0.5, t=1.0)
         assert state.p1_in == pytest.approx(cmath.cos(1.5))
         assert state.u1_in == pytest.approx(0.5j * cmath.sin(1.5))
         assert impedance_from_fields(state) == pytest.approx(2.0, abs=1e-12)
-
-    def test_index_single_layer_construction(self):
-        state = layer_fields(3.0, 2.0, k0=0.5, t=1.0)
-        assert index_from_fields(state, k0=0.5, t=1.0) == pytest.approx(3.0, abs=1e-12)
+        n0 = index_from_fields(state, k0=0.5, t=1.0)
+        assert n0 == pytest.approx(3.0, abs=1e-12)
+        n1 = index_from_fields(state, k0=0.5, t=1.0, branch_m=1)
+        assert n1 - n0 == pytest.approx(2 * math.pi / 0.5, abs=1e-12)
 
     def test_scale_invariance(self):
         rng = np.random.default_rng(23)
@@ -389,23 +335,12 @@ class TestExtraction:
             4 * math.pi, abs=1e-12
         )
 
-    def test_branch_arithmetic(self):
-        state = layer_fields(3.0, 2.0, k0=0.5, t=1.0)
-        n0 = index_from_fields(state, k0=0.5, t=1.0)
-        n1 = index_from_fields(state, k0=0.5, t=1.0, branch_m=1)
-        assert n1 - n0 == pytest.approx(2 * math.pi / 0.5, abs=1e-12)
-
     def test_half_wave_degeneracy_flagged(self):
         # theta = pi with live fields: u_in = -u_out, so the velocity
         # contrast collapses while the velocities themselves stay O(1)
         state = layer_fields(2.0, 3.0, k0=math.pi / 2, t=1.0, u_out=0.4 + 0.1j)
         with pytest.raises(DegenerateFieldsError):
             impedance_from_fields(state)
-
-    def test_impedance_sign_convention(self):
-        state = layer_fields(3.0, 2.0, k0=0.5, t=1.0)
-        z = impedance_from_fields(state)
-        assert z.real >= 0
 
     @pytest.mark.parametrize("helper", ["impedance", "index"])
     @pytest.mark.parametrize("factor", [0.9, 1.1])
@@ -440,11 +375,3 @@ class TestExtraction:
         assert bad_n == raises(index_from_fields, 1.0, 1.0)
         inside = factor < 1.0
         assert (bad_z, bad_n) == (inside and helper == "impedance", inside and helper == "index")
-
-    def test_energy_conservation_through_lossless_layer(self):
-        """Power flux is identical on the two faces of a lossless layer."""
-        for u_out in (0.0, 0.3 - 0.2j):
-            state = layer_fields(3.7, 1.9, k0=0.9, t=0.6, u_out=u_out)
-            flux_in = (state.p1_in * state.u1_in.conjugate()).real
-            flux_out = (state.p1_out * state.u1_out.conjugate()).real
-            assert flux_in == pytest.approx(flux_out, rel=1e-6, abs=1e-12)

@@ -195,7 +195,8 @@ class TestForwardAveraged:
 class TestBranchTracking:
     def test_fold_crossing(self, medium):
         """Sample thick enough that the tracker moves from branch 0 to
-        branch 1 inside the sweep."""
+        branch 1 inside the sweep, with n1 moving less than a quarter of a
+        branch step, pi / (2 k0 t), between neighbouring points."""
         geometry = DuctGeometry(r1=0.04, r2=0.07, t=0.05)
         z2 = GapProperties.from_geometry(geometry, medium).z2.real
         freqs = list(np.linspace(300.0, 2500.0, 61))
@@ -203,12 +204,6 @@ class TestBranchTracking:
         assert max(abs(r.n1 - 3.0) / 3.0 for r in results) < 1e-6
         branches = {(r.branch_m, r.sign_choice) for r in results}
         assert (0, 1) in branches and (1, -1) in branches
-
-    def test_branch_continuity_bound(self, medium):
-        geometry = DuctGeometry(r1=0.04, r2=0.07, t=0.05)
-        z2 = GapProperties.from_geometry(geometry, medium).z2.real
-        freqs = list(np.linspace(300.0, 2500.0, 61))
-        results = roundtrip(3.0, 8.0 * z2, geometry, medium, freqs)
         for prev, cur in zip(results, results[1:]):
             k0 = 2 * math.pi * cur.f / medium.c0
             assert abs(cur.n1 - prev.n1) < math.pi / (k0 * geometry.t) / 2
@@ -439,20 +434,6 @@ class TestStackedBlocks:
             forward_averaged_sweep(5.0, 15.0 * sample1_z2, sample1_geometry, medium, self.FREQS)
         with pytest.raises(ConvergenceError, match=match):
             retrieve_sweep(sweep, sample1_geometry, medium)
-
-    def test_cutoff_point_names_frequency_and_mode(self, sample1_geometry, medium,
-                                                   sample1_z2):
-        on_cutoff = float(modal.duct_wavenumbers(sample1_geometry, 2).k[1]
-                          * medium.c0 / (2.0 * math.pi))
-        freqs = self.FREQS[:100] + [on_cutoff, 3200.0]
-        with pytest.raises(DomainError, match=f"{on_cutoff} Hz .* duct mode 1$"):
-            forward_averaged_sweep(5.0, 15.0 * sample1_z2, sample1_geometry, medium, freqs)
-
-    @pytest.mark.parametrize("bad", [math.nan, -700.0])
-    def test_bad_frequency_refused(self, sample1_geometry, medium, sample1_z2, bad):
-        freqs = self.FREQS[:80] + [bad]
-        with pytest.raises(DomainError, match=f"got {bad}$"):
-            forward_averaged_sweep(5.0, 15.0 * sample1_z2, sample1_geometry, medium, freqs)
 
 
 class TestClassicRetrieve:
