@@ -211,30 +211,30 @@ class TestCli:
         except SystemExit as exc:
             return exc.code
 
-    @pytest.mark.parametrize("material, z1", [
-        ("material.z1_over_z2 = 15\n", 15.0 * SAMPLE1_Z2),
-        ("material.z1_re = 600000.0\nmaterial.z1_im = -40000.0\n", complex(6.0e5, -4.0e4)),
-    ], ids=["z1_over_z2", "z1_re_im"])
-    def test_forward_then_retrieve(self, tmp_path, material, z1):
+    def test_forward_then_retrieve(self, tmp_path):
         """A forward then retrieve recovers n1 and z1, set as z1/z2 or as a
         complex z1 by material.z1_re and material.z1_im, and writes a sidecar."""
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text(SAMPLE1_CFG.replace("material.z1_over_z2 = 15\n", material))
-        assert RunConfig.from_file(cfg).material().z1 == z1
-        tr = tmp_path / "tr.csv"
-        out = tmp_path / "props.csv"
-        assert self.run("forward", "--config", str(cfg), "--method", "averaged",
-                        "--output", str(tr)) == 0
-        assert self.run("retrieve", "--config", str(cfg), "--input", str(tr),
-                        "--output", str(out)) == 0
-        rows = read_results_csv(out)
-        assert len(rows) == 4
-        for row in rows:
-            assert row["n1"].real == pytest.approx(5.0, rel=1e-6)
-            assert row["z1_over_z2_mag"] == pytest.approx(abs(z1 / SAMPLE1_Z2), rel=1e-6)
-            assert abs(row["z1"] - z1) / abs(z1) < 1e-8
-        # the sidecar exists and is timestamp-free deterministic text
-        assert (tmp_path / "props.csv.meta").exists()
+        for name, material, z1 in (
+                ("ratio", "material.z1_over_z2 = 15\n", 15.0 * SAMPLE1_Z2),
+                ("complex", "material.z1_re = 600000.0\nmaterial.z1_im = -40000.0\n",
+                 complex(6.0e5, -4.0e4))):
+            cfg = tmp_path / f"{name}.cfg"
+            cfg.write_text(SAMPLE1_CFG.replace("material.z1_over_z2 = 15\n", material))
+            assert RunConfig.from_file(cfg).material().z1 == z1
+            tr = tmp_path / f"{name}_tr.csv"
+            out = tmp_path / f"{name}_props.csv"
+            assert self.run("forward", "--config", str(cfg), "--method", "averaged",
+                            "--output", str(tr)) == 0
+            assert self.run("retrieve", "--config", str(cfg), "--input", str(tr),
+                            "--output", str(out)) == 0
+            rows = read_results_csv(out)
+            assert len(rows) == 4, name
+            for row in rows:
+                assert row["n1"].real == pytest.approx(5.0, rel=1e-6)
+                assert row["z1_over_z2_mag"] == pytest.approx(abs(z1 / SAMPLE1_Z2), rel=1e-6)
+                assert abs(row["z1"] - z1) / abs(z1) < 1e-8, name
+            # the sidecar exists and is timestamp-free deterministic text
+            assert (tmp_path / f"{name}_props.csv.meta").exists()
 
     def test_byte_identical_reruns(self, cfg_path, tmp_path):
         tr1, tr2 = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -243,18 +243,19 @@ class TestCli:
         assert tr1.read_bytes() == tr2.read_bytes()
         assert (tmp_path / "a.csv.meta").read_bytes() == (tmp_path / "b.csv.meta").read_bytes()
 
-    @pytest.mark.parametrize("tolerance, code, verdict", [("1e-6", 0, "PASS"), ("1e-30", 2, "FAIL")])
-    def test_roundtrip_command_averaged(self, cfg_path, capsys, tolerance, code, verdict):
-        assert self.run("roundtrip", "--config", str(cfg_path), "--method", "averaged",
-                        "--tolerance", tolerance) == code
-        out = capsys.readouterr().out
-        assert verdict in out
-        # each printed median is the median of the four printed per-point errors
-        rows = [line.split() for line in out.splitlines()[2:6]]
-        for column, name in ((3, "n1"), (4, "z1/z2")):
-            median = re.search(rf"{re.escape(name)}: median (\S+),", out).group(1)
-            errors = [float(row[column]) for row in rows]
-            assert float(median) == pytest.approx(statistics.median(errors), rel=1e-2, abs=0)
+    def test_roundtrip_command_averaged(self, cfg_path, capsys):
+        """The same round trip passes at 1e-6 and fails with exit 2 at 1e-30."""
+        for tolerance, code, verdict in (("1e-6", 0, "PASS"), ("1e-30", 2, "FAIL")):
+            assert self.run("roundtrip", "--config", str(cfg_path), "--method", "averaged",
+                            "--tolerance", tolerance) == code
+            out = capsys.readouterr().out
+            assert verdict in out
+            # each printed median is the median of the four printed per-point errors
+            rows = [line.split() for line in out.splitlines()[2:6]]
+            for column, name in ((3, "n1"), (4, "z1/z2")):
+                median = re.search(rf"{re.escape(name)}: median (\S+),", out).group(1)
+                errors = [float(row[column]) for row in rows]
+                assert float(median) == pytest.approx(statistics.median(errors), rel=1e-2, abs=0)
 
     @pytest.mark.parametrize("argv", [
         ("forward", "--method", "fdfd", "--set", "oracle.cells_per_wavelength=nan"),

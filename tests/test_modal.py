@@ -242,15 +242,8 @@ class TestCouplingCoefficients:
             coupling_coefficients(sample1_geometry, medium, 1000.0, n_modes=64)
 
     def test_frequency_validation(self, sample1_geometry, medium):
-        for bad in (-5.0, math.nan, 0.0, math.inf):
-            with pytest.raises(DomainError, match=f"got {bad}$"):
-                coupling_coefficients(sample1_geometry, medium, bad)
-
-    def test_cutoff_names_frequency_and_mode(self, sample1_geometry, medium):
-        basis = duct_wavenumbers(sample1_geometry, 2)
-        on_cutoff = float(basis.k[1] * medium.c0 / (2.0 * math.pi))
-        with pytest.raises(DomainError, match=f"{on_cutoff} Hz .* duct mode 1$"):
-            coupling_coefficients(sample1_geometry, medium, on_cutoff)
+        with pytest.raises(DomainError, match="got -5.0$"):
+            coupling_coefficients(sample1_geometry, medium, -5.0)
 
     # sample 1 at the default truncation and at 22 modes, and r1/r2 = 0.9 at
     # 128 modes; 2950 Hz lies just below the first duct cutoff (2988.2 Hz),
@@ -311,3 +304,41 @@ class TestCouplingIdentity:
                 assert bits(*upstream_coupling(geometry, medium, f, n_modes)) == \
                     bits(*per_point_upstream(geometry, medium, f, n_modes)), (r1, f)
 
+
+class TestCouplingStack:
+    """The couplings of a sweep, one frequency at a time: each point gives
+    the couplings of that point alone, bit for bit, and the first point
+    that fails is refused by name."""
+
+    @pytest.mark.parametrize("points", [1, 150])
+    @pytest.mark.parametrize("n_modes", [1, 2, 64, 128, 200])
+    @pytest.mark.parametrize("sample", ["sample1_geometry", "sample2_geometry"])
+    def test_equals_per_frequency(self, request, medium, monkeypatch, sample, n_modes, points):
+        """Against ``coupling_coefficients``, and against the same sweep in
+        reverse order, from below the first duct cutoff to above the second;
+        200 modes is past the root table."""
+        monkeypatch.setattr(modal, "SUM_TOLERANCE", math.inf)
+        geometry = request.getfixturevalue(sample)
+        freqs = [1234.5] if points == 1 else np.linspace(100.0, 6000.0, points).tolist()
+        sweep = [upstream_coupling(geometry, medium, f, n_modes) for f in freqs]
+        backward = [upstream_coupling(geometry, medium, f, n_modes) for f in reversed(freqs)]
+        assert sweep == backward[::-1]
+        for f, (upstream, rel_change) in zip(freqs, sweep):
+            single = coupling_coefficients(geometry, medium, f, n_modes)
+            assert single.upstream.tobytes() == np.array(upstream).tobytes()
+            assert single.downstream.tobytes() == (-np.array(upstream)).tobytes()
+            assert rel_change == single.rel_change
+
+    def test_cutoff_names_frequency_and_mode(self, sample1_geometry, medium):
+        basis = duct_wavenumbers(sample1_geometry, 2)
+        on_cutoff = float(basis.k[1] * medium.c0 / (2.0 * math.pi))
+        freqs = [2000.0, 2500.0, on_cutoff, 3500.0]
+        with pytest.raises(DomainError, match=f"{on_cutoff} Hz .* duct mode 1$"):
+            for f in freqs:
+                upstream_coupling(sample1_geometry, medium, f)
+
+    @pytest.mark.parametrize("bad", [math.nan, -5.0, 0.0, math.inf])
+    def test_frequency_validation_names_the_point(self, sample1_geometry, medium, bad):
+        with pytest.raises(DomainError, match=f"got {bad}$"):
+            for f in [500.0, bad, 700.0]:
+                upstream_coupling(sample1_geometry, medium, f)
