@@ -56,37 +56,48 @@ def _load_config(args: SimpleNamespace) -> RunConfig:
     return RunConfig.from_file(args.config, overrides=_overrides(args))
 
 
-def _is_dir(name: str) -> bool:
-    """``pathlib.Path(name).is_dir()``: False where the name or a folder on
-    it is missing, loops or is not a folder, any other ``OSError`` raised."""
+def _stat(name: str) -> os.stat_result | None:
+    """``os.stat(name)``: None where the name or a folder on it is missing,
+    loops or is not a folder, any other ``OSError`` raised."""
     try:
-        return stat.S_ISDIR(os.stat(name).st_mode)
+        return os.stat(name)
     except OSError as exc:
         if exc.errno not in (errno.ENOENT, errno.ENOTDIR, errno.EBADF, errno.ELOOP):
             raise
-        return False
+        return None
     except ValueError:  # an embedded null byte
-        return False
+        return None
+
+
+def _is_dir(name: str) -> bool:
+    """``pathlib.Path(name).is_dir()``."""
+    found = _stat(name)
+    return found is not None and stat.S_ISDIR(found.st_mode)
 
 
 def _refuse_unwritable(inputs: tuple[str | None, ...], *paths: str | None) -> None:
     """Refuse, before any work, an output path that is empty, is a folder,
     whose folder does not exist, that names one of the command's ``inputs``
-    or that an earlier output of the command takes.  Callers list a data
+    or that an earlier output of the command takes, by name or, for a file
+    that exists, through a symbolic or hard link.  Callers list a data
     file's ``.meta`` sidecar too, so that a sidecar path that is a folder or
     an input is refused before the data file is written."""
     if "" in paths:
         raise ConfigError("cannot write to an empty path")
-    taken = {os.path.abspath(file_name(p)): "it is an input of this command"
-             for p in inputs if p is not None}
+    taken = [(os.path.abspath(name), _stat(name), "it is an input of this command")
+             for name in (file_name(p) for p in inputs if p is not None)]
     for path in (file_name(p) for p in paths if p is not None):
-        if _is_dir(path):
+        found = _stat(path)
+        if found is not None and stat.S_ISDIR(found.st_mode):
             raise ConfigError(f"cannot write {path}: it is a folder")
         if not _is_dir(os.path.dirname(path) or "."):
             raise ConfigError(f"cannot write {path}: its folder does not exist")
-        if (absolute := os.path.abspath(path)) in taken:
-            raise ConfigError(f"cannot write {path}: {taken[absolute]}")
-        taken[absolute] = "another output of this command goes there"
+        absolute = os.path.abspath(path)
+        for name, held, reason in taken:
+            if name == absolute or (found is not None and held is not None
+                                    and os.path.samestat(found, held)):
+                raise ConfigError(f"cannot write {path}: {reason}")
+        taken.append((absolute, found, "another output of this command goes there"))
 
 
 def cmd_retrieve(args: SimpleNamespace) -> int:

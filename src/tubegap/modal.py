@@ -36,13 +36,12 @@ a 2-core machine.
 The first 127 roots of J1 are a constant, equal bit for bit to
 ``scipy.special.jn_zeros(1, 127)``; that covers twice the default
 truncation, and only larger ones search the roots past it, once per
-truncation, from McMahon's expansion and one Newton step.  The wall
-values J0(x_n) depend on the truncation alone and are cached with it.
-What a frequency's couplings need of a geometry (the basis, the squared
-patch integrals, their negatives and the three patch weights) is one
-record cached per pair of radii and truncation, so a fresh geometry costs
-one J1 evaluation over ``n_modes - 1`` arguments and a sweep over one
-geometry costs no more.
+truncation, from McMahon's expansion and one Newton step; the wall
+values J0(x_n) are cached with them.  What a frequency's couplings need
+of a geometry (the wavenumbers, the squared disk integrals and the three
+patch weights) is one ``ModalBasis``, cached per radii and truncation, so
+a fresh geometry costs one J1 evaluation over ``n_modes - 1`` arguments
+and a sweep over one geometry costs no more.
 
 ``upstream_coupling`` sums one frequency's couplings.  Past the plane
 wave, the ring's patch integral of each mode is minus the disk's, so the
@@ -60,7 +59,7 @@ from bisect import bisect_left, bisect_right
 from collections import namedtuple
 from functools import lru_cache
 from math import sqrt
-from operator import mul, neg
+from operator import mul
 
 from tubegap.errors import ConvergenceError, DomainError
 from tubegap.types import DuctGeometry, MediumProperties
@@ -73,8 +72,8 @@ DEFAULT_MODE_COUNT = 64
 # largest relative movement of a coupling coefficient when the truncation is
 # doubled from n_modes/2 to n_modes; read at call time, so tests can patch it
 SUM_TOLERANCE = 1e-3
-# radius pairs whose patch integrals, and truncations whose J1 roots and wall
-# values, stay cached; fixed so that runs over many geometries (e.g.
+# radius pairs whose ModalBasis records, and truncations whose J1 roots and
+# wall values, stay cached; fixed so that runs over many geometries (e.g.
 # randomized draws) keep a bounded memory footprint
 PATCH_CACHE_SIZE = 32
 
@@ -203,9 +202,12 @@ _J1_ROOT_TABLE = (
 )
 
 
+# a cache of its own, not _modal_basis's: each fresh pair of radii would
+# otherwise pay for J0 at the roots again (41 us of a 0.28 ms draw at 64 modes)
 @lru_cache(maxsize=PATCH_CACHE_SIZE)
-def _j1_roots(n_modes: int) -> tuple[float, ...]:
-    """0 followed by the first ``n_modes - 1`` positive roots of J1.
+def _duct_roots(n_modes: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """0 and the first ``n_modes - 1`` positive roots of J1, and J0 at each:
+    the eigenmode normalization at the wall, the same for every duct radius.
 
     Truncations beyond the table search the roots past it with
     ``_search_j1_roots``, once per truncation.
@@ -214,7 +216,8 @@ def _j1_roots(n_modes: int) -> tuple[float, ...]:
     positive = _J1_ROOT_TABLE[:count]
     if count > len(positive):
         positive += _search_j1_roots(len(positive) + 1, count)
-    return (0.0, *positive)
+    roots = (0.0, *positive)
+    return roots, tuple(bessel_j0(roots))
 
 
 def _search_j1_roots(first: int, last: int) -> tuple[float, ...]:
@@ -237,18 +240,16 @@ def _search_j1_roots(first: int, last: int) -> tuple[float, ...]:
     return tuple(roots)
 
 
-@lru_cache(maxsize=PATCH_CACHE_SIZE)
-def _wall_values(n_modes: int) -> tuple[float, ...]:
-    """J0 at ``_j1_roots(n_modes)``: the eigenmode normalization at the
-    wall, the same for every duct radius."""
-    return tuple(bessel_j0(_j1_roots(n_modes)))
-
-
-class ModalBasis(namedtuple("ModalBasis", "wavenumbers")):
-    """Radial eigenmode set of a rigid duct, truncated to ``n_modes``.
+class ModalBasis(namedtuple("ModalBasis", "wavenumbers squares w_disk w_cross w_ring")):
+    """Radial eigenmode set of a rigid duct, truncated to ``n_modes``, and
+    what a frequency's couplings need of the two radii.
 
     Attributes:
         wavenumbers: radial wavenumbers k_n = x_n / r2 (1/m), k_0 == 0
+        squares: per mode n >= 1, the squared integral of the normalized
+            eigenmode over the disk, the ring's too (its integral is minus
+            the disk's)
+        w_disk, w_cross, w_ring: 1/r1^4, 1/(r1^2 (r2^2 - r1^2)), 1/(r2^2 - r1^2)^2
     """
 
     __slots__ = ()
@@ -265,15 +266,33 @@ class ModalBasis(namedtuple("ModalBasis", "wavenumbers")):
         return np.array(self.wavenumbers)
 
 
+@lru_cache(maxsize=PATCH_CACHE_SIZE, typed=True)
+def _modal_basis(r1: float, r2: float, n_modes: int) -> ModalBasis:
+    """``duct_wavenumbers``'s record, built once per sweep: none of it
+    depends on the thickness or the frequency.  The mode count is checked
+    here, so that only a cache miss pays for the check."""
+    if not isinstance(n_modes, int) or isinstance(n_modes, bool) or n_modes < 1:
+        raise DomainError(f"mode count must be a positive integer, got {n_modes!r}")
+    roots, wall = _duct_roots(n_modes)
+    wavenumbers = tuple(x / r2 for x in roots)
+    k, wall = wavenumbers[1:], wall[1:]
+    # radial_integral's closed form over the wall values.  The ring's outer
+    # term r2 J1(k_n r2) is left out: k_n r2 are the roots of J1, so it is
+    # roundoff (|J1(x_n)| of a few 1e-15)
+    disk = [r1 * j / kn / w for j, kn, w in zip(bessel_j1([kn * r1 for kn in k]), k, wall)]
+    ring_sq = r2 * r2 - r1 * r1
+    return ModalBasis(wavenumbers=wavenumbers, squares=tuple(map(mul, disk, disk)),
+                      w_disk=1.0 / r1 ** 4, w_cross=1.0 / (r1 * r1 * ring_sq),
+                      w_ring=1.0 / ring_sq ** 2)
+
+
 def duct_wavenumbers(geometry: DuctGeometry, n_modes: int) -> ModalBasis:
-    """Build the radial eigenmode basis with ``n_modes`` modes.
+    """The radial eigenmode basis with ``n_modes`` modes, one cached record.
 
     Mode 0 is the plane wave (k = 0); mode n has k_n = x_n / r2 with x_n
     the n-th positive root of J1.
     """
-    if not isinstance(n_modes, int) or isinstance(n_modes, bool) or n_modes < 1:
-        raise DomainError(f"mode count must be a positive integer, got {n_modes!r}")
-    return ModalBasis(wavenumbers=tuple(x / geometry.r2 for x in _j1_roots(n_modes)))
+    return _modal_basis(geometry.r1, geometry.r2, n_modes)
 
 
 def first_cutoff_frequency(geometry: DuctGeometry, medium: MediumProperties) -> float:
@@ -309,31 +328,6 @@ def radial_integral(k: float, a: float, b: float) -> float:
         return 0.5 * (b * b - a * a)
     j_a, j_b = bessel_j1([k * a, k * b])
     return (b * j_b - a * j_a) / k
-
-
-@lru_cache(maxsize=PATCH_CACHE_SIZE, typed=True)
-def _patch_integrals(r1: float, r2: float, n_modes: int) -> tuple:
-    """What a frequency's couplings need of two radii and a truncation: the
-    basis, then for each mode n >= 1 the squared integral of the normalized
-    eigenmode n over the disk, the same negated, and the patch weights
-    1/r1^4, 1/(r1^2 (r2^2 - r1^2)) and 1/(r2^2 - r1^2)^2.
-
-    The ring's integral of a mode past the plane wave is minus the disk's,
-    so the square is also the ring's and its negative the product of the
-    two.  None of it depends on the thickness or the frequency, so a sweep
-    computes it once.
-    """
-    # the basis reads only r2; any thickness builds the same one
-    basis = duct_wavenumbers(DuctGeometry(r1=r1, r2=r2, t=1.0), n_modes)
-    k, wall = basis.wavenumbers[1:], _wall_values(n_modes)[1:]
-    # radial_integral's closed form over the wall values.  The ring's outer
-    # term r2 J1(k_n r2) is left out: k_n r2 are the roots of J1, so it is
-    # roundoff (|J1(x_n)| of a few 1e-15)
-    disk = [r1 * j / kn / w for j, kn, w in zip(bessel_j1([kn * r1 for kn in k]), k, wall)]
-    squares = tuple(map(mul, disk, disk))
-    ring_sq = r2 * r2 - r1 * r1
-    return (basis, squares, tuple(map(neg, squares)),
-            1.0 / r1 ** 4, 1.0 / (r1 * r1 * ring_sq), 1.0 / ring_sq ** 2)
 
 
 class CouplingCoefficients(namedtuple("CouplingCoefficients",
@@ -383,8 +377,8 @@ def upstream_coupling(
     if not (f > 0 and math.isfinite(f)):
         raise DomainError(f"frequency must be positive, got {f}")
     r2 = geometry.r2
-    basis, squares, negated, w_disk, w_cross, w_ring = _patch_integrals(geometry.r1, r2, n_modes)
-    k = basis.wavenumbers
+    basis = _modal_basis(geometry.r1, r2, n_modes)
+    k, squares = basis.wavenumbers, basis.squares
     k0 = 2.0 * math.pi * f / medium.c0
     # modes 0 .. propagating - 1 propagate; only the two on either side of
     # k0 can sit on a cutoff, where beta_n = 0 and the frequency is refused
@@ -398,13 +392,14 @@ def upstream_coupling(
     # n_modes/2 and the rest, whose size is the truncation's change
     terms = [1j * q / sqrt((k0 - kn) * (k0 + kn))
              for q, kn in zip(squares[:propagating - 1], k[1:propagating])]
-    terms += [q / sqrt((kn - k0) * (kn + k0))
-              for q, kn in zip(negated[propagating - 1:], k[propagating:])]
+    terms += [-q / sqrt((kn - k0) * (kn + k0))
+              for q, kn in zip(squares[propagating - 1:], k[propagating:])]
     half = max(n_modes // 2 - 1, 0)  # the modes past the plane wave n_modes/2 keeps
     change = sum(terms[half:])
     total = sum(terms[:half]) + change
 
     plane = 0.25j / k0
+    w_disk, w_cross, w_ring = basis.w_disk, basis.w_cross, basis.w_ring
     disk, cross, ring = plane + w_disk * total, plane - w_cross * total, plane + w_ring * total
     moved = abs(change)
     try:

@@ -12,9 +12,8 @@ from scipy.special import j0 as scipy_j0, j1 as scipy_j1
 from tubegap import modal
 from tubegap.modal import (
     _J1_ROOT_TABLE,
-    _j1_roots,
-    _patch_integrals,
-    _wall_values,
+    _duct_roots,
+    _modal_basis,
     bessel_j0,
     bessel_j1,
     coupling_coefficients,
@@ -31,10 +30,10 @@ class TestAccuracy:
     @pytest.mark.parametrize("ratio", [0.3, 0.57, 0.95, 0.99])
     def test_at_the_patch_arguments(self, ratio):
         """The 63 arguments k_n r1 of a 64-mode geometry, formed as
-        ``_patch_integrals`` forms them."""
+        ``_modal_basis`` forms them."""
         r2 = 0.070
         r1 = ratio * r2
-        x = [root / r2 * r1 for root in _j1_roots(64)[1:]]
+        x = [root / r2 * r1 for root in _duct_roots(64)[0][1:]]
         assert np.max(np.abs(np.array(bessel_j1(x)) - scipy_j1(x))) <= 1e-15
 
     def test_wall_values_at_the_root_table(self):
@@ -142,15 +141,15 @@ class TestCallCounts:
     def test_one_j1_call_per_fresh_geometry(self, medium, calls):
         coupling_coefficients(DuctGeometry(r1=0.031, r2=0.07, t=0.005), medium, 900.0)
         calls.clear()
-        _patch_integrals.cache_clear()
+        _modal_basis.cache_clear()
         geometry = DuctGeometry(r1=0.0412, r2=0.07, t=0.005)
         for f in (500.0, 900.0, 1300.0):
             coupling_coefficients(geometry, medium, f)
         assert calls == [("j1", 63)]
 
     def test_wall_values_once_per_truncation(self, medium, calls):
-        _wall_values.cache_clear()
-        _patch_integrals.cache_clear()
+        _duct_roots.cache_clear()
+        _modal_basis.cache_clear()
         for r1 in (0.040, 0.045):
             coupling_coefficients(DuctGeometry(r1=r1, r2=0.07, t=0.005), medium, 900.0,
                                   n_modes=48)

@@ -355,6 +355,12 @@ class TestCli:
                               "cannot write sweep.csv.meta: it is an input of this command"),
         "dump_is_config": ("forward --method fdfd --output out.csv --dump-field run.cfg",
                            "cannot write run.cfg: it is an input of this command"),
+        "output_symlinks_input": ("retrieve --input tr.csv --output link.csv",
+                                  "cannot write link.csv: it is an input of this command"),
+        "output_hard_links_input": ("retrieve --input tr.csv --output hard.csv",
+                                    "cannot write hard.csv: it is an input of this command"),
+        "dump_symlinks_config": ("forward --method fdfd --output out.csv --dump-field cfg.lnk",
+                                 "cannot write cfg.lnk: it is an input of this command"),
     }
 
     @pytest.mark.parametrize("case", REFUSALS)
@@ -363,9 +369,10 @@ class TestCli:
         """A folder, a binary or a missing file, or a sweep with no rows or
         out of order, where an input belongs; an output that is empty, is a
         folder, whose folder does not exist, that another output takes or
-        that is an input; or a field dump without the simulator: each ends in
-        exit 1 and one error line naming it, not a traceback, before any
-        sweep runs, and leaves every file as it was."""
+        that is an input, by name or through a link; or a field dump
+        without the simulator: each ends in exit 1 and one error line naming
+        it, not a traceback, before any sweep runs, and leaves every file as
+        it was."""
         def no_sweep(*args, **kwargs):
             raise AssertionError("the sweep ran before the paths were checked")
 
@@ -380,6 +387,9 @@ class TestCli:
         Path("sweep.csv.meta").write_text(SAMPLE1_CFG)
         Path("folder").mkdir()
         Path("held.csv.meta").mkdir()
+        os.symlink("tr.csv", "link.csv")
+        os.link("tr.csv", "hard.csv")
+        os.symlink("run.cfg", "cfg.lnk")
         files = lambda: {p: p.is_file() and p.read_bytes() for p in tmp_path.rglob("*")}
         before = files()
         command, message = self.REFUSALS[case]

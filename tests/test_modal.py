@@ -12,9 +12,10 @@ from scipy.special import jn_zeros
 from tubegap import modal
 from tubegap.errors import ConvergenceError, DomainError
 from tubegap.modal import (
+    DEFAULT_MODE_COUNT,
     PATCH_CACHE_SIZE,
-    _j1_roots,
-    _patch_integrals,
+    _duct_roots,
+    _modal_basis,
     coupling_coefficients,
     duct_wavenumbers,
     first_cutoff_frequency,
@@ -64,8 +65,8 @@ def per_point_upstream(geometry, medium, f, n_modes):
     from the same squared patch integrals; valid off the cutoffs, with no
     convergence check."""
     r1, r2 = geometry.r1, geometry.r2
-    basis, squares = _patch_integrals(r1, r2, n_modes)[:2]
-    k = basis.wavenumbers
+    basis = duct_wavenumbers(geometry, n_modes)
+    k, squares = basis.wavenumbers, basis.squares
     k0 = 2.0 * math.pi * f / medium.c0
     terms = [-q / math.sqrt((kn - k0) * (kn + k0)) if kn > k0
              else 1j * q / math.sqrt((k0 - kn) * (k0 + kn)) for q, kn in zip(squares, k[1:])]
@@ -143,12 +144,12 @@ class TestJ1Roots:
         for n in range(1, 129):
             positive = jn_zeros(1, n - 1) if n > 1 else np.zeros(0)
             expected = np.concatenate(([0.0], positive))
-            assert np.array(_j1_roots(n)).tobytes() == expected.tobytes(), n
+            assert np.array(_duct_roots(n)[0]).tobytes() == expected.tobytes(), n
 
     def test_searched_roots_within_an_ulp_of_mpmath(self):
         """Every root past the table, 128 to 1100, is within 1 ulp of the
         root of mpmath's J1 at 30 digits."""
-        roots = _j1_roots(1101)[128:]
+        roots = _duct_roots(1101)[0][128:]
         reference = mp_j1_roots_past_table(1100)
         assert len(roots) == len(reference) == 973
         for m, (x, ref) in enumerate(zip(roots, reference), 128):
@@ -165,7 +166,7 @@ class TestJ1Roots:
             return search(first, last)
 
         monkeypatch.setattr(modal, "_search_j1_roots", counting_search)
-        _j1_roots.cache_clear()
+        _duct_roots.cache_clear()
         for r2 in (0.0731, 0.0737):
             geometry = DuctGeometry(r1=0.031, r2=r2, t=0.0052)
             coupling_coefficients(geometry, medium, 700.0, n_modes=200)
@@ -242,8 +243,15 @@ class TestCouplingCoefficients:
             coupling_coefficients(sample1_geometry, medium, 1000.0, n_modes=64)
 
     def test_frequency_validation(self, sample1_geometry, medium):
-        with pytest.raises(DomainError, match="got -5.0$"):
-            coupling_coefficients(sample1_geometry, medium, -5.0)
+        for bad in (-5.0, math.nan, 0.0, math.inf):
+            with pytest.raises(DomainError, match=f"got {bad}$"):
+                coupling_coefficients(sample1_geometry, medium, bad)
+
+    def test_cutoff_names_frequency_and_mode(self, sample1_geometry, medium):
+        basis = duct_wavenumbers(sample1_geometry, 2)
+        on_cutoff = float(basis.k[1] * medium.c0 / (2.0 * math.pi))
+        with pytest.raises(DomainError, match=f"{on_cutoff} Hz .* duct mode 1$"):
+            coupling_coefficients(sample1_geometry, medium, on_cutoff)
 
     # sample 1 at the default truncation and at 22 modes, and r1/r2 = 0.9 at
     # 128 modes; 2950 Hz lies just below the first duct cutoff (2988.2 Hz),
@@ -263,31 +271,42 @@ class TestCouplingCoefficients:
 
     def test_patch_cache_bounded_and_transparent(self, medium, monkeypatch):
         """A warm geometry cache gives bit-identical coefficients, and it
-        keeps at most PATCH_CACHE_SIZE geometries however many are used."""
+        keeps at most PATCH_CACHE_SIZE geometries however many are used; the
+        roots keep at most PATCH_CACHE_SIZE truncations."""
         geoms = [DuctGeometry(r1=0.03 + 1e-4 * i, r2=0.07, t=0.005)
                  for i in range(PATCH_CACHE_SIZE + 3)]
         monkeypatch.setattr(modal, "SUM_TOLERANCE", 1.0)
-        _patch_integrals.cache_clear()
+        _modal_basis.cache_clear()
         cold = coupling_coefficients(geoms[0], medium, 900.0, n_modes=4)
         warm = coupling_coefficients(geoms[0], medium, 900.0, n_modes=4)
         assert np.array_equal(cold.upstream, warm.upstream)
         for geom in geoms:
             coupling_coefficients(geom, medium, 900.0, n_modes=4)
-        assert _patch_integrals.cache_info().currsize == PATCH_CACHE_SIZE
+        assert _modal_basis.cache_info().currsize == PATCH_CACHE_SIZE
+        _duct_roots.cache_clear()
+        for n_modes in range(1, PATCH_CACHE_SIZE + 4):
+            duct_wavenumbers(geoms[0], n_modes)
+        assert _duct_roots.cache_info().currsize == PATCH_CACHE_SIZE
 
     def test_patch_cache_ignores_thickness(self, medium):
-        """The patch integrals depend on the radii and the truncation only,
-        so a second thickness at the same radii is a cache hit."""
-        _patch_integrals.cache_clear()
+        """The record depends on the radii and the truncation only, so a
+        second thickness at the same radii is a cache hit, and
+        ``duct_wavenumbers`` returns the record the couplings use."""
+        _modal_basis.cache_clear()
+        records = []
         for t in (0.005, 0.008):
-            coupling_coefficients(DuctGeometry(r1=0.04, r2=0.07, t=t), medium, 900.0)
-        assert _patch_integrals.cache_info().misses == 1
+            geometry = DuctGeometry(r1=0.04, r2=0.07, t=t)
+            coupling_coefficients(geometry, medium, 900.0)
+            records.append(duct_wavenumbers(geometry, DEFAULT_MODE_COUNT))
+        assert records[0] is records[1]
+        assert _modal_basis.cache_info().misses == 1
 
 
 class TestCouplingIdentity:
-    """The per-geometry record's precomputed weights and negated squares,
-    and the split of the modal sum at the last propagating mode, give the
-    couplings of the per-point expression bit for bit."""
+    """The per-geometry record's precomputed weights and squares, the
+    negation of the evanescent terms and the split of the modal sum at the
+    last propagating mode give the couplings of the per-point expression
+    bit for bit."""
 
     @pytest.mark.parametrize("n_modes", [2, 64, 200])
     def test_equals_per_point_expression(self, medium, monkeypatch, n_modes):
@@ -296,7 +315,8 @@ class TestCouplingIdentity:
         monkeypatch.setattr(modal, "SUM_TOLERANCE", math.inf)
         for r1 in (0.021, 0.040, 0.066):
             geometry = DuctGeometry(r1=r1, r2=0.070, t=0.0052)
-            cutoffs = [x * medium.c0 / (2.0 * math.pi * geometry.r2) for x in _j1_roots(3)[1:]]
+            cutoffs = [x * medium.c0 / (2.0 * math.pi * geometry.r2)
+                       for x in _duct_roots(3)[0][1:]]
             freqs = [50.0, 1234.5, 0.999 * cutoffs[0], 1.001 * cutoffs[0],
                      0.5 * (cutoffs[0] + cutoffs[1]), 0.999 * cutoffs[1], 1.001 * cutoffs[1],
                      9000.0, 25000.0]
@@ -304,41 +324,3 @@ class TestCouplingIdentity:
                 assert bits(*upstream_coupling(geometry, medium, f, n_modes)) == \
                     bits(*per_point_upstream(geometry, medium, f, n_modes)), (r1, f)
 
-
-class TestCouplingStack:
-    """The couplings of a sweep, one frequency at a time: each point gives
-    the couplings of that point alone, bit for bit, and the first point
-    that fails is refused by name."""
-
-    @pytest.mark.parametrize("points", [1, 150])
-    @pytest.mark.parametrize("n_modes", [1, 2, 64, 128, 200])
-    @pytest.mark.parametrize("sample", ["sample1_geometry", "sample2_geometry"])
-    def test_equals_per_frequency(self, request, medium, monkeypatch, sample, n_modes, points):
-        """Against ``coupling_coefficients``, and against the same sweep in
-        reverse order, from below the first duct cutoff to above the second;
-        200 modes is past the root table."""
-        monkeypatch.setattr(modal, "SUM_TOLERANCE", math.inf)
-        geometry = request.getfixturevalue(sample)
-        freqs = [1234.5] if points == 1 else np.linspace(100.0, 6000.0, points).tolist()
-        sweep = [upstream_coupling(geometry, medium, f, n_modes) for f in freqs]
-        backward = [upstream_coupling(geometry, medium, f, n_modes) for f in reversed(freqs)]
-        assert sweep == backward[::-1]
-        for f, (upstream, rel_change) in zip(freqs, sweep):
-            single = coupling_coefficients(geometry, medium, f, n_modes)
-            assert single.upstream.tobytes() == np.array(upstream).tobytes()
-            assert single.downstream.tobytes() == (-np.array(upstream)).tobytes()
-            assert rel_change == single.rel_change
-
-    def test_cutoff_names_frequency_and_mode(self, sample1_geometry, medium):
-        basis = duct_wavenumbers(sample1_geometry, 2)
-        on_cutoff = float(basis.k[1] * medium.c0 / (2.0 * math.pi))
-        freqs = [2000.0, 2500.0, on_cutoff, 3500.0]
-        with pytest.raises(DomainError, match=f"{on_cutoff} Hz .* duct mode 1$"):
-            for f in freqs:
-                upstream_coupling(sample1_geometry, medium, f)
-
-    @pytest.mark.parametrize("bad", [math.nan, -5.0, 0.0, math.inf])
-    def test_frequency_validation_names_the_point(self, sample1_geometry, medium, bad):
-        with pytest.raises(DomainError, match=f"got {bad}$"):
-            for f in [500.0, bad, 700.0]:
-                upstream_coupling(sample1_geometry, medium, f)

@@ -96,7 +96,8 @@ RECORDS = [
                       "m22": (1 + 0j, 2j)}, None),
     (FieldState, {name: (1j, 2 + 0j) for name in
                   "p1_in p2_in p1_out p2_out u1_in u2_in u1_out u2_out".split()}, None),
-    (ModalBasis, {"wavenumbers": ((0.0, 52.6), (0.0,))}, None),
+    (ModalBasis, {"wavenumbers": ((0.0, 52.6), (0.0,)), "squares": ((1e-6,), ()),
+                  "w_disk": (4e5, 5e5), "w_cross": (2e5, 3e5), "w_ring": (1e5, 2e5)}, None),
     (CouplingCoefficients, {"frequency": (500.0, 600.0), "upstream": (((1j, 2j), (3j, 4j)), ()),
                             "downstream": (((-1j, -2j), (-3j, -4j)), ()),
                             "rel_change": (1e-9, 2e-9)}, None),
