@@ -69,12 +69,6 @@ def _stat(name: str) -> os.stat_result | None:
         return None
 
 
-def _is_dir(name: str) -> bool:
-    """``pathlib.Path(name).is_dir()``."""
-    found = _stat(name)
-    return found is not None and stat.S_ISDIR(found.st_mode)
-
-
 def _refuse_unwritable(inputs: tuple[str | None, ...], *paths: str | None) -> None:
     """Refuse, before any work, an output path that is empty, is a folder,
     whose folder does not exist, that names one of the command's ``inputs``
@@ -90,7 +84,8 @@ def _refuse_unwritable(inputs: tuple[str | None, ...], *paths: str | None) -> No
         found = _stat(path)
         if found is not None and stat.S_ISDIR(found.st_mode):
             raise ConfigError(f"cannot write {path}: it is a folder")
-        if not _is_dir(os.path.dirname(path) or "."):
+        folder = _stat(os.path.dirname(path) or ".")
+        if folder is None or not stat.S_ISDIR(folder.st_mode):
             raise ConfigError(f"cannot write {path}: its folder does not exist")
         absolute = os.path.abspath(path)
         for name, held, reason in taken:
@@ -112,7 +107,7 @@ def cmd_retrieve(args: SimpleNamespace) -> int:
     results = retrieve_sweep(data, geometry, medium, settings)
     gap = GapProperties.from_geometry(geometry, medium)
     write_results_csv(args.output, results, gap.z2, comments=["retrieved effective properties"])
-    write_sidecar(args.output, config.dump(), {"tool": f"tubegap {__version__}", "command": "retrieve"})
+    write_sidecar(args.output, config.dump(), "retrieve")
     flagged = sum(1 for r in results if r.flags)
     print(f"retrieved {len(results)} frequencies -> {args.output} ({flagged} flagged)")
     return 0
@@ -127,8 +122,9 @@ def _forward_data(config: RunConfig, method: str):
     settings = config.retrieval()
     if not settings.allow_above_cutoff:
         refuse_above_cutoff(freqs, geometry, medium)
-    phase = 2.0 * math.pi * freqs[0] / medium.c0 * material.n1.real * geometry.t
-    if abs(phase) > math.pi:
+    # associated as the model's k0 * (n1 * t); an infinite phase fails in the sweep
+    phase = (2.0 * math.pi / medium.c0) * freqs[0] * (material.n1.real * geometry.t)
+    if math.pi < abs(phase) < math.inf:
         seed = round(phase / (2.0 * math.pi))
         print(f"warning: k0*|Re(n1)|*t = {abs(phase):.4g} > pi at the first sweep point, {freqs[0]} Hz; "
               "the sample is past branch 0 there, where retrieval's automatic seed starts, "
@@ -162,8 +158,7 @@ def cmd_forward(args: SimpleNamespace) -> int:
     config = _load_config(args)
     data, field = _forward_data(config, args.method)
     write_tr_csv(args.output, data, comments=[f"forward sweep, method={args.method}"])
-    write_sidecar(args.output, config.dump(), {"tool": f"tubegap {__version__}",
-                                               "command": f"forward --method {args.method}"})
+    write_sidecar(args.output, config.dump(), f"forward --method {args.method}")
     if args.dump_field:
         write_field_csv(args.dump_field, *field)
         print(f"dumped pressure field at {data[-1].f} Hz -> {args.dump_field}")

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import os
 
+from tubegap import __version__
 from tubegap.errors import ConfigError, TubegapError
 from tubegap.retrieval import RetrievedProperties
 from tubegap.types import ScatteringData
@@ -146,13 +147,11 @@ def read_results_csv(path: str | Path) -> list[dict]:
     return _read_table(path, RESULT_COLUMNS, _result_row)
 
 
-def write_sidecar(path: str | Path, config_dump: str, extra: dict[str, str] = ()) -> None:
-    """Run metadata next to a data file; deliberately timestamp-free."""
-    lines = ["# run metadata"]
-    for key, value in dict(extra or {}).items():
-        lines.append(f"{key} = {value}")
-    lines.append("# resolved configuration")
-    lines.append(config_dump.rstrip("\n"))
+def write_sidecar(path: str | Path, config_dump: str, command: str) -> None:
+    """``<path>.meta``: the tool and its version, the command that wrote
+    ``path`` and the resolved configuration; deliberately timestamp-free."""
+    lines = ["# run metadata", f"tool = tubegap {__version__}", f"command = {command}",
+             "# resolved configuration", config_dump.rstrip("\n")]
     _write_text(str(path) + ".meta", "\n".join(lines) + "\n")
 
 

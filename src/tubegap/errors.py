@@ -18,15 +18,7 @@ class DegenerateSampleError(TubegapError):
 
 
 class IllConditionedSystemError(TubegapError):
-    """The interface field system is singular or numerically unreliable.
-
-    Carries the frequency at which the solve failed so sweep drivers can
-    report the offending point.
-    """
-
-    def __init__(self, message: str, frequency: float | None = None):
-        super().__init__(message)
-        self.frequency = frequency
+    """The interface field system is singular or unreliable; its message names the frequency."""
 
 
 class ConvergenceError(TubegapError):

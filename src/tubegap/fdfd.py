@@ -95,7 +95,7 @@ SWEEP_BLOCK = 64
 
 class SimGrid(namedtuple("SimGrid", (
         "medium f_max dx dr nx nr n_sample_cells j_sleeve rho kappa radial_eigenvalues "
-        "radial_modes radial_modes_inv span_eigenvalues span_modes span_modes_inv "
+        "radial_modes span_eigenvalues span_modes span_modes_inv "
         "span_air_modes area_weights"))):
     """Frozen simulation scene: grid, media maps, radial modes of the
     terminations and of the sample span.  All arrays are read-only.
@@ -110,8 +110,8 @@ class SimGrid(namedtuple("SimGrid", (
         rho, kappa: (nx, nr) complex cell densities and bulk moduli
         radial_eigenvalues: (nr,) lambda_n of the uniform-air radial
             operator, lambda_0 = 0
-        radial_modes, radial_modes_inv: (nr, nr) V, mode n in column n
-            (column 0 is constant), and V^-1
+        radial_modes: (nr, nr) V, mode n in column n (column 0 is
+            constant), orthonormal in the area weights r: V^-1 = (r V)^T
         span_eigenvalues: (nr,) lambda_m of the sample columns' radial
             operator times rho
         span_modes, span_modes_inv: (nr, nr) W, block-diagonal: mode m
@@ -221,7 +221,7 @@ def build_scene(
     zero-flux sleeve face separates it from the air gap.  The axial step
     resolves the shortest wavelength at ``f_max`` (in the sample, if its
     index exceeds 1) by ``cells_per_wavelength`` cells; fewer than
-    ``MIN_CELLS_PER_WAVELENGTH`` raise ``DomainError``.
+    ``MIN_CELLS_PER_WAVELENGTH`` raise ``DomainError`` and too many cells ``ResolutionError``.
     """
     import numpy as np
 
@@ -234,8 +234,11 @@ def build_scene(
     index_mag = max(1.0, abs(material.n1)) if material is not None else 1.0
     wavelength_min = medium.c0 / (f_max * index_mag)
     dx_max = wavelength_min / ppw
-    # the sample is always resolved by whole cells (dx adapts to t); the
-    # infeasibility error lives in the total-cell budget below
+    # the sample is always resolved by whole cells (dx adapts to t); a t beyond the cell
+    # budget is refused first, as t / dx_max may overflow or dx_max underflow to 0
+    if geometry.t > MAX_CELLS * dx_max:
+        raise ResolutionError(f"the {geometry.t} m sample needs more than {MAX_CELLS} cells "
+                              f"of {dx_max:.3g} m; lower f_max or cells_per_wavelength")
     nt = max(1, math.ceil(geometry.t / dx_max))
     dx = geometry.t / nt
 
@@ -259,11 +262,11 @@ def build_scene(
         kappa[1:-1, :j_sleeve] = kappa_eff
         sleeve = j_sleeve
 
-    lam, modes, modes_inv = _radial_basis(0, nr, dr)
+    lam, modes, _ = _radial_basis(0, nr, dr)
     span_lam, span_modes, span_modes_inv = _span_basis(nr, sleeve, dr)
     fields = {
         "rho": rho, "kappa": kappa,
-        "radial_eigenvalues": lam, "radial_modes": modes, "radial_modes_inv": modes_inv,
+        "radial_eigenvalues": lam, "radial_modes": modes,
         "span_eigenvalues": span_lam, "span_modes": span_modes, "span_modes_inv": span_modes_inv,
         "span_air_modes": span_modes_inv @ modes,
         "area_weights": (np.arange(nr) + 0.5) * dr,
@@ -293,15 +296,15 @@ def _termination_factors(scene: SimGrid, k0: float | np.ndarray) -> np.ndarray:
     return np.exp(-1j * np.arcsin(0.5 * scene.dx * root))
 
 
-def _apply_operator(scene: SimGrid, omega, terminate, p: np.ndarray) -> np.ndarray:
+def _apply_operator(scene: SimGrid, omega, mu, p: np.ndarray) -> np.ndarray:
     """The five-point operator with both terminations, applied cell by cell
     to p[..., nx, nr] and built from the media maps alone: face fluxes use
     series transmissibility, and the sleeve face carries none over the
-    sample columns.  ``terminate`` maps the end columns p[..., [0, -1], :]
-    to their ghost columns' scattered parts, p_ghost = M p_end."""
+    sample columns.  Each end column's scattered ghost is M p_end, with
+    M = V diag(mu) V^-1, V^-1 = (r V)^T and mu[..., nr] the air modes' steps."""
     import numpy as np
 
-    rho, dx, dr, r = scene.rho, scene.dx, scene.dr, scene.area_weights
+    rho, dx, dr, r, v = scene.rho, scene.dx, scene.dr, scene.area_weights, scene.radial_modes
     out = omega ** 2 / scene.kappa * p
     flux = 2.0 / ((rho[:-1] + rho[1:]) * dx ** 2) * np.diff(p, axis=-2)
     out[..., :-1, :] += flux
@@ -313,7 +316,8 @@ def _apply_operator(scene: SimGrid, omega, terminate, p: np.ndarray) -> np.ndarr
     out[..., :-1] += flux / r[:-1]
     out[..., 1:] -= flux / r[1:]
     ends = p[..., [0, -1], :]
-    out[..., [0, -1], :] += (terminate(ends) - ends) / (scene.medium.rho0 * dx ** 2)
+    ghosts = ((ends * r) @ v * mu[..., None, :]) @ v.T
+    out[..., [0, -1], :] += (ghosts - ends) / (scene.medium.rho0 * dx ** 2)
     return out
 
 
@@ -327,7 +331,7 @@ def _solve_fields(scene: SimGrid, freqs: list[float]) -> tuple[np.ndarray, np.nd
     k0 = omega / medium.c0
     sigma = _termination_factors(scene, k0[:, None])
     mu = sigma * sigma
-    v, v_inv = scene.radial_modes, scene.radial_modes_inv
+    v = scene.radial_modes
     w, w_inv = scene.span_modes, scene.span_modes_inv
 
     # the sample span in its radial modes: mode m has the medium of ring m,
@@ -373,8 +377,7 @@ def _solve_fields(scene: SimGrid, freqs: list[float]) -> tuple[np.ndarray, np.nd
         p[n, 1:-1] = -(chain[n] * from_in + chain[n, ::-1] * from_out) @ w.T
 
     # the residual of the full operator
-    residual = _apply_operator(scene, omega[:, None, None],
-                               lambda ends: ((ends @ v_inv.T) * mu[:, None]) @ v.T, p)
+    residual = _apply_operator(scene, omega[:, None, None], mu, p)
     residual[:, 0] -= drive[:, None]
     residual = np.linalg.norm(residual, axis=(1, 2)) / (np.abs(drive) * math.sqrt(nr))
     for f, value in zip(freqs, residual):

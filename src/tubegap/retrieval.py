@@ -85,8 +85,7 @@ class FieldState(namedtuple("FieldState", "p1_in p2_in p1_out p2_out u1_in u2_in
 
 class RetrievedProperties(namedtuple(
         "RetrievedProperties",
-        "f n1 z1 branch_m sign_choice condition_number residual flags",
-        defaults=(math.nan, math.nan, ()))):
+        "f n1 z1 branch_m sign_choice condition_number residual flags")):
     """Retrieval output for one frequency point: frequency f (Hz), n1, z1,
     the branch m and sign (+-1) of theta = k0 n1 t, then condition_number,
     residual and flags (a tuple of strings).
@@ -168,11 +167,12 @@ def _layer_rows(z, theta) -> tuple[tuple[complex, complex], tuple[complex, compl
     """A uniform layer's (impedance z, phase thickness theta) homogeneous
     half rows as (p, u) coefficients: sin(theta/2) p + i z cos(theta/2) u = 0
     (even) and cos(theta/2) p - i z sin(theta/2) u = 0 (odd).  A phase whose
-    sine overflows gives infinite rows, which ``_solve_halves`` refuses."""
+    sine overflows, or an infinite real one (the gap's k0 t), gives infinite
+    rows, which ``_solve_halves`` refuses."""
     half = 0.5 * theta
     try:
         s, c = cmath.sin(half), cmath.cos(half)
-    except OverflowError:
+    except (OverflowError, ValueError):
         s = c = complex(math.inf, math.inf)
     return (s, 1j * z * c), (c, -1j * z * s)
 
@@ -181,7 +181,7 @@ def _half_rows(sample, k0: float, gap: GapProperties, t: float) -> tuple:
     """Each half's (even, odd) two rows, homogeneous in (p1, p2, u1, u2):
     the sample's, one 4-tuple per half in ``sample``, and the gap's at the
     wavenumber k0."""
-    (even_p, even_u), (odd_p, odd_u) = _layer_rows(gap.z2, k0 * (gap.n2 * t))
+    (even_p, even_u), (odd_p, odd_u) = _layer_rows(gap.z2, k0 * t)
     even, odd = sample
     return (even, (0.0, even_p, 0.0, even_u)), (odd, (0.0, odd_p, 0.0, odd_u))
 
@@ -228,7 +228,7 @@ def _solve_halves(rows, upstream, f: float) -> tuple[tuple, tuple, float]:
         s1 = h01 if h01 > h11 else h11
         if not (s0 > 0.0 and s1 > 0.0 and math.isfinite(h00 + h01 + h10 + h11)):
             raise IllConditionedSystemError(
-                f"interface system has a zero or non-finite column at {f} Hz", f)
+                f"interface system has a zero or non-finite column at {f} Hz")
         a00, a01, a10, a11 = a00 / s0, a01 / s1, a10 / s0, a11 / s1
         det = a00 * a11 - a01 * a10
         if not det:
@@ -249,10 +249,10 @@ def _solve_halves(rows, upstream, f: float) -> tuple[tuple, tuple, float]:
     if not cond <= MAX_CONDITION:
         raise IllConditionedSystemError(
             f"interface system condition number {cond:.3e} exceeds {MAX_CONDITION:.1e} "
-            f"at {f} Hz", f)
+            f"at {f} Hz")
     (u0, u1), (u2, u3) = u
     if not cmath.isfinite(u0 + u1 + u2 + u3):
-        raise IllConditionedSystemError(f"interface system is singular at {f} Hz", f)
+        raise IllConditionedSystemError(f"interface system is singular at {f} Hz")
     return tuple(u), tuple(response), cond
 
 

@@ -83,19 +83,19 @@ class DuctGeometry(namedtuple("DuctGeometry", "r1 r2 t")):
         return math.pi * (self.r2 ** 2 - self.r1 ** 2)
 
 
-class GapProperties(namedtuple("GapProperties", "n2 z2")):
+class GapProperties(namedtuple("GapProperties", "z2")):
     """Effective parameters of the annular air gap next to the sample.
 
-    The gap behaves as air, so its refractive index is 1 and its acoustic
-    impedance (pressure over volume velocity) is rho0*c0 divided by the
-    gap area.
+    The gap behaves as air: its refractive index is 1, so its phase is
+    k0 t, and its acoustic impedance z2 (pressure over volume velocity)
+    is rho0*c0 divided by the gap area.
     """
 
     __slots__ = ()
 
     @classmethod
     def from_geometry(cls, geometry: DuctGeometry, medium: MediumProperties) -> "GapProperties":
-        return cls(n2=1.0 + 0.0j, z2=medium.alpha / geometry.s3 + 0.0j)
+        return cls(z2=medium.alpha / geometry.s3 + 0.0j)
 
 
 class MaterialSpec(namedtuple("MaterialSpec", "n1 z1")):

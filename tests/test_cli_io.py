@@ -153,7 +153,7 @@ class TestDataFiles:
         results = [
             RetrievedProperties(
                 f=500.0, n1=5.000000000123 - 1e-13j, z1=431234.56789 + 12.3j,
-                branch_m=1, sign_choice=-1, condition_number=1.23e7,
+                branch_m=1, sign_choice=-1, condition_number=1.23e7, residual=1e-16,
                 flags=("above_cutoff",),
             )
         ]
@@ -233,8 +233,10 @@ class TestCli:
                 assert row["n1"].real == pytest.approx(5.0, rel=1e-6)
                 assert row["z1_over_z2_mag"] == pytest.approx(abs(z1 / SAMPLE1_Z2), rel=1e-6)
                 assert abs(row["z1"] - z1) / abs(z1) < 1e-8, name
-            # the sidecar exists and is timestamp-free deterministic text
-            assert (tmp_path / f"{name}_props.csv.meta").exists()
+            # the sidecar is timestamp-free deterministic text: tool, command, configuration
+            assert (tmp_path / f"{name}_props.csv.meta").read_text().startswith(
+                f"# run metadata\ntool = tubegap {tubegap.__version__}\ncommand = retrieve\n"
+                "# resolved configuration\n")
 
     def test_byte_identical_reruns(self, cfg_path, tmp_path):
         tr1, tr2 = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -454,21 +456,28 @@ class TestCli:
         write_tr_csv(f"{tmp_path}/t.csv/", data)
         assert read_tr_csv(f"{tmp_path}/./t.csv/") == read_tr_csv(tmp_path / "t.csv") == data
 
-    @pytest.mark.parametrize("case", ["forward_phase", "retrieve_overflowing_sum",
-                                      "retrieve_huge_tr"])
+    @pytest.mark.parametrize("case", ["forward_phase", "forward_thickness",
+                                      "retrieve_overflowing_sum", "retrieve_huge_tr",
+                                      "retrieve_thickness"])
     def test_overflows_are_numerical_errors(self, cfg_path, tmp_path, capsys, case):
         """Numbers that overflow or swamp the half systems (a sample phase
-        whose cosine overflows, a half reflection R + T that overflows to inf,
-        one of 2e300 beside one of 0) end in exit 2 and one numerical-error
-        line naming the frequency, not a traceback or a written file."""
+        whose cosine overflows, a thickness of 1e308 whose sample or gap
+        phase overflows, a half reflection R + T that overflows to inf, one
+        of 2e300 beside one of 0) end in exit 2 and one numerical-error line
+        naming the frequency, not a traceback or a written file."""
         tr, out = tmp_path / "tr.csv", tmp_path / "out.csv"
-        if case == "forward_phase":
-            argv, f = ("forward", "--set", "material.n1_im=-1e5"), 400.0
+        if case.startswith("forward"):
+            setting = {"forward_phase": "material.n1_im=-1e5",
+                       "forward_thickness": "geometry.t=1e308"}[case]
+            argv, f = ("forward", "--set", setting), 400.0
         else:
             row = {"retrieve_overflowing_sum": "1000,1e308,0,1e308,0",
-                   "retrieve_huge_tr": "1000,1e300,0,1e300,0"}[case]
+                   "retrieve_huge_tr": "1000,1e300,0,1e300,0",
+                   "retrieve_thickness": "1000,0.5,0,0.5,0"}[case]
             tr.write_text(f"f_hz,re_t,im_t,re_r,im_r\n{row}\n")
             argv, f = ("retrieve", "--input", str(tr)), 1000.0
+            if case == "retrieve_thickness":
+                argv += ("--set", "geometry.t=1e308")
         code = self.run(*argv, "--config", str(cfg_path), "--output", str(out))
         err = capsys.readouterr().err
         assert code == 2
@@ -476,6 +485,24 @@ class TestCli:
         assert len(errors) == 1 and errors[0].endswith(f" at {f} Hz")
         assert "Traceback" not in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ("forward", "--method", "fdfd", "--set", "geometry.t=1e308"),
+        ("forward", "--method", "fdfd", "--set", "material.n1_re=1e308"),
+        ("roundtrip", "--set", "geometry.t=1e308")], ids=["fdfd_thickness", "fdfd_index",
+                                                          "roundtrip_thickness"])
+    def test_overflowing_set_up_is_a_numerical_error(self, cfg_path, tmp_path, capsys, argv):
+        """Finite settings whose first-point phase or scene sizing overflows
+        (a thickness of 1e308 m; an index of 1e308, whose wavelength is 0)
+        end in exit 2 and one numerical-error line, not a traceback or a
+        written file."""
+        out = ("--output", str(tmp_path / "out.csv")) if argv[0] == "forward" else ()
+        code = self.run(*argv, "--config", str(cfg_path), *out)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert len([line for line in err.splitlines() if line.startswith("numerical error:")]) == 1
+        assert "Traceback" not in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["run.cfg"]
 
     def test_single_frequency_warns_about_branch(self, cfg_path, tmp_path, capsys):
         tr = tmp_path / "one.csv"
@@ -946,8 +973,11 @@ def test_top_level_exports_the_sweep_workflow():
 def test_every_package_definition_is_used():
     """Each top-level function and class under src/tubegap is referred to
     by other package code, is in ``tubegap.__all__``, or is imported from
-    the package by the acceptance suite or the benchmark: one that only
-    other tests reach is dead code (names are read with ast, not strings)."""
+    the package by the acceptance suite or the benchmark; each method or
+    property of a package class, dunders aside, is referred to by package
+    code outside itself or read as an attribute by the acceptance suite or
+    the benchmark.  One that only other tests reach is dead code (names
+    are read with ast, not strings)."""
     root = Path(__file__).resolve().parents[1]
 
     def names(node):
@@ -955,20 +985,31 @@ def test_every_package_definition_is_used():
                                    for n in ast.walk(node)
                                    if isinstance(n, (ast.Name, ast.Attribute)))
 
-    used = set(tubegap.__all__)
+    used, read = set(tubegap.__all__), set()
     for path in [root / "tests" / "test_acceptance.py", *(root / "benchmarks").glob("*.py")]:
         for node in ast.walk(ast.parse(path.read_text(), str(path))):
             if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("tubegap"):
                 used |= {alias.name for alias in node.names}
-    referred, definitions = collections.Counter(), []
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    referred, definitions, members = collections.Counter(), [], []
     for path in sorted((root / "src").rglob("*.py")):
         for statement in ast.parse(path.read_text(), str(path)).body:
             referred.update(names(statement))
             if isinstance(statement, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 # a recursive call is no use from elsewhere
                 definitions.append((path.stem, statement.name, names(statement)[statement.name]))
+            if isinstance(statement, ast.ClassDef):
+                members += [(f"{path.stem}.{statement.name}.{member.name}", member.name,
+                             names(member)[member.name]) for member in statement.body
+                            if isinstance(member, (ast.FunctionDef, ast.AsyncFunctionDef))
+                            and not (member.name[:2] == member.name[-2:] == "__")]
     unused = [f"{module}.{name}" for module, name, own in definitions
               if referred[name] == own and name not in used]
+    assert not unused, unused
+    assert members
+    unused = [qualified for qualified, name, own in members
+              if referred[name] == own and name not in read]
     assert not unused, unused
 
 

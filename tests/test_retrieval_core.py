@@ -160,7 +160,7 @@ class TestAssembleSystem:
         rows, _, _, w, _, _ = parts
         gap = GapProperties.from_geometry(sample1_geometry, medium)
         k0 = 2 * math.pi * 1000.0 / medium.c0
-        theta2 = k0 * gap.n2 * sample1_geometry.t
+        theta2 = k0 * sample1_geometry.t
         cos2, sin2 = cmath.cos(theta2), cmath.sin(theta2)
         assert_row([w.p2_in, -cos2 * w.p2_out, -1j * gap.z2 * sin2 * w.u2_out], 0.0)
         assert_row([w.u2_in, -1j / gap.z2 * sin2 * w.p2_out, -cos2 * w.u2_out], 0.0)
@@ -236,16 +236,14 @@ class TestSolveFields:
                                match="condition number inf .* 1700.0 Hz"):
                 retrieval_module._solve_halves(rows, upstream, 1700.0)
             monkeypatch.setattr(retrieval_module, "MAX_CONDITION", math.inf)
-            with pytest.raises(IllConditionedSystemError, match="singular at 1700.0 Hz") as err:
+            with pytest.raises(IllConditionedSystemError, match="singular at 1700.0 Hz"):
                 retrieval_module._solve_halves(rows, upstream, 1700.0)
-        assert err.value.frequency == 1700.0
 
     def test_non_finite_column_refused(self):
         rows, upstream = unit_rows([[math.inf, 0.0], [0.0, 1.0]])
         with pytest.raises(IllConditionedSystemError,
-                           match="non-finite column at 1300.0 Hz") as err:
+                           match="non-finite column at 1300.0 Hz"):
             retrieval_module._solve_halves(rows, upstream, 1300.0)
-        assert err.value.frequency == 1300.0
 
     def test_condition_gate(self):
         # two almost linearly dependent columns: equilibration cannot help
@@ -253,9 +251,8 @@ class TestSolveFields:
         b = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
         b[:, 1] = b[:, 0] * (1.0 + 1e-14)
         rows, upstream = unit_rows(b.tolist())
-        with pytest.raises(IllConditionedSystemError) as err:
+        with pytest.raises(IllConditionedSystemError, match="432.1 Hz"):
             retrieval_module._solve_halves(rows, upstream, 432.1)
-        assert err.value.frequency == 432.1
 
     def test_condition_bound_is_the_module_constant(self, sample1_geometry, medium, monkeypatch):
         """A real sample-1 point passes under MAX_CONDITION and is refused,
@@ -265,9 +262,8 @@ class TestSolveFields:
         _, _, cond = retrieval_module._solve_halves(*halves)
         assert 1.0 < cond < MAX_CONDITION
         monkeypatch.setattr(retrieval_module, "MAX_CONDITION", cond / 2)
-        with pytest.raises(IllConditionedSystemError, match="900.0 Hz") as err:
+        with pytest.raises(IllConditionedSystemError, match="900.0 Hz"):
             retrieval_module._solve_halves(*halves)
-        assert err.value.frequency == 900.0
         with pytest.raises(IllConditionedSystemError, match="900.0 Hz"):
             retrieve_sweep(data, sample1_geometry, medium)
 

@@ -367,7 +367,7 @@ class TestDegenerateHandling:
         assert "above_cutoff" in results[1].flags
 
 
-class TestStackedBlocks:
+class TestLongSweep:
     """A 150-point sweep: every point's couplings, half systems and results
     are that point's own."""
 
@@ -436,7 +436,7 @@ class TestStackedBlocks:
             retrieve_sweep(sweep, sample1_geometry, medium)
 
 
-class TestClassicRetrieve:
+class TestNearlyFullDuct:
     def test_matches_gap_model_when_gap_is_tiny(self, medium, monkeypatch):
         """Nearly full-duct sample (r1/r2 = 0.999): the gap pipeline
         approaches the classic full-duct inversion of the layer matrix,
