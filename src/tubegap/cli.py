@@ -29,8 +29,8 @@ from tubegap.datafiles import (file_name, read_tr_csv, write_field_csv, write_re
 from tubegap.errors import ConfigError, DomainError, TubegapError
 # kept at module level: imported in _forward_data, its ~3 ms compile would run inside the command
 from tubegap.fdfd import build_scene, sweep_fields
-from tubegap.modal import duct_wavenumbers, first_cutoff_frequency, refuse_above_cutoff
-from tubegap.retrieval import forward_averaged_sweep, retrieve_sweep
+from tubegap.modal import duct_wavenumbers, first_cutoff_frequency
+from tubegap.retrieval import MAX_PHASE_ULP, forward_averaged_sweep, retrieve_sweep
 from tubegap.types import GapProperties
 
 
@@ -65,8 +65,6 @@ def _stat(name: str) -> os.stat_result | None:
         if exc.errno not in (errno.ENOENT, errno.ENOTDIR, errno.EBADF, errno.ELOOP):
             raise
         return None
-    except ValueError:  # an embedded null byte
-        return None
 
 
 def _refuse_unwritable(inputs: tuple[str | None, ...], *paths: str | None) -> None:
@@ -95,6 +93,19 @@ def _refuse_unwritable(inputs: tuple[str | None, ...], *paths: str | None) -> No
         taken.append((absolute, found, "another output of this command goes there"))
 
 
+def _refuse_above_cutoff(config: RunConfig, freqs: list[float]) -> None:
+    """Unless ``retrieve.allow_above_cutoff`` is set, raise DomainError naming
+    the first frequency above the first duct cutoff, where a second duct mode
+    propagates and plane-wave (T, R) no longer describe the scattering."""
+    cutoff = first_cutoff_frequency(config.geometry(), config.medium())
+    first_bad = next((f for f in freqs if f > cutoff), None)
+    if first_bad is not None and not config.values["retrieve.allow_above_cutoff"]:
+        raise DomainError(
+            f"sweep reaches {first_bad} Hz, above the first duct cutoff ({cutoff:.1f} Hz); "
+            "set allow_above_cutoff (--allow-above-cutoff) to proceed anyway"
+        )
+
+
 def cmd_retrieve(args: SimpleNamespace) -> int:
     _refuse_unwritable((args.config, args.input), args.output, args.output + ".meta")
     config = _load_config(args)
@@ -104,6 +115,7 @@ def cmd_retrieve(args: SimpleNamespace) -> int:
     if len(data) == 1:
         print("warning: single-frequency sweep; branch unwrapping is undetermined, "
               f"using seed m={settings.branch_seed or 0}", file=sys.stderr)
+    _refuse_above_cutoff(config, [d.f for d in data])
     results = retrieve_sweep(data, geometry, medium, settings)
     gap = GapProperties.from_geometry(geometry, medium)
     write_results_csv(args.output, results, gap.z2, comments=["retrieved effective properties"])
@@ -120,11 +132,10 @@ def _forward_data(config: RunConfig, method: str):
     material = config.material()
     freqs = config.sweep_frequencies()
     settings = config.retrieval()
-    if not settings.allow_above_cutoff:
-        refuse_above_cutoff(freqs, geometry, medium)
-    # associated as the model's k0 * (n1 * t); an infinite phase fails in the sweep
+    _refuse_above_cutoff(config, freqs)
+    # associated as the model's k0 * (n1 * t); a phase past float precision fails in the sweep
     phase = (2.0 * math.pi / medium.c0) * freqs[0] * (material.n1.real * geometry.t)
-    if math.pi < abs(phase) < math.inf:
+    if abs(phase) > math.pi and math.ulp(phase) <= MAX_PHASE_ULP:
         seed = round(phase / (2.0 * math.pi))
         print(f"warning: k0*|Re(n1)|*t = {abs(phase):.4g} > pi at the first sweep point, {freqs[0]} Hz; "
               "the sample is past branch 0 there, where retrieval's automatic seed starts, "
@@ -139,7 +150,8 @@ def _forward_data(config: RunConfig, method: str):
     data, field = [], None
     # the scene's own mode 1 may propagate below the continuum's cutoff
     with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always" if settings.allow_above_cutoff else "error", UserWarning)
+        warnings.simplefilter("always" if config.values["retrieve.allow_above_cutoff"] else "error",
+                              UserWarning)
         try:
             for point, field in sweep_fields(scene, freqs):
                 data.append(point)

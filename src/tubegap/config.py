@@ -149,7 +149,6 @@ class RunConfig:
         return RetrievalConfig(
             n_modes=int(self.values["modal.count"]),
             branch_seed=(int(self.values["branch.seed"]) if "branch.seed" in self.values else None),
-            allow_above_cutoff=bool(self.values["retrieve.allow_above_cutoff"]),
         )
 
     def sweep_frequencies(self) -> list[float]:

@@ -31,8 +31,11 @@ FIELD_COLUMNS = ["x_m", "r_m", "re_p", "im_p"]
 def file_name(path: str | Path) -> str:
     """The name ``pathlib.Path(path)`` would open, without importing
     pathlib: repeated slashes and ``.`` components dropped (two leading
-    slashes kept, as POSIX allows), ``.`` for an empty path."""
+    slashes kept, as POSIX allows), ``.`` for an empty path.  A name with a
+    null byte, which no file can have, raises ``ConfigError``."""
     name = os.fspath(path)
+    if "\0" in name:
+        raise ConfigError(f"{name!r}: a file name cannot hold a null byte")
     body = name.lstrip("/")
     lead = len(name) - len(body)
     root = "//" if lead == 2 else "/" if lead else ""

@@ -138,18 +138,26 @@ def _snap_radial(r1: float, r2: float, dr_target: float) -> tuple[float, int, in
     """Choose dr so both radii land on faces within 0.5% of r2.
 
     Returns (dr, sleeve face index, cell count).  Prefers the candidate
-    with the smallest snap error among sleeve counts near r1/dr_target.
+    with the smallest snap error among sleeve counts within 25 of
+    r1/dr_target; only if none of those snaps within 0.5% does it search,
+    by the same rule, the finer sleeve counts whose nr x nr radial basis
+    can fit ``MAX_CELLS``.
     """
     m_guess = max(1, round(r1 / dr_target))
     best = None
-    for m1 in range(max(1, m_guess - 25), m_guess + 26):
-        dr = r1 / m1
-        m2 = round(r2 / dr)
-        if m2 <= m1:
-            continue
-        err = abs(m2 * dr - r2)
-        if best is None or err < best[0] - 1e-15:
-            best = (err, dr, m1, m2)
+    # nr > m1, so a sleeve count of isqrt(MAX_CELLS) or more is over budget
+    for window in (range(max(1, m_guess - 25), m_guess + 26),
+                   range(m_guess + 26, math.isqrt(MAX_CELLS))):
+        if best is not None and best[0] <= 0.005 * r2:
+            break
+        for m1 in window:
+            dr = r1 / m1
+            m2 = round(r2 / dr)
+            if m2 <= m1:
+                continue
+            err = abs(m2 * dr - r2)
+            if best is None or err < best[0] - 1e-15:
+                best = (err, dr, m1, m2)
     if best is None or best[0] > 0.005 * r2:
         raise ResolutionError(
             f"cannot place both radii on the radial grid within 0.5%: r1={r1}, r2={r2}"

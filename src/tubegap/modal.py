@@ -300,19 +300,6 @@ def first_cutoff_frequency(geometry: DuctGeometry, medium: MediumProperties) -> 
     return _J1_ROOT_TABLE[0] * medium.c0 / (2.0 * math.pi * geometry.r2)
 
 
-def refuse_above_cutoff(freqs: list[float], geometry: DuctGeometry, medium: MediumProperties) -> None:
-    """Raise DomainError naming the first frequency above the first duct
-    cutoff, if any: there a second duct mode propagates, and plane-wave
-    (T, R) no longer describe the scattering."""
-    cutoff = first_cutoff_frequency(geometry, medium)
-    first_bad = next((f for f in freqs if f > cutoff), None)
-    if first_bad is not None:
-        raise DomainError(
-            f"sweep reaches {first_bad} Hz, above the first duct cutoff ({cutoff:.1f} Hz); "
-            "set allow_above_cutoff (--allow-above-cutoff) to proceed anyway"
-        )
-
-
 def radial_integral(k: float, a: float, b: float) -> float:
     """Integral of J0(k r) * r dr from a to b.
 

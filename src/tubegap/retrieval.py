@@ -42,7 +42,6 @@ from tubegap.errors import (DegenerateSampleError, DomainError, IllConditionedSy
 from tubegap.modal import (
     DEFAULT_MODE_COUNT,
     first_cutoff_frequency,
-    refuse_above_cutoff,
     upstream_coupling,
 )
 from tubegap.types import (DuctGeometry, GapProperties, MaterialSpec, MediumProperties,
@@ -50,6 +49,9 @@ from tubegap.types import (DuctGeometry, GapProperties, MaterialSpec, MediumProp
 
 # largest column-equilibrated condition number of a half system _solve_halves accepts
 MAX_CONDITION = 1e12
+# largest spacing of floats (ulp, rad) at a layer phase that the model accepts, a
+# millionth of pi: past it the phase no longer carries its value modulo 2 pi
+MAX_PHASE_ULP = 1e-6 * math.pi
 _NAN = complex(math.nan, math.nan)
 
 
@@ -100,7 +102,7 @@ class RetrievedProperties(namedtuple(
     __slots__ = ()
 
 
-class RetrievalConfig(namedtuple("RetrievalConfig", "n_modes branch_seed allow_above_cutoff")):
+class RetrievalConfig(namedtuple("RetrievalConfig", "n_modes branch_seed")):
     """Knobs for the sweep driver.
 
     n_modes is the modal truncation of the coupling sums, whose
@@ -113,13 +115,12 @@ class RetrievalConfig(namedtuple("RetrievalConfig", "n_modes branch_seed allow_a
 
     __slots__ = ()
 
-    def __new__(cls, n_modes: int = DEFAULT_MODE_COUNT, branch_seed: int | None = None,
-                allow_above_cutoff: bool = False):
+    def __new__(cls, n_modes: int = DEFAULT_MODE_COUNT, branch_seed: int | None = None):
         if branch_seed is not None:
             if isinstance(branch_seed, bool) or not hasattr(branch_seed, "__index__"):
                 raise DomainError(f"branch seed must be an integer, got {branch_seed!r}")
             branch_seed = operator.index(branch_seed)
-        return super().__new__(cls, n_modes, branch_seed, allow_above_cutoff)
+        return super().__new__(cls, n_modes, branch_seed)
 
 
 def transfer_matrix_from_tr(data: ScatteringData, medium: MediumProperties) -> TransferMatrix:
@@ -177,6 +178,18 @@ def _layer_rows(z, theta) -> tuple[tuple[complex, complex], tuple[complex, compl
     return (s, 1j * z * c), (c, -1j * z * s)
 
 
+def _check_phases(f: float, *phases: float) -> None:
+    """Raise IllConditionedSystemError naming f if the spacing of floats at
+    a finite real phase exceeds ``MAX_PHASE_ULP``; an infinite one is left to
+    ``_solve_halves``' non-finite column check."""
+    for phase in phases:
+        spacing = math.ulp(phase)
+        if MAX_PHASE_ULP < spacing < math.inf:
+            raise IllConditionedSystemError(
+                f"phase {phase:.4g} rad has a float spacing of {spacing:.3g} rad, above "
+                f"{MAX_PHASE_ULP:.3g} rad, at {f} Hz")
+
+
 def _half_rows(sample, k0: float, gap: GapProperties, t: float) -> tuple:
     """Each half's (even, odd) two rows, homogeneous in (p1, p2, u1, u2):
     the sample's, one 4-tuple per half in ``sample``, and the gap's at the
@@ -199,6 +212,7 @@ def _measured_rows(data: ScatteringData, geometry: DuctGeometry, medium: MediumP
     sample = (((1.0 - g_even) * disk, (1.0 - g_even) * ring, v_even, v_even),
               ((1.0 - g_odd) * disk, (1.0 - g_odd) * ring, v_odd, v_odd))
     k0 = (2.0 * math.pi / medium.c0) * data.f
+    _check_phases(data.f, k0 * geometry.t)
     return _half_rows(sample, k0, gap, geometry.t), (g_even, g_odd)
 
 
@@ -382,8 +396,10 @@ def retrieve_sweep(
     theta = phase + 2 pi m, with m = ``config.branch_seed`` (0 if None) at
     the first non-degenerate point and then the m that keeps n1 closest to
     the predecessor's, however many branches the step crosses.  Points above
-    the first duct cutoff are flagged "above_cutoff"; degenerate points are
-    filled by linear interpolation from their neighbours, flagged "interpolated".
+    the first duct cutoff are retrieved, flagged "above_cutoff"; degenerate
+    points are filled by linear interpolation from their neighbours, flagged
+    "interpolated".  A gap phase k0 t or a theta whose float spacing exceeds
+    ``MAX_PHASE_ULP`` raises IllConditionedSystemError naming the point's f.
     """
     if not data:
         raise DomainError("empty sweep")
@@ -392,8 +408,6 @@ def retrieve_sweep(
         if f2 <= f1:
             raise DomainError(f"sweep frequencies must be strictly increasing: point {i} "
                               f"(counting from 0) is {f2} Hz, after {f1} Hz")
-    if not config.allow_above_cutoff:
-        refuse_above_cutoff(freqs, geometry, medium)
     cutoff = first_cutoff_frequency(geometry, medium)
 
     weights = (geometry.s1 / geometry.s2, geometry.s3 / geometry.s2, medium.alpha / geometry.s2)
@@ -424,6 +438,7 @@ def retrieve_sweep(
             if prev_n1 is not None:
                 m = round((prev_n1 * k0t - phase).real / (2.0 * math.pi))
             theta = phase + 2.0 * math.pi * m
+            _check_phases(f, theta.real)
             n1, sign = theta / k0t, 1 if phase.real >= 0 else -1
             cond = spread * max(0.5, slope / abs(theta)) if theta else math.inf
             prev_n1, prev_m, prev_sign = n1, m, sign
@@ -469,8 +484,9 @@ def forward_averaged_sweep(
     point at a time; T = alpha (U- - U+) / S2 and R = 1 - alpha (U+ + U-) / S2
     with U = u1 + u2.  Feeding the result back through the retrieval
     reproduces (n1, z1) to solver precision.  A zero or non-finite n1 or z1
-    raises DomainError, and a sample phase k0 n1 t whose cosine overflows
-    raises IllConditionedSystemError.
+    raises DomainError; a sample phase k0 n1 t whose cosine overflows, or a
+    real part of it or a gap phase k0 t whose float spacing exceeds
+    ``MAX_PHASE_ULP``, raises IllConditionedSystemError.
     """
     MaterialSpec(n1=n1, z1=z1)
     scale = medium.alpha / geometry.s2
@@ -479,7 +495,9 @@ def forward_averaged_sweep(
     for f in freqs:
         upstream, _ = upstream_coupling(geometry, medium, f, n_modes)
         k0 = (2.0 * math.pi / medium.c0) * f
-        (even_p, even_u), (odd_p, odd_u) = _layer_rows(z1, k0 * (n1 * t))
+        theta = k0 * (n1 * t)
+        _check_phases(f, theta.real, k0 * t)
+        (even_p, even_u), (odd_p, odd_u) = _layer_rows(z1, theta)
         rows = _half_rows(((even_p, 0.0, even_u, 0.0), (odd_p, 0.0, odd_u, 0.0)), k0, gap, t)
         u, _, _ = _solve_halves(rows, upstream, f)
         even, odd = u[0][0] + u[0][1], u[1][0] + u[1][1]

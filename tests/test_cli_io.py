@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 
 import tubegap
-from tubegap.cli import main
+from tubegap.cli import COMMANDS, main
 from tubegap.config import RunConfig
 from tubegap.datafiles import (
     RESULT_COLUMNS,
@@ -67,7 +67,7 @@ class TestConfig:
         config = RunConfig.from_file(cfg_path, overrides={"sweep.count": "2",
                                                           "retrieve.allow_above_cutoff": "Off"})
         assert len(config.sweep_frequencies()) == 2
-        assert config.retrieval().allow_above_cutoff is False
+        assert config.values["retrieve.allow_above_cutoff"] is False
 
     def test_unknown_key_rejected(self, tmp_path):
         bad = tmp_path / "bad.cfg"
@@ -504,6 +504,46 @@ class TestCli:
         assert "Traceback" not in err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["run.cfg"]
 
+    @pytest.mark.parametrize("case", ["forward_index", "retrieve_thickness", "retrieve_seed"])
+    def test_phase_past_float_precision_is_a_numerical_error(self, tmp_path, capsys, case):
+        """A phase whose float spacing exceeds ``MAX_PHASE_ULP`` no longer
+        carries its value: on configs/sample1.cfg, an index or a thickness
+        of 1e17 or a branch seed of 1e17 ends in exit 2 and one
+        numerical-error line naming the first point, 300 Hz, with no
+        branch warning before it and no file written."""
+        cfg = Path(__file__).resolve().parents[1] / "configs" / "sample1.cfg"
+        tr, out = tmp_path / "tr.csv", tmp_path / "out.csv"
+        if case == "forward_index":
+            argv = ("forward", "--set", "material.n1_re=1e17")
+        else:
+            assert self.run("forward", "--config", str(cfg), "--output", str(tr)) == 0
+            argv = ("retrieve", "--input", str(tr), *{
+                "retrieve_thickness": ("--set", "geometry.t=1e17"),
+                "retrieve_seed": ("--branch-seed", "100000000000000000")}[case])
+        capsys.readouterr()
+        code = self.run(*argv, "--config", str(cfg), "--output", str(out))
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("numerical error: phase ") and err.endswith(" at 300.0 Hz\n")
+        assert err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ("forward", "--config", "CFG", "--output", "a\0b"),
+        ("retrieve", "--config", "CFG", "--input", "a\0b", "--output", "out.csv"),
+        ("modes", "--config", "a\0b")], ids=["output", "input", "config"])
+    def test_null_byte_in_a_file_name_is_refused(self, cfg_path, tmp_path, capsys, monkeypatch,
+                                                 argv):
+        """No file can have a name with a null byte: an output, an input or
+        a configuration so named ends in exit 1 and one error line, before
+        any work, not in a traceback from ``open``."""
+        monkeypatch.chdir(tmp_path)
+        code = self.run(*[str(cfg_path) if word == "CFG" else word for word in argv])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err == "error: 'a\\x00b': a file name cannot hold a null byte\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["run.cfg"]
+
     def test_single_frequency_warns_about_branch(self, cfg_path, tmp_path, capsys):
         tr = tmp_path / "one.csv"
         k0t = 2 * math.pi * 500.0 / 343.0 * 0.0052
@@ -556,6 +596,12 @@ class TestCli:
                         "--output", str(out)) == 1
         assert capsys.readouterr().err == forward_err
         assert not out.exists()
+        # with the flag, retrieve flags exactly the rows past 2988.2 Hz
+        assert self.run("retrieve", "--config", str(cfg_path), "--input", str(tr),
+                        "--output", str(out), "--allow-above-cutoff") == 0
+        assert capsys.readouterr().err == ""
+        assert [(row["f"], row["flags"]) for row in read_results_csv(out)] == [
+            (400.0, ()), (1400.0, ()), (2400.0, ()), (3400.0, ("above_cutoff",))]
 
     @pytest.mark.parametrize("command", ["forward", "roundtrip"])
     def test_fdfd_refuses_the_scenes_cutoff_like_the_continuums(self, tmp_path, capsys,
@@ -1011,6 +1057,19 @@ def test_every_package_definition_is_used():
     unused = [qualified for qualified, name, own in members
               if referred[name] == own and name not in read]
     assert not unused, unused
+
+
+def test_only_the_command_line_names_its_options():
+    """No string constant in a package module other than cli.py, docstrings
+    included, names an option of ``cli.COMMANDS``: the library reports in
+    its own terms, and the command line alone knows its flags."""
+    root = Path(__file__).resolve().parents[1] / "src" / "tubegap"
+    options = {name for _, _, table in COMMANDS.values() for name in table}
+    found = [(path.name, node.value) for path in sorted(root.glob("*.py")) if path.name != "cli.py"
+             for node in ast.walk(ast.parse(path.read_text(), str(path)))
+             if isinstance(node, ast.Constant) and isinstance(node.value, str)
+             and any(option in node.value for option in options)]
+    assert "--allow-above-cutoff" in options and not found, found
 
 
 def test_every_third_party_import_is_declared():

@@ -5,13 +5,16 @@ import functools
 import math
 import re
 import warnings
+from pathlib import Path
 
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import tubegap.fdfd as fdfd_module
 from mm_reference import solve_bilayer_scene
+from tubegap.config import RunConfig
 from tubegap.errors import DomainError, ResolutionError
 from tubegap.fdfd import (
     MIN_CELLS_PER_WAVELENGTH,
@@ -20,7 +23,8 @@ from tubegap.fdfd import (
     solve_sweep,
     sweep_fields,
 )
-from tubegap.types import DuctGeometry, GapProperties, MaterialSpec
+from tubegap.retrieval import forward_averaged_sweep, retrieve_sweep
+from tubegap.types import DuctGeometry, GapProperties, MaterialSpec, MediumProperties
 
 # the coarsest scene build_scene accepts, for checks that need no accuracy
 fast_scene = functools.partial(build_scene, cells_per_wavelength=MIN_CELLS_PER_WAVELENGTH)
@@ -61,6 +65,39 @@ class TestBuildScene:
         scene = build_scene(MaterialSpec(n1=7.0, z1=1e5), sample2_geometry, 2500.0, medium=medium)
         assert scene.j_sleeve * scene.dr == pytest.approx(sample2_geometry.r1, rel=5e-3)
         assert scene.nr * scene.dr == pytest.approx(sample2_geometry.r2, rel=5e-3)
+
+    @pytest.mark.parametrize("name, grid", [("sample1", (7, 32, 56)), ("sample2", (14, 102, 140)),
+                                            ("air", (2, 4, 7))], ids=["sample1", "sample2", "air"])
+    def test_shipped_scenes_snap_inside_the_window(self, name, grid):
+        """The default scenes of the shipped configurations (and so of the
+        acceptance samples) keep their (sample cells, sleeve face, rings):
+        each snaps at a sleeve count within 25 of r1/dx."""
+        config = RunConfig.from_file(Path(__file__).resolve().parents[1] / "configs"
+                                     / f"{name}.cfg")
+        geometry = config.geometry()
+        scene = build_scene(config.material(), geometry, max(config.sweep_frequencies()),
+                            medium=config.medium())
+        assert (scene.n_sample_cells, scene.j_sleeve, scene.nr) == grid
+        assert abs(scene.j_sleeve - round(geometry.r1 / scene.dx)) <= 25
+
+    @pytest.mark.parametrize("f_max", [500.0, 1000.0])
+    def test_radii_snap_past_the_window(self, medium, f_max, monkeypatch):
+        """A 1.4 mm gap (r1 = 68.6 mm, r2 = 70 mm) snaps within 0.5% of r2
+        at no sleeve count within 25 of r1/dx at these f_max; 49 of 50 rings
+        of 1.4 mm snap exactly, so the search goes on to them, and the
+        lossless scene builds and solves.  The next best, 40 of 41 rings, is
+        0.45% off; a budget of 40^2 entries stops the search before either."""
+        geometry = DuctGeometry(r1=0.0686, r2=0.070, t=0.0052)
+        air = MaterialSpec.air(geometry, medium)
+        scene = build_scene(air, geometry, f_max, medium=medium)
+        assert round(geometry.r1 / scene.dx) + 25 < 49
+        assert (scene.j_sleeve, scene.nr) == (49, 50)
+        assert scene.dr == pytest.approx(0.0014, rel=1e-12)
+        (point,) = solve_sweep(scene, [f_max])
+        assert abs(point.transmission) ** 2 + abs(point.reflection) ** 2 == pytest.approx(1.0)
+        monkeypatch.setattr(fdfd_module, "MAX_CELLS", 40 ** 2)
+        with pytest.raises(ResolutionError, match="cannot place both radii"):
+            build_scene(air, geometry, f_max, medium=medium)
 
     def test_air_scene_differs_only_by_sleeve(self, sample1_geometry, medium):
         air = MaterialSpec.air(sample1_geometry, medium)
@@ -445,6 +482,49 @@ class TestDecomposition:
                 half_phase = mpmath.asin(mpmath.mpf(k0) * mpmath.mpf(dx) / 2)
                 assert abs(sigma_0 - mpmath.exp(-1j * half_phase)) <= 1e-14, f
                 assert abs(-cmath.phase(sigma_0) / half_phase - 1) <= 1e-14, f
+
+
+@functools.lru_cache(maxsize=None)
+def scaled_sample1(s):
+    """Sample 1 (n1 = 5, z1 = 15 z2) on 9 points from 300 to 2500 Hz, with
+    every length times s and every frequency over s: the averaged and the
+    simulated (T, R), each one's retrieved (n1, z1/z2), and the
+    simulator's grid indices (nx, j_sleeve, nr)."""
+    medium = MediumProperties(rho0=1.21, c0=343.0)
+    geometry = DuctGeometry(r1=0.040 * s, r2=0.070 * s, t=0.0052 * s)
+    z2 = GapProperties.from_geometry(geometry, medium).z2
+    freqs = [f / s for f in np.linspace(300.0, 2500.0, 9).tolist()]
+    averaged = forward_averaged_sweep(5.0, 15.0 * z2, geometry, medium, freqs)
+    scene = build_scene(MaterialSpec(n1=5.0, z1=15.0 * z2), geometry, max(freqs), medium=medium)
+    simulated = solve_sweep(scene, freqs)
+    retrieved = [[(r.n1, r.z1 / z2) for r in retrieve_sweep(data, geometry, medium)]
+                 for data in (averaged, simulated)]
+    return averaged, simulated, retrieved, (scene.nx, scene.j_sleeve, scene.nr)
+
+
+@settings(max_examples=25, deadline=None, database=None, derandomize=True)
+@given(exponent=st.floats(-3.0, 1.0))
+@example(exponent=-3.0)
+@example(exponent=math.log10(3.7))
+@example(exponent=1.0)
+def test_dimensional_scaling(exponent):
+    """(T, R) depend only on k0 r2, r1/r2, t/r2, n1 and z1/z2: every length
+    times s = 10^exponent and every frequency over s leave them unchanged,
+    the averaged ones to 1e-14 and the simulator's, on the same grid
+    indices, to 2e-12, and the (n1, z1/z2) retrieved from them to 1e-12 and
+    3e-10 relative.  The worst over 900 draws of the same range were
+    9.0e-16, 1.8e-13, 7.9e-14 and 2.8e-11."""
+    base_averaged, base_simulated, base_retrieved, base_grid = scaled_sample1(1.0)
+    averaged, simulated, retrieved, grid = scaled_sample1(10.0 ** exponent)
+    assert grid == base_grid
+    for data, base, bound in ((averaged, base_averaged, 1e-14),
+                              (simulated, base_simulated, 2e-12)):
+        assert max(max(abs(a.transmission - b.transmission), abs(a.reflection - b.reflection))
+                   for a, b in zip(data, base)) <= bound
+    for points, base, bound in zip(retrieved, base_retrieved, (1e-12, 3e-10)):
+        assert max(abs(value - reference) / abs(reference)
+                   for point, reference_point in zip(points, base)
+                   for value, reference in zip(point, reference_point)) <= bound
 
 
 class TestEmptyAndAirScenes:

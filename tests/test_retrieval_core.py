@@ -9,6 +9,7 @@ import pytest
 
 import tubegap.retrieval as retrieval_module
 from tubegap.errors import (
+    DomainError,
     IllConditionedSystemError,
     SingularMeasurementError,
 )
@@ -117,7 +118,7 @@ def assert_row(terms, rhs):
     assert abs(sum(terms) - rhs) <= 1e-13 * scale, (sum(terms), rhs)
 
 
-class TestAssembleSystem:
+class TestInterfaceRows:
     """The mirror halves of a measured point recombine into fields that
     satisfy each of the paper's eight interface rows: the measured layer
     matrix on the area-averaged totals, the four duct radiation rows with a
@@ -186,7 +187,7 @@ def unit_rows(b):
     return rows, [[0j, 0j], [0j, 0j]]
 
 
-class TestSolveFields:
+class TestHalfSolves:
     """``_solve_halves``: Cramer's rule on each half's column-equilibrated
     2x2 system, with its condition number; ``_pressures`` on its rows."""
 
@@ -268,6 +269,14 @@ class TestSolveFields:
             retrieve_sweep(data, sample1_geometry, medium)
 
 
+def test_overflowing_magnitude_is_a_non_finite_column():
+    """An entry whose magnitude overflows the float range although its parts
+    are finite (abs raises OverflowError) is refused as a non-finite column."""
+    rows, upstream = unit_rows([[complex(1.5e308, 1.5e308), 0.0], [0.0, 1.0]])
+    with pytest.raises(IllConditionedSystemError, match="non-finite column at 1300.0 Hz"):
+        retrieval_module._solve_halves(rows, upstream, 1300.0)
+
+
 def layer_fields(n1, z1, k0, t, p_out=1.0 + 0j, u_out=0.0 + 0j):
     """Exact single-layer fields for the extraction-formula tests."""
     theta = k0 * n1 * t
@@ -330,6 +339,12 @@ class TestExtraction:
         assert index_from_fields(state, k0=2.0, t=0.25, branch_m=1) == pytest.approx(
             4 * math.pi, abs=1e-12
         )
+
+    @pytest.mark.parametrize("sign", [0, 2, -1.5])
+    def test_index_sign_must_be_plus_or_minus_one(self, sign):
+        state = layer_fields(3.0, 2.0, k0=0.5, t=1.0)
+        with pytest.raises(DomainError, match=f"sign must be \\+1 or -1, got {sign}"):
+            index_from_fields(state, k0=0.5, t=1.0, sign=sign)
 
     def test_half_wave_degeneracy_flagged(self):
         # theta = pi with live fields: u_in = -u_out, so the velocity

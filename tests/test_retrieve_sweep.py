@@ -9,8 +9,9 @@ from hypothesis import example, given, settings, strategies as st
 
 from tubegap import modal
 from tubegap import retrieval as retrieval_module
-from tubegap.errors import ConvergenceError, DomainError
+from tubegap.errors import ConvergenceError, DomainError, IllConditionedSystemError
 from tubegap.retrieval import (
+    MAX_PHASE_ULP,
     RetrievalConfig,
     forward_averaged_sweep,
     retrieve_sweep,
@@ -354,17 +355,63 @@ class TestDegenerateHandling:
             flux_out = (p1_out * u1_out.conjugate() + p2_out * u2_out.conjugate()).real
             assert flux_in == pytest.approx(flux_out, rel=1e-6)
 
-    def test_above_cutoff_needs_override(self, sample1_geometry, medium, sample1_z2):
+    def test_above_cutoff_is_flagged_not_refused(self, sample1_geometry, medium, sample1_z2):
+        """The library flags a point past the first duct cutoff (2988.2 Hz)
+        and retrieves it like any other; only the command line refuses."""
         sweep = forward_averaged_sweep(
             2.0, 5.0 * sample1_z2, sample1_geometry, medium, [2500.0, 3100.0]
         )
-        with pytest.raises(DomainError):
-            retrieve_sweep(sweep, sample1_geometry, medium)
-        results = retrieve_sweep(
-            sweep, sample1_geometry, medium, RetrievalConfig(allow_above_cutoff=True)
-        )
-        assert "above_cutoff" not in results[0].flags
-        assert "above_cutoff" in results[1].flags
+        results = retrieve_sweep(sweep, sample1_geometry, medium)
+        assert [r.flags for r in results] == [(), ("above_cutoff",)]
+        assert all(abs(r.n1 - 2.0) < 1e-8 for r in results)
+
+
+class TestPhaseBound:
+    """A layer phase whose float spacing exceeds ``MAX_PHASE_ULP`` no longer
+    carries its value: the forward model and the retrieval refuse the
+    sample's and the gap's phase just past the bound, naming the frequency,
+    and compute both just inside it."""
+
+    # the smallest phase past the bound: a power of two, where the spacing doubles
+    EDGE = 2.0 ** (math.floor(math.log2(MAX_PHASE_ULP)) + 53)
+    F = 300.0
+
+    def test_edge_is_the_bound(self):
+        assert math.ulp(self.EDGE) > MAX_PHASE_ULP >= math.ulp(math.nextafter(self.EDGE, 0.0))
+
+    def check(self, sweep, scale):
+        """``sweep()`` is refused past the bound and finite inside it."""
+        if scale > 1:
+            with pytest.raises(IllConditionedSystemError, match=f"rad, at {self.F} Hz$"):
+                sweep()
+        else:
+            _, first, second, *_ = sweep()[0]  # (T, R) or (n1, z1)
+            assert cmath.isfinite(first) and cmath.isfinite(second)
+
+    @pytest.mark.parametrize("scale", [0.99, 1.01])
+    @pytest.mark.parametrize("layer", ["sample", "gap"])
+    def test_forward(self, medium, sample1_z2, layer, scale):
+        k0 = 2.0 * math.pi * self.F / medium.c0
+        phase = scale * self.EDGE
+        t, n1 = (0.0052, phase / (k0 * 0.0052)) if layer == "sample" else (phase / k0, 0.5)
+        geometry = DuctGeometry(r1=0.040, r2=0.070, t=t)
+        self.check(lambda: forward_averaged_sweep(n1, 15.0 * sample1_z2, geometry, medium,
+                                                  [self.F]), scale)
+
+    @pytest.mark.parametrize("scale", [0.99, 1.01])
+    @pytest.mark.parametrize("layer", ["sample", "gap"])
+    def test_retrieval(self, sample1_geometry, medium, sample1_z2, layer, scale):
+        """The sample's phase theta = phase + 2 pi m through the branch seed m."""
+        k0 = 2.0 * math.pi * self.F / medium.c0
+        phase = scale * self.EDGE
+        if layer == "sample":
+            t, seed = 0.0052, round(phase / (2.0 * math.pi))
+        else:
+            t, seed = phase / k0, None
+        geometry = DuctGeometry(r1=0.040, r2=0.070, t=t)
+        data = forward_averaged_sweep(5.0, 15.0 * sample1_z2, sample1_geometry, medium, [self.F])
+        self.check(lambda: retrieve_sweep(data, geometry, medium,
+                                          RetrievalConfig(branch_seed=seed)), scale)
 
 
 class TestLongSweep:

@@ -84,8 +84,7 @@ RECORDS = [
     (ScatteringData, {"f": (500.0, 600.0), "transmission": (0.5 + 0.1j, 0.4j),
                       "reflection": (0.2j, -0.1 + 0j)},
      ({"f": 0.0}, "frequency must be positive")),
-    (RetrievalConfig, {"n_modes": (12, 16), "branch_seed": (None, 2),
-                       "allow_above_cutoff": (False, True)},
+    (RetrievalConfig, {"n_modes": (12, 16), "branch_seed": (None, 2)},
      ({"branch_seed": 0.5}, "branch seed must be an integer")),
     (RetrievedProperties, {"f": (500.0, 600.0), "n1": (5 - 0.1j, 4 + 0j),
                            "z1": (1e5 + 0j, 2e5 + 0j), "branch_m": (0, 1), "sign_choice": (1, -1),
